@@ -13,6 +13,7 @@ from .errors import (
     MissingFit,
     ModelMissing,
     NoLabels,
+    NonFiniteInput,
     ShapeMismatch,
     SingularNormalMatrix,
 )
@@ -64,7 +65,6 @@ from .estimator import (
     fit_elevation_baseline,
     fit_elevation_weights,
     fit_scaler,
-    forward,
     guess_state,
     heuristic_weights,
     init_params,

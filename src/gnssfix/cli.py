@@ -7,7 +7,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,13 +21,20 @@ from .errors import (
     ModelMissing,
     NoLabels,
 )
-from .estimator.baselines import fit_elevation_baseline, heuristic_weights
-from .estimator.features import guess_state
+from .estimator.baselines import fit_elevation_baseline
 from .estimator.network import load_model, predict_errors, save_model
 from .estimator.training import TrainConfig, train
-from .evaluation import PipelineSpec, emit_reports, run_pipeline
-from .regulator import regulate_measurements, regulate_weights
-from .selector import SelectorConfig
+from .evaluation import (
+    METHODS,
+    PipelineSpec,
+    abs_error_means,
+    emit_reports,
+    epoch_estimates,
+    load_estimator,
+    localize_epoch,
+    run_pipeline,
+    write_trace,
+)
 from .simulator import (
     DEFAULT_EPOCHS_PER_REGION,
     SceneConfig,
@@ -39,13 +45,15 @@ from .simulator import (
     scene_from_dict,
     stable_seed,
 )
-from .solver import WlsConfig, geometry_matrix, wls_solve
 from .types import Epoch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+# wls_elevation needs a variance law fitted on labelled epochs; localize has none
+LOCALIZE_METHODS = tuple(m for m in METHODS if m != "wls_elevation")
 
 
 def _parse_scene_entry(entry: dict, global_seed: int) -> tuple[SceneConfig, int]:
@@ -126,12 +134,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _split_dataset(data_dir: str, holdout: str) -> tuple[list[Epoch], list[Epoch]]:
+def _split_dataset(data_dir: str, holdout: str | None) -> tuple[list[Epoch], list[Epoch]]:
+    """Epochs outside and inside the holdout region; with no holdout, all are outside."""
     manifest, regions = load_dataset(data_dir)
-    if holdout not in manifest.region_ids:
+    if holdout is not None and holdout not in manifest.region_ids:
         raise ValueError(f"holdout region {holdout!r} not in dataset regions {manifest.region_ids}")
-    train_epochs = [ep for rid, eps in regions.items() if rid != holdout for ep in eps]
-    return train_epochs, regions[holdout]
+    rest = [ep for rid, eps in regions.items() if rid != holdout for ep in eps]
+    return rest, regions.get(holdout, [])
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -152,13 +161,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     train_epochs, eval_epochs = _split_dataset(args.data, args.holdout)
-    spec = PipelineSpec(
-        method=args.method,
-        use_selector=args.selector,
-        model_path=args.model,
-        selector_config=SelectorConfig(),
-        wls_config=WlsConfig(),
-    )
+    spec = PipelineSpec(method=args.method, use_selector=args.selector, model_path=args.model)
     elevation_fit = fit_elevation_baseline(train_epochs) if args.method == "wls_elevation" else None
     report = run_pipeline(
         spec,
@@ -181,27 +184,10 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     epochs = read_shard(args.epoch_file)
     if not epochs:
         raise EmptyInput(f"no epochs in {args.epoch_file}")
-    needs_estimates = args.method in ("regulate_weights", "regulate_measurements")
-    model = None
-    if needs_estimates:
-        if not args.model:
-            raise ModelMissing(f"method {args.method!r} needs --model")
-        model = load_model(args.model)
     spec = PipelineSpec(method=args.method, model_path=args.model)
+    model = load_estimator(spec, oracle_errors=False)
     for ep in epochs:
-        sub = ep
-        if args.method == "regulate_measurements":
-            sub = regulate_measurements(ep, predict_errors(model, ep))
-            weights = np.ones(len(sub))
-        elif args.method == "regulate_weights":
-            weights = regulate_weights(geometry_matrix(ep, guess_state(ep)), predict_errors(model, ep))
-        elif args.method == "wls_cn0":
-            weights = heuristic_weights("cn0", ep)
-        elif args.method == "wls_unit":
-            weights = np.ones(len(ep))
-        else:
-            raise ValueError(f"method {args.method!r} is not available for localize")
-        result = wls_solve(sub, weights, guess_state(sub), spec.wls_config)
+        result, _ = localize_epoch(spec, ep, epoch_estimates(ep, model, False), None)
         fix = {
             "epoch_id": ep.epoch_id,
             "region": ep.region_id,
@@ -217,36 +203,15 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    manifest, regions = load_dataset(args.data)
-    if args.holdout:
-        if args.holdout not in manifest.region_ids:
-            raise ValueError(f"holdout region {args.holdout!r} not in dataset")
-        epochs = regions[args.holdout]
-    else:
-        epochs = [ep for eps in regions.values() for ep in eps]
+    rest, held = _split_dataset(args.data, args.holdout)
     model = load_model(args.model)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch_id", "region_id", "mean_abs_err", "mean_abs_prediction_dev"])
-            rows = 0
-            for ep in epochs:
-                if not ep.has_truth_errors():
-                    continue
-                e = ep.truth_errors()
-                e_hat = predict_errors(model, ep)
-                writer.writerow(
-                    [
-                        ep.epoch_id,
-                        ep.region_id,
-                        repr(float(np.mean(np.abs(e)))),
-                        repr(float(np.mean(np.abs(e_hat - e)))),
-                    ]
-                )
-                rows += 1
-    except OSError as exc:
-        raise IoFailure(f"cannot write {args.out}: {exc}") from exc
-    print(f"wrote {rows} rows to {args.out}")
+    rows = [
+        (ep.epoch_id, ep.region_id, *abs_error_means(ep.truth_errors(), predict_errors(model, ep)))
+        for ep in (held if args.holdout is not None else rest)
+        if ep.has_truth_errors()
+    ]
+    write_trace(args.out, rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 
@@ -281,11 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run a pipeline on the held-out region")
     p.add_argument("--data", required=True)
     p.add_argument("--holdout", required=True)
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=["wls_unit", "wls_cn0", "wls_elevation", "regulate_weights", "regulate_measurements"],
-    )
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--model", help="model JSON (needed for regulate_* unless --oracle-errors)")
     p.add_argument("--selector", action="store_true", help="apply measurement selection")
     p.add_argument("--oracle-errors", action="store_true", help="use true errors instead of the model")
@@ -295,11 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize", help="print per-epoch fixes as JSON lines")
     p.add_argument("--epoch-file", required=True, help="JSONL epochs")
     p.add_argument("--model", help="model JSON")
-    p.add_argument(
-        "--method",
-        default="regulate_measurements",
-        choices=["wls_unit", "wls_cn0", "regulate_weights", "regulate_measurements"],
-    )
+    p.add_argument("--method", default="regulate_measurements", choices=LOCALIZE_METHODS)
     p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("trace", help="per-epoch mean error vs prediction deviation CSV")

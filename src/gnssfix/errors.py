@@ -33,6 +33,10 @@ class DegenerateProjection(GnssFixError):
     """Projection onto the weight kernel collapsed to (nearly) zero."""
 
 
+class NonFiniteInput(GnssFixError):
+    """A value that must be finite is NaN or infinite."""
+
+
 class NoLabels(GnssFixError):
     """Training requested on data without truth errors."""
 

@@ -15,7 +15,7 @@ from .features import (
     initial_clock_bias,
     unscale_labels,
 )
-from .network import ModelParams, forward, init_params, load_model, predict_errors, save_model
+from .network import ModelParams, init_params, load_model, predict_errors, save_model
 from .training import TrainConfig, compute_gradients, loss_l2, train
 from .baselines import (
     ElevationWeightFit,
@@ -38,7 +38,6 @@ __all__ = [
     "initial_clock_bias",
     "unscale_labels",
     "ModelParams",
-    "forward",
     "init_params",
     "load_model",
     "predict_errors",

@@ -206,20 +206,6 @@ def batch_forward(
     return out, cache
 
 
-def forward(params: ModelParams, graph: EpochGraph, mode: str = "infer"):
-    """Scaled per-node predictions for one graph.
-
-    ``mode="train"`` uses batch statistics and returns (outputs, cache);
-    ``mode="infer"`` uses running statistics and returns the outputs alone.
-    """
-    if mode not in ("infer", "train"):
-        raise ValueError(f"unknown mode {mode!r}")
-    out, cache = batch_forward(params, [graph], train=mode == "train")
-    if mode == "train":
-        return out, cache
-    return out
-
-
 def _bn_act_backward(params: ModelParams, name: str, cache: dict, d_out: np.ndarray, grads: dict) -> np.ndarray:
     entry = cache[name]
     dy = d_out * np.where(entry["mask"], 1.0, params.leaky_slope)
@@ -279,7 +265,7 @@ def predict_errors(params: ModelParams, epoch) -> np.ndarray:
         raise MissingFit("model carries no feature scaler; train it first")
     feats = extract_features(epoch)
     graph = build_graph(epoch, apply_feature_scaler(params.scaler, feats))
-    out = forward(params, graph, mode="infer")
+    out, _ = batch_forward(params, [graph])
     return unscale_labels(params.scaler, out)
 
 

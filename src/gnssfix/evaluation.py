@@ -12,6 +12,7 @@ import numpy as np
 from .errors import (
     DegenerateProjection,
     EmptyInput,
+    InsufficientMeasurements,
     InsufficientRedundancy,
     IoFailure,
     ModelMissing,
@@ -23,7 +24,7 @@ from .estimator.features import guess_state
 from .estimator.network import ModelParams, load_model, predict_errors
 from .regulator import regulate_measurements, regulate_weights
 from .selector import SelectorConfig, select_measurements
-from .solver import WlsConfig, geometry_matrix, horizontal_error, wls_solve
+from .solver import WlsConfig, WlsResult, geometry_matrix, horizontal_error, wls_solve
 from .types import Epoch
 
 METHODS = (
@@ -34,6 +35,8 @@ METHODS = (
     "regulate_measurements",
 )
 _REGULATED = ("regulate_weights", "regulate_measurements")
+# Errors that end one epoch without a fix; evaluation records them as skips.
+EPOCH_FAILURES = (InsufficientMeasurements, DegenerateProjection, InsufficientRedundancy, SingularNormalMatrix)
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,68 @@ def _skip(epoch: Epoch, reason: str) -> EpochScore:
     )
 
 
+def load_estimator(spec: PipelineSpec, oracle_errors: bool) -> ModelParams | None:
+    """The model whose predictions the spec needs, or None when it needs none."""
+    needs_estimates = spec.method in _REGULATED or spec.use_selector
+    if not needs_estimates or oracle_errors:
+        return None
+    if spec.model_path is None:
+        raise ModelMissing(f"method {spec.method!r} needs error estimates; give a model or use oracle errors")
+    return load_model(spec.model_path)
+
+
+def epoch_estimates(epoch: Epoch, model: ModelParams | None, oracle_errors: bool) -> np.ndarray | None:
+    """Per-measurement error estimates: the truth errors, the model's, or none."""
+    if oracle_errors:
+        if not epoch.has_truth_errors():
+            raise NoLabels(f"epoch {epoch.epoch_id} lacks per-measurement truth errors")
+        return epoch.truth_errors()
+    if model is not None:
+        return predict_errors(model, epoch)
+    return None
+
+
+def localize_epoch(
+    spec: PipelineSpec,
+    epoch: Epoch,
+    e_hat: np.ndarray | None,
+    elevation_fit: ElevationWeightFit | None,
+) -> tuple[WlsResult, np.ndarray]:
+    """Fix one epoch: select, regulate or weight, then solve.
+
+    Returns the solver result and the keep-mask of the measurements used.
+    An epoch the method cannot fix raises one of EPOCH_FAILURES; fewer than
+    four measurements left after selection raises InsufficientMeasurements
+    before any regulation. Truth is never read.
+    """
+    used = np.ones(len(epoch), dtype=bool)
+    sub = epoch
+    if spec.use_selector:
+        used = select_measurements(e_hat, spec.selector_config)
+        sub = epoch.subset(used)
+        e_hat = e_hat[used]
+    if len(sub) < 4:
+        raise InsufficientMeasurements(f"{len(sub)} measurements left, need >= 4")
+
+    if spec.method == "regulate_measurements":
+        sub = regulate_measurements(sub, e_hat)
+    start = guess_state(sub)
+    if spec.method == "regulate_weights":
+        weights = regulate_weights(geometry_matrix(sub, start), e_hat)
+    elif spec.method in ("wls_unit", "regulate_measurements"):
+        weights = np.ones(len(sub))
+    elif spec.method == "wls_cn0":
+        weights = heuristic_weights("cn0", sub)
+    else:  # wls_elevation, membership checked at construction
+        weights = heuristic_weights("elevation", sub, elevation_fit)
+    return wls_solve(sub, weights, start, spec.wls_config), used
+
+
+def abs_error_means(labels: np.ndarray, e_hat: np.ndarray | float) -> tuple[float, float]:
+    """Mean |error| before and after subtracting the estimates."""
+    return float(np.mean(np.abs(labels))), float(np.mean(np.abs(labels - e_hat)))
+
+
 def score_epoch(
     spec: PipelineSpec,
     epoch: Epoch,
@@ -159,57 +224,22 @@ def score_epoch(
     """Run the configured pipeline on one epoch and score against truth."""
     if epoch.truth is None:
         raise NoLabels(f"epoch {epoch.epoch_id} has no truth state to score against")
-
-    e_hat = None
-    if oracle_errors:
-        if not epoch.has_truth_errors():
-            raise NoLabels(f"epoch {epoch.epoch_id} lacks per-measurement truth errors")
-        e_hat = epoch.truth_errors()
-    elif model is not None:
-        e_hat = predict_errors(model, epoch)
-
-    sub = epoch
-    if spec.use_selector:
-        mask = select_measurements(e_hat, spec.selector_config)
-        sub = epoch.subset(mask)
-        e_hat = e_hat[mask]
-    if len(sub) < 4:
-        return _skip(epoch, "too_few_measurements")
-
-    labels = sub.truth_errors() if sub.has_truth_errors() else None
-    before = float(np.mean(np.abs(labels))) if labels is not None else float("nan")
-    if labels is not None:
-        resid = labels - (e_hat if e_hat is not None else 0.0)
-        after = float(np.mean(np.abs(resid)))
-    else:
-        after = float("nan")
-
-    if spec.method == "regulate_measurements":
-        sub = regulate_measurements(sub, e_hat)
-        weights = np.ones(len(sub))
-    elif spec.method == "regulate_weights":
-        H = geometry_matrix(sub, guess_state(sub))
-        try:
-            weights = regulate_weights(H, e_hat)
-        except (DegenerateProjection, InsufficientRedundancy) as exc:
-            return _skip(epoch, type(exc).__name__)
-    elif spec.method == "wls_unit":
-        weights = np.ones(len(sub))
-    elif spec.method == "wls_cn0":
-        weights = heuristic_weights("cn0", sub)
-    else:  # wls_elevation, membership checked at construction
-        weights = heuristic_weights("elevation", sub, elevation_fit)
-
+    e_hat = epoch_estimates(epoch, model, oracle_errors)
     try:
-        result = wls_solve(sub, weights, guess_state(sub), spec.wls_config)
-    except SingularNormalMatrix as exc:
-        return _skip(epoch, type(exc).__name__)
+        result, used = localize_epoch(spec, epoch, e_hat, elevation_fit)
+    except EPOCH_FAILURES as exc:
+        reason = "too_few_measurements" if isinstance(exc, InsufficientMeasurements) else type(exc).__name__
+        return _skip(epoch, reason)
 
+    labels = [o.truth_error for o, keep in zip(epoch.observations, used) if keep]
+    before = after = float("nan")
+    if None not in labels:
+        before, after = abs_error_means(np.array(labels), 0.0 if e_hat is None else e_hat[used])
     return EpochScore(
         epoch_id=epoch.epoch_id,
         region_id=epoch.region_id,
         n_all=len(epoch),
-        n_used=len(sub),
+        n_used=len(labels),
         horizontal_error=horizontal_error(result.state, epoch.truth),
         iterations=result.iterations,
         converged=result.converged,
@@ -236,14 +266,7 @@ def run_pipeline(
     """
     if len(dataset) == 0:
         raise EmptyInput("empty dataset")
-    needs_estimates = spec.method in _REGULATED or spec.use_selector
-    model = None
-    if needs_estimates and not oracle_errors:
-        if spec.model_path is None:
-            raise ModelMissing(
-                f"method {spec.method!r} needs error estimates; give model_path or oracle errors"
-            )
-        model = load_model(spec.model_path)
+    model = load_estimator(spec, oracle_errors)
     eval_regions = tuple(sorted({ep.region_id for ep in dataset}))
     if model is not None and not allow_train_overlap:
         overlap = sorted(set(model.train_regions) & set(eval_regions))
@@ -314,19 +337,29 @@ def emit_reports(report: EvalReport, out_dir: str) -> dict[str, str]:
                     report.skipped_count,
                 ]
             )
-
-        with open(paths["trace"], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch_id", "region_id", "mean_abs_err", "mean_abs_prediction_dev"])
-            for s in report.scores:
-                if s.skipped is not None:
-                    continue
-                writer.writerow(
-                    [s.epoch_id, s.region_id, repr(s.mean_abs_err_before), repr(s.mean_abs_err_after)]
-                )
     except OSError as exc:
         raise IoFailure(f"cannot write reports under {out_dir}: {exc}") from exc
+    write_trace(
+        paths["trace"],
+        [
+            (s.epoch_id, s.region_id, s.mean_abs_err_before, s.mean_abs_err_after)
+            for s in report.scores
+            if s.skipped is None
+        ],
+    )
     return paths
+
+
+def write_trace(path: str, rows: Sequence[tuple[int, str, float, float]]) -> None:
+    """trace.csv: per epoch, mean |error| and mean |error - estimate|."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epoch_id", "region_id", "mean_abs_err", "mean_abs_prediction_dev"])
+            for epoch_id, region_id, err, dev in rows:
+                writer.writerow([epoch_id, region_id, repr(err), repr(dev)])
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

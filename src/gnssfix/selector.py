@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteInput
+
 
 @dataclass(frozen=True)
 class SelectorConfig:
@@ -32,12 +34,15 @@ def select_measurements(e_hat: np.ndarray, config: SelectorConfig) -> np.ndarray
     Epochs with at most n_req measurements pass through untouched. Otherwise
     the acceptance interval [l_b, u_b] is relaxed upward by s until it holds
     n_req estimates; once the upper bound reaches the largest estimate, the
-    lower bound starts relaxing as well.
+    lower bound starts relaxing as well. Non-finite estimates are rejected:
+    the interval could never grow to hold them.
     """
     e_hat = np.asarray(e_hat, dtype=float)
     n = e_hat.size
     if n < 1:
         raise ValueError("need at least one estimate")
+    if not np.all(np.isfinite(e_hat)):
+        raise NonFiniteInput("error estimates must be finite")
     if n <= config.n_req:
         return np.ones(n, dtype=bool)
 

@@ -35,16 +35,15 @@ class WlsConfig:
 class WlsResult:
     """Outcome of the iterative solve.
 
-    converged: the last update norm fell below the tolerance.
-    non_converged: iteration cap hit while the update was still >= 10x tolerance;
-    the state then carries the last iterate so hard epochs can still be scored.
+    converged: the last update norm fell below the tolerance. Otherwise the
+    iteration cap was hit and the state carries the last iterate, so hard
+    epochs can still be scored.
     """
 
     state: SolutionState
     iterations: int
     step_norm: float
     converged: bool
-    non_converged: bool
 
 
 def computed_pseudorange(state: SolutionState, sat: SatelliteState) -> float:
@@ -56,17 +55,26 @@ def computed_pseudorange(state: SolutionState, sat: SatelliteState) -> float:
     return dist + state.clock_bias
 
 
-def _ranges(epoch: Epoch, state: SolutionState) -> np.ndarray:
-    d = epoch.sat_positions() - state.pos.as_array()
+def _line_of_sight(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Receiver-to-satellite vectors and their lengths."""
+    d = sat_pos - pos
     dist = np.linalg.norm(d, axis=1)
     if np.any(dist < MIN_LOS_DISTANCE):
         raise DegenerateGeometry("state coincides with a satellite")
-    return dist
+    return d, dist
+
+
+def _jacobian(d: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    H = np.empty((dist.size, 4))
+    H[:, :3] = -d / dist[:, None]
+    H[:, 3] = 1.0
+    return H
 
 
 def residuals(epoch: Epoch, state: SolutionState) -> np.ndarray:
     """Computed-minus-measured pseudo-range for every observation."""
-    return _ranges(epoch, state) + state.clock_bias - epoch.pseudoranges()
+    _, dist = _line_of_sight(epoch.sat_positions(), state.pos.as_array())
+    return dist + state.clock_bias - epoch.pseudoranges()
 
 
 def cost(epoch: Epoch, state: SolutionState, weights: np.ndarray) -> float:
@@ -80,14 +88,7 @@ def cost(epoch: Epoch, state: SolutionState, weights: np.ndarray) -> float:
 
 def geometry_matrix(epoch: Epoch, state: SolutionState) -> np.ndarray:
     """n x 4 Jacobian of computed pseudo-ranges; row i is (-los_i, 1)."""
-    d = epoch.sat_positions() - state.pos.as_array()
-    dist = np.linalg.norm(d, axis=1)
-    if np.any(dist < MIN_LOS_DISTANCE):
-        raise DegenerateGeometry("state coincides with a satellite")
-    H = np.empty((len(epoch), 4))
-    H[:, :3] = -d / dist[:, None]
-    H[:, 3] = 1.0
-    return H
+    return _jacobian(*_line_of_sight(epoch.sat_positions(), state.pos.as_array()))
 
 
 def wls_solve(
@@ -98,9 +99,9 @@ def wls_solve(
 ) -> WlsResult:
     """Gauss-Newton weighted least squares for position and clock bias.
 
-    The geometry matrix and residuals are recomputed at every iterate. Weights
-    may be negative (weight regulation can produce them); only singularity of
-    the normal matrix is guarded.
+    The geometry matrix and residuals are rebuilt from one line-of-sight pass
+    at every iterate. Weights may be negative (weight regulation can produce
+    them); only singularity of the normal matrix is guarded.
     """
     n = len(epoch)
     if n < 4:
@@ -109,13 +110,16 @@ def wls_solve(
     if w.shape != (n,):
         raise LengthMismatch(f"{w.shape} weights for {n} observations")
 
+    sat_pos = epoch.sat_positions()
+    pr = epoch.pseudoranges()
     x = initial.as_array()
     step_norm = np.inf
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        state = SolutionState.from_array(x)
-        H = geometry_matrix(epoch, state)
-        r = residuals(epoch, state)
+        state = SolutionState.from_array(x)  # rejects a non-finite iterate
+        d, dist = _line_of_sight(sat_pos, state.pos.as_array())
+        H = _jacobian(d, dist)
+        r = dist + state.clock_bias - pr
         Hw = H * w[:, None]
         normal = H.T @ Hw
         if not np.all(np.isfinite(normal)) or np.linalg.cond(normal) > NORMAL_COND_LIMIT:
@@ -126,14 +130,11 @@ def wls_solve(
         if step_norm < config.convergence_tol:
             break
 
-    converged = step_norm < config.convergence_tol
-    non_converged = not converged and step_norm >= 10.0 * config.convergence_tol
     return WlsResult(
         state=SolutionState.from_array(x),
         iterations=iterations,
         step_norm=step_norm,
-        converged=converged,
-        non_converged=non_converged,
+        converged=step_norm < config.convergence_tol,
     )
 
 

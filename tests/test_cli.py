@@ -1,14 +1,19 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gnssfix.cli import main
-from gnssfix.dataset import read_manifest, shard_path, write_shard
+from gnssfix.cli import LOCALIZE_METHODS, main
+from gnssfix.dataset import read_manifest, read_shard, shard_path, write_shard
+from gnssfix.evaluation import PipelineSpec, run_pipeline
+from gnssfix.solver import horizontal_error
+from gnssfix.types import EcefPosition, SolutionState
 
 from util import ORIGIN, make_epoch
 
@@ -145,6 +150,39 @@ def test_localize_prints_json_lines(tiny_data, capsys):
         fix = json.loads(ln)
         assert set(fix) == {"epoch_id", "region", "x", "y", "z", "clk", "converged", "iterations"}
         assert fix["region"] == "canyon"
+
+
+@pytest.mark.parametrize("method", LOCALIZE_METHODS)
+def test_localize_fix_matches_evaluate_score(tiny_data, method, capsys):
+    # localize and evaluate share one per-epoch path, so their fixes agree exactly
+    shard = shard_path(tiny_data["data"], "canyon")
+    assert main(["localize", "--epoch-file", shard, "--model", tiny_data["model"], "--method", method]) == 0
+    fixes = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    epochs = read_shard(shard)
+    report = run_pipeline(PipelineSpec(method, model_path=tiny_data["model"]), epochs)
+    assert len(fixes) == len(report.scores) == len(epochs)
+    for fix, score, ep in zip(fixes, report.scores, epochs):
+        assert score.skipped is None
+        state = SolutionState(EcefPosition(fix["x"], fix["y"], fix["z"]), fix["clk"])
+        assert horizontal_error(state, ep.truth) == score.horizontal_error
+        assert (fix["converged"], fix["iterations"]) == (score.converged, score.iterations)
+
+
+@pytest.mark.parametrize("method", LOCALIZE_METHODS)
+def test_localize_unlabelled_epochs(tiny_data, tmp_path, rng, method, capsys):
+    epochs = [replace(make_epoch(rng, epoch_id=k, labelled=False), truth=None) for k in range(3)]
+    shard = str(tmp_path / "unlabelled.jsonl")
+    write_shard(shard, epochs)
+    assert all(ep.truth is None for ep in read_shard(shard))
+    rc = main(["localize", "--epoch-file", shard, "--model", tiny_data["model"], "--method", method])
+    assert rc == 0
+    fixes = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert [f["epoch_id"] for f in fixes] == [0, 1, 2]
+    assert all(math.isfinite(f[k]) for f in fixes for k in ("x", "y", "z", "clk"))
+    if method == "wls_unit":
+        # noiseless ranges: unit weights recover the position the epochs were built at
+        for f in fixes:
+            assert np.linalg.norm(np.array([f["x"], f["y"], f["z"]]) - ORIGIN.as_array()) <= 1e-4
 
 
 def test_localize_unit_needs_no_model(tiny_data, capsys):

@@ -12,7 +12,6 @@ from gnssfix import (
     ShapeMismatch,
     build_graph,
     extract_features,
-    forward,
     init_params,
     load_model,
     predict_errors,
@@ -110,7 +109,7 @@ def _oracle_forward_infer(params, graph):
 def test_forward_matches_straight_line_oracle(rng):
     params = _randomized_params(rng, hidden=6)
     graph = _random_graph(rng, 2)
-    got = forward(params, graph, mode="infer")
+    got = batch_forward(params, [graph])[0]
     want = _oracle_forward_infer(params, graph)
     assert np.allclose(got, want, atol=1e-9)
 
@@ -118,7 +117,7 @@ def test_forward_matches_straight_line_oracle(rng):
 def test_forward_oracle_larger_graph(rng):
     params = _randomized_params(rng, hidden=5)
     graph = _random_graph(rng, 7)
-    got = forward(params, graph, mode="infer")
+    got = batch_forward(params, [graph])[0]
     want = _oracle_forward_infer(params, graph)
     assert np.allclose(got, want, atol=1e-9)
 
@@ -133,8 +132,8 @@ def test_forward_permutation_equivariance(rng):
             node_features=graph.node_features[perm],
             adjacency=graph.adjacency[np.ix_(perm, perm)],
         )
-        out = forward(params, graph, mode="infer")
-        out_p = forward(params, permuted, mode="infer")
+        out = batch_forward(params, [graph])[0]
+        out_p = batch_forward(params, [permuted])[0]
         assert np.allclose(out_p, out[perm], atol=1e-9)
 
 
@@ -148,7 +147,7 @@ def test_zero_neighbour_weights_ignore_adjacency(rng):
         A = rng.random((6, 6))
         A = (A + A.T) / 2.0
         np.fill_diagonal(A, 0.0)
-        outs.append(forward(params, EpochGraph(node_features=feats, adjacency=A), mode="infer"))
+        outs.append(batch_forward(params, [EpochGraph(node_features=feats, adjacency=A)])[0])
     assert np.allclose(outs[0], outs[1], atol=1e-12)
     assert np.allclose(outs[0], outs[2], atol=1e-12)
 
@@ -156,8 +155,8 @@ def test_zero_neighbour_weights_ignore_adjacency(rng):
 def test_train_mode_uses_batch_statistics(rng):
     params = _randomized_params(rng, hidden=8)
     graph = _random_graph(rng, 6)
-    out_train, cache = forward(params, graph, mode="train")
-    out_infer = forward(params, graph, mode="infer")
+    out_train, cache = batch_forward(params, [graph], train=True)
+    out_infer = batch_forward(params, [graph])[0]
     # running stats were randomized away from the batch stats, so the two paths differ
     assert not np.allclose(out_train, out_infer, atol=1e-6)
     # cached statistics are the batch moments of the cached pre-activations
@@ -172,7 +171,7 @@ def test_forward_rejects_wrong_feature_dim(rng):
     params = init_params(rng, in_dim=13, hidden=4)
     bad = _random_graph(rng, 3, in_dim=12)
     with pytest.raises(ShapeMismatch):
-        forward(params, bad)
+        batch_forward(params, [bad])
     with pytest.raises(ShapeMismatch):
         batch_forward(params, [])
 
@@ -214,7 +213,7 @@ def test_save_load_roundtrip(rng, tmp_path):
     assert np.array_equal(back.scaler.feature_mean, scaler.feature_mean)
     # loaded model produces identical outputs
     graph = _random_graph(rng, 4)
-    assert np.array_equal(forward(back, graph), forward(params, graph))
+    assert np.array_equal(batch_forward(back, [graph])[0], batch_forward(params, [graph])[0])
 
 
 def test_load_model_missing_file(tmp_path):
@@ -269,5 +268,5 @@ def test_predict_errors_shape_and_determinism(rng):
     assert np.array_equal(a, b)
     # label unscaling applied: scaled outputs times label_std plus mean
     graph = build_graph(ep, extract_features(ep))
-    raw = forward(params, graph, mode="infer")
+    raw = batch_forward(params, [graph])[0]
     assert np.allclose(a, raw * 2.0, atol=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnssfix import SelectorConfig, select_measurements
+from gnssfix import NonFiniteInput, SelectorConfig, select_measurements
 
 
 def test_small_epoch_bypass():
@@ -78,3 +78,11 @@ def test_negative_heavy_errors_relax_lower_bound():
     mask = select_measurements(np.array([-40.0, -35.0, 5.0, -80.0]), cfg)
     # u_b=10 already >= max 5, so l_b drops until -40: keeps {-40,-35,5}
     assert mask.tolist() == [True, True, True, False]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_estimates_rejected(bad):
+    # fewer than n_req finite estimates: relaxing the interval could never end
+    e_hat = np.r_[np.zeros(5), np.full(10, bad)]
+    with pytest.raises(NonFiniteInput):
+        select_measurements(e_hat, SelectorConfig())

@@ -200,9 +200,10 @@ def test_wls_converged_stationarity(rng):
 
 def test_wls_nonconvergence_flag(rng):
     ep = make_epoch(rng, n=8, errors=rng.normal(0, 3, 8))
-    res = wls_solve(ep, np.ones(8), SolutionState(ep.initial_guess, 0.0), WlsConfig(max_iterations=1, convergence_tol=1e-12))
+    tol = 1e-12
+    res = wls_solve(ep, np.ones(8), SolutionState(ep.initial_guess, 0.0), WlsConfig(max_iterations=1, convergence_tol=tol))
     assert not res.converged
-    assert res.non_converged
+    assert res.step_norm >= 10 * tol
     assert res.iterations == 1
     assert res.state is not None
 

@@ -11,7 +11,7 @@ from gnssfix import (
     loss_l2,
     train,
 )
-from gnssfix.estimator.network import batch_forward, forward
+from gnssfix.estimator.network import batch_forward
 from gnssfix.estimator.training import batch_loss
 
 from util import make_epoch
@@ -196,7 +196,7 @@ def test_forward_unchanged_by_training_flag_roundtrip(rng):
     # through bn_stats, never through the tensors themselves
     params = _randomized_params(rng, hidden=4)
     graph = _random_graph(rng, 5)
-    before = forward(params, graph, mode="infer")
-    _ = forward(params, graph, mode="train")  # must not mutate anything
-    after = forward(params, graph, mode="infer")
+    before = batch_forward(params, [graph])[0]
+    _ = batch_forward(params, [graph], train=True)  # must not mutate anything
+    after = batch_forward(params, [graph])[0]
     assert np.array_equal(before, after)
