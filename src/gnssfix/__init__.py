@@ -60,7 +60,6 @@ from .estimator import (
     apply_feature_scaler,
     apply_label_scaler,
     build_graph,
-    compute_gradients,
     extract_features,
     fit_elevation_baseline,
     fit_elevation_weights,
@@ -70,7 +69,6 @@ from .estimator import (
     init_params,
     initial_clock_bias,
     load_model,
-    loss_l2,
     predict_errors,
     save_model,
     train,

@@ -32,6 +32,7 @@ from .evaluation import (
     epoch_estimates,
     load_estimator,
     localize_epoch,
+    require_held_out,
     run_pipeline,
     write_trace,
 )
@@ -204,10 +205,12 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     rest, held = _split_dataset(args.data, args.holdout)
+    epochs = held if args.holdout is not None else rest
     model = load_model(args.model)
+    require_held_out(model, {ep.region_id for ep in epochs})
     rows = [
         (ep.epoch_id, ep.region_id, *abs_error_means(ep.truth_errors(), predict_errors(model, ep)))
-        for ep in (held if args.holdout is not None else rest)
+        for ep in epochs
         if ep.has_truth_errors()
     ]
     write_trace(args.out, rows)

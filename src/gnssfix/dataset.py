@@ -114,7 +114,10 @@ def read_shard(path: str) -> list[Epoch]:
                     rec = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise IoFailure(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                epochs.append(record_to_epoch(rec))
+                try:
+                    epochs.append(record_to_epoch(rec))
+                except IoFailure as exc:
+                    raise IoFailure(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
         raise IoFailure(f"cannot read shard {path}: {exc}") from exc
     return epochs

@@ -16,7 +16,7 @@ from .features import (
     unscale_labels,
 )
 from .network import ModelParams, init_params, load_model, predict_errors, save_model
-from .training import TrainConfig, compute_gradients, loss_l2, train
+from .training import TrainConfig, train
 from .baselines import (
     ElevationWeightFit,
     fit_elevation_baseline,
@@ -43,8 +43,6 @@ __all__ = [
     "predict_errors",
     "save_model",
     "TrainConfig",
-    "compute_gradients",
-    "loss_l2",
     "train",
     "ElevationWeightFit",
     "fit_elevation_baseline",

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateGeometry
-from ..geometry import MIN_LOS_DISTANCE, elevation_azimuth
-from ..solver import residuals
+from ..geometry import elevation_azimuth
+from ..solver import _line_of_sight, residuals
 from ..types import Band, Constellation, Epoch, SolutionState
 
 FEATURE_DIM = 13
@@ -136,10 +135,7 @@ def build_graph(epoch: Epoch, features: np.ndarray) -> EpochGraph:
     n = len(epoch)
     if features.shape[0] != n:
         raise ValueError(f"{features.shape[0]} feature rows for {n} observations")
-    d = epoch.sat_positions() - epoch.initial_guess.as_array()
-    dist = np.linalg.norm(d, axis=1)
-    if np.any(dist < MIN_LOS_DISTANCE):
-        raise DegenerateGeometry("satellite coincides with the receiver guess")
+    d, dist = _line_of_sight(epoch.sat_positions(), epoch.initial_guess.as_array())
     u = d / dist[:, None]
     A = np.clip(u @ u.T, 0.0, 1.0)
     np.fill_diagonal(A, 0.0)

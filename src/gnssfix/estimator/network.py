@@ -5,7 +5,9 @@ so gradients can be checked against finite differences parameter by
 parameter.  Architecture: a five-block dense encoder, two neighbourhood
 averaging blocks over the epoch graph, a four-block dense head and a final
 affine readout.  Every hidden block is affine, batch normalisation, leaky
-ReLU, in that order.
+ReLU, in that order.  The batch normalisation subtracts the mean of each
+pre-activation, so the affine maps feeding it carry no bias; only the final
+readout has one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ N_ENCODER = 5
 N_SAGE = 2
 N_HEAD = 4  # hidden head blocks before the final affine
 
-MODEL_FORMAT = "gnssfix.model/1"
+MODEL_FORMAT = "gnssfix.model/2"
 
 
 def bn_layer_names() -> list[str]:
@@ -52,20 +54,16 @@ def tensor_shapes(in_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
     d = in_dim
     for i in range(N_ENCODER):
         shapes[f"enc{i}.w"] = (d, hidden)
-        shapes[f"enc{i}.b"] = (hidden,)
         shapes[f"enc{i}.gamma"] = (hidden,)
         shapes[f"enc{i}.beta"] = (hidden,)
         d = hidden
     for i in range(N_SAGE):
         shapes[f"sage{i}.self_w"] = (hidden, hidden)
-        shapes[f"sage{i}.self_b"] = (hidden,)
         shapes[f"sage{i}.nbr_w"] = (hidden, hidden)
-        shapes[f"sage{i}.nbr_b"] = (hidden,)
         shapes[f"sage{i}.gamma"] = (hidden,)
         shapes[f"sage{i}.beta"] = (hidden,)
     for i in range(N_HEAD):
         shapes[f"head{i}.w"] = (hidden, hidden)
-        shapes[f"head{i}.b"] = (hidden,)
         shapes[f"head{i}.gamma"] = (hidden,)
         shapes[f"head{i}.beta"] = (hidden,)
     shapes["out.w"] = (hidden, 1)
@@ -161,8 +159,7 @@ def _bn_act(
 
 
 def _dense(params: ModelParams, name: str, x: np.ndarray, train: bool, cache: dict | None) -> np.ndarray:
-    t = params.tensors
-    z = x @ t[f"{name}.w"] + t[f"{name}.b"]
+    z = x @ params.tensors[f"{name}.w"]
     return _bn_act(params, name, x, z, train, cache)
 
 
@@ -186,14 +183,14 @@ def batch_forward(
     t = params.tensors
     X = np.vstack([g.node_features for g in graphs])
     P = _aggregator(graphs)
-    cache: dict | None = {"P": P, "sizes": [len(g.node_features) for g in graphs]} if train else None
+    cache: dict | None = {"P": P} if train else None
     h = X
     for i in range(N_ENCODER):
         h = _dense(params, f"enc{i}", h, train, cache)
     for i in range(N_SAGE):
         name = f"sage{i}"
         agg = P @ h
-        z = h @ t[f"{name}.self_w"] + t[f"{name}.self_b"] + agg @ t[f"{name}.nbr_w"] + t[f"{name}.nbr_b"]
+        z = h @ t[f"{name}.self_w"] + agg @ t[f"{name}.nbr_w"]
         h_next = _bn_act(params, name, h, z, train, cache)
         if cache is not None:
             cache[name]["agg"] = agg
@@ -230,22 +227,18 @@ def batch_backward(params: ModelParams, cache: dict, d_out: np.ndarray) -> dict[
         name = f"head{i}"
         dz = _bn_act_backward(params, name, cache, dh, grads)
         grads[f"{name}.w"] = cache[name]["x"].T @ dz
-        grads[f"{name}.b"] = dz.sum(axis=0)
         dh = dz @ t[f"{name}.w"].T
     P = cache["P"]
     for i in reversed(range(N_SAGE)):
         name = f"sage{i}"
         dz = _bn_act_backward(params, name, cache, dh, grads)
         grads[f"{name}.self_w"] = cache[name]["x"].T @ dz
-        grads[f"{name}.self_b"] = dz.sum(axis=0)
         grads[f"{name}.nbr_w"] = cache[name]["agg"].T @ dz
-        grads[f"{name}.nbr_b"] = dz.sum(axis=0)
         dh = dz @ t[f"{name}.self_w"].T + P.T @ (dz @ t[f"{name}.nbr_w"].T)
     for i in reversed(range(N_ENCODER)):
         name = f"enc{i}"
         dz = _bn_act_backward(params, name, cache, dh, grads)
         grads[f"{name}.w"] = cache[name]["x"].T @ dz
-        grads[f"{name}.b"] = dz.sum(axis=0)
         dh = dz @ t[f"{name}.w"].T
     return grads
 
@@ -305,8 +298,9 @@ def load_model(path: str) -> ModelParams:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise IoFailure(f"unreadable model file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise IoFailure(f"{path} is not a recognised model file")
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != MODEL_FORMAT:
+        raise IoFailure(f"{path} has model format {found!r}, not {MODEL_FORMAT!r}; retrain the model")
     try:
         in_dim = int(payload["in_dim"])
         hidden = int(payload["hidden"])

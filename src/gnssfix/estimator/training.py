@@ -63,26 +63,17 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-def loss_l2(e_hat_scaled: Sequence[np.ndarray], e_scaled: Sequence[np.ndarray]) -> float:
-    """Squared error summed over each epoch's nodes, averaged over epochs."""
-    if len(e_hat_scaled) != len(e_scaled):
-        raise LengthMismatch(f"{len(e_hat_scaled)} prediction groups vs {len(e_scaled)} label groups")
-    total = 0.0
-    for pred, label in zip(e_hat_scaled, e_scaled):
-        pred = np.asarray(pred, dtype=float)
-        label = np.asarray(label, dtype=float)
-        if pred.shape != label.shape:
-            raise LengthMismatch(f"prediction shape {pred.shape} vs label shape {label.shape}")
-        total += float(np.sum((pred - label) ** 2))
-    return total / len(e_hat_scaled)
-
-
-def _loss_and_grads(
+def batch_loss(
     params: ModelParams,
     graphs: Sequence[EpochGraph],
     labels_scaled: Sequence[np.ndarray],
-    weight_decay: float,
-) -> tuple[float, dict[str, np.ndarray], dict]:
+) -> tuple[float, np.ndarray, dict]:
+    """Train-mode squared error of one batch, summed over each epoch's nodes and
+    averaged over epochs.
+
+    Returns the loss, its derivative with respect to every node output, and
+    the activation cache of the forward pass.
+    """
     if len(graphs) != len(labels_scaled):
         raise LengthMismatch(f"{len(graphs)} graphs vs {len(labels_scaled)} label groups")
     for g, y in zip(graphs, labels_scaled):
@@ -92,39 +83,22 @@ def _loss_and_grads(
     y_cat = np.concatenate([np.asarray(y, dtype=float) for y in labels_scaled])
     batch = len(graphs)
     diff = out - y_cat
-    loss = float(np.sum(diff**2)) / batch
-    d_out = 2.0 * diff / batch
-    grads = batch_backward(params, cache, d_out)
-    if weight_decay != 0.0:
-        for name, value in params.tensors.items():
-            grads[name] = grads[name].reshape(value.shape) + weight_decay * value
-    else:
-        for name, value in params.tensors.items():
-            grads[name] = grads[name].reshape(value.shape)
-    return loss, grads, cache
+    return float(np.sum(diff**2)) / batch, 2.0 * diff / batch, cache
 
 
-def compute_gradients(
+def loss_and_grads(
     params: ModelParams,
     graphs: Sequence[EpochGraph],
     labels_scaled: Sequence[np.ndarray],
     weight_decay: float = 0.0,
-) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradient of the batch loss for every tensor."""
-    _, grads, _ = _loss_and_grads(params, graphs, labels_scaled, weight_decay)
-    return grads
-
-
-def batch_loss(
-    params: ModelParams,
-    graphs: Sequence[EpochGraph],
-    labels_scaled: Sequence[np.ndarray],
-) -> float:
-    """Train-mode loss of one batch, no gradient; the finite-difference probe."""
-    out, _ = batch_forward(params, list(graphs), train=True)
-    sizes = [g.node_features.shape[0] for g in graphs]
-    split = np.split(out, np.cumsum(sizes)[:-1])
-    return loss_l2(split, list(labels_scaled))
+) -> tuple[float, dict[str, np.ndarray], dict]:
+    """Batch loss plus the exact reverse-mode gradient of every tensor, with
+    L2 weight decay added; the cache carries the batch normalisation moments."""
+    loss, d_out, cache = batch_loss(params, graphs, labels_scaled)
+    grads = batch_backward(params, cache, d_out)
+    for name, value in params.tensors.items():
+        grads[name] = grads[name] + weight_decay * value
+    return loss, grads, cache
 
 
 def train(
@@ -171,7 +145,7 @@ def train(
         idx = order[pos : pos + config.batch_size]
         pos += config.batch_size
 
-        loss, grads, cache = _loss_and_grads(
+        loss, grads, cache = loss_and_grads(
             params,
             [graphs[i] for i in idx],
             [labels[i] for i in idx],

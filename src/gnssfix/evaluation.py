@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -162,6 +162,13 @@ def load_estimator(spec: PipelineSpec, oracle_errors: bool) -> ModelParams | Non
     return load_model(spec.model_path)
 
 
+def require_held_out(model: ModelParams, eval_regions: Iterable[str]) -> None:
+    """Refuse a model that was trained on any of the regions it would be scored on."""
+    overlap = sorted(set(model.train_regions) & set(eval_regions))
+    if overlap:
+        raise ValueError(f"model was trained on evaluation regions {overlap}; hold these out or evaluate elsewhere")
+
+
 def epoch_estimates(epoch: Epoch, model: ModelParams | None, oracle_errors: bool) -> np.ndarray | None:
     """Per-measurement error estimates: the truth errors, the model's, or none."""
     if oracle_errors:
@@ -269,12 +276,7 @@ def run_pipeline(
     model = load_estimator(spec, oracle_errors)
     eval_regions = tuple(sorted({ep.region_id for ep in dataset}))
     if model is not None and not allow_train_overlap:
-        overlap = sorted(set(model.train_regions) & set(eval_regions))
-        if overlap:
-            raise ValueError(
-                f"model was trained on evaluation regions {overlap}; "
-                "hold these out or evaluate elsewhere"
-            )
+        require_held_out(model, eval_regions)
     scores = tuple(score_epoch(spec, ep, model, oracle_errors, elevation_fit) for ep in dataset)
     return EvalReport(
         method=spec.method,

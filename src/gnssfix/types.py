@@ -93,10 +93,14 @@ class Observation:
     truth_error: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.pseudorange > 0:
-            raise ValueError("pseudorange must be positive")
+        if not (self.pseudorange > 0 and _finite(self.pseudorange)):
+            raise ValueError("pseudorange must be positive and finite")
         if not 0.0 <= self.cn0 <= 70.0:
             raise ValueError("cn0 outside [0, 70] dB-Hz")
+        if not _finite(self.avg_power):
+            raise ValueError("avg_power must be finite")
+        if self.truth_error is not None and not _finite(self.truth_error):
+            raise ValueError("truth_error must be finite")
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from gnssfix.types import (
     SolutionState,
 )
 
+from test_selector import loop_select
 from test_training import check_gradients_fd
 from util import ORIGIN, enu_direction, make_epoch
 
@@ -343,7 +344,8 @@ def test_criterion_07_selection_traces_and_floor(rng):
         )
         mask = select_measurements(e_hat, config)
         assert int(mask.sum()) >= min(n, config.n_req)
-    print("criterion 07: 3 hand-traced masks exact, 10000 fuzzed inputs respect the size floor")
+        assert np.array_equal(mask, loop_select(e_hat, config))
+    print("criterion 07: 3 hand-traced masks exact, 10000 fuzzed inputs respect the size floor and match the step loop")
 
 
 # ------------------------------------------------------------- criterion 8

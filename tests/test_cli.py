@@ -220,6 +220,15 @@ def test_trace_writes_csv(tiny_data, tmp_path):
     assert len(rows) == 7
 
 
+def test_trace_refuses_training_regions(tiny_data, tmp_path, capsys):
+    # without --holdout trace covers every region, flat included, which the model was trained on
+    out = str(tmp_path / "trace.csv")
+    rc = main(["trace", "--data", tiny_data["data"], "--model", tiny_data["model"], "--out", out])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_exit_code_2_for_bad_config(tmp_path, capsys):
     cfg = str(tmp_path / "bad.json")
     with open(cfg, "w") as fh:

@@ -66,12 +66,19 @@ def test_shard_roundtrip(tmp_path, rng):
     assert back == epochs
 
 
-def test_read_shard_reports_bad_line(tmp_path):
+def test_read_shard_reports_bad_line(rng, tmp_path):
     path = str(tmp_path / "bad.jsonl")
     with open(path, "w") as fh:
         fh.write('{"epoch_id": 1}\n')
     with pytest.raises(IoFailure):
         read_shard(path)
+    rec = epoch_to_record(make_epoch(rng, n=5))
+    rec["obs"][0]["truth_err"] = float("nan")  # json writes it as a bare NaN token
+    with open(path, "w") as fh:
+        fh.write(json.dumps(rec) + "\n")
+    with pytest.raises(IoFailure) as err:
+        read_shard(path)
+    assert ":1:" in str(err.value) and "truth_error must be finite" in str(err.value)
     with open(path, "w") as fh:
         fh.write("not json at all\n")
     with pytest.raises(IoFailure) as err:

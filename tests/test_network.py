@@ -69,11 +69,11 @@ def _oracle_forward_infer(params, graph):
         return out
 
     def affine(name, x):
-        w, b = t[f"{name}.w"], t[f"{name}.b"]
+        w = t[f"{name}.w"]
         out = np.empty((x.shape[0], w.shape[1]))
         for i in range(x.shape[0]):
             for j in range(w.shape[1]):
-                out[i, j] = sum(x[i, k] * w[k, j] for k in range(x.shape[1])) + b[j]
+                out[i, j] = sum(x[i, k] * w[k, j] for k in range(x.shape[1]))
         return out
 
     h = np.asarray(graph.node_features, dtype=float)
@@ -91,11 +91,8 @@ def _oracle_forward_infer(params, graph):
         z = np.empty_like(h)
         for a in range(n):
             for j in range(h.shape[1]):
-                z[a, j] = (
-                    sum(h[a, k] * t[f"{name}.self_w"][k, j] for k in range(h.shape[1]))
-                    + t[f"{name}.self_b"][j]
-                    + sum(agg[a, k] * t[f"{name}.nbr_w"][k, j] for k in range(h.shape[1]))
-                    + t[f"{name}.nbr_b"][j]
+                z[a, j] = sum(h[a, k] * t[f"{name}.self_w"][k, j] for k in range(h.shape[1])) + sum(
+                    agg[a, k] * t[f"{name}.nbr_w"][k, j] for k in range(h.shape[1])
                 )
         h = bn_act(name, z)
     for i in range(N_HEAD):
@@ -230,6 +227,18 @@ def test_load_model_malformed(tmp_path):
     wrong.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(IoFailure):
         load_model(str(wrong))
+
+
+def test_load_model_refuses_format_1(rng, tmp_path):
+    # format 1 carried biases that the batch normalisation cancels; such a
+    # file is refused outright and the model has to be retrained
+    path = str(tmp_path / "model.json")
+    save_model(init_params(rng, hidden=4), path)
+    payload = json.loads(open(path).read())
+    payload["format"] = "gnssfix.model/1"
+    open(path, "w").write(json.dumps(payload))
+    with pytest.raises(IoFailure, match="retrain"):
+        load_model(path)
 
 
 def test_load_model_rejects_dimension_lie(rng, tmp_path):

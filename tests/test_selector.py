@@ -1,7 +1,22 @@
+import time
+
 import numpy as np
 import pytest
 
 from gnssfix import NonFiniteInput, SelectorConfig, select_measurements
+
+
+def loop_select(e_hat, config):
+    """Reference: relax the bounds one step at a time, as the method is stated."""
+    if e_hat.size <= config.n_req:
+        return np.ones(e_hat.size, dtype=bool)
+    l_b, u_b = config.l_b, config.u_b
+    e_max = float(np.max(e_hat))
+    while int(np.count_nonzero((e_hat >= l_b) & (e_hat <= u_b))) < config.n_req:
+        u_b += config.s
+        if u_b >= e_max:
+            l_b -= config.s
+    return (e_hat >= l_b) & (e_hat <= u_b)
 
 
 def test_small_epoch_bypass():
@@ -56,6 +71,7 @@ def test_kept_iff_within_final_bounds(rng):
         n = int(rng.integers(9, 20))
         e_hat = rng.normal(0.0, 50.0, n)
         mask = select_measurements(e_hat, cfg)
+        assert np.array_equal(mask, loop_select(e_hat, cfg))
         if mask.all():
             continue
         kept = e_hat[mask]
@@ -86,3 +102,12 @@ def test_non_finite_estimates_rejected(bad):
     e_hat = np.r_[np.zeros(5), np.full(10, bad)]
     with pytest.raises(NonFiniteInput):
         select_measurements(e_hat, SelectorConfig())
+
+
+def test_huge_estimates_need_no_step_loop():
+    # relaxing 5 m at a time would take about 2e8 steps to reach 1e9
+    e_hat = np.r_[np.zeros(5), np.full(10, 1e9)]
+    start = time.perf_counter()
+    mask = select_measurements(e_hat, SelectorConfig())
+    assert time.perf_counter() - start < 1.0
+    assert mask.all()

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from gnssfix import (
-    Epoch,
     LengthMismatch,
     NoLabels,
     TrainConfig,
-    compute_gradients,
     init_params,
-    loss_l2,
     train,
 )
 from gnssfix.estimator.network import batch_forward
-from gnssfix.estimator.training import batch_loss
+from gnssfix.estimator.training import batch_loss, loss_and_grads
 
 from util import make_epoch
 from test_network import _random_graph, _randomized_params
@@ -32,30 +29,44 @@ def _toy_dataset(rng, n_epochs=200, n_sats=(5, 9)):
 
 
 def test_loss_l2_zero_when_equal(rng):
-    pred = [rng.standard_normal(4), rng.standard_normal(7)]
-    assert loss_l2(pred, [p.copy() for p in pred]) == 0.0
+    params = _randomized_params(rng, hidden=4)
+    graphs = [_random_graph(rng, 4), _random_graph(rng, 7)]
+    out, _ = batch_forward(params, graphs, train=True)
+    loss, d_out, _ = batch_loss(params, graphs, np.split(out.copy(), [4]))
+    assert loss == 0.0
+    assert np.all(d_out == 0.0)
 
 
-def test_loss_l2_single_node():
-    assert loss_l2([np.array([3.0])], [np.array([1.0])]) == pytest.approx(4.0)
+def test_batch_loss_single_node(rng):
+    params = _randomized_params(rng, hidden=4)
+    graphs = [_random_graph(rng, 1)]
+    out, _ = batch_forward(params, graphs, train=True)
+    loss, d_out, _ = batch_loss(params, graphs, [out - 2.0])
+    assert loss == pytest.approx(4.0)
+    assert d_out == pytest.approx([4.0])
 
 
-def test_loss_l2_matches_double_loop_oracle(rng):
-    preds = [rng.standard_normal(int(rng.integers(2, 9))) for _ in range(6)]
+def test_batch_loss_matches_double_loop_oracle(rng):
+    params = _randomized_params(rng, hidden=5)
+    sizes = [int(rng.integers(2, 9)) for _ in range(6)]
+    graphs = [_random_graph(rng, n) for n in sizes]
+    preds = np.split(batch_forward(params, graphs, train=True)[0], np.cumsum(sizes)[:-1])
     labels = [p + rng.standard_normal(p.size) for p in preds]
     total = 0.0
     for p, y in zip(preds, labels):
         for a, b in zip(p, y):
             total += (a - b) ** 2
     want = total / len(preds)
-    assert loss_l2(preds, labels) == pytest.approx(want, rel=1e-12)
+    assert batch_loss(params, graphs, labels)[0] == pytest.approx(want, rel=1e-12)
 
 
-def test_loss_l2_length_mismatch(rng):
+def test_batch_loss_length_mismatch(rng):
+    params = init_params(rng, hidden=3)
+    graphs = [_random_graph(rng, 3)]
     with pytest.raises(LengthMismatch):
-        loss_l2([np.zeros(3)], [np.zeros(3), np.zeros(3)])
+        batch_loss(params, graphs, [np.zeros(3), np.zeros(3)])
     with pytest.raises(LengthMismatch):
-        loss_l2([np.zeros(3)], [np.zeros(4)])
+        batch_loss(params, graphs, [np.zeros(4)])
 
 
 def test_gradients_zero_at_perfect_fit(rng):
@@ -63,18 +74,31 @@ def test_gradients_zero_at_perfect_fit(rng):
     graphs = [_random_graph(rng, 4), _random_graph(rng, 6)]
     out, _ = batch_forward(params, graphs, train=True)
     labels = list(np.split(out, [4]))
-    grads = compute_gradients(params, graphs, labels, weight_decay=0.0)
+    loss, grads, _ = loss_and_grads(params, graphs, labels)
+    assert loss == 0.0
     for name, g in grads.items():
         assert np.max(np.abs(g)) <= 1e-12, name
+
+
+def test_every_tensor_has_a_gradient(rng):
+    # a tensor whose exact gradient is zero (a bias cancelled by the batch
+    # normalisation after it) is dead weight in the model
+    params = _randomized_params(rng)
+    graphs = [_random_graph(rng, 5), _random_graph(rng, 7)]
+    labels = [rng.standard_normal(5), rng.standard_normal(7)]
+    _, grads, _ = loss_and_grads(params, graphs, labels)
+    assert set(grads) == set(params.tensors)
+    for name, g in grads.items():
+        assert np.max(np.abs(g)) > 1e-8, name
 
 
 def central_difference(params, graphs, labels, tensor_name, k, step):
     flat = params.tensors[tensor_name].reshape(-1)
     keep = flat[k]
     flat[k] = keep + step
-    hi = batch_loss(params, graphs, labels)
+    hi = batch_loss(params, graphs, labels)[0]
     flat[k] = keep - step
-    lo = batch_loss(params, graphs, labels)
+    lo = batch_loss(params, graphs, labels)[0]
     flat[k] = keep
     return (hi - lo) / (2 * step)
 
@@ -85,7 +109,7 @@ def check_gradients_fd(params, graphs, labels, steps=(1e-4, 1e-5, 1e-6)):
     A rectifier kink inside the difference interval corrupts the quotient at
     the coarser step; shrinking the step resolves the true local derivative.
     """
-    grads = compute_gradients(params, graphs, labels, weight_decay=0.0)
+    _, grads, _ = loss_and_grads(params, graphs, labels)
     bad = []
     for name, tensor in params.tensors.items():
         g_flat = grads[name].reshape(-1)
@@ -113,8 +137,8 @@ def test_gradients_include_weight_decay(rng):
     params = _randomized_params(rng, hidden=4)
     graphs = [_random_graph(rng, 4)]
     labels = [rng.standard_normal(4)]
-    g0 = compute_gradients(params, graphs, labels, weight_decay=0.0)
-    g1 = compute_gradients(params, graphs, labels, weight_decay=0.5)
+    g0 = loss_and_grads(params, graphs, labels)[1]
+    g1 = loss_and_grads(params, graphs, labels, weight_decay=0.5)[1]
     for name, tensor in params.tensors.items():
         assert np.allclose(g1[name], g0[name] + 0.5 * tensor, atol=1e-12)
 
@@ -123,8 +147,8 @@ def test_gradients_duplicate_batch_invariance(rng):
     params = _randomized_params(rng, hidden=4)
     graphs = [_random_graph(rng, 4), _random_graph(rng, 5)]
     labels = [rng.standard_normal(4), rng.standard_normal(5)]
-    g1 = compute_gradients(params, graphs, labels)
-    g2 = compute_gradients(params, graphs + graphs, labels + labels)
+    g1 = loss_and_grads(params, graphs, labels)[1]
+    g2 = loss_and_grads(params, graphs + graphs, labels + labels)[1]
     for name in g1:
         assert np.allclose(g1[name], g2[name], atol=1e-12), name
 

@@ -42,6 +42,12 @@ def test_observation_bounds():
         Observation(_sat(), -5.0, 45.0, 15.0)
     with pytest.raises(ValueError):
         Observation(_sat(), 2.66e7, 80.0, 15.0)  # cn0 above 70
+    with pytest.raises(ValueError):
+        Observation(_sat(), float("inf"), 45.0, 15.0)
+    with pytest.raises(ValueError):
+        Observation(_sat(), 2.66e7, 45.0, float("inf"))
+    with pytest.raises(ValueError):
+        Observation(_sat(), 2.66e7, 45.0, 15.0, truth_error=float("nan"))
     obs = Observation(_sat(), 2.66e7, 45.0, 15.0)
     assert obs.truth_error is None
 
