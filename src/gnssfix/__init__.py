@@ -32,7 +32,7 @@ from .geometry import (
     elevation_azimuth,
     enu_basis,
     enu_to_ecef,
-    los_unit_vector,
+    line_of_sight,
 )
 from .solver import (
     WlsConfig,

@@ -25,6 +25,7 @@ from .estimator.baselines import fit_elevation_baseline
 from .estimator.network import load_model, predict_errors, save_model
 from .estimator.training import TrainConfig, train
 from .evaluation import (
+    EPOCH_FAILURES,
     METHODS,
     PipelineSpec,
     abs_error_means,
@@ -34,6 +35,7 @@ from .evaluation import (
     localize_epoch,
     require_held_out,
     run_pipeline,
+    skip_reason,
     write_trace,
 )
 from .simulator import (
@@ -58,51 +60,28 @@ LOCALIZE_METHODS = tuple(m for m in METHODS if m != "wls_elevation")
 
 
 def _parse_scene_entry(entry: dict, global_seed: int) -> tuple[SceneConfig, int]:
-    """One region from a config file: a style shorthand or explicit fields."""
-    if "region_id" not in entry:
-        raise ValueError("region entry missing region_id")
-    count = int(entry.get("epochs", DEFAULT_EPOCHS_PER_REGION))
-    if "receiver_origin" in entry and "sky_mask_bins" in entry:
-        payload = {k: v for k, v in entry.items() if k != "epochs"}
-        payload.setdefault("seed", stable_seed(global_seed, entry["region_id"], "mask"))
-        defaults = SceneConfig(
-            region_id="defaults",
-            receiver_origin=origin_from_lat_lon(0.0, 0.0),
-            sky_mask_bins=tuple([0.0] * 36),
-        )
-        for fname in (
-            "n_sats_range",
-            "los_sigma_base",
-            "nlos_mean_extra",
-            "nlos_sigma",
-            "cn0_los_mean",
-            "cn0_los_std",
-            "cn0_nlos_mean",
-            "cn0_nlos_std",
-            "guess_offset_sigma",
-        ):
-            payload.setdefault(fname, getattr(defaults, fname))
-        return scene_from_dict(payload), count
-    style = entry.get("style", "urban")
-    lat = float(entry.get("lat", 0.0))
-    lon = float(entry.get("lon", 0.0))
+    """One region from a config file: SceneConfig fields by name plus `epochs`.
+
+    An entry without `receiver_origin` takes it from `lat`/`lon`; one without
+    `sky_mask_bins` draws the mask of its `style`.
+    """
+    if not isinstance(entry, dict) or "region_id" not in entry:
+        raise ValueError(f"region entry {entry!r} is not an object with a region_id")
+    payload = dict(entry)
+    style = payload.pop("style", "urban")
+    try:
+        count = int(payload.pop("epochs", DEFAULT_EPOCHS_PER_REGION))
+        lat = float(payload.pop("lat", 0.0))
+        lon = float(payload.pop("lon", 0.0))
+    except TypeError as exc:
+        raise ValueError(f"region {entry['region_id']!r}: {exc}") from exc
     mask_seed = stable_seed(global_seed, entry["region_id"], "mask")
-    mask = sample_sky_mask(style, np.random.default_rng(mask_seed))
-    overrides = {
-        k: v
-        for k, v in entry.items()
-        if k not in ("region_id", "style", "lat", "lon", "epochs")
-    }
-    if "n_sats_range" in overrides:
-        overrides["n_sats_range"] = tuple(int(v) for v in overrides["n_sats_range"])
-    scene = SceneConfig(
-        region_id=str(entry["region_id"]),
-        receiver_origin=origin_from_lat_lon(lat, lon),
-        sky_mask_bins=tuple(float(v) for v in mask),
-        seed=mask_seed,
-        **overrides,
-    )
-    return scene, count
+    payload.setdefault("seed", mask_seed)
+    if "receiver_origin" not in payload:
+        payload["receiver_origin"] = origin_from_lat_lon(lat, lon).as_array()
+    if "sky_mask_bins" not in payload:
+        payload["sky_mask_bins"] = sample_sky_mask(style, np.random.default_rng(mask_seed))
+    return scene_from_dict(payload), count
 
 
 def _load_scenes_config(path: str, global_seed: int) -> tuple[list[SceneConfig], list[int]]:
@@ -113,7 +92,7 @@ def _load_scenes_config(path: str, global_seed: int) -> tuple[list[SceneConfig],
         raise IoFailure(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "regions" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("regions"), list):
         raise ValueError(f"config {path} must be an object with a 'regions' list")
     scenes, counts = [], []
     for entry in payload["regions"]:
@@ -188,18 +167,23 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     spec = PipelineSpec(method=args.method, model_path=args.model)
     model = load_estimator(spec, oracle_errors=False)
     for ep in epochs:
-        result, _ = localize_epoch(spec, ep, epoch_estimates(ep, model, False), None)
-        fix = {
-            "epoch_id": ep.epoch_id,
-            "region": ep.region_id,
-            "x": result.state.pos.x,
-            "y": result.state.pos.y,
-            "z": result.state.pos.z,
-            "clk": result.state.clock_bias,
-            "converged": result.converged,
-            "iterations": result.iterations,
-        }
-        print(json.dumps(fix, separators=(",", ":")))
+        record = {"epoch_id": ep.epoch_id, "region": ep.region_id}
+        e_hat = epoch_estimates(ep, model, False)
+        try:
+            result, _ = localize_epoch(spec, ep, e_hat, None)
+        except EPOCH_FAILURES as exc:
+            record["skipped"] = skip_reason(exc)
+        else:
+            pos = result.state.pos
+            record.update(
+                x=pos.x,
+                y=pos.y,
+                z=pos.z,
+                clk=result.state.clock_bias,
+                converged=result.converged,
+                iterations=result.iterations,
+            )
+        print(json.dumps(record, separators=(",", ":")))
     return EXIT_OK
 
 

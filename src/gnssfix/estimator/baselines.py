@@ -60,16 +60,12 @@ def fit_elevation_weights(elevations: np.ndarray, errors: np.ndarray) -> Elevati
 
 def fit_elevation_baseline(epochs: Sequence[Epoch]) -> ElevationWeightFit:
     """Fit the variance law on every labelled measurement of the epochs."""
-    els, errs = [], []
-    for ep in epochs:
-        if not ep.has_truth_errors():
-            continue
-        for obs in ep.observations:
-            els.append(elevation_azimuth(ep.initial_guess, obs.sat.pos)[0])
-            errs.append(obs.truth_error)
-    if not els:
+    labelled = [ep for ep in epochs if ep.has_truth_errors()]
+    if not labelled:
         raise EmptyInput("no labelled measurements to fit on")
-    return fit_elevation_weights(np.array(els), np.array(errs))
+    els = [elevation_azimuth(ep.initial_guess, ep.sat_positions())[0] for ep in labelled]
+    errs = [ep.truth_errors() for ep in labelled]
+    return fit_elevation_weights(np.concatenate(els), np.concatenate(errs))
 
 
 def heuristic_weights(method: str, epoch: Epoch, fit: ElevationWeightFit | None = None) -> np.ndarray:
@@ -88,8 +84,6 @@ def heuristic_weights(method: str, epoch: Epoch, fit: ElevationWeightFit | None 
     if method == "elevation":
         if fit is None:
             raise MissingFit("elevation weighting requires a fitted variance law")
-        el = np.array(
-            [elevation_azimuth(epoch.initial_guess, obs.sat.pos)[0] for obs in epoch.observations]
-        )
+        el, _ = elevation_azimuth(epoch.initial_guess, epoch.sat_positions())
         return 1.0 / fit.variance(el)
     raise ValueError(f"unknown weighting method {method!r}")

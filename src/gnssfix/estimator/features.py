@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import elevation_azimuth
-from ..solver import _line_of_sight, residuals
+from ..geometry import elevation_azimuth, line_of_sight
+from ..solver import residuals
 from ..types import Band, Constellation, Epoch, SolutionState
 
 FEATURE_DIM = 13
@@ -46,20 +46,19 @@ def guess_state(epoch: Epoch) -> SolutionState:
 
 def extract_features(epoch: Epoch) -> np.ndarray:
     """(n, 13) raw feature matrix, one row per observation."""
-    state = guess_state(epoch)
-    init_residual = residuals(epoch, state)
+    obs = epoch.observations
+    rows = np.arange(len(epoch))
+    el, az = elevation_azimuth(epoch.initial_guess, epoch.sat_positions())
     out = np.zeros((len(epoch), FEATURE_DIM))
-    for i, obs in enumerate(epoch.observations):
-        el, az = elevation_azimuth(epoch.initial_guess, obs.sat.pos)
-        out[i, _CONSTELLATION_INDEX[obs.sat.constellation]] = 1.0
-        out[i, _BAND_INDEX[obs.sat.band]] = 1.0
-        out[i, 6] = np.sin(az)
-        out[i, 7] = np.cos(az)
-        out[i, 8] = el
-        out[i, 9] = obs.cn0
-        out[i, 10] = obs.avg_power
-        out[i, 11] = init_residual[i]
-        out[i, 12] = 1.0
+    out[rows, [_CONSTELLATION_INDEX[o.sat.constellation] for o in obs]] = 1.0
+    out[rows, [_BAND_INDEX[o.sat.band] for o in obs]] = 1.0
+    out[:, 6] = np.sin(az)
+    out[:, 7] = np.cos(az)
+    out[:, 8] = el
+    out[:, 9] = [o.cn0 for o in obs]
+    out[:, 10] = [o.avg_power for o in obs]
+    out[:, 11] = residuals(epoch, guess_state(epoch))
+    out[:, 12] = 1.0
     return out
 
 
@@ -135,7 +134,7 @@ def build_graph(epoch: Epoch, features: np.ndarray) -> EpochGraph:
     n = len(epoch)
     if features.shape[0] != n:
         raise ValueError(f"{features.shape[0]} feature rows for {n} observations")
-    d, dist = _line_of_sight(epoch.sat_positions(), epoch.initial_guess.as_array())
+    d, dist = line_of_sight(epoch.sat_positions(), epoch.initial_guess.as_array())
     u = d / dist[:, None]
     A = np.clip(u @ u.T, 0.0, 1.0)
     np.fill_diagonal(A, 0.0)

@@ -319,4 +319,11 @@ def load_model(path: str) -> ModelParams:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"malformed model file {path}: {exc}") from exc
+    values = {f"tensors.{k}": v for k, v in tensors.items()}
+    values.update({f"bn_stats.{k}": v for k, v in bn_stats.items()})
+    if scaler is not None:
+        values.update({f"scaler.{k}": v for k, v in vars(scaler).items()})
+    non_finite = [name for name, v in values.items() if not np.all(np.isfinite(v))]
+    if non_finite:
+        raise IoFailure(f"model file {path} has non-finite values in {non_finite}")
     return ModelParams(in_dim, hidden, slope, tensors, bn_stats, scaler, regions)

@@ -152,6 +152,11 @@ def _skip(epoch: Epoch, reason: str) -> EpochScore:
     )
 
 
+def skip_reason(exc: Exception) -> str:
+    """Name under which an epoch ended by one of EPOCH_FAILURES is skipped."""
+    return "too_few_measurements" if isinstance(exc, InsufficientMeasurements) else type(exc).__name__
+
+
 def load_estimator(spec: PipelineSpec, oracle_errors: bool) -> ModelParams | None:
     """The model whose predictions the spec needs, or None when it needs none."""
     needs_estimates = spec.method in _REGULATED or spec.use_selector
@@ -235,8 +240,7 @@ def score_epoch(
     try:
         result, used = localize_epoch(spec, epoch, e_hat, elevation_fit)
     except EPOCH_FAILURES as exc:
-        reason = "too_few_measurements" if isinstance(exc, InsufficientMeasurements) else type(exc).__name__
-        return _skip(epoch, reason)
+        return _skip(epoch, skip_reason(exc))
 
     labels = [o.truth_error for o, keep in zip(epoch.observations, used) if keep]
     before = after = float("nan")

@@ -2,12 +2,11 @@
 
 All local-frame math (ENU, elevation/azimuth, angular proximity) uses the
 radial direction at the origin as "up". The simulator and the metrics share
-this frame, so the approximation is self-consistent.
+this frame, so the approximation is self-consistent. Line-of-sight work takes
+all satellites of an epoch as one (n, 3) array.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -27,13 +26,13 @@ def _vec(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
-def los_unit_vector(receiver, sat) -> np.ndarray:
-    """Unit vector from receiver toward satellite."""
-    d = _vec(sat) - _vec(receiver)
-    dist = float(np.linalg.norm(d))
-    if dist < MIN_LOS_DISTANCE:
-        raise DegenerateGeometry(f"receiver-satellite distance {dist:.3g} m below {MIN_LOS_DISTANCE} m")
-    return d / dist
+def line_of_sight(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Receiver-to-satellite vectors (n, 3) and their lengths (n,)."""
+    d = sat_pos - pos
+    dist = np.linalg.norm(d, axis=1)
+    if np.any(dist < MIN_LOS_DISTANCE):
+        raise DegenerateGeometry(f"receiver-satellite distance {dist.min():.3g} m below {MIN_LOS_DISTANCE} m")
+    return d, dist
 
 
 def enu_basis(origin) -> np.ndarray:
@@ -65,19 +64,17 @@ def enu_to_ecef(origin, enu) -> np.ndarray:
     return _vec(origin) + basis.T @ np.asarray(enu, dtype=float)
 
 
-def elevation_azimuth(receiver, sat) -> tuple[float, float]:
+def elevation_azimuth(receiver, sat_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elevation above the local horizontal and azimuth clockwise from north, radians.
 
-    Azimuth lies in [0, 2*pi); a satellite at zenith gets azimuth 0 by convention.
+    sat_pos is an (n, 3) array; both results have length n. Azimuth lies in
+    [0, 2*pi); a satellite at zenith gets azimuth 0 by convention.
     """
-    los = los_unit_vector(receiver, sat)
-    basis = enu_basis(receiver)
-    e, n, u = basis @ los
-    horiz = math.hypot(e, n)
-    elevation = math.atan2(u, horiz)
-    if horiz < ZENITH_HORIZONTAL_EPS:
-        return elevation, 0.0
-    azimuth = math.atan2(e, n) % (2.0 * math.pi)
+    d, dist = line_of_sight(np.asarray(sat_pos, dtype=float), _vec(receiver))
+    e, n, u = enu_basis(receiver) @ (d / dist[:, None]).T
+    horiz = np.hypot(e, n)
+    elevation = np.arctan2(u, horiz)
+    azimuth = np.where(horiz < ZENITH_HORIZONTAL_EPS, 0.0, np.arctan2(e, n) % (2.0 * np.pi))
     return elevation, azimuth
 
 
@@ -86,6 +83,6 @@ def angular_proximity(receiver, sat_i, sat_j) -> float:
 
     1 for coincident directions, 0 at 90 degrees apart and beyond.
     """
-    u_i = los_unit_vector(receiver, sat_i)
-    u_j = los_unit_vector(receiver, sat_j)
-    return max(0.0, float(np.dot(u_i, u_j)))
+    d, dist = line_of_sight(np.vstack([_vec(sat_i), _vec(sat_j)]), _vec(receiver))
+    u = d / dist[:, None]
+    return max(0.0, float(u[0] @ u[1]))

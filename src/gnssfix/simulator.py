@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -260,22 +260,29 @@ def scene_to_dict(scene: SceneConfig) -> dict:
     }
 
 
+# How a scene field is read from JSON; every field not listed is a float.
+_SCENE_FIELD_TYPES = {
+    "region_id": str,
+    "receiver_origin": lambda v: EcefPosition(*(float(c) for c in v)),
+    "sky_mask_bins": lambda v: tuple(float(c) for c in v),
+    "n_sats_range": lambda v: tuple(int(c) for c in v),
+    "seed": int,
+}
+
+
 def scene_from_dict(payload: dict) -> SceneConfig:
-    return SceneConfig(
-        region_id=str(payload["region_id"]),
-        receiver_origin=EcefPosition(*(float(v) for v in payload["receiver_origin"])),
-        sky_mask_bins=tuple(float(v) for v in payload["sky_mask_bins"]),
-        n_sats_range=tuple(int(v) for v in payload["n_sats_range"]),
-        los_sigma_base=float(payload["los_sigma_base"]),
-        nlos_mean_extra=float(payload["nlos_mean_extra"]),
-        nlos_sigma=float(payload["nlos_sigma"]),
-        cn0_los_mean=float(payload["cn0_los_mean"]),
-        cn0_los_std=float(payload["cn0_los_std"]),
-        cn0_nlos_mean=float(payload["cn0_nlos_mean"]),
-        cn0_nlos_std=float(payload["cn0_nlos_std"]),
-        guess_offset_sigma=float(payload["guess_offset_sigma"]),
-        seed=int(payload["seed"]),
-    )
+    """SceneConfig from a dict keyed by field name; absent fields keep SceneConfig's defaults.
+
+    An unknown key, a missing required field or a value of the wrong type
+    raises ValueError.
+    """
+    unknown = sorted(set(payload) - {f.name for f in fields(SceneConfig)})
+    if unknown:
+        raise ValueError(f"unknown scene keys {unknown}")
+    try:
+        return SceneConfig(**{k: _SCENE_FIELD_TYPES.get(k, float)(v) for k, v in payload.items()})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"scene {payload.get('region_id')!r}: {exc}") from exc
 
 
 def default_scenes(global_seed: int = 0) -> list[SceneConfig]:

@@ -12,7 +12,7 @@ from .errors import (
     LengthMismatch,
     SingularNormalMatrix,
 )
-from .geometry import MIN_LOS_DISTANCE, ecef_to_enu
+from .geometry import MIN_LOS_DISTANCE, ecef_to_enu, line_of_sight
 from .types import Epoch, SatelliteState, SolutionState
 
 # Condition number above which the 4x4 normal matrix is treated as singular.
@@ -55,15 +55,6 @@ def computed_pseudorange(state: SolutionState, sat: SatelliteState) -> float:
     return dist + state.clock_bias
 
 
-def _line_of_sight(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Receiver-to-satellite vectors and their lengths."""
-    d = sat_pos - pos
-    dist = np.linalg.norm(d, axis=1)
-    if np.any(dist < MIN_LOS_DISTANCE):
-        raise DegenerateGeometry("state coincides with a satellite")
-    return d, dist
-
-
 def _jacobian(d: np.ndarray, dist: np.ndarray) -> np.ndarray:
     H = np.empty((dist.size, 4))
     H[:, :3] = -d / dist[:, None]
@@ -73,7 +64,7 @@ def _jacobian(d: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 def residuals(epoch: Epoch, state: SolutionState) -> np.ndarray:
     """Computed-minus-measured pseudo-range for every observation."""
-    _, dist = _line_of_sight(epoch.sat_positions(), state.pos.as_array())
+    _, dist = line_of_sight(epoch.sat_positions(), state.pos.as_array())
     return dist + state.clock_bias - epoch.pseudoranges()
 
 
@@ -88,7 +79,7 @@ def cost(epoch: Epoch, state: SolutionState, weights: np.ndarray) -> float:
 
 def geometry_matrix(epoch: Epoch, state: SolutionState) -> np.ndarray:
     """n x 4 Jacobian of computed pseudo-ranges; row i is (-los_i, 1)."""
-    return _jacobian(*_line_of_sight(epoch.sat_positions(), state.pos.as_array()))
+    return _jacobian(*line_of_sight(epoch.sat_positions(), state.pos.as_array()))
 
 
 def wls_solve(
@@ -117,7 +108,7 @@ def wls_solve(
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         state = SolutionState.from_array(x)  # rejects a non-finite iterate
-        d, dist = _line_of_sight(sat_pos, state.pos.as_array())
+        d, dist = line_of_sight(sat_pos, state.pos.as_array())
         H = _jacobian(d, dist)
         r = dist + state.clock_bias - pr
         Hw = H * w[:, None]

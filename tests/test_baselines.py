@@ -40,7 +40,7 @@ def test_elevation_weights_monotone(rng):
     fit = ElevationWeightFit(a=4.0, b=0.6)
     ep = make_epoch(rng, n=10)
     w = heuristic_weights("elevation", ep, fit=fit)
-    els = np.array([elevation_azimuth(ep.initial_guess, o.sat.pos)[0] for o in ep.observations])
+    els, _ = elevation_azimuth(ep.initial_guess, ep.sat_positions())
     order = np.argsort(els)
     assert np.all(np.diff(w[order]) > 0.0)
 
@@ -83,7 +83,7 @@ def test_fit_elevation_baseline_over_epochs(rng):
     epochs = []
     for k in range(400):
         ep = make_epoch(rng, n=8, errors=np.zeros(8), epoch_id=k)
-        els = np.array([elevation_azimuth(ep.initial_guess, o.sat.pos)[0] for o in ep.observations])
+        els, _ = elevation_azimuth(ep.initial_guess, ep.sat_positions())
         sigma = np.sqrt(a * np.exp(-els / b))
         errors = sigma * rng.standard_normal(8)
         obs = tuple(

@@ -269,10 +269,10 @@ def test_exit_code_3_for_missing_model(tiny_data, tmp_path, capsys):
     assert rc == 3
 
 
-def test_exit_code_4_for_singular_geometry(tmp_path, rng, capsys):
+def _stacked_epoch(epoch_id):
     # all satellites stacked along one direction: solvable by nothing
     from gnssfix.geometry import enu_basis
-    from gnssfix.types import EcefPosition, Epoch, Observation, SatelliteState, SolutionState
+    from gnssfix.types import Epoch, Observation, SatelliteState
     from gnssfix import Band, Constellation
 
     up = enu_basis(ORIGIN)[2]
@@ -288,9 +288,98 @@ def test_exit_code_4_for_singular_geometry(tmp_path, rng, capsys):
                 truth_error=0.0,
             )
         )
-    ep = Epoch(0, "sing", tuple(obs), ORIGIN, truth=SolutionState(ORIGIN, 0.0))
+    return Epoch(epoch_id, "sing", tuple(obs), ORIGIN, truth=SolutionState(ORIGIN, 0.0))
+
+
+def test_localize_skips_singular_geometry(tmp_path, rng, capsys):
+    # the unfixable epoch gets the skip record evaluate would give it; the stream goes on
+    epochs = [make_epoch(rng, epoch_id=0), _stacked_epoch(1), make_epoch(rng, epoch_id=2)]
     shard = str(tmp_path / "sing.jsonl")
+    write_shard(shard, epochs)
+    rc = main(["localize", "--epoch-file", shard, "--method", "wls_unit"])
+    assert rc == 0
+    records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert [r["epoch_id"] for r in records] == [0, 1, 2]
+    reason = run_pipeline(PipelineSpec("wls_unit"), [epochs[1]]).scores[0].skipped
+    assert reason == "SingularNormalMatrix"
+    assert records[1] == {"epoch_id": 1, "region": "sing", "skipped": reason}
+    assert "skipped" not in records[0] and "skipped" not in records[2]
+
+
+def test_exit_code_4_for_degenerate_geometry(tmp_path, rng, capsys):
+    # an initial guess on top of a satellite is not one of the per-epoch skips
+    ep = make_epoch(rng)
+    ep = replace(ep, initial_guess=ep.observations[0].sat.pos)
+    shard = str(tmp_path / "degenerate.jsonl")
     write_shard(shard, [ep])
     rc = main(["localize", "--epoch-file", shard, "--method", "wls_unit"])
     assert rc == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _generate_from(tmp_path, config):
+    cfg = tmp_path / "scenes.json"
+    cfg.write_text(json.dumps(config))
+    return main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d"), "--seed", "0"])
+
+
+def test_config_flat_field_keys(tmp_path, capsys):
+    # the README example: style shorthand with a noise field given by name
+    config = {
+        "regions": [
+            {"region_id": "downtown", "style": "dense_urban", "lat": 35.68, "lon": 139.77, "epochs": 2},
+            {"region_id": "suburbs", "style": "open_sky", "lat": 37.40, "lon": -122.10, "epochs": 2,
+             "los_sigma_base": 1.0},
+        ]
+    }
+    assert _generate_from(tmp_path, config) == 0
+    scenes = {e.region_id: e.scene for e in read_manifest(str(tmp_path / "d")).entries}
+    assert scenes["suburbs"]["los_sigma_base"] == 1.0
+    assert scenes["downtown"]["los_sigma_base"] == 1.5  # SceneConfig's default
+
+
+def test_config_explicit_fields_take_defaults(tmp_path):
+    from gnssfix.simulator import SceneConfig, scene_from_dict, scene_to_dict
+
+    explicit = {"region_id": "x", "receiver_origin": list(ORIGIN.as_array()), "sky_mask_bins": [0.1] * 36, "epochs": 2}
+    other = dict(explicit, region_id="y")
+    assert _generate_from(tmp_path, {"regions": [explicit, other]}) == 0
+    stored = read_manifest(str(tmp_path / "d")).entries[0].scene
+    defaults = SceneConfig("x", ORIGIN, (0.1,) * 36, seed=stored["seed"])
+    assert stored == scene_to_dict(defaults)
+    assert scene_from_dict(stored) == defaults
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ({"overrides": {"los_sigma_base": 1.0}}, "overrides"),
+        ({"bogus": 1}, "bogus"),
+        ({"los_sigma_base": "loud"}, "loud"),
+        ({"epochs": None}, "NoneType"),
+    ],
+)
+def test_exit_code_2_for_bad_scene_entry(tmp_path, capsys, entry, named):
+    regions = [dict({"region_id": "a", "epochs": 2}, **entry), {"region_id": "b", "epochs": 2}]
+    assert _generate_from(tmp_path, {"regions": regions}) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert "Traceback" not in err
+
+
+def test_exit_code_2_for_regions_not_a_list(tmp_path, capsys):
+    assert _generate_from(tmp_path, {"regions": {"region_id": "a"}}) == 2
+    assert "'regions' list" in capsys.readouterr().err
+
+
+def test_exit_code_3_for_non_finite_model(tiny_data, tmp_path, capsys):
+    payload = json.load(open(tiny_data["model"]))
+    payload["tensors"]["out.b"] = [float("nan")]
+    bad = str(tmp_path / "nan-model.json")
+    with open(bad, "w") as fh:
+        json.dump(payload, fh)
+    shard = shard_path(tiny_data["data"], "canyon")
+    rc = main(["localize", "--epoch-file", shard, "--model", bad, "--method", "regulate_measurements"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and bad in err and "tensors.out.b" in err

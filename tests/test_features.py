@@ -22,6 +22,8 @@ from gnssfix import (
 )
 from gnssfix.estimator.features import FEATURE_DIM, ONE_HOT_DIMS, guess_state
 from gnssfix import angular_proximity
+from gnssfix.geometry import enu_basis
+from gnssfix.simulator import default_scenes, epoch_seed, generate_epoch
 
 from util import EARTH_R, ORIGIN, enu_direction, make_epoch
 
@@ -74,6 +76,49 @@ def test_extract_features_zenith_satellite():
     assert feats[0, COL_EL] == pytest.approx(math.pi / 2, abs=1e-9)
     assert feats[0, :4].tolist() == [0.0, 0.0, 1.0, 0.0]
     assert feats[0, 4:6].tolist() == [0.0, 1.0]
+
+
+_CONSTELLATION_COL = {Constellation.GPS: 0, Constellation.GLONASS: 1, Constellation.GALILEO: 2, Constellation.BEIDOU: 3}
+_BAND_COL = {Band.L1: 4, Band.L5: 5}
+
+
+def loop_features(epoch):
+    """Reference: one row at a time, with its own ENU basis and scalar angles."""
+    init_residual = residuals(epoch, guess_state(epoch))
+    guess = epoch.initial_guess.as_array()
+    out = np.zeros((len(epoch), FEATURE_DIM))
+    for i, obs in enumerate(epoch.observations):
+        d = obs.sat.pos.as_array() - guess
+        e, n, u = enu_basis(epoch.initial_guess) @ (d / np.linalg.norm(d))
+        horiz = math.hypot(e, n)
+        el = math.atan2(u, horiz)
+        az = 0.0 if horiz < 1e-9 else math.atan2(e, n) % (2.0 * math.pi)
+        out[i, _CONSTELLATION_COL[obs.sat.constellation]] = 1.0
+        out[i, _BAND_COL[obs.sat.band]] = 1.0
+        out[i, COL_SIN_AZ] = math.sin(az)
+        out[i, COL_COS_AZ] = math.cos(az)
+        out[i, COL_EL] = el
+        out[i, COL_CN0] = obs.cn0
+        out[i, COL_PWR] = obs.avg_power
+        out[i, COL_RES] = init_residual[i]
+        out[i, COL_BIAS] = 1.0
+    return out
+
+
+def test_extract_features_matches_loop_oracle():
+    epochs = [
+        generate_epoch(scene, k, np.random.default_rng(epoch_seed(0, scene.region_id, k)))
+        for scene in default_scenes(0)
+        for k in range(20)
+    ]
+    # 1 mm east of zenith: below the horizontal threshold, so azimuth 0 by convention
+    near_zenith = EcefPosition(EARTH_R + 2.2e7, 1e-3, 0.0)
+    zenith = Observation(SatelliteState(99, Constellation.BEIDOU, Band.L5, near_zenith), 2.2e7, 40.0, 10.0)
+    epochs.append(Epoch(0, "r", epochs[0].observations[:5] + (zenith,), ORIGIN))
+    for ep in epochs:
+        np.testing.assert_allclose(extract_features(ep), loop_features(ep), rtol=0.0, atol=1e-12)
+    assert extract_features(epochs[-1])[-1, COL_SIN_AZ] == 0.0
+    assert extract_features(epochs[-1])[-1, COL_COS_AZ] == 1.0
 
 
 def test_extract_features_residual_column(rng):

@@ -10,7 +10,7 @@ from gnssfix import (
     ecef_to_enu,
     elevation_azimuth,
     enu_to_ecef,
-    los_unit_vector,
+    line_of_sight,
 )
 
 from util import EARTH_R, ORIGIN, enu_direction
@@ -22,26 +22,34 @@ def _random_surface_point(rng):
     return EcefPosition.from_array(v)
 
 
+def _random_sats(rng, n):
+    v = rng.standard_normal((n, 3))
+    return v * (rng.uniform(2.5e7, 2.7e7, n) / np.linalg.norm(v, axis=1))[:, None]
+
+
 def _random_sat(rng):
-    v = rng.standard_normal(3)
-    v *= rng.uniform(2.5e7, 2.7e7) / np.linalg.norm(v)
-    return EcefPosition.from_array(v)
+    return EcefPosition.from_array(_random_sats(rng, 1)[0])
 
 
 def test_los_axis_aligned():
-    u = los_unit_vector(EcefPosition(0.0, 0.0, 0.0), EcefPosition(26_560_000.0, 0.0, 0.0))
-    assert np.allclose(u, [1.0, 0.0, 0.0])
+    d, dist = line_of_sight(np.array([[26_560_000.0, 0.0, 0.0]]), np.zeros(3))
+    assert np.allclose(d / dist[:, None], [[1.0, 0.0, 0.0]])
+    assert dist.tolist() == [26_560_000.0]
 
 
-def test_los_guard_below_one_meter():
+def test_los_guard_below_one_meter(rng):
+    # one row closer than 1 m spoils the whole epoch, whatever the other rows
+    o = ORIGIN.as_array()
+    sats = np.vstack([_random_sats(rng, 3), o + [0.5, 0.0, 0.0]])
     with pytest.raises(DegenerateGeometry):
-        los_unit_vector(ORIGIN, EcefPosition(EARTH_R + 0.5, 0.0, 0.0))
+        line_of_sight(sats, o)
+    with pytest.raises(DegenerateGeometry):
+        elevation_azimuth(ORIGIN, sats)
 
 
 def test_los_unit_norm(rng):
-    for _ in range(200):
-        u = los_unit_vector(_random_surface_point(rng), _random_sat(rng))
-        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+    d, dist = line_of_sight(_random_sats(rng, 200), _random_surface_point(rng).as_array())
+    assert np.all(np.abs(np.linalg.norm(d / dist[:, None], axis=1) - 1.0) <= 1e-12)
 
 
 def test_enu_of_origin_is_zero():
@@ -63,41 +71,45 @@ def test_enu_roundtrip(rng):
 
 
 def test_elevation_azimuth_zenith_tiebreak():
-    zenith = EcefPosition(EARTH_R + 2.0e7, 0.0, 0.0)
-    el, az = elevation_azimuth(ORIGIN, zenith)
-    assert el == pytest.approx(math.pi / 2, abs=1e-9)
-    assert az == 0.0
+    # 1 mm off zenith: the horizontal component is below the threshold
+    zenith = [EARTH_R + 2.0e7, 1e-3, 0.0]
+    east = [EARTH_R, 2.0e7, 0.0]
+    el, az = elevation_azimuth(ORIGIN, np.array([zenith, east]))
+    assert el[0] == pytest.approx(math.pi / 2, abs=1e-9)
+    assert az[0] == 0.0
+    # the zenith convention applies to its own row only
+    assert az[1] == pytest.approx(math.pi / 2, abs=1e-9)
 
 
 def test_elevation_azimuth_due_north_horizon():
     # at the equatorial origin, local north is +z
-    north = EcefPosition(EARTH_R, 0.0, 1.0e6)
-    el, az = elevation_azimuth(ORIGIN, north)
+    el, az = elevation_azimuth(ORIGIN, np.array([[EARTH_R, 0.0, 1.0e6]]))
     # slight negative dip from Earth curvature is absent here: up-component is 0
-    assert el == pytest.approx(0.0, abs=1e-9)
-    assert az == pytest.approx(0.0, abs=1e-9)
+    assert el[0] == pytest.approx(0.0, abs=1e-9)
+    assert az[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_elevation_azimuth_matches_enu_oracle(rng):
-    for _ in range(200):
-        origin = _random_surface_point(rng)
-        sat = _random_sat(rng)
-        el, az = elevation_azimuth(origin, sat)
+    origin = _random_surface_point(rng)
+    sats = _random_sats(rng, 200)
+    el, az = elevation_azimuth(origin, sats)
+    assert el.shape == az.shape == (200,)
+    for k, sat in enumerate(sats):
         e, n, u = ecef_to_enu(origin, sat)
-        assert el == pytest.approx(math.atan2(u, math.hypot(e, n)), abs=1e-9)
-        assert 0.0 <= az < 2 * math.pi
+        assert el[k] == pytest.approx(math.atan2(u, math.hypot(e, n)), abs=1e-9)
+        assert 0.0 <= az[k] < 2 * math.pi
         if math.hypot(e, n) > 1e-6:
             expected = math.atan2(e, n) % (2 * math.pi)
-            assert az == pytest.approx(expected, abs=1e-9)
+            assert az[k] == pytest.approx(expected, abs=1e-9)
 
 
 def test_sin_elevation_consistent_with_enu(rng):
-    for _ in range(200):
-        origin = _random_surface_point(rng)
-        sat = _random_sat(rng)
-        el, _ = elevation_azimuth(origin, sat)
+    origin = _random_surface_point(rng)
+    sats = _random_sats(rng, 200)
+    el, _ = elevation_azimuth(origin, sats)
+    for k, sat in enumerate(sats):
         enu = np.asarray(ecef_to_enu(origin, sat))
-        assert math.sin(el) == pytest.approx(enu[2] / np.linalg.norm(enu), abs=1e-9)
+        assert math.sin(el[k]) == pytest.approx(enu[2] / np.linalg.norm(enu), abs=1e-9)
 
 
 def test_angular_proximity_same_direction():

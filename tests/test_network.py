@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,8 +196,6 @@ def test_save_load_roundtrip(rng, tmp_path):
         label_mean=1.5,
         label_std=3.0,
     )
-    from dataclasses import replace
-
     params = replace(params, scaler=scaler, train_regions=("a", "b"))
     path = str(tmp_path / "model.json")
     save_model(params, path)
@@ -241,6 +240,25 @@ def test_load_model_refuses_format_1(rng, tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "group, name, value",
+    [("tensors", "out.b", [float("nan")]), ("bn_stats", "enc0.var", None), ("scaler", "label_std", float("inf"))],
+)
+def test_load_model_rejects_non_finite(rng, tmp_path, group, name, value):
+    scaler = ScalerParams(np.zeros(13), np.ones(13), 0.0, 1.0)
+    path = str(tmp_path / "model.json")
+    save_model(replace(init_params(rng, hidden=4), scaler=scaler), path)
+    payload = json.loads(open(path).read())
+    if value is None:  # one bad entry inside an otherwise finite vector
+        value = payload[group][name]
+        value[1] = float("-inf")
+    payload[group][name] = value
+    open(path, "w").write(json.dumps(payload))
+    with pytest.raises(IoFailure, match=f"{group}.{name}") as info:
+        load_model(path)
+    assert path in str(info.value)
+
+
 def test_load_model_rejects_dimension_lie(rng, tmp_path):
     params = init_params(rng, hidden=4)
     path = str(tmp_path / "model.json")
@@ -260,8 +278,6 @@ def test_predict_errors_requires_scaler(rng):
 
 
 def test_predict_errors_shape_and_determinism(rng):
-    from dataclasses import replace
-
     params = _randomized_params(rng, hidden=5)
     scaler = ScalerParams(
         feature_mean=np.zeros(13),

@@ -46,14 +46,9 @@ def _noiseless_scene():
 
 def _nlos_flags(scene, epoch):
     """Reconstruct the generator's visibility rule from stored geometry."""
-    truth = epoch.truth.pos
-    bin_width = 2.0 * math.pi / N_MASK_BINS
-    flags = []
-    for obs in epoch.observations:
-        el, az = elevation_azimuth(truth, obs.sat.pos)
-        mask = scene.sky_mask_bins[int(az // bin_width) % N_MASK_BINS]
-        flags.append(el <= mask)
-    return np.array(flags)
+    el, az = elevation_azimuth(epoch.truth.pos, epoch.sat_positions())
+    bins = (az // (2.0 * math.pi / N_MASK_BINS)).astype(int) % N_MASK_BINS
+    return el <= np.asarray(scene.sky_mask_bins)[bins]
 
 
 def test_open_sky_mask_bounds(rng):
@@ -110,9 +105,8 @@ def test_satellites_above_minimum_elevation(rng):
     scene = _scene()
     for k in range(10):
         ep = generate_epoch(scene, k, np.random.default_rng(k))
-        for obs in ep.observations:
-            el, _ = elevation_azimuth(ep.truth.pos, obs.sat.pos)
-            assert el >= MIN_SAT_ELEVATION - 1e-9
+        el, _ = elevation_azimuth(ep.truth.pos, ep.sat_positions())
+        assert np.all(el >= MIN_SAT_ELEVATION - 1e-9)
 
 
 def test_truth_stays_near_origin(rng):
