@@ -22,8 +22,6 @@ from .types import (
     Constellation,
     EcefPosition,
     Epoch,
-    Observation,
-    SatelliteState,
     SolutionState,
 )
 from .geometry import (

@@ -168,9 +168,8 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     model = load_estimator(spec, oracle_errors=False)
     for ep in epochs:
         record = {"epoch_id": ep.epoch_id, "region": ep.region_id}
-        e_hat = epoch_estimates(ep, model, False)
         try:
-            result, _ = localize_epoch(spec, ep, e_hat, None)
+            result, _ = localize_epoch(spec, ep, epoch_estimates(ep, model, False), None)
         except EPOCH_FAILURES as exc:
             record["skipped"] = skip_reason(exc)
         else:
@@ -193,9 +192,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     require_held_out(model, {ep.region_id for ep in epochs})
     rows = [
-        (ep.epoch_id, ep.region_id, *abs_error_means(ep.truth_errors(), predict_errors(model, ep)))
+        (ep.epoch_id, ep.region_id, *abs_error_means(ep.truth_error, predict_errors(model, ep)))
         for ep in epochs
-        if ep.has_truth_errors()
+        if ep.truth_error is not None
     ]
     write_trace(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")

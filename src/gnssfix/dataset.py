@@ -10,19 +10,19 @@ import json
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IoFailure
-from .types import (
-    Band,
-    Constellation,
-    EcefPosition,
-    Epoch,
-    Observation,
-    SatelliteState,
-    SolutionState,
-)
+from .types import BANDS, CONSTELLATIONS, Band, Constellation, EcefPosition, Epoch, SolutionState
 
 DATASET_FORMAT = "gnssfix.dataset/1"
 MANIFEST_NAME = "manifest.json"
+
+# Keys of one measurement in a record, in on-disk order; truth_err is
+# written for every measurement of an epoch or for none.
+_OBS_KEYS = ("sat_id", "const", "band", "sat_pos", "pr", "cn0", "avg_pow", "truth_err")
+_CONSTELLATION_NAMES = np.array([c.value for c in CONSTELLATIONS])
+_BAND_NAMES = np.array([b.value for b in BANDS])
 
 
 def epoch_to_record(epoch: Epoch, include_truth: bool = True) -> dict:
@@ -33,26 +33,26 @@ def epoch_to_record(epoch: Epoch, include_truth: bool = True) -> dict:
         rec["truth"] = {"x": t.pos.x, "y": t.pos.y, "z": t.pos.z, "clk": t.clock_bias}
     g = epoch.initial_guess
     rec["guess"] = {"x": g.x, "y": g.y, "z": g.z}
-    obs_out = []
-    for o in epoch.observations:
-        d = {
-            "sat_id": o.sat.sat_id,
-            "const": o.sat.constellation.value,
-            "band": o.sat.band.value,
-            "sat_pos": [o.sat.pos.x, o.sat.pos.y, o.sat.pos.z],
-            "pr": o.pseudorange,
-            "cn0": o.cn0,
-            "avg_pow": o.avg_power,
-        }
-        if include_truth and o.truth_error is not None:
-            d["truth_err"] = o.truth_error
-        obs_out.append(d)
-    rec["obs"] = obs_out
+    columns = [
+        epoch.sat_id,
+        _CONSTELLATION_NAMES[epoch.constellation],
+        _BAND_NAMES[epoch.band],
+        epoch.sat_pos,
+        epoch.pseudorange,
+        epoch.cn0,
+        epoch.avg_power,
+    ]
+    if include_truth and epoch.truth_error is not None:
+        columns.append(epoch.truth_error)
+    rec["obs"] = [dict(zip(_OBS_KEYS, row)) for row in zip(*(c.tolist() for c in columns))]
     return rec
 
 
 def record_to_epoch(rec: dict) -> Epoch:
-    """Inverse of epoch_to_record; raises IoFailure on malformed records."""
+    """Inverse of epoch_to_record; raises IoFailure on malformed records.
+
+    A record labels every measurement with truth_err or none of them.
+    """
     try:
         truth = None
         if "truth" in rec:
@@ -62,28 +62,22 @@ def record_to_epoch(rec: dict) -> Epoch:
                 clock_bias=float(t["clk"]),
             )
         g = rec["guess"]
-        observations = []
-        for d in rec["obs"]:
-            sat = SatelliteState(
-                sat_id=int(d["sat_id"]),
-                constellation=Constellation(d["const"]),
-                band=Band(d["band"]),
-                pos=EcefPosition(*(float(v) for v in d["sat_pos"])),
-            )
-            observations.append(
-                Observation(
-                    sat=sat,
-                    pseudorange=float(d["pr"]),
-                    cn0=float(d["cn0"]),
-                    avg_power=float(d["avg_pow"]),
-                    truth_error=float(d["truth_err"]) if "truth_err" in d else None,
-                )
-            )
+        obs = rec["obs"]
+        labelled = sum("truth_err" in d for d in obs)
+        if 0 < labelled < len(obs):
+            raise ValueError(f"{labelled} of {len(obs)} measurements carry truth_err; label all or none")
         return Epoch(
             epoch_id=int(rec["epoch_id"]),
             region_id=str(rec["region"]),
-            observations=tuple(observations),
             initial_guess=EcefPosition(float(g["x"]), float(g["y"]), float(g["z"])),
+            sat_id=[int(d["sat_id"]) for d in obs],
+            constellation=[CONSTELLATIONS.index(Constellation(d["const"])) for d in obs],
+            band=[BANDS.index(Band(d["band"])) for d in obs],
+            sat_pos=[d["sat_pos"] for d in obs],
+            pseudorange=[d["pr"] for d in obs],
+            cn0=[d["cn0"] for d in obs],
+            avg_power=[d["avg_pow"] for d in obs],
+            truth_error=[d["truth_err"] for d in obs] if labelled else None,
             truth=truth,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -60,11 +60,11 @@ def fit_elevation_weights(elevations: np.ndarray, errors: np.ndarray) -> Elevati
 
 def fit_elevation_baseline(epochs: Sequence[Epoch]) -> ElevationWeightFit:
     """Fit the variance law on every labelled measurement of the epochs."""
-    labelled = [ep for ep in epochs if ep.has_truth_errors()]
+    labelled = [ep for ep in epochs if ep.truth_error is not None]
     if not labelled:
         raise EmptyInput("no labelled measurements to fit on")
-    els = [elevation_azimuth(ep.initial_guess, ep.sat_positions())[0] for ep in labelled]
-    errs = [ep.truth_errors() for ep in labelled]
+    els = [elevation_azimuth(ep.initial_guess, ep.sat_pos)[0] for ep in labelled]
+    errs = [ep.truth_error for ep in labelled]
     return fit_elevation_weights(np.concatenate(els), np.concatenate(errs))
 
 
@@ -78,12 +78,11 @@ def heuristic_weights(method: str, epoch: Epoch, fit: ElevationWeightFit | None 
     if method == "unit":
         return np.ones(len(epoch))
     if method == "cn0":
-        cn0 = np.array([obs.cn0 for obs in epoch.observations], dtype=float)
-        w = 10.0 ** (cn0 / 10.0)
+        w = 10.0 ** (epoch.cn0 / 10.0)
         return w / w.mean()
     if method == "elevation":
         if fit is None:
             raise MissingFit("elevation weighting requires a fitted variance law")
-        el, _ = elevation_azimuth(epoch.initial_guess, epoch.sat_positions())
+        el, _ = elevation_azimuth(epoch.initial_guess, epoch.sat_pos)
         return 1.0 / fit.variance(el)
     raise ValueError(f"unknown weighting method {method!r}")

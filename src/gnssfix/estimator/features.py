@@ -9,7 +9,7 @@ import numpy as np
 
 from ..geometry import elevation_azimuth, line_of_sight
 from ..solver import residuals
-from ..types import Band, Constellation, Epoch, SolutionState
+from ..types import CONSTELLATIONS, Epoch, SolutionState
 
 FEATURE_DIM = 13
 
@@ -19,14 +19,6 @@ ONE_HOT_DIMS = 6
 
 STD_FLOOR = 1e-8
 
-_CONSTELLATION_INDEX = {
-    Constellation.GPS: 0,
-    Constellation.GLONASS: 1,
-    Constellation.GALILEO: 2,
-    Constellation.BEIDOU: 3,
-}
-_BAND_INDEX = {Band.L1: 4, Band.L5: 5}
-
 
 class DegenerateStdWarning(UserWarning):
     """A feature dimension had (near-)zero variance on the fit set."""
@@ -34,8 +26,8 @@ class DegenerateStdWarning(UserWarning):
 
 def initial_clock_bias(epoch: Epoch) -> float:
     """Clock bias that moves the 10th percentile of guess-location residuals to zero."""
-    d = epoch.sat_positions() - epoch.initial_guess.as_array()
-    pre = np.linalg.norm(d, axis=1) - epoch.pseudoranges()
+    d = epoch.sat_pos - epoch.initial_guess.as_array()
+    pre = np.linalg.norm(d, axis=1) - epoch.pseudorange
     return float(-np.percentile(pre, 10.0))
 
 
@@ -46,17 +38,16 @@ def guess_state(epoch: Epoch) -> SolutionState:
 
 def extract_features(epoch: Epoch) -> np.ndarray:
     """(n, 13) raw feature matrix, one row per observation."""
-    obs = epoch.observations
     rows = np.arange(len(epoch))
-    el, az = elevation_azimuth(epoch.initial_guess, epoch.sat_positions())
+    el, az = elevation_azimuth(epoch.initial_guess, epoch.sat_pos)
     out = np.zeros((len(epoch), FEATURE_DIM))
-    out[rows, [_CONSTELLATION_INDEX[o.sat.constellation] for o in obs]] = 1.0
-    out[rows, [_BAND_INDEX[o.sat.band] for o in obs]] = 1.0
+    out[rows, epoch.constellation] = 1.0
+    out[rows, len(CONSTELLATIONS) + epoch.band] = 1.0
     out[:, 6] = np.sin(az)
     out[:, 7] = np.cos(az)
     out[:, 8] = el
-    out[:, 9] = [o.cn0 for o in obs]
-    out[:, 10] = [o.avg_power for o in obs]
+    out[:, 9] = epoch.cn0
+    out[:, 10] = epoch.avg_power
     out[:, 11] = residuals(epoch, guess_state(epoch))
     out[:, 12] = 1.0
     return out
@@ -134,7 +125,7 @@ def build_graph(epoch: Epoch, features: np.ndarray) -> EpochGraph:
     n = len(epoch)
     if features.shape[0] != n:
         raise ValueError(f"{features.shape[0]} feature rows for {n} observations")
-    d, dist = line_of_sight(epoch.sat_positions(), epoch.initial_guess.as_array())
+    d, dist = line_of_sight(epoch.sat_pos, epoch.initial_guess.as_array())
     u = d / dist[:, None]
     A = np.clip(u @ u.T, 0.0, 1.0)
     np.fill_diagonal(A, 0.0)

@@ -115,12 +115,12 @@ def train(
     set of regions trained on.  When ``loss_sink`` is given, the pre-update
     batch loss of every iteration is appended to it.
     """
-    labelled = [ep for ep in dataset if ep.has_truth_errors()]
+    labelled = [ep for ep in dataset if ep.truth_error is not None]
     if not labelled:
         raise NoLabels("no epochs with per-measurement truth errors to train on")
 
     feats_raw = [extract_features(ep) for ep in labelled]
-    labels_raw = [np.asarray(ep.truth_errors(), dtype=float) for ep in labelled]
+    labels_raw = [ep.truth_error for ep in labelled]
     scaler = fit_scaler(np.vstack(feats_raw), np.concatenate(labels_raw))
     graphs = [build_graph(ep, apply_feature_scaler(scaler, f)) for ep, f in zip(labelled, feats_raw)]
     labels = [apply_label_scaler(scaler, y) for y in labels_raw]

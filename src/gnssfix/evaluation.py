@@ -10,6 +10,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    DegenerateGeometry,
     DegenerateProjection,
     EmptyInput,
     InsufficientMeasurements,
@@ -36,7 +37,13 @@ METHODS = (
 )
 _REGULATED = ("regulate_weights", "regulate_measurements")
 # Errors that end one epoch without a fix; evaluation records them as skips.
-EPOCH_FAILURES = (InsufficientMeasurements, DegenerateProjection, InsufficientRedundancy, SingularNormalMatrix)
+EPOCH_FAILURES = (
+    InsufficientMeasurements,
+    DegenerateGeometry,
+    DegenerateProjection,
+    InsufficientRedundancy,
+    SingularNormalMatrix,
+)
 
 
 @dataclass(frozen=True)
@@ -177,9 +184,9 @@ def require_held_out(model: ModelParams, eval_regions: Iterable[str]) -> None:
 def epoch_estimates(epoch: Epoch, model: ModelParams | None, oracle_errors: bool) -> np.ndarray | None:
     """Per-measurement error estimates: the truth errors, the model's, or none."""
     if oracle_errors:
-        if not epoch.has_truth_errors():
+        if epoch.truth_error is None:
             raise NoLabels(f"epoch {epoch.epoch_id} lacks per-measurement truth errors")
-        return epoch.truth_errors()
+        return epoch.truth_error
     if model is not None:
         return predict_errors(model, epoch)
     return None
@@ -236,21 +243,20 @@ def score_epoch(
     """Run the configured pipeline on one epoch and score against truth."""
     if epoch.truth is None:
         raise NoLabels(f"epoch {epoch.epoch_id} has no truth state to score against")
-    e_hat = epoch_estimates(epoch, model, oracle_errors)
     try:
+        e_hat = epoch_estimates(epoch, model, oracle_errors)
         result, used = localize_epoch(spec, epoch, e_hat, elevation_fit)
     except EPOCH_FAILURES as exc:
         return _skip(epoch, skip_reason(exc))
 
-    labels = [o.truth_error for o, keep in zip(epoch.observations, used) if keep]
     before = after = float("nan")
-    if None not in labels:
-        before, after = abs_error_means(np.array(labels), 0.0 if e_hat is None else e_hat[used])
+    if epoch.truth_error is not None:
+        before, after = abs_error_means(epoch.truth_error[used], 0.0 if e_hat is None else e_hat[used])
     return EpochScore(
         epoch_id=epoch.epoch_id,
         region_id=epoch.region_id,
         n_all=len(epoch),
-        n_used=len(labels),
+        n_used=int(np.count_nonzero(used)),
         horizontal_error=horizontal_error(result.state, epoch.truth),
         iterations=result.iterations,
         converged=result.converged,

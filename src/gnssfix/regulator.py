@@ -3,6 +3,8 @@ truth location a stationary point of the weighted least-squares cost."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import DegenerateProjection, InsufficientRedundancy, LengthMismatch
@@ -78,4 +80,4 @@ def regulate_measurements(epoch: Epoch, e_hat: np.ndarray) -> Epoch:
     e_hat = np.asarray(e_hat, dtype=float)
     if e_hat.shape != (len(epoch),):
         raise LengthMismatch(f"{e_hat.shape} estimates for {len(epoch)} observations")
-    return epoch.with_pseudoranges(epoch.pseudoranges() - e_hat)
+    return replace(epoch, pseudorange=epoch.pseudorange - e_hat)

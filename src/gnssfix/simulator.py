@@ -19,15 +19,7 @@ from scipy.special import ndtr
 
 from .dataset import DatasetManifest, ManifestEntry, shard_path, write_manifest, write_shard
 from .geometry import enu_basis
-from .types import (
-    Band,
-    Constellation,
-    EcefPosition,
-    Epoch,
-    Observation,
-    SatelliteState,
-    SolutionState,
-)
+from .types import BANDS, CONSTELLATIONS, EcefPosition, Epoch, SolutionState
 
 EARTH_RADIUS = 6_371_000.0
 N_MASK_BINS = 36
@@ -50,9 +42,6 @@ MASK_RANGES = {
     "urban": (np.radians(10.0), np.radians(40.0)),
     "dense_urban": (np.radians(30.0), np.radians(70.0)),
 }
-
-_CONSTELLATIONS = tuple(Constellation)
-_BANDS = tuple(Band)
 
 DEFAULT_EPOCHS_PER_REGION = 2000
 # (region_id, skyline style, latitude deg, longitude deg)
@@ -173,12 +162,12 @@ def generate_epoch(scene: SceneConfig, epoch_id: int, rng: np.random.Generator) 
     sin_el_min = np.sin(MIN_SAT_ELEVATION)
 
     drawn = []
-    for i in range(n):
+    for _ in range(n):
         az = rng.uniform(0.0, 2.0 * np.pi)
         sin_el = rng.uniform(sin_el_min, 1.0)  # area-uniform on the cap
         distance = rng.uniform(SAT_RANGE_MIN, SAT_RANGE_MAX)
-        constellation = _CONSTELLATIONS[int(rng.integers(0, len(_CONSTELLATIONS)))]
-        band = _BANDS[int(rng.integers(0, len(_BANDS)))]
+        constellation = int(rng.integers(0, len(CONSTELLATIONS)))
+        band = int(rng.integers(0, len(BANDS)))
 
         el = np.arcsin(sin_el)
         cos_el = np.cos(el)
@@ -208,24 +197,8 @@ def generate_epoch(scene: SceneConfig, epoch_id: int, rng: np.random.Generator) 
     # every range sits in the [2^24, 2^25) binade, so with clock and error
     # quantized to the 2^-28 ulp the sum below is exactly representable and
     # m - range - clock returns the stored error to the last bit
-    ranges = np.linalg.norm(np.vstack([d[0] for d in drawn]) - truth_pos, axis=1)
-    observations = []
-    for i, (sat_pos, constellation, band, error, cn0, avg_power) in enumerate(drawn):
-        pseudorange = float(ranges[i] + clock + error)
-        observations.append(
-            Observation(
-                sat=SatelliteState(
-                    sat_id=i + 1,
-                    constellation=constellation,
-                    band=band,
-                    pos=EcefPosition.from_array(sat_pos),
-                ),
-                pseudorange=pseudorange,
-                cn0=cn0,
-                avg_power=avg_power,
-                truth_error=error,
-            )
-        )
+    sat_pos, constellation, band, error, cn0, avg_power = (np.array(c) for c in zip(*drawn))
+    ranges = np.linalg.norm(sat_pos - truth_pos, axis=1)
 
     guess = (
         truth_pos
@@ -235,8 +208,15 @@ def generate_epoch(scene: SceneConfig, epoch_id: int, rng: np.random.Generator) 
     return Epoch(
         epoch_id=epoch_id,
         region_id=scene.region_id,
-        observations=tuple(observations),
         initial_guess=EcefPosition.from_array(guess),
+        sat_id=np.arange(1, n + 1),
+        constellation=constellation,
+        band=band,
+        sat_pos=sat_pos,
+        pseudorange=ranges + clock + error,
+        cn0=cn0,
+        avg_power=avg_power,
+        truth_error=error,
         truth=SolutionState(pos=EcefPosition.from_array(truth_pos), clock_bias=clock),
     )
 

@@ -13,7 +13,7 @@ from .errors import (
     SingularNormalMatrix,
 )
 from .geometry import MIN_LOS_DISTANCE, ecef_to_enu, line_of_sight
-from .types import Epoch, SatelliteState, SolutionState
+from .types import Epoch, SolutionState
 
 # Condition number above which the 4x4 normal matrix is treated as singular.
 NORMAL_COND_LIMIT = 1e12
@@ -46,9 +46,9 @@ class WlsResult:
     converged: bool
 
 
-def computed_pseudorange(state: SolutionState, sat: SatelliteState) -> float:
-    """Geometric range from the state's position to the satellite plus clock bias."""
-    d = sat.pos.as_array() - state.pos.as_array()
+def computed_pseudorange(state: SolutionState, sat_pos: np.ndarray) -> float:
+    """Geometric range from the state's position to one satellite (3,) plus clock bias."""
+    d = np.asarray(sat_pos, dtype=float) - state.pos.as_array()
     dist = float(np.linalg.norm(d))
     if dist < MIN_LOS_DISTANCE:
         raise DegenerateGeometry("state coincides with satellite")
@@ -64,8 +64,8 @@ def _jacobian(d: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 def residuals(epoch: Epoch, state: SolutionState) -> np.ndarray:
     """Computed-minus-measured pseudo-range for every observation."""
-    _, dist = line_of_sight(epoch.sat_positions(), state.pos.as_array())
-    return dist + state.clock_bias - epoch.pseudoranges()
+    _, dist = line_of_sight(epoch.sat_pos, state.pos.as_array())
+    return dist + state.clock_bias - epoch.pseudorange
 
 
 def cost(epoch: Epoch, state: SolutionState, weights: np.ndarray) -> float:
@@ -79,7 +79,7 @@ def cost(epoch: Epoch, state: SolutionState, weights: np.ndarray) -> float:
 
 def geometry_matrix(epoch: Epoch, state: SolutionState) -> np.ndarray:
     """n x 4 Jacobian of computed pseudo-ranges; row i is (-los_i, 1)."""
-    return _jacobian(*line_of_sight(epoch.sat_positions(), state.pos.as_array()))
+    return _jacobian(*line_of_sight(epoch.sat_pos, state.pos.as_array()))
 
 
 def wls_solve(
@@ -101,16 +101,14 @@ def wls_solve(
     if w.shape != (n,):
         raise LengthMismatch(f"{w.shape} weights for {n} observations")
 
-    sat_pos = epoch.sat_positions()
-    pr = epoch.pseudoranges()
     x = initial.as_array()
     step_norm = np.inf
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         state = SolutionState.from_array(x)  # rejects a non-finite iterate
-        d, dist = line_of_sight(sat_pos, state.pos.as_array())
+        d, dist = line_of_sight(epoch.sat_pos, state.pos.as_array())
         H = _jacobian(d, dist)
-        r = dist + state.clock_bias - pr
+        r = dist + state.clock_bias - epoch.pseudorange
         Hw = H * w[:, None]
         normal = H.T @ Hw
         if not np.all(np.isfinite(normal)) or np.linalg.cond(normal) > NORMAL_COND_LIMIT:

@@ -1,10 +1,11 @@
-"""Domain types shared by every module: positions, satellites, observations, epochs."""
+"""Domain types shared by every module: positions, states and columnar epochs."""
 
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +48,6 @@ class EcefPosition:
     def from_array(v: np.ndarray) -> "EcefPosition":
         return EcefPosition(float(v[0]), float(v[1]), float(v[2]))
 
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
 
 @dataclass(frozen=True)
 class SolutionState:
@@ -70,82 +68,114 @@ class SolutionState:
         return SolutionState(EcefPosition.from_array(v[:3]), float(v[3]))
 
 
-@dataclass(frozen=True)
-class SatelliteState:
+# Column codes index these tuples; the enum values are the on-disk names.
+CONSTELLATIONS = tuple(Constellation)
+BANDS = tuple(Band)
+_CONSTELLATION_CODES = set(range(len(CONSTELLATIONS)))
+_BAND_CODES = set(range(len(BANDS)))
+
+
+class Observation(NamedTuple):
+    """One measurement row of an epoch, for display and tests; not validated."""
+
     sat_id: int
     constellation: Constellation
     band: Band
-    pos: EcefPosition
-
-    def __post_init__(self) -> None:
-        if self.pos.norm() <= MIN_SAT_RADIUS:
-            raise ValueError(f"satellite {self.sat_id} below plausible orbit radius")
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One satellite measurement: post-correction pseudo-range plus signal features."""
-
-    sat: SatelliteState
+    sat_pos: tuple[float, float, float]
     pseudorange: float
     cn0: float
     avg_power: float
-    truth_error: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (self.pseudorange > 0 and _finite(self.pseudorange)):
-            raise ValueError("pseudorange must be positive and finite")
-        if not 0.0 <= self.cn0 <= 70.0:
-            raise ValueError("cn0 outside [0, 70] dB-Hz")
-        if not _finite(self.avg_power):
-            raise ValueError("avg_power must be finite")
-        if self.truth_error is not None and not _finite(self.truth_error):
-            raise ValueError("truth_error must be finite")
+    truth_error: float | None
 
 
-@dataclass(frozen=True)
+# Per-measurement columns: name, dtype, trailing shape.
+_COLUMNS = (
+    ("sat_id", np.int64, ()),
+    ("constellation", np.int64, ()),
+    ("band", np.int64, ()),
+    ("sat_pos", float, (3,)),
+    ("pseudorange", float, ()),
+    ("cn0", float, ()),
+    ("avg_power", float, ()),
+    ("truth_error", float, ()),
+)
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Epoch:
-    """A set of simultaneous observations; the unit of localization."""
+    """A set of simultaneous measurements, one read-only array per field.
+
+    constellation and band are codes into CONSTELLATIONS and BANDS.
+    truth_error labels every measurement or none (None).
+    """
 
     epoch_id: int
     region_id: str
-    observations: tuple[Observation, ...]
     initial_guess: EcefPosition
+    sat_id: np.ndarray  # (n,)
+    constellation: np.ndarray  # (n,)
+    band: np.ndarray  # (n,)
+    sat_pos: np.ndarray  # (n, 3)
+    pseudorange: np.ndarray  # (n,)
+    cn0: np.ndarray  # (n,)
+    avg_power: np.ndarray  # (n,)
+    truth_error: np.ndarray | None = None  # (n,)
     truth: SolutionState | None = None
 
     def __post_init__(self) -> None:
-        if len(self.observations) < 1:
+        n = np.size(self.sat_id)
+        if n < 1:
             raise ValueError("epoch needs at least one observation")
-        sat_ids = [o.sat.sat_id for o in self.observations]
-        if len(set(sat_ids)) != len(sat_ids):
-            raise ValueError("duplicate sat_id within epoch")
+        for name, dtype, tail in _COLUMNS:
+            if getattr(self, name) is None:
+                continue
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.shape != (n, *tail):
+                raise ValueError(f"{name} has shape {column.shape}, expected {(n, *tail)}")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        # min and max propagate NaN, so the range checks reject it too
+        radius_sq = np.einsum("ij,ij->i", self.sat_pos, self.sat_pos)
+        pr = self.pseudorange
+        checks = (
+            (len(set(self.sat_id.tolist())) == n, "duplicate sat_id within epoch"),
+            (set(self.constellation.tolist()) <= _CONSTELLATION_CODES, "constellation code out of range"),
+            (set(self.band.tolist()) <= _BAND_CODES, "band code out of range"),
+            (np.isfinite(self.sat_pos).all(), "satellite positions must be finite"),
+            (radius_sq.min() > MIN_SAT_RADIUS**2, "satellite below plausible orbit radius"),
+            (0.0 < pr.min() <= pr.max() < np.inf, "pseudorange must be positive and finite"),
+            (0.0 <= self.cn0.min() <= self.cn0.max() <= 70.0, "cn0 outside [0, 70] dB-Hz"),
+            (np.isfinite(self.avg_power).all(), "avg_power must be finite"),
+            (self.truth_error is None or np.isfinite(self.truth_error).all(), "truth_error must be finite"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self.sat_id.size
 
-    def sat_positions(self) -> np.ndarray:
-        """Satellite positions as an (n, 3) array."""
-        return np.array([[o.sat.pos.x, o.sat.pos.y, o.sat.pos.z] for o in self.observations])
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Epoch):
+            return NotImplemented
+        scalars = (self.epoch_id, self.region_id, self.initial_guess, self.truth)
+        return scalars == (other.epoch_id, other.region_id, other.initial_guess, other.truth) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))  # None equals only None
+            for name, _, _ in _COLUMNS
+        )
 
-    def pseudoranges(self) -> np.ndarray:
-        return np.array([o.pseudorange for o in self.observations])
+    @property
+    def observations(self) -> tuple[Observation, ...]:
+        """The measurements as rows; the pipeline reads the columns instead."""
+        labels = [None] * len(self) if self.truth_error is None else self.truth_error.tolist()
+        columns = [getattr(self, name).tolist() for name, _, _ in _COLUMNS[:-1]]
+        return tuple(
+            Observation(i, CONSTELLATIONS[c], BANDS[b], tuple(p), *rest)
+            for i, c, b, p, *rest in zip(*columns, labels)
+        )
 
-    def truth_errors(self) -> np.ndarray:
-        """Truth measurement errors as a vector; raises if any is absent."""
-        errs = [o.truth_error for o in self.observations]
-        if any(e is None for e in errs):
-            raise ValueError("epoch has observations without truth_error")
-        return np.array(errs, dtype=float)
-
-    def has_truth_errors(self) -> bool:
-        return all(o.truth_error is not None for o in self.observations)
-
-    def subset(self, mask: np.ndarray) -> "Epoch":
-        """Epoch restricted to observations where mask is true."""
-        kept = tuple(o for o, m in zip(self.observations, mask) if m)
-        return replace(self, observations=kept)
-
-    def with_pseudoranges(self, pr: np.ndarray) -> "Epoch":
-        """Copy of the epoch with replaced pseudo-ranges (other fields untouched)."""
-        obs = tuple(replace(o, pseudorange=float(p)) for o, p in zip(self.observations, pr))
-        return replace(self, observations=obs)
+    def subset(self, keep: np.ndarray) -> "Epoch":
+        """Epoch restricted to the measurements a boolean mask or an index array picks."""
+        keep = np.asarray(keep)
+        columns = {name: getattr(self, name) for name, _, _ in _COLUMNS}
+        return replace(self, **{name: None if c is None else c[keep] for name, c in columns.items()})

@@ -41,19 +41,11 @@ from gnssfix import (
 from gnssfix.dataset import load_dataset, shard_path
 from gnssfix.geometry import enu_basis
 from gnssfix.simulator import default_scenes, generate_dataset
-from gnssfix.types import (
-    Band,
-    Constellation,
-    EcefPosition,
-    Epoch,
-    Observation,
-    SatelliteState,
-    SolutionState,
-)
+from gnssfix.types import EcefPosition, SolutionState
 
 from test_selector import loop_select
 from test_training import check_gradients_fd
-from util import ORIGIN, enu_direction, make_epoch
+from util import ORIGIN, enu_direction, epoch_of, make_epoch
 
 DATA_SEED = 20250816
 HOLDOUT = "dense-1"          # evaluation fold; the other four regions train
@@ -153,7 +145,7 @@ def test_criterion_03_optimal_weights_not_unique(dataset, rng):
     config = WlsConfig(max_iterations=40, convergence_tol=1e-7)
     worst = 0.0
     for ep in epochs:
-        e = ep.truth_errors()
+        e = ep.truth_error
         state0 = guess_state(ep)
         # kernel taken at the truth linearization: that is the point the
         # weights are supposed to make stationary, so the solver must land
@@ -210,20 +202,14 @@ def test_criterion_05_predict_path_permutation_equivariance(rng):
             )
         )
     feats = np.vstack([extract_features(ep) for ep in pool])
-    labels = np.concatenate([ep.truth_errors() for ep in pool])
+    labels = np.concatenate([ep.truth_error for ep in pool])
     scaler = fit_scaler(feats, labels)
     params = dataclasses.replace(init_params(rng, in_dim=13, hidden=16), scaler=scaler)
 
     worst = 0.0
     for ep in pool:
         perm = rng.permutation(len(ep))
-        shuffled = Epoch(
-            ep.epoch_id,
-            ep.region_id,
-            tuple(ep.observations[k] for k in perm),
-            ep.initial_guess,
-            truth=ep.truth,
-        )
+        shuffled = ep.subset(perm)
         base = predict_errors(params, ep)
         permuted = predict_errors(params, shuffled)
         worst = max(worst, float(np.max(np.abs(permuted - base[perm]))))
@@ -240,8 +226,8 @@ def _lattice_minimum(epoch, weights, half=50.0, step=0.5):
     is quadratic in the clock, so the grid argmin is the analytic optimum
     snapped to the nearest grid value (clipped to the same +-half window).
     """
-    sats = np.array([o.sat.pos.as_array() for o in epoch.observations])
-    meas = epoch.pseudoranges()
+    sats = epoch.sat_pos
+    meas = epoch.pseudorange
     w = np.asarray(weights, dtype=float)
     wsum = float(w.sum())
     center = epoch.truth.pos.as_array()
@@ -278,23 +264,25 @@ def _braced_epoch(rng, case, sigma, n=8):
     order = rng.permutation(n)
     clock = float(rng.uniform(-20, 20))
     errors = rng.normal(0, sigma, n) if sigma > 0 else np.zeros(n)
-    obs = []
+    pos = np.empty((n, 3))
+    d = np.empty(n)
     for i in range(n):
         r = rng.uniform(2.5e7, 2.7e7)
-        pos = o + r * enu_direction(origin, azs[order[i]], els[i])
-        d = float(np.linalg.norm(pos - o))
-        obs.append(
-            Observation(
-                sat=SatelliteState(i + 1, Constellation.GPS, Band.L1, EcefPosition.from_array(pos)),
-                pseudorange=d + clock + float(errors[i]),
-                cn0=40.0,
-                avg_power=10.0,
-                truth_error=float(errors[i]),
-            )
-        )
+        pos[i] = o + r * enu_direction(origin, azs[order[i]], els[i])
+        d[i] = np.linalg.norm(pos[i] - o)
     east, north, _ = enu_basis(origin)
     guess = EcefPosition.from_array(o + rng.uniform(-10, 10) * east + rng.uniform(-10, 10) * north)
-    return Epoch(case, "brace", tuple(obs), guess, truth=SolutionState(origin, clock))
+    return epoch_of(
+        pos,
+        d + clock + errors,
+        guess,
+        truth=SolutionState(origin, clock),
+        cn0=np.full(n, 40.0),
+        avg_power=np.full(n, 10.0),
+        truth_error=errors,
+        epoch_id=case,
+        region_id="brace",
+    )
 
 
 def test_criterion_06_wls_matches_brute_force_lattice(rng):
@@ -384,7 +372,7 @@ def test_criterion_09_error_correction_halves_mean_error(folds, trained_models):
     abs_error = 0.0
     count = 0
     for ep in holdout:
-        e = ep.truth_errors()
+        e = ep.truth_error
         e_hat = predict_errors(model, ep)
         abs_residual += float(np.sum(np.abs(e_hat - e)))
         abs_error += float(np.sum(np.abs(e)))
@@ -405,7 +393,7 @@ def test_criterion_10_small_errors_predicted_better(folds, trained_models):
     dev_small = []
     dev_large = []
     for ep in holdout:
-        e = np.asarray(ep.truth_errors())
+        e = ep.truth_error
         dev = np.abs(predict_errors(model, ep) - e)
         mag = np.abs(e)
         dev_small.extend(dev[(mag >= 0) & (mag < 50)])

@@ -40,7 +40,7 @@ def test_elevation_weights_monotone(rng):
     fit = ElevationWeightFit(a=4.0, b=0.6)
     ep = make_epoch(rng, n=10)
     w = heuristic_weights("elevation", ep, fit=fit)
-    els, _ = elevation_azimuth(ep.initial_guess, ep.sat_positions())
+    els, _ = elevation_azimuth(ep.initial_guess, ep.sat_pos)
     order = np.argsort(els)
     assert np.all(np.diff(w[order]) > 0.0)
 
@@ -83,14 +83,10 @@ def test_fit_elevation_baseline_over_epochs(rng):
     epochs = []
     for k in range(400):
         ep = make_epoch(rng, n=8, errors=np.zeros(8), epoch_id=k)
-        els, _ = elevation_azimuth(ep.initial_guess, ep.sat_positions())
+        els, _ = elevation_azimuth(ep.initial_guess, ep.sat_pos)
         sigma = np.sqrt(a * np.exp(-els / b))
         errors = sigma * rng.standard_normal(8)
-        obs = tuple(
-            replace(o, pseudorange=o.pseudorange + e, truth_error=e)
-            for o, e in zip(ep.observations, errors)
-        )
-        epochs.append(replace(ep, observations=obs))
+        epochs.append(replace(ep, pseudorange=ep.pseudorange + errors, truth_error=errors))
     fit = fit_elevation_baseline(epochs)
     assert fit.a == pytest.approx(a, rel=0.15)
     assert fit.b == pytest.approx(b, rel=0.15)

@@ -15,7 +15,7 @@ from gnssfix.evaluation import PipelineSpec, run_pipeline
 from gnssfix.solver import horizontal_error
 from gnssfix.types import EcefPosition, SolutionState
 
-from util import ORIGIN, make_epoch
+from util import ORIGIN, epoch_of, make_epoch
 
 TINY_CONFIG = {
     "regions": [
@@ -272,23 +272,17 @@ def test_exit_code_3_for_missing_model(tiny_data, tmp_path, capsys):
 def _stacked_epoch(epoch_id):
     # all satellites stacked along one direction: solvable by nothing
     from gnssfix.geometry import enu_basis
-    from gnssfix.types import Epoch, Observation, SatelliteState
-    from gnssfix import Band, Constellation
 
     up = enu_basis(ORIGIN)[2]
-    obs = []
-    for i, dist in enumerate(np.linspace(2.0e7, 2.4e7, 6)):
-        pos = ORIGIN.as_array() + dist * up
-        obs.append(
-            Observation(
-                sat=SatelliteState(i + 1, Constellation.GPS, Band.L1, EcefPosition.from_array(pos)),
-                pseudorange=float(dist),
-                cn0=40.0,
-                avg_power=10.0,
-                truth_error=0.0,
-            )
-        )
-    return Epoch(epoch_id, "sing", tuple(obs), ORIGIN, truth=SolutionState(ORIGIN, 0.0))
+    dist = np.linspace(2.0e7, 2.4e7, 6)
+    return epoch_of(
+        ORIGIN.as_array() + dist[:, None] * up,
+        dist,
+        truth=SolutionState(ORIGIN, 0.0),
+        truth_error=np.zeros(6),
+        epoch_id=epoch_id,
+        region_id="sing",
+    )
 
 
 def test_localize_skips_singular_geometry(tmp_path, rng, capsys):
@@ -306,15 +300,42 @@ def test_localize_skips_singular_geometry(tmp_path, rng, capsys):
     assert "skipped" not in records[0] and "skipped" not in records[2]
 
 
-def test_exit_code_4_for_degenerate_geometry(tmp_path, rng, capsys):
-    # an initial guess on top of a satellite is not one of the per-epoch skips
-    ep = make_epoch(rng)
-    ep = replace(ep, initial_guess=ep.observations[0].sat.pos)
+def _guess_on_satellite(ep):
+    return replace(ep, initial_guess=EcefPosition.from_array(ep.sat_pos[0]))
+
+
+@pytest.mark.parametrize("method", ["wls_unit", "regulate_weights"])
+def test_localize_skips_degenerate_geometry(tiny_data, tmp_path, rng, method, capsys):
+    # an initial guess on top of a satellite ends that epoch, in the solver or
+    # already in the estimator's features; the stream goes on
+    bad = _guess_on_satellite(make_epoch(rng, epoch_id=1))
+    epochs = [make_epoch(rng, epoch_id=0), bad, make_epoch(rng, epoch_id=2)]
     shard = str(tmp_path / "degenerate.jsonl")
-    write_shard(shard, [ep])
-    rc = main(["localize", "--epoch-file", shard, "--method", "wls_unit"])
-    assert rc == 4
-    assert "numerical failure" in capsys.readouterr().err
+    write_shard(shard, epochs)
+    rc = main(["localize", "--epoch-file", shard, "--method", method, "--model", tiny_data["model"]])
+    assert rc == 0
+    records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert [r["epoch_id"] for r in records] == [0, 1, 2]
+    assert records[1] == {"epoch_id": 1, "region": "testville", "skipped": "DegenerateGeometry"}
+    assert "skipped" not in records[0] and "skipped" not in records[2]
+
+
+@pytest.mark.parametrize("method", ["wls_unit", "regulate_measurements"])
+def test_evaluate_skips_degenerate_geometry(tiny_data, tmp_path, method):
+    import shutil
+
+    data = str(tmp_path / "data")
+    shutil.copytree(tiny_data["data"], data)
+    shard = shard_path(data, "canyon")
+    epochs = read_shard(shard)
+    epochs[3] = _guess_on_satellite(epochs[3])
+    write_shard(shard, epochs)
+    out = str(tmp_path / "rep")
+    args = ["evaluate", "--data", data, "--holdout", "canyon", "--method", method, "--model", tiny_data["model"]]
+    assert main(args + ["--out", out]) == 0
+    header, row = list(csv.reader(open(os.path.join(out, "summary.csv"))))
+    summary = dict(zip(header, row))
+    assert summary["epochs"] == "6" and summary["skipped"] == "1"
 
 
 def _generate_from(tmp_path, config):

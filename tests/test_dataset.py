@@ -54,8 +54,8 @@ def test_record_without_truth(rng):
     assert all("truth_err" not in d for d in rec["obs"])
     back = record_to_epoch(rec)
     assert back.truth is None
-    assert not back.has_truth_errors()
-    assert np.array_equal(back.pseudoranges(), ep.pseudoranges())
+    assert back.truth_error is None
+    assert np.array_equal(back.pseudorange, ep.pseudorange)
 
 
 def test_shard_roundtrip(tmp_path, rng):
@@ -86,6 +86,18 @@ def test_read_shard_reports_bad_line(rng, tmp_path):
     assert ":1:" in str(err.value)  # line number in the message
     with pytest.raises(IoFailure):
         read_shard(str(tmp_path / "absent.jsonl"))
+
+
+def test_read_shard_rejects_partial_labels(rng, tmp_path):
+    path = str(tmp_path / "partial.jsonl")
+    good = epoch_to_record(make_epoch(rng, n=5, errors=rng.normal(0, 2, 5)))
+    bad = epoch_to_record(make_epoch(rng, n=5, errors=rng.normal(0, 2, 5), epoch_id=1))
+    del bad["obs"][2]["truth_err"]
+    with open(path, "w") as fh:
+        fh.write(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(IoFailure) as err:
+        read_shard(path)
+    assert ":2:" in str(err.value) and "label all or none" in str(err.value)
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -174,7 +186,7 @@ def test_load_dataset(tmp_path):
     assert len(regions["beta"]) == 6
     for rid, eps in regions.items():
         assert all(ep.region_id == rid for ep in eps)
-        assert all(ep.has_truth_errors() for ep in eps)
+        assert all(ep.truth_error is not None for ep in eps)
 
 
 def test_shard_lines_follow_schema(tmp_path, rng):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,6 @@ from gnssfix import (
     Band,
     Constellation,
     DegenerateStdWarning,
-    EcefPosition,
-    Epoch,
-    Observation,
-    SatelliteState,
     apply_feature_scaler,
     apply_label_scaler,
     build_graph,
@@ -24,8 +21,9 @@ from gnssfix.estimator.features import FEATURE_DIM, ONE_HOT_DIMS, guess_state
 from gnssfix import angular_proximity
 from gnssfix.geometry import enu_basis
 from gnssfix.simulator import default_scenes, epoch_seed, generate_epoch
+from gnssfix.types import BANDS, CONSTELLATIONS
 
-from util import EARTH_R, ORIGIN, enu_direction, make_epoch
+from util import EARTH_R, ORIGIN, enu_direction, epoch_of, make_epoch
 
 # column layout: 0-3 constellation, 4-5 band, 6 sin az, 7 cos az,
 # 8 elevation, 9 cn0, 10 avg_power, 11 initial residual, 12 bias
@@ -40,24 +38,22 @@ def test_initial_clock_bias_noiseless(rng):
 def test_initial_clock_bias_shift_equivariance(rng):
     ep = make_epoch(rng, n=8, errors=rng.normal(0, 5, 8))
     base = initial_clock_bias(ep)
-    shifted = ep.with_pseudoranges(ep.pseudoranges() + 50.0)
+    shifted = replace(ep, pseudorange=ep.pseudorange + 50.0)
     assert initial_clock_bias(shifted) == pytest.approx(base + 50.0, abs=1e-9)
 
 
 def test_initial_clock_bias_zeroes_tenth_percentile(rng):
     ep = make_epoch(rng, n=9, errors=np.array([-10.0, 0.0, 5.0, 20.0, 100.0, -3.0, 7.0, 50.0, 1.0]))
     dt0 = initial_clock_bias(ep)
-    ranges = np.linalg.norm(ep.sat_positions() - ep.initial_guess.as_array(), axis=1)
-    post = (ranges - ep.pseudoranges()) + dt0
+    ranges = np.linalg.norm(ep.sat_pos - ep.initial_guess.as_array(), axis=1)
+    post = (ranges - ep.pseudorange) + dt0
     assert np.percentile(post, 10) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_extract_features_one_hot_layout(rng):
     up = enu_direction(ORIGIN, az=0.0, el=math.radians(60.0))
-    sat = SatelliteState(1, Constellation.GPS, Band.L1, EcefPosition.from_array(ORIGIN.as_array() + 2.2e7 * up))
-    d = np.linalg.norm(sat.pos.as_array() - ORIGIN.as_array())
-    obs = Observation(sat, float(d), 45.0, 15.0)
-    ep = Epoch(0, "r", (obs,), ORIGIN)
+    sat_pos = ORIGIN.as_array() + 2.2e7 * up
+    ep = epoch_of([sat_pos], np.linalg.norm(sat_pos - ORIGIN.as_array()))
     feats = extract_features(ep)
     assert feats.shape == (1, FEATURE_DIM)
     assert feats[0, :4].tolist() == [1.0, 0.0, 0.0, 0.0]
@@ -66,10 +62,8 @@ def test_extract_features_one_hot_layout(rng):
 
 
 def test_extract_features_zenith_satellite():
-    zenith = EcefPosition(EARTH_R + 2.2e7, 0.0, 0.0)
-    sat = SatelliteState(3, Constellation.GALILEO, Band.L5, zenith)
-    obs = Observation(sat, 2.2e7, 40.0, 10.0)
-    ep = Epoch(0, "r", (obs,), ORIGIN)
+    zenith = [EARTH_R + 2.2e7, 0.0, 0.0]
+    ep = epoch_of([zenith], 2.2e7, sat_id=[3], constellation=[2], band=[1], cn0=[40.0], avg_power=[10.0])
     feats = extract_features(ep)
     assert feats[0, COL_SIN_AZ] == pytest.approx(0.0, abs=1e-12)
     assert feats[0, COL_COS_AZ] == pytest.approx(1.0, abs=1e-12)
@@ -83,18 +77,18 @@ _BAND_COL = {Band.L1: 4, Band.L5: 5}
 
 
 def loop_features(epoch):
-    """Reference: one row at a time, with its own ENU basis and scalar angles."""
+    """Reference: one observation row at a time, with its own ENU basis and scalar angles."""
     init_residual = residuals(epoch, guess_state(epoch))
     guess = epoch.initial_guess.as_array()
     out = np.zeros((len(epoch), FEATURE_DIM))
     for i, obs in enumerate(epoch.observations):
-        d = obs.sat.pos.as_array() - guess
+        d = np.array(obs.sat_pos) - guess
         e, n, u = enu_basis(epoch.initial_guess) @ (d / np.linalg.norm(d))
         horiz = math.hypot(e, n)
         el = math.atan2(u, horiz)
         az = 0.0 if horiz < 1e-9 else math.atan2(e, n) % (2.0 * math.pi)
-        out[i, _CONSTELLATION_COL[obs.sat.constellation]] = 1.0
-        out[i, _BAND_COL[obs.sat.band]] = 1.0
+        out[i, _CONSTELLATION_COL[obs.constellation]] = 1.0
+        out[i, _BAND_COL[obs.band]] = 1.0
         out[i, COL_SIN_AZ] = math.sin(az)
         out[i, COL_COS_AZ] = math.cos(az)
         out[i, COL_EL] = el
@@ -112,9 +106,18 @@ def test_extract_features_matches_loop_oracle():
         for k in range(20)
     ]
     # 1 mm east of zenith: below the horizontal threshold, so azimuth 0 by convention
-    near_zenith = EcefPosition(EARTH_R + 2.2e7, 1e-3, 0.0)
-    zenith = Observation(SatelliteState(99, Constellation.BEIDOU, Band.L5, near_zenith), 2.2e7, 40.0, 10.0)
-    epochs.append(Epoch(0, "r", epochs[0].observations[:5] + (zenith,), ORIGIN))
+    first = epochs[0].subset(np.arange(5))
+    epochs.append(
+        epoch_of(
+            np.vstack([first.sat_pos, [EARTH_R + 2.2e7, 1e-3, 0.0]]),
+            np.r_[first.pseudorange, 2.2e7],
+            sat_id=np.r_[first.sat_id, 99],
+            constellation=np.r_[first.constellation, CONSTELLATIONS.index(Constellation.BEIDOU)],
+            band=np.r_[first.band, BANDS.index(Band.L5)],
+            cn0=np.r_[first.cn0, 40.0],
+            avg_power=np.r_[first.avg_power, 10.0],
+        )
+    )
     for ep in epochs:
         np.testing.assert_allclose(extract_features(ep), loop_features(ep), rtol=0.0, atol=1e-12)
     assert extract_features(epochs[-1])[-1, COL_SIN_AZ] == 0.0
@@ -126,8 +129,8 @@ def test_extract_features_residual_column(rng):
     feats = extract_features(ep)
     want = residuals(ep, guess_state(ep))
     assert np.allclose(feats[:, COL_RES], want, atol=1e-9)
-    assert np.allclose(feats[:, COL_CN0], [o.cn0 for o in ep.observations])
-    assert np.allclose(feats[:, COL_PWR], [o.avg_power for o in ep.observations])
+    assert np.array_equal(feats[:, COL_CN0], ep.cn0)
+    assert np.array_equal(feats[:, COL_PWR], ep.avg_power)
 
 
 def test_one_hot_groups_sum_to_one(rng):
@@ -186,16 +189,8 @@ def test_build_graph_single_node(rng):
 
 def test_build_graph_coincident_directions():
     u = enu_direction(ORIGIN, az=1.0, el=0.9)
-    sats = tuple(
-        Observation(
-            SatelliteState(i + 1, Constellation.GPS, Band.L1, EcefPosition.from_array(ORIGIN.as_array() + d * u)),
-            float(d),
-            45.0,
-            15.0,
-        )
-        for i, d in enumerate((2.0e7, 2.4e7))
-    )
-    ep = Epoch(0, "r", sats, ORIGIN)
+    d = np.array([2.0e7, 2.4e7])
+    ep = epoch_of(ORIGIN.as_array() + d[:, None] * u, d)
     g = build_graph(ep, extract_features(ep))
     assert g.adjacency[0, 1] == pytest.approx(1.0, abs=1e-9)
     assert g.adjacency[0, 0] == 0.0 and g.adjacency[1, 1] == 0.0
@@ -209,9 +204,7 @@ def test_build_graph_matches_pairwise_oracle(rng):
     assert np.all((A >= 0.0) & (A <= 1.0))
     for i in range(5):
         for j in range(5):
-            want = 0.0 if i == j else angular_proximity(
-                ep.initial_guess, ep.observations[i].sat.pos, ep.observations[j].sat.pos
-            )
+            want = 0.0 if i == j else angular_proximity(ep.initial_guess, ep.sat_pos[i], ep.sat_pos[j])
             assert A[i, j] == pytest.approx(want, abs=1e-12)
 
 
@@ -219,7 +212,7 @@ def test_build_graph_uses_initial_guess_not_truth(rng):
     # adjacency must be computed where the receiver thinks it is
     ep = make_epoch(rng, n=5, guess_offset=(5000.0, -8000.0))
     g = build_graph(ep, extract_features(ep))
-    a_truth = angular_proximity(ep.truth.pos, ep.observations[0].sat.pos, ep.observations[1].sat.pos)
-    a_guess = angular_proximity(ep.initial_guess, ep.observations[0].sat.pos, ep.observations[1].sat.pos)
+    a_truth = angular_proximity(ep.truth.pos, ep.sat_pos[0], ep.sat_pos[1])
+    a_guess = angular_proximity(ep.initial_guess, ep.sat_pos[0], ep.sat_pos[1])
     assert g.adjacency[0, 1] == pytest.approx(a_guess, abs=1e-12)
     assert abs(a_truth - a_guess) > 0  # offset large enough to matter

@@ -140,7 +140,7 @@ def test_two_kernel_points_both_recover_truth(rng):
 def test_regulate_measurements_zero_estimate(rng):
     ep = make_epoch(rng, n=6)
     out = regulate_measurements(ep, np.zeros(6))
-    assert np.array_equal(out.pseudoranges(), ep.pseudoranges())
+    assert np.array_equal(out.pseudorange, ep.pseudorange)
     assert out.truth == ep.truth
 
 
@@ -150,7 +150,7 @@ def test_regulate_measurements_exact_errors(rng):
     fixed = regulate_measurements(ep, e)
     assert np.allclose(residuals(fixed, ep.truth), 0.0, atol=1e-9)
     # truth_error fields carried over unmodified
-    assert np.array_equal(fixed.truth_errors(), ep.truth_errors())
+    assert np.array_equal(fixed.truth_error, ep.truth_error)
 
 
 def test_regulate_measurements_pipeline(rng):

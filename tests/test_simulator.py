@@ -46,7 +46,7 @@ def _noiseless_scene():
 
 def _nlos_flags(scene, epoch):
     """Reconstruct the generator's visibility rule from stored geometry."""
-    el, az = elevation_azimuth(epoch.truth.pos, epoch.sat_positions())
+    el, az = elevation_azimuth(epoch.truth.pos, epoch.sat_pos)
     bins = (az // (2.0 * math.pi / N_MASK_BINS)).astype(int) % N_MASK_BINS
     return el <= np.asarray(scene.sky_mask_bins)[bins]
 
@@ -86,7 +86,7 @@ def test_noiseless_epoch_errors_zero_and_wls_recovers(rng):
     scene = _noiseless_scene()
     for k in range(5):
         ep = generate_epoch(scene, k, np.random.default_rng(k))
-        assert np.all(np.asarray(ep.truth_errors()) == 0.0)
+        assert np.all(ep.truth_error == 0.0)
         res = wls_solve(ep, np.ones(len(ep)), SolutionState(ep.initial_guess, 0.0), WlsConfig())
         err = np.linalg.norm(res.state.pos.as_array() - ep.truth.pos.as_array())
         assert err <= 1e-6
@@ -96,16 +96,16 @@ def test_construction_identity_exact(rng):
     scene = _scene(mask_elevation=math.radians(40.0))
     for k in range(50):
         ep = generate_epoch(scene, k, np.random.default_rng(k))
-        dists = np.linalg.norm(ep.sat_positions() - ep.truth.pos.as_array(), axis=1)
-        lhs = (ep.pseudoranges() - dists) - ep.truth.clock_bias
-        assert np.array_equal(lhs, ep.truth_errors())
+        dists = np.linalg.norm(ep.sat_pos - ep.truth.pos.as_array(), axis=1)
+        lhs = (ep.pseudorange - dists) - ep.truth.clock_bias
+        assert np.array_equal(lhs, ep.truth_error)
 
 
 def test_satellites_above_minimum_elevation(rng):
     scene = _scene()
     for k in range(10):
         ep = generate_epoch(scene, k, np.random.default_rng(k))
-        el, _ = elevation_azimuth(ep.truth.pos, ep.sat_positions())
+        el, _ = elevation_azimuth(ep.truth.pos, ep.sat_pos)
         assert np.all(el >= MIN_SAT_ELEVATION - 1e-9)
 
 
@@ -148,8 +148,7 @@ def test_nlos_errors_mostly_positive():
     for k in range(500):
         ep = generate_epoch(scene, k, np.random.default_rng(epoch_seed(0, "dense", k)))
         flags = _nlos_flags(scene, ep)
-        e = np.asarray(ep.truth_errors())
-        nlos_errors.extend(e[flags])
+        nlos_errors.extend(ep.truth_error[flags])
     nlos_errors = np.array(nlos_errors)
     assert nlos_errors.size > 500
     assert np.mean(nlos_errors > 0.0) >= 0.95
@@ -166,8 +165,8 @@ def test_nlos_cn0_lower_than_los():
     for k in range(300):
         ep = generate_epoch(scene, k, np.random.default_rng(epoch_seed(0, "dense", k)))
         flags = _nlos_flags(scene, ep)
-        for obs, is_nlos in zip(ep.observations, flags):
-            (nlos_cn0 if is_nlos else los_cn0).append(obs.cn0)
+        nlos_cn0.extend(ep.cn0[flags])
+        los_cn0.extend(ep.cn0[~flags])
     assert np.mean(nlos_cn0) < np.mean(los_cn0) - 5.0
     assert min(nlos_cn0 + los_cn0) >= 10.0
     assert max(nlos_cn0 + los_cn0) <= 55.0

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from gnssfix import (
-    Band,
-    Constellation,
     EcefPosition,
-    Epoch,
     InsufficientMeasurements,
-    Observation,
-    SatelliteState,
     SingularNormalMatrix,
     SolutionState,
     WlsConfig,
@@ -21,13 +16,9 @@ from gnssfix import (
 )
 from gnssfix.geometry import enu_basis
 
-from util import EARTH_R, ORIGIN, make_epoch, spread_satellites
+from util import EARTH_R, ORIGIN, epoch_of, make_epoch, spread_satellites
 
 TRUTH = SolutionState(ORIGIN, 37.5)
-
-
-def _sat(pos, sat_id=1):
-    return SatelliteState(sat_id, Constellation.GPS, Band.L1, EcefPosition.from_array(np.asarray(pos, float)))
 
 
 def _offset_guess(state, east=1000.0, north=0.0, up=0.0, clk=0.0):
@@ -38,7 +29,7 @@ def _offset_guess(state, east=1000.0, north=0.0, up=0.0, clk=0.0):
 
 def test_computed_pseudorange_axis_cases():
     origin = SolutionState(EcefPosition(0.0, 0.0, 0.0), 0.0)
-    sat = _sat([26_560_000.0, 0.0, 0.0])
+    sat = np.array([26_560_000.0, 0.0, 0.0])
     assert computed_pseudorange(origin, sat) == 26_560_000.0
     biased = SolutionState(EcefPosition(0.0, 0.0, 0.0), 100.0)
     assert computed_pseudorange(biased, sat) == 26_560_100.0
@@ -49,7 +40,7 @@ def test_computed_pseudorange_extended_precision(rng):
         pos = rng.uniform(-1e6, 1e6, 3)
         sat = rng.uniform(2e7, 3e7, 3) * rng.choice([-1.0, 1.0], 3)
         clk = rng.uniform(-1e3, 1e3)
-        got = computed_pseudorange(SolutionState(EcefPosition.from_array(pos), clk), _sat(sat))
+        got = computed_pseudorange(SolutionState(EcefPosition.from_array(pos), clk), sat)
         d = np.asarray(sat, np.longdouble) - np.asarray(pos, np.longdouble)
         want = np.sqrt((d * d).sum()) + np.longdouble(clk)
         assert abs(np.longdouble(got) - want) <= 1e-6
@@ -70,8 +61,8 @@ def test_residuals_match_elementwise_oracle(rng):
     ep = make_epoch(rng, n=8, errors=rng.normal(0, 5, 8))
     state = _offset_guess(ep.truth, east=200.0, north=-120.0, up=40.0, clk=11.0)
     r = residuals(ep, state)
-    for i, obs in enumerate(ep.observations):
-        want = computed_pseudorange(state, obs.sat) - obs.pseudorange
+    for i in range(len(ep)):
+        want = computed_pseudorange(state, ep.sat_pos[i]) - ep.pseudorange[i]
         assert r[i] == pytest.approx(want, abs=1e-9)
 
 
@@ -101,8 +92,7 @@ def test_cost_length_mismatch(rng):
 
 
 def test_geometry_matrix_axis_row():
-    obs = Observation(_sat([26_560_000.0, 0.0, 0.0]), 26_560_000.0, 45.0, 15.0)
-    ep = Epoch(0, "r", (obs,), EcefPosition(0.0, 0.0, 0.0))
+    ep = epoch_of([[26_560_000.0, 0.0, 0.0]], 26_560_000.0, EcefPosition(0.0, 0.0, 0.0))
     H = geometry_matrix(ep, SolutionState(EcefPosition(0.0, 0.0, 0.0), 0.0))
     assert np.allclose(H, [[-1.0, 0.0, 0.0, 1.0]])
 
@@ -112,19 +102,19 @@ def test_geometry_matrix_matches_finite_differences(rng):
     state = _offset_guess(ep.truth, east=300.0, north=150.0, up=-60.0, clk=5.0)
     H = geometry_matrix(ep, state)
     step = 0.1
-    for i, obs in enumerate(ep.observations):
+    for i, sat_pos in enumerate(ep.sat_pos):
         for j in range(3):
             delta = np.zeros(3)
             delta[j] = step
             hi = computed_pseudorange(
-                SolutionState(EcefPosition.from_array(state.pos.as_array() + delta), state.clock_bias), obs.sat
+                SolutionState(EcefPosition.from_array(state.pos.as_array() + delta), state.clock_bias), sat_pos
             )
             lo = computed_pseudorange(
-                SolutionState(EcefPosition.from_array(state.pos.as_array() - delta), state.clock_bias), obs.sat
+                SolutionState(EcefPosition.from_array(state.pos.as_array() - delta), state.clock_bias), sat_pos
             )
             assert H[i, j] == pytest.approx((hi - lo) / (2 * step), abs=1e-6)
-        hi = computed_pseudorange(SolutionState(state.pos, state.clock_bias + step), obs.sat)
-        lo = computed_pseudorange(SolutionState(state.pos, state.clock_bias - step), obs.sat)
+        hi = computed_pseudorange(SolutionState(state.pos, state.clock_bias + step), sat_pos)
+        lo = computed_pseudorange(SolutionState(state.pos, state.clock_bias - step), sat_pos)
         assert H[i, 3] == pytest.approx((hi - lo) / (2 * step), abs=1e-6)
 
 
@@ -149,12 +139,8 @@ def test_wls_noiseless_recovers_truth(rng):
 def test_wls_identical_directions_singular(rng):
     truth = TRUTH
     u = enu_basis(truth.pos)[2]  # all sats straight up
-    obs = []
-    for i, dist in enumerate(np.linspace(2.0e7, 2.4e7, 6)):
-        pos = truth.pos.as_array() + dist * u
-        pr = dist + truth.clock_bias
-        obs.append(Observation(_sat(pos, sat_id=i + 1), pr, 45.0, 15.0))
-    ep = Epoch(0, "r", tuple(obs), truth.pos, truth=truth)
+    dist = np.linspace(2.0e7, 2.4e7, 6)
+    ep = epoch_of(truth.pos.as_array() + dist[:, None] * u, dist + truth.clock_bias, truth.pos, truth=truth)
     with pytest.raises(SingularNormalMatrix):
         wls_solve(ep, np.ones(6), SolutionState(truth.pos, 0.0), WlsConfig())
 
@@ -180,7 +166,7 @@ def test_wls_permutation_invariance(rng):
     w = rng.uniform(0.2, 4.0, 9)
     start = SolutionState(ep.initial_guess, 0.0)
     perm = rng.permutation(9)
-    shuffled = Epoch(ep.epoch_id, ep.region_id, tuple(ep.observations[i] for i in perm), ep.initial_guess, truth=ep.truth)
+    shuffled = ep.subset(perm)
     a = wls_solve(ep, w, start, WlsConfig())
     b = wls_solve(shuffled, w[perm], start, WlsConfig())
     assert np.linalg.norm(a.state.pos.as_array() - b.state.pos.as_array()) <= 1e-9

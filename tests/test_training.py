@@ -199,7 +199,7 @@ def test_trained_model_beats_zero_predictor(rng):
 
     dev_model, dev_zero = [], []
     for ep in holdout:
-        e = np.asarray(ep.truth_errors())
+        e = ep.truth_error
         e_hat = predict_errors(model, ep)
         dev_model.append(np.mean(np.abs(e_hat - e)))
         dev_zero.append(np.mean(np.abs(e)))
