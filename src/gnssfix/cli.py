@@ -78,7 +78,7 @@ def _parse_scene_entry(entry: dict, global_seed: int) -> tuple[SceneConfig, int]
     mask_seed = stable_seed(global_seed, entry["region_id"], "mask")
     payload.setdefault("seed", mask_seed)
     if "receiver_origin" not in payload:
-        payload["receiver_origin"] = origin_from_lat_lon(lat, lon).as_array()
+        payload["receiver_origin"] = origin_from_lat_lon(lat, lon)
     if "sky_mask_bins" not in payload:
         payload["sky_mask_bins"] = sample_sky_mask(style, np.random.default_rng(mask_seed))
     return scene_from_dict(payload), count
@@ -173,12 +173,8 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         except EPOCH_FAILURES as exc:
             record["skipped"] = skip_reason(exc)
         else:
-            pos = result.state.pos
             record.update(
-                x=pos.x,
-                y=pos.y,
-                z=pos.z,
-                clk=result.state.clock_bias,
+                zip(("x", "y", "z", "clk"), result.state.tolist()),
                 converged=result.converged,
                 iterations=result.iterations,
             )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoFailure
-from .types import BANDS, CONSTELLATIONS, Band, Constellation, EcefPosition, Epoch, SolutionState
+from .types import BANDS, CONSTELLATIONS, Band, Constellation, Epoch
 
 DATASET_FORMAT = "gnssfix.dataset/1"
 MANIFEST_NAME = "manifest.json"
@@ -21,6 +21,8 @@ MANIFEST_NAME = "manifest.json"
 # Keys of one measurement in a record, in on-disk order; truth_err is
 # written for every measurement of an epoch or for none.
 _OBS_KEYS = ("sat_id", "const", "band", "sat_pos", "pr", "cn0", "avg_pow", "truth_err")
+# Keys of the truth state; the guess position has the first three.
+_TRUTH_KEYS = ("x", "y", "z", "clk")
 _CONSTELLATION_NAMES = np.array([c.value for c in CONSTELLATIONS])
 _BAND_NAMES = np.array([b.value for b in BANDS])
 
@@ -29,10 +31,8 @@ def epoch_to_record(epoch: Epoch, include_truth: bool = True) -> dict:
     """Plain-dict form of one epoch, keys in the on-disk order."""
     rec: dict = {"epoch_id": epoch.epoch_id, "region": epoch.region_id}
     if include_truth and epoch.truth is not None:
-        t = epoch.truth
-        rec["truth"] = {"x": t.pos.x, "y": t.pos.y, "z": t.pos.z, "clk": t.clock_bias}
-    g = epoch.initial_guess
-    rec["guess"] = {"x": g.x, "y": g.y, "z": g.z}
+        rec["truth"] = dict(zip(_TRUTH_KEYS, epoch.truth.tolist()))
+    rec["guess"] = dict(zip(_TRUTH_KEYS[:3], epoch.initial_guess.tolist()))
     columns = [
         epoch.sat_id,
         _CONSTELLATION_NAMES[epoch.constellation],
@@ -54,14 +54,8 @@ def record_to_epoch(rec: dict) -> Epoch:
     A record labels every measurement with truth_err or none of them.
     """
     try:
-        truth = None
-        if "truth" in rec:
-            t = rec["truth"]
-            truth = SolutionState(
-                pos=EcefPosition(float(t["x"]), float(t["y"]), float(t["z"])),
-                clock_bias=float(t["clk"]),
-            )
-        g = rec["guess"]
+        truth = [float(rec["truth"][k]) for k in _TRUTH_KEYS] if "truth" in rec else None
+        guess = [float(rec["guess"][k]) for k in _TRUTH_KEYS[:3]]
         obs = rec["obs"]
         labelled = sum("truth_err" in d for d in obs)
         if 0 < labelled < len(obs):
@@ -69,7 +63,7 @@ def record_to_epoch(rec: dict) -> Epoch:
         return Epoch(
             epoch_id=int(rec["epoch_id"]),
             region_id=str(rec["region"]),
-            initial_guess=EcefPosition(float(g["x"]), float(g["y"]), float(g["z"])),
+            initial_guess=guess,
             sat_id=[int(d["sat_id"]) for d in obs],
             constellation=[CONSTELLATIONS.index(Constellation(d["const"])) for d in obs],
             band=[BANDS.index(Band(d["band"])) for d in obs],
@@ -130,7 +124,6 @@ class DatasetManifest:
 
     entries: tuple[ManifestEntry, ...]
     global_seed: int
-    format_version: str = DATASET_FORMAT
 
     def __post_init__(self) -> None:
         ids = [e.region_id for e in self.entries]
@@ -144,7 +137,7 @@ class DatasetManifest:
 
 def write_manifest(manifest: DatasetManifest, data_dir: str) -> str:
     payload = {
-        "format": manifest.format_version,
+        "format": DATASET_FORMAT,
         "global_seed": manifest.global_seed,
         "regions": [
             {"region_id": e.region_id, "epochs": e.epochs, "scene": e.scene} for e in manifest.entries
@@ -167,6 +160,8 @@ def read_manifest(data_dir: str) -> DatasetManifest:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+        if payload["format"] != DATASET_FORMAT:
+            raise ValueError(f"dataset format {payload['format']!r}, expected {DATASET_FORMAT!r}")
         entries = tuple(
             ManifestEntry(region_id=str(r["region_id"]), epochs=int(r["epochs"]), scene=dict(r["scene"]))
             for r in payload["regions"]
@@ -174,7 +169,6 @@ def read_manifest(data_dir: str) -> DatasetManifest:
         return DatasetManifest(
             entries=entries,
             global_seed=int(payload["global_seed"]),
-            format_version=str(payload["format"]),
         )
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"cannot read manifest {path}: {exc}") from exc

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..geometry import elevation_azimuth, line_of_sight
 from ..solver import residuals
-from ..types import CONSTELLATIONS, Epoch, SolutionState
+from ..types import CONSTELLATIONS, Epoch
 
 FEATURE_DIM = 13
 
@@ -26,14 +26,14 @@ class DegenerateStdWarning(UserWarning):
 
 def initial_clock_bias(epoch: Epoch) -> float:
     """Clock bias that moves the 10th percentile of guess-location residuals to zero."""
-    d = epoch.sat_pos - epoch.initial_guess.as_array()
+    d = epoch.sat_pos - epoch.initial_guess
     pre = np.linalg.norm(d, axis=1) - epoch.pseudorange
     return float(-np.percentile(pre, 10.0))
 
 
-def guess_state(epoch: Epoch) -> SolutionState:
-    """Initial linearization state: guess position plus percentile-anchored clock bias."""
-    return SolutionState(epoch.initial_guess, initial_clock_bias(epoch))
+def guess_state(epoch: Epoch) -> np.ndarray:
+    """Initial linearization state (4,): guess position plus percentile-anchored clock bias."""
+    return np.append(epoch.initial_guess, initial_clock_bias(epoch))
 
 
 def extract_features(epoch: Epoch) -> np.ndarray:
@@ -125,7 +125,7 @@ def build_graph(epoch: Epoch, features: np.ndarray) -> EpochGraph:
     n = len(epoch)
     if features.shape[0] != n:
         raise ValueError(f"{features.shape[0]} feature rows for {n} observations")
-    d, dist = line_of_sight(epoch.sat_pos, epoch.initial_guess.as_array())
+    d, dist = line_of_sight(epoch.sat_pos, epoch.initial_guess)
     u = d / dist[:, None]
     A = np.clip(u @ u.T, 0.0, 1.0)
     np.fill_diagonal(A, 0.0)

@@ -95,11 +95,16 @@ class EvalReport:
 
     @property
     def p50(self) -> float:
-        return percentile(self.horizontal_errors, 50.0)
+        return self._error_percentile(50.0)
 
     @property
     def p95(self) -> float:
-        return percentile(self.horizontal_errors, 95.0)
+        return self._error_percentile(95.0)
+
+    def _error_percentile(self, p: float) -> float:
+        """Percentile of the horizontal errors; NaN when no epoch was fixed."""
+        errors = self.horizontal_errors
+        return percentile(errors, p) if errors.size else float("nan")
 
     @property
     def nonconverged_count(self) -> int:
@@ -373,35 +378,3 @@ def write_trace(path: str, rows: Sequence[tuple[int, str, float, float]]) -> Non
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
-
-@dataclass(frozen=True)
-class MultiSeedSummary:
-    """Across-seed spread of the headline percentiles."""
-
-    p50_values: tuple[float, ...]
-    p95_values: tuple[float, ...]
-
-    @property
-    def p50_mean(self) -> float:
-        return float(np.mean(self.p50_values))
-
-    @property
-    def p50_std(self) -> float:
-        return float(np.std(self.p50_values))
-
-    @property
-    def p95_mean(self) -> float:
-        return float(np.mean(self.p95_values))
-
-    @property
-    def p95_std(self) -> float:
-        return float(np.std(self.p95_values))
-
-
-def aggregate_reports(reports: Sequence[EvalReport]) -> MultiSeedSummary:
-    if len(reports) == 0:
-        raise EmptyInput("no reports to aggregate")
-    return MultiSeedSummary(
-        p50_values=tuple(r.p50 for r in reports),
-        p95_values=tuple(r.p95 for r in reports),
-    )

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import DegenerateProjection, InsufficientRedundancy, LengthMismatch
+from .errors import DegenerateProjection, InsufficientRedundancy, LengthMismatch, NonFiniteInput
 from .types import Epoch
 
 # Singular values below this fraction of the largest are treated as zero
@@ -55,6 +55,8 @@ def regulate_weights(H: np.ndarray, e: np.ndarray, probe: np.ndarray | None = No
     n = H.shape[0]
     if e.shape != (n,):
         raise LengthMismatch(f"{e.shape} errors for {n} geometry rows")
+    if not np.isfinite(e).all():
+        raise NonFiniteInput("error estimates must be finite")
     if n <= 4 and np.all(e != 0.0):
         raise InsufficientRedundancy(f"n={n} with all errors nonzero leaves a trivial kernel")
 
@@ -80,4 +82,6 @@ def regulate_measurements(epoch: Epoch, e_hat: np.ndarray) -> Epoch:
     e_hat = np.asarray(e_hat, dtype=float)
     if e_hat.shape != (len(epoch),):
         raise LengthMismatch(f"{e_hat.shape} estimates for {len(epoch)} observations")
+    if not np.isfinite(e_hat).all():
+        raise NonFiniteInput("error estimates must be finite")
     return replace(epoch, pseudorange=epoch.pseudorange - e_hat)

@@ -19,7 +19,7 @@ from scipy.special import ndtr
 
 from .dataset import DatasetManifest, ManifestEntry, shard_path, write_manifest, write_shard
 from .geometry import enu_basis
-from .types import BANDS, CONSTELLATIONS, EcefPosition, Epoch, SolutionState
+from .types import BANDS, CONSTELLATIONS, Epoch
 
 EARTH_RADIUS = 6_371_000.0
 N_MASK_BINS = 36
@@ -56,10 +56,13 @@ DEFAULT_REGIONS = (
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """One region's receiver location, skyline and noise law."""
+    """One region's receiver location, skyline and noise law.
+
+    receiver_origin is stored as a tuple of three floats, ECEF metres.
+    """
 
     region_id: str
-    receiver_origin: EcefPosition
+    receiver_origin: tuple[float, float, float]
     sky_mask_bins: tuple[float, ...]
     n_sats_range: tuple[int, int] = (8, 20)
     los_sigma_base: float = 1.5
@@ -75,6 +78,10 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if not self.region_id:
             raise ValueError("region_id must be non-empty")
+        origin = tuple(float(c) for c in self.receiver_origin)
+        if len(origin) != 3 or not np.isfinite(origin).all():
+            raise ValueError(f"receiver_origin must be 3 finite ECEF coordinates, got {origin}")
+        object.__setattr__(self, "receiver_origin", origin)
         if len(self.sky_mask_bins) != N_MASK_BINS:
             raise ValueError(f"need {N_MASK_BINS} mask bins, got {len(self.sky_mask_bins)}")
         bins = np.asarray(self.sky_mask_bins, dtype=float)
@@ -116,14 +123,16 @@ def sample_sky_mask(style: str, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(lo, hi, size=N_MASK_BINS)
 
 
-def origin_from_lat_lon(lat_deg: float, lon_deg: float) -> EcefPosition:
-    """Surface point of the spherical earth model at the given coordinates."""
+def origin_from_lat_lon(lat_deg: float, lon_deg: float) -> np.ndarray:
+    """Surface point (3,) of the spherical earth model at the given coordinates."""
     lat = np.radians(lat_deg)
     lon = np.radians(lon_deg)
-    return EcefPosition(
-        EARTH_RADIUS * np.cos(lat) * np.cos(lon),
-        EARTH_RADIUS * np.cos(lat) * np.sin(lon),
-        EARTH_RADIUS * np.sin(lat),
+    return np.array(
+        [
+            EARTH_RADIUS * np.cos(lat) * np.cos(lon),
+            EARTH_RADIUS * np.cos(lat) * np.sin(lon),
+            EARTH_RADIUS * np.sin(lat),
+        ]
     )
 
 
@@ -145,18 +154,19 @@ def _los_sigma(base: float, cos_el: float) -> float:
 
 def generate_epoch(scene: SceneConfig, epoch_id: int, rng: np.random.Generator) -> Epoch:
     """One epoch: truth state, satellites, errors, pseudo-ranges, guess."""
-    basis_origin = enu_basis(scene.receiver_origin)
+    origin = np.array(scene.receiver_origin)
+    basis_origin = enu_basis(origin)
     ang = rng.uniform(0.0, 2.0 * np.pi)
     lateral = TRUTH_LATERAL_MAX * np.sqrt(rng.uniform())
     truth_pos = (
-        scene.receiver_origin.as_array()
+        origin
         + lateral * np.sin(ang) * basis_origin[0]
         + lateral * np.cos(ang) * basis_origin[1]
     )
     clock = _quantize(rng.uniform(-CLOCK_TRUTH_RANGE, CLOCK_TRUTH_RANGE))
 
     n = int(rng.integers(scene.n_sats_range[0], scene.n_sats_range[1] + 1))
-    basis = enu_basis(EcefPosition.from_array(truth_pos))
+    basis = enu_basis(truth_pos)
     mask = np.asarray(scene.sky_mask_bins, dtype=float)
     bin_width = 2.0 * np.pi / N_MASK_BINS
     sin_el_min = np.sin(MIN_SAT_ELEVATION)
@@ -208,7 +218,7 @@ def generate_epoch(scene: SceneConfig, epoch_id: int, rng: np.random.Generator) 
     return Epoch(
         epoch_id=epoch_id,
         region_id=scene.region_id,
-        initial_guess=EcefPosition.from_array(guess),
+        initial_guess=guess,
         sat_id=np.arange(1, n + 1),
         constellation=constellation,
         band=band,
@@ -217,15 +227,14 @@ def generate_epoch(scene: SceneConfig, epoch_id: int, rng: np.random.Generator) 
         cn0=cn0,
         avg_power=avg_power,
         truth_error=error,
-        truth=SolutionState(pos=EcefPosition.from_array(truth_pos), clock_bias=clock),
+        truth=np.append(truth_pos, clock),
     )
 
 
 def scene_to_dict(scene: SceneConfig) -> dict:
-    o = scene.receiver_origin
     return {
         "region_id": scene.region_id,
-        "receiver_origin": [o.x, o.y, o.z],
+        "receiver_origin": list(scene.receiver_origin),
         "sky_mask_bins": list(scene.sky_mask_bins),
         "n_sats_range": list(scene.n_sats_range),
         "los_sigma_base": scene.los_sigma_base,
@@ -243,7 +252,7 @@ def scene_to_dict(scene: SceneConfig) -> dict:
 # How a scene field is read from JSON; every field not listed is a float.
 _SCENE_FIELD_TYPES = {
     "region_id": str,
-    "receiver_origin": lambda v: EcefPosition(*(float(c) for c in v)),
+    "receiver_origin": tuple,
     "sky_mask_bins": lambda v: tuple(float(c) for c in v),
     "n_sats_range": lambda v: tuple(int(c) for c in v),
     "seed": int,

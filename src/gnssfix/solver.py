@@ -1,4 +1,7 @@
-"""Pseudo-range model, residuals, geometry matrix, and the iterative WLS solver."""
+"""Residuals, geometry matrix and the iterative WLS solver.
+
+A receiver state is a (4,) array [x, y, z, clock bias] in metres.
+"""
 
 from __future__ import annotations
 
@@ -6,14 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometry,
-    InsufficientMeasurements,
-    LengthMismatch,
-    SingularNormalMatrix,
-)
-from .geometry import MIN_LOS_DISTANCE, ecef_to_enu, line_of_sight
-from .types import Epoch, SolutionState
+from .errors import InsufficientMeasurements, LengthMismatch, SingularNormalMatrix
+from .geometry import ecef_to_enu, line_of_sight
+from .types import Epoch
 
 # Condition number above which the 4x4 normal matrix is treated as singular.
 NORMAL_COND_LIMIT = 1e12
@@ -40,19 +38,10 @@ class WlsResult:
     epochs can still be scored.
     """
 
-    state: SolutionState
+    state: np.ndarray  # (4,)
     iterations: int
     step_norm: float
     converged: bool
-
-
-def computed_pseudorange(state: SolutionState, sat_pos: np.ndarray) -> float:
-    """Geometric range from the state's position to one satellite (3,) plus clock bias."""
-    d = np.asarray(sat_pos, dtype=float) - state.pos.as_array()
-    dist = float(np.linalg.norm(d))
-    if dist < MIN_LOS_DISTANCE:
-        raise DegenerateGeometry("state coincides with satellite")
-    return dist + state.clock_bias
 
 
 def _jacobian(d: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -62,37 +51,29 @@ def _jacobian(d: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return H
 
 
-def residuals(epoch: Epoch, state: SolutionState) -> np.ndarray:
+def residuals(epoch: Epoch, state: np.ndarray) -> np.ndarray:
     """Computed-minus-measured pseudo-range for every observation."""
-    _, dist = line_of_sight(epoch.sat_pos, state.pos.as_array())
-    return dist + state.clock_bias - epoch.pseudorange
+    _, dist = line_of_sight(epoch.sat_pos, state[:3])
+    return dist + state[3] - epoch.pseudorange
 
 
-def cost(epoch: Epoch, state: SolutionState, weights: np.ndarray) -> float:
-    """Weighted sum of squared residuals at the given state."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(epoch),):
-        raise LengthMismatch(f"{w.shape} weights for {len(epoch)} observations")
-    r = residuals(epoch, state)
-    return float(np.sum(w * r * r))
-
-
-def geometry_matrix(epoch: Epoch, state: SolutionState) -> np.ndarray:
+def geometry_matrix(epoch: Epoch, state: np.ndarray) -> np.ndarray:
     """n x 4 Jacobian of computed pseudo-ranges; row i is (-los_i, 1)."""
-    return _jacobian(*line_of_sight(epoch.sat_pos, state.pos.as_array()))
+    return _jacobian(*line_of_sight(epoch.sat_pos, state[:3]))
 
 
 def wls_solve(
     epoch: Epoch,
     weights: np.ndarray,
-    initial: SolutionState,
+    initial: np.ndarray,
     config: WlsConfig = WlsConfig(),
 ) -> WlsResult:
     """Gauss-Newton weighted least squares for position and clock bias.
 
     The geometry matrix and residuals are rebuilt from one line-of-sight pass
     at every iterate. Weights may be negative (weight regulation can produce
-    them); only singularity of the normal matrix is guarded.
+    them); only singularity of the normal matrix is guarded. A non-finite
+    initial state or iterate raises ValueError.
     """
     n = len(epoch)
     if n < 4:
@@ -101,33 +82,36 @@ def wls_solve(
     if w.shape != (n,):
         raise LengthMismatch(f"{w.shape} weights for {n} observations")
 
-    x = initial.as_array()
+    x = np.array(initial, dtype=float)
+    if x.shape != (4,) or not np.isfinite(x).all():
+        raise ValueError(f"initial state must be a finite (4,) array, got {x}")
     step_norm = np.inf
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        state = SolutionState.from_array(x)  # rejects a non-finite iterate
-        d, dist = line_of_sight(epoch.sat_pos, state.pos.as_array())
+        d, dist = line_of_sight(epoch.sat_pos, x[:3])
         H = _jacobian(d, dist)
-        r = dist + state.clock_bias - epoch.pseudorange
+        r = dist + x[3] - epoch.pseudorange
         Hw = H * w[:, None]
         normal = H.T @ Hw
         if not np.all(np.isfinite(normal)) or np.linalg.cond(normal) > NORMAL_COND_LIMIT:
             raise SingularNormalMatrix("normal matrix singular or ill-conditioned")
         dx = -np.linalg.solve(normal, Hw.T @ r)
         x = x + dx
+        if not np.isfinite(x).all():
+            raise ValueError(f"iterate {iterations} is not finite: {x}")
         step_norm = float(np.linalg.norm(dx))
         if step_norm < config.convergence_tol:
             break
 
     return WlsResult(
-        state=SolutionState.from_array(x),
+        state=x,
         iterations=iterations,
         step_norm=step_norm,
         converged=step_norm < config.convergence_tol,
     )
 
 
-def horizontal_error(predicted: SolutionState, truth: SolutionState) -> float:
-    """East-north distance between predicted and true position, meters."""
-    e, n, _ = ecef_to_enu(truth.pos, predicted.pos)
+def horizontal_error(predicted: np.ndarray, truth: np.ndarray) -> float:
+    """East-north distance between the positions of two states, meters."""
+    e, n, _ = ecef_to_enu(truth[:3], predicted[:3])
     return float(np.hypot(e, n))

@@ -1,4 +1,8 @@
-"""Domain types shared by every module: positions, states and columnar epochs."""
+"""Domain types shared by every module: measurement enums and columnar epochs.
+
+A receiver position is a (3,) ECEF array and a receiver state a (4,) array
+[x, y, z, clock bias], all in metres.
+"""
 
 from __future__ import annotations
 
@@ -23,49 +27,6 @@ class Constellation(enum.Enum):
 class Band(enum.Enum):
     L1 = "L1"
     L5 = "L5"
-
-
-def _finite(*values: float) -> bool:
-    return all(math.isfinite(v) for v in values)
-
-
-@dataclass(frozen=True)
-class EcefPosition:
-    """Point in the Earth-centered Earth-fixed frame, meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if not _finite(self.x, self.y, self.z):
-            raise ValueError("EcefPosition components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @staticmethod
-    def from_array(v: np.ndarray) -> "EcefPosition":
-        return EcefPosition(float(v[0]), float(v[1]), float(v[2]))
-
-
-@dataclass(frozen=True)
-class SolutionState:
-    """Receiver unknowns: ECEF position plus clock bias expressed in meters."""
-
-    pos: EcefPosition
-    clock_bias: float
-
-    def __post_init__(self) -> None:
-        if not _finite(self.clock_bias):
-            raise ValueError("clock_bias must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.pos.x, self.pos.y, self.pos.z, self.clock_bias], dtype=float)
-
-    @staticmethod
-    def from_array(v: np.ndarray) -> "SolutionState":
-        return SolutionState(EcefPosition.from_array(v[:3]), float(v[3]))
 
 
 # Column codes index these tuples; the enum values are the on-disk names.
@@ -99,6 +60,12 @@ _COLUMNS = (
     ("avg_power", float, ()),
     ("truth_error", float, ()),
 )
+# Per-epoch vectors: name, dtype, shape.
+_VECTORS = (
+    ("initial_guess", float, (3,)),  # ECEF position
+    ("truth", float, (4,)),  # ECEF position and clock bias
+)
+_OPTIONAL = ("truth_error", "truth")
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -106,12 +73,13 @@ class Epoch:
     """A set of simultaneous measurements, one read-only array per field.
 
     constellation and band are codes into CONSTELLATIONS and BANDS.
-    truth_error labels every measurement or none (None).
+    truth_error labels every measurement or none (None). initial_guess is a
+    (3,) ECEF position and truth a (4,) state [x, y, z, clock bias] or None.
     """
 
     epoch_id: int
     region_id: str
-    initial_guess: EcefPosition
+    initial_guess: np.ndarray  # (3,)
     sat_id: np.ndarray  # (n,)
     constellation: np.ndarray  # (n,)
     band: np.ndarray  # (n,)
@@ -120,20 +88,22 @@ class Epoch:
     cn0: np.ndarray  # (n,)
     avg_power: np.ndarray  # (n,)
     truth_error: np.ndarray | None = None  # (n,)
-    truth: SolutionState | None = None
+    truth: np.ndarray | None = None  # (4,)
 
     def __post_init__(self) -> None:
         n = np.size(self.sat_id)
         if n < 1:
             raise ValueError("epoch needs at least one observation")
-        for name, dtype, tail in _COLUMNS:
-            if getattr(self, name) is None:
+        arrays = [(name, dtype, (n, *tail)) for name, dtype, tail in _COLUMNS] + list(_VECTORS)
+        for name, dtype, shape in arrays:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL:
                 continue
-            column = np.array(getattr(self, name), dtype=dtype)
-            if column.shape != (n, *tail):
-                raise ValueError(f"{name} has shape {column.shape}, expected {(n, *tail)}")
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+            array = np.array(value, dtype=dtype)
+            if array.shape != shape:
+                raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         # min and max propagate NaN, so the range checks reject it too
         radius_sq = np.einsum("ij,ij->i", self.sat_pos, self.sat_pos)
         pr = self.pseudorange
@@ -147,6 +117,9 @@ class Epoch:
             (0.0 <= self.cn0.min() <= self.cn0.max() <= 70.0, "cn0 outside [0, 70] dB-Hz"),
             (np.isfinite(self.avg_power).all(), "avg_power must be finite"),
             (self.truth_error is None or np.isfinite(self.truth_error).all(), "truth_error must be finite"),
+            # on three or four values, math.isfinite is cheaper than a ufunc
+            (all(map(math.isfinite, self.initial_guess.tolist())), "initial_guess must be finite"),
+            (self.truth is None or all(map(math.isfinite, self.truth.tolist())), "truth must be finite"),
         )
         for ok, message in checks:
             if not ok:
@@ -158,10 +131,9 @@ class Epoch:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Epoch):
             return NotImplemented
-        scalars = (self.epoch_id, self.region_id, self.initial_guess, self.truth)
-        return scalars == (other.epoch_id, other.region_id, other.initial_guess, other.truth) and all(
+        return (self.epoch_id, self.region_id) == (other.epoch_id, other.region_id) and all(
             np.array_equal(getattr(self, name), getattr(other, name))  # None equals only None
-            for name, _, _ in _COLUMNS
+            for name, _, _ in (*_COLUMNS, *_VECTORS)
         )
 
     @property

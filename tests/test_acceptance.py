@@ -15,37 +15,20 @@ import time
 import numpy as np
 import pytest
 
-from gnssfix import (
-    EpochGraph,
-    PipelineSpec,
-    SelectorConfig,
-    TrainConfig,
-    WlsConfig,
-    build_scaled_geometry,
-    cost,
-    fit_scaler,
-    extract_features,
-    geometry_matrix,
-    guess_state,
-    init_params,
-    kernel_basis,
-    load_model,
-    predict_errors,
-    regulate_weights,
-    run_pipeline,
-    save_model,
-    select_measurements,
-    train,
-    wls_solve,
-)
 from gnssfix.dataset import load_dataset, shard_path
+from gnssfix.estimator.features import EpochGraph, extract_features, fit_scaler, guess_state
+from gnssfix.estimator.network import init_params, load_model, predict_errors, save_model
+from gnssfix.estimator.training import TrainConfig, train
+from gnssfix.evaluation import PipelineSpec, run_pipeline
 from gnssfix.geometry import enu_basis
+from gnssfix.regulator import build_scaled_geometry, kernel_basis, regulate_weights
+from gnssfix.selector import SelectorConfig, select_measurements
 from gnssfix.simulator import default_scenes, generate_dataset
-from gnssfix.types import EcefPosition, SolutionState
+from gnssfix.solver import WlsConfig, geometry_matrix, wls_solve
 
 from test_selector import loop_select
 from test_training import check_gradients_fd
-from util import ORIGIN, enu_direction, epoch_of, make_epoch
+from util import ORIGIN, cost, enu_direction, epoch_of, make_epoch
 
 DATA_SEED = 20250816
 HOLDOUT = "dense-1"          # evaluation fold; the other four regions train
@@ -156,7 +139,7 @@ def test_criterion_03_optimal_weights_not_unique(dataset, rng):
         assert np.linalg.norm(w1 - w2) > 1e-6 * np.sqrt(len(ep))
         for w in (w1, w2):
             fix = wls_solve(ep, w, state0, config)
-            err = float(np.linalg.norm(fix.state.pos.as_array() - ep.truth.pos.as_array()))
+            err = float(np.linalg.norm(fix.state[:3] - ep.truth[:3]))
             worst = max(worst, err)
             assert err <= 1e-3
     print(f"criterion 03: 200 epochs x 2 kernel points, worst position error {worst:.2e} m")
@@ -230,8 +213,8 @@ def _lattice_minimum(epoch, weights, half=50.0, step=0.5):
     meas = epoch.pseudorange
     w = np.asarray(weights, dtype=float)
     wsum = float(w.sum())
-    center = epoch.truth.pos.as_array()
-    clk0 = epoch.truth.clock_bias
+    center = epoch.truth[:3]
+    clk0 = epoch.truth[3]
     offsets = np.arange(-half, half + step / 2, step)
     xs = center[0] + offsets
     ys = center[1] + offsets
@@ -258,7 +241,6 @@ def _braced_epoch(rng, case, sigma, n=8):
     """Small epoch with stratified sky coverage, so the cost bowl is round
     enough for a 0.5 m lattice to resolve its minimum in every direction."""
     origin = ORIGIN
-    o = origin.as_array()
     els = np.linspace(0.2, 1.48, n) + rng.uniform(-0.05, 0.05, n)
     azs = 2 * np.pi * np.arange(n) / n + rng.uniform(-0.2, 0.2, n)
     order = rng.permutation(n)
@@ -268,15 +250,15 @@ def _braced_epoch(rng, case, sigma, n=8):
     d = np.empty(n)
     for i in range(n):
         r = rng.uniform(2.5e7, 2.7e7)
-        pos[i] = o + r * enu_direction(origin, azs[order[i]], els[i])
-        d[i] = np.linalg.norm(pos[i] - o)
+        pos[i] = origin + r * enu_direction(origin, azs[order[i]], els[i])
+        d[i] = np.linalg.norm(pos[i] - origin)
     east, north, _ = enu_basis(origin)
-    guess = EcefPosition.from_array(o + rng.uniform(-10, 10) * east + rng.uniform(-10, 10) * north)
+    guess = origin + rng.uniform(-10, 10) * east + rng.uniform(-10, 10) * north
     return epoch_of(
         pos,
         d + clock + errors,
         guess,
-        truth=SolutionState(origin, clock),
+        truth=np.append(origin, clock),
         cn0=np.full(n, 40.0),
         avg_power=np.full(n, 10.0),
         truth_error=errors,
@@ -296,7 +278,7 @@ def test_criterion_06_wls_matches_brute_force_lattice(rng):
         ep = _braced_epoch(rng, case, sigma)
         weights = np.ones(n) if case % 2 == 0 else rng.uniform(0.5, 2.0, n)
         fix = wls_solve(ep, weights, guess_state(ep), config)
-        pos = fix.state.pos.as_array()
+        pos = fix.state[:3]
         grid_cost, grid_pos, grid_dt = _lattice_minimum(ep, weights)
         # no lattice point in the +-50 m cube beats the WLS solution
         wls_cost = cost(ep, fix.state, weights)
@@ -304,7 +286,7 @@ def test_criterion_06_wls_matches_brute_force_lattice(rng):
         gap = float(np.max(np.abs(pos - grid_pos)))
         worst = max(worst, gap)
         assert gap <= 0.5 + 1e-9
-        assert abs(fix.state.clock_bias - grid_dt) <= 0.5 + 1e-9
+        assert abs(fix.state[3] - grid_dt) <= 0.5 + 1e-9
     print(f"criterion 06: 20 epochs x 8.1M lattice points, worst coordinate gap {worst:.3f} m")
 
 

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gnssfix import (
+from gnssfix.errors import EmptyInput, MissingFit
+from gnssfix.estimator.baselines import (
     ElevationWeightFit,
-    EmptyInput,
-    MissingFit,
-    elevation_azimuth,
     fit_elevation_baseline,
     fit_elevation_weights,
     heuristic_weights,
 )
+from gnssfix.geometry import elevation_azimuth
 
 from util import make_epoch
 

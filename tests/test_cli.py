@@ -13,7 +13,6 @@ from gnssfix.cli import LOCALIZE_METHODS, main
 from gnssfix.dataset import read_manifest, read_shard, shard_path, write_shard
 from gnssfix.evaluation import PipelineSpec, run_pipeline
 from gnssfix.solver import horizontal_error
-from gnssfix.types import EcefPosition, SolutionState
 
 from util import ORIGIN, epoch_of, make_epoch
 
@@ -163,7 +162,7 @@ def test_localize_fix_matches_evaluate_score(tiny_data, method, capsys):
     assert len(fixes) == len(report.scores) == len(epochs)
     for fix, score, ep in zip(fixes, report.scores, epochs):
         assert score.skipped is None
-        state = SolutionState(EcefPosition(fix["x"], fix["y"], fix["z"]), fix["clk"])
+        state = np.array([fix["x"], fix["y"], fix["z"], fix["clk"]])
         assert horizontal_error(state, ep.truth) == score.horizontal_error
         assert (fix["converged"], fix["iterations"]) == (score.converged, score.iterations)
 
@@ -182,7 +181,7 @@ def test_localize_unlabelled_epochs(tiny_data, tmp_path, rng, method, capsys):
     if method == "wls_unit":
         # noiseless ranges: unit weights recover the position the epochs were built at
         for f in fixes:
-            assert np.linalg.norm(np.array([f["x"], f["y"], f["z"]]) - ORIGIN.as_array()) <= 1e-4
+            assert np.linalg.norm(np.array([f["x"], f["y"], f["z"]]) - ORIGIN) <= 1e-4
 
 
 def test_localize_unit_needs_no_model(tiny_data, capsys):
@@ -276,9 +275,9 @@ def _stacked_epoch(epoch_id):
     up = enu_basis(ORIGIN)[2]
     dist = np.linspace(2.0e7, 2.4e7, 6)
     return epoch_of(
-        ORIGIN.as_array() + dist[:, None] * up,
+        ORIGIN + dist[:, None] * up,
         dist,
-        truth=SolutionState(ORIGIN, 0.0),
+        truth=np.append(ORIGIN, 0.0),
         truth_error=np.zeros(6),
         epoch_id=epoch_id,
         region_id="sing",
@@ -301,7 +300,7 @@ def test_localize_skips_singular_geometry(tmp_path, rng, capsys):
 
 
 def _guess_on_satellite(ep):
-    return replace(ep, initial_guess=EcefPosition.from_array(ep.sat_pos[0]))
+    return replace(ep, initial_guess=ep.sat_pos[0])
 
 
 @pytest.mark.parametrize("method", ["wls_unit", "regulate_weights"])
@@ -362,7 +361,7 @@ def test_config_flat_field_keys(tmp_path, capsys):
 def test_config_explicit_fields_take_defaults(tmp_path):
     from gnssfix.simulator import SceneConfig, scene_from_dict, scene_to_dict
 
-    explicit = {"region_id": "x", "receiver_origin": list(ORIGIN.as_array()), "sky_mask_bins": [0.1] * 36, "epochs": 2}
+    explicit = {"region_id": "x", "receiver_origin": list(ORIGIN), "sky_mask_bins": [0.1] * 36, "epochs": 2}
     other = dict(explicit, region_id="y")
     assert _generate_from(tmp_path, {"regions": [explicit, other]}) == 0
     stored = read_manifest(str(tmp_path / "d")).entries[0].scene
@@ -378,6 +377,8 @@ def test_config_explicit_fields_take_defaults(tmp_path):
         ({"bogus": 1}, "bogus"),
         ({"los_sigma_base": "loud"}, "loud"),
         ({"epochs": None}, "NoneType"),
+        ({"receiver_origin": [6_371_000.0, 0.0]}, "receiver_origin"),
+        ({"receiver_origin": [float("nan"), 0.0, 0.0]}, "receiver_origin"),
     ],
 )
 def test_exit_code_2_for_bad_scene_entry(tmp_path, capsys, entry, named):
@@ -404,3 +405,21 @@ def test_exit_code_3_for_non_finite_model(tiny_data, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "data error" in err and bad in err and "tensors.out.b" in err
+
+
+def test_evaluate_with_every_epoch_skipped(tiny_data, tmp_path, capsys):
+    import shutil
+
+    data = str(tmp_path / "data")
+    shutil.copytree(tiny_data["data"], data)
+    shard = shard_path(data, "canyon")
+    write_shard(shard, [ep.subset(np.arange(3)) for ep in read_shard(shard)])
+    out = str(tmp_path / "rep")
+    args = ["evaluate", "--data", data, "--holdout", "canyon", "--method", "wls_unit", "--out", out]
+    assert main(args) == 0
+    assert "p50=nan m p95=nan m (0 nonconverged, 6 skipped)" in capsys.readouterr().out
+    header, row = list(csv.reader(open(os.path.join(out, "summary.csv"))))
+    summary = dict(zip(header, row))
+    assert summary["p50"] == summary["p95"] == "nan"
+    assert summary["epochs"] == "6" and summary["skipped"] == "6"
+    assert len(list(csv.reader(open(os.path.join(out, "trace.csv"))))) == 1  # header only

@@ -6,7 +6,6 @@ import os
 import numpy as np
 import pytest
 
-from gnssfix import IoFailure, SceneConfig, generate_dataset, sample_sky_mask
 from gnssfix.dataset import (
     DatasetManifest,
     ManifestEntry,
@@ -20,6 +19,8 @@ from gnssfix.dataset import (
     write_manifest,
     write_shard,
 )
+from gnssfix.errors import IoFailure
+from gnssfix.simulator import SceneConfig, generate_dataset, sample_sky_mask
 
 from util import ORIGIN, make_epoch
 
@@ -112,6 +113,23 @@ def test_manifest_roundtrip(tmp_path):
     back = read_manifest(str(tmp_path))
     assert back == manifest
     assert back.region_ids == ("a", "b")
+
+
+def test_manifest_refuses_other_formats(tmp_path):
+    from gnssfix.cli import main
+    from gnssfix.dataset import DATASET_FORMAT, MANIFEST_NAME
+
+    out = str(tmp_path / "d")
+    generate_dataset(_two_scenes(), counts=[2, 2], out_dir=out)
+    path = os.path.join(out, MANIFEST_NAME)
+    payload = json.load(open(path))
+    payload["format"] = "gnssfix.dataset/99"
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(IoFailure) as err:
+        load_dataset(out)
+    assert "gnssfix.dataset/99" in str(err.value) and DATASET_FORMAT in str(err.value)
+    assert main(["train", "--data", out, "--holdout", "a", "--out", str(tmp_path / "m.json")]) == 3
 
 
 def test_manifest_unique_regions():

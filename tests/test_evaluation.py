@@ -4,31 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from gnssfix import (
-    ElevationWeightFit,
-    EmptyInput,
-    EpochGraph,
-    ModelMissing,
-    SceneConfig,
-    SelectorConfig,
-    TrainConfig,
-    WlsConfig,
-    generate_epoch,
-    sample_sky_mask,
-    save_model,
-    train,
-)
-from gnssfix.evaluation import (
-    EpochScore,
-    EvalReport,
-    MultiSeedSummary,
-    PipelineSpec,
-    aggregate_reports,
-    emit_reports,
-    percentile,
-    run_pipeline,
-)
-from gnssfix.simulator import N_MASK_BINS, epoch_seed
+from gnssfix.errors import EmptyInput, ModelMissing
+from gnssfix.estimator.baselines import ElevationWeightFit
+from gnssfix.estimator.network import save_model
+from gnssfix.estimator.training import TrainConfig, train
+from gnssfix.evaluation import EpochScore, EvalReport, PipelineSpec, emit_reports, percentile, run_pipeline
+from gnssfix.selector import SelectorConfig
+from gnssfix.simulator import N_MASK_BINS, SceneConfig, epoch_seed, generate_epoch, sample_sky_mask
+from gnssfix.solver import WlsConfig
 
 from util import ORIGIN, make_epoch
 
@@ -252,26 +235,14 @@ def test_emit_reports_skips_skipped_epochs(tmp_path):
     assert int(summary["skipped"]) == 1
 
 
-def test_aggregate_reports():
-    reports = [
-        EvalReport(
-            method="wls_unit",
-            oracle_errors=False,
-            use_selector=False,
-            scores=tuple(_score(epoch_id=i, he=v + off) for i, v in enumerate([1.0, 2.0, 3.0])),
-            seed=s,
-        )
-        for s, off in ((0, 0.0), (1, 1.0))
-    ]
-    summary = aggregate_reports(reports)
-    assert summary.p50_values == (2.0, 3.0)
-    assert summary.p50_mean == pytest.approx(2.5)
-    assert summary.p50_std == pytest.approx(0.5)
-    with pytest.raises(EmptyInput):
-        aggregate_reports([])
 
-
-def test_multiseed_summary_math():
-    s = MultiSeedSummary(p50_values=(1.0, 3.0), p95_values=(10.0, 10.0))
-    assert s.p50_mean == 2.0 and s.p50_std == 1.0
-    assert s.p95_mean == 10.0 and s.p95_std == 0.0
+def test_all_skipped_evaluation_writes_nan_summary(rng, tmp_path):
+    data = [make_epoch(rng, n=3, epoch_id=k) for k in range(3)]
+    report = run_pipeline(PipelineSpec(method="wls_unit"), data)
+    assert report.skipped_count == 3
+    assert math.isnan(report.p50) and math.isnan(report.p95)
+    paths = emit_reports(report, str(tmp_path))
+    assert len(list(csv.reader(open(paths["cdf"])))) == 1  # header only
+    summary = dict(zip(*list(csv.reader(open(paths["summary"])))))
+    assert summary["p50"] == summary["p95"] == "nan"
+    assert int(summary["epochs"]) == 3 and int(summary["skipped"]) == 3

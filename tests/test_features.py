@@ -4,26 +4,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gnssfix import (
-    Band,
-    Constellation,
+from gnssfix.estimator.features import (
     DegenerateStdWarning,
+    FEATURE_DIM,
+    ONE_HOT_DIMS,
     apply_feature_scaler,
     apply_label_scaler,
     build_graph,
     extract_features,
     fit_scaler,
+    guess_state,
     initial_clock_bias,
-    residuals,
     unscale_labels,
 )
-from gnssfix.estimator.features import FEATURE_DIM, ONE_HOT_DIMS, guess_state
-from gnssfix import angular_proximity
 from gnssfix.geometry import enu_basis
 from gnssfix.simulator import default_scenes, epoch_seed, generate_epoch
-from gnssfix.types import BANDS, CONSTELLATIONS
+from gnssfix.solver import residuals
+from gnssfix.types import BANDS, Band, CONSTELLATIONS, Constellation
 
-from util import EARTH_R, ORIGIN, enu_direction, epoch_of, make_epoch
+from util import EARTH_R, ORIGIN, angular_proximity, enu_direction, epoch_of, make_epoch
 
 # column layout: 0-3 constellation, 4-5 band, 6 sin az, 7 cos az,
 # 8 elevation, 9 cn0, 10 avg_power, 11 initial residual, 12 bias
@@ -45,15 +44,15 @@ def test_initial_clock_bias_shift_equivariance(rng):
 def test_initial_clock_bias_zeroes_tenth_percentile(rng):
     ep = make_epoch(rng, n=9, errors=np.array([-10.0, 0.0, 5.0, 20.0, 100.0, -3.0, 7.0, 50.0, 1.0]))
     dt0 = initial_clock_bias(ep)
-    ranges = np.linalg.norm(ep.sat_pos - ep.initial_guess.as_array(), axis=1)
+    ranges = np.linalg.norm(ep.sat_pos - ep.initial_guess, axis=1)
     post = (ranges - ep.pseudorange) + dt0
     assert np.percentile(post, 10) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_extract_features_one_hot_layout(rng):
     up = enu_direction(ORIGIN, az=0.0, el=math.radians(60.0))
-    sat_pos = ORIGIN.as_array() + 2.2e7 * up
-    ep = epoch_of([sat_pos], np.linalg.norm(sat_pos - ORIGIN.as_array()))
+    sat_pos = ORIGIN + 2.2e7 * up
+    ep = epoch_of([sat_pos], np.linalg.norm(sat_pos - ORIGIN))
     feats = extract_features(ep)
     assert feats.shape == (1, FEATURE_DIM)
     assert feats[0, :4].tolist() == [1.0, 0.0, 0.0, 0.0]
@@ -79,7 +78,7 @@ _BAND_COL = {Band.L1: 4, Band.L5: 5}
 def loop_features(epoch):
     """Reference: one observation row at a time, with its own ENU basis and scalar angles."""
     init_residual = residuals(epoch, guess_state(epoch))
-    guess = epoch.initial_guess.as_array()
+    guess = epoch.initial_guess
     out = np.zeros((len(epoch), FEATURE_DIM))
     for i, obs in enumerate(epoch.observations):
         d = np.array(obs.sat_pos) - guess
@@ -190,7 +189,7 @@ def test_build_graph_single_node(rng):
 def test_build_graph_coincident_directions():
     u = enu_direction(ORIGIN, az=1.0, el=0.9)
     d = np.array([2.0e7, 2.4e7])
-    ep = epoch_of(ORIGIN.as_array() + d[:, None] * u, d)
+    ep = epoch_of(ORIGIN + d[:, None] * u, d)
     g = build_graph(ep, extract_features(ep))
     assert g.adjacency[0, 1] == pytest.approx(1.0, abs=1e-9)
     assert g.adjacency[0, 0] == 0.0 and g.adjacency[1, 1] == 0.0
@@ -212,7 +211,7 @@ def test_build_graph_uses_initial_guess_not_truth(rng):
     # adjacency must be computed where the receiver thinks it is
     ep = make_epoch(rng, n=5, guess_offset=(5000.0, -8000.0))
     g = build_graph(ep, extract_features(ep))
-    a_truth = angular_proximity(ep.truth.pos, ep.sat_pos[0], ep.sat_pos[1])
+    a_truth = angular_proximity(ep.truth[:3], ep.sat_pos[0], ep.sat_pos[1])
     a_guess = angular_proximity(ep.initial_guess, ep.sat_pos[0], ep.sat_pos[1])
     assert g.adjacency[0, 1] == pytest.approx(a_guess, abs=1e-12)
     assert abs(a_truth - a_guess) > 0  # offset large enough to matter

@@ -3,23 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from gnssfix import (
-    DegenerateGeometry,
-    EcefPosition,
-    angular_proximity,
-    ecef_to_enu,
-    elevation_azimuth,
-    enu_to_ecef,
-    line_of_sight,
-)
+from gnssfix.errors import DegenerateGeometry
+from gnssfix.geometry import ecef_to_enu, elevation_azimuth, line_of_sight
 
-from util import EARTH_R, ORIGIN, enu_direction
+from util import EARTH_R, ORIGIN, angular_proximity, enu_direction, enu_to_ecef
 
 
 def _random_surface_point(rng):
     v = rng.standard_normal(3)
     v *= EARTH_R / np.linalg.norm(v)
-    return EcefPosition.from_array(v)
+    return v
 
 
 def _random_sats(rng, n):
@@ -28,7 +21,7 @@ def _random_sats(rng, n):
 
 
 def _random_sat(rng):
-    return EcefPosition.from_array(_random_sats(rng, 1)[0])
+    return _random_sats(rng, 1)[0]
 
 
 def test_los_axis_aligned():
@@ -39,16 +32,15 @@ def test_los_axis_aligned():
 
 def test_los_guard_below_one_meter(rng):
     # one row closer than 1 m spoils the whole epoch, whatever the other rows
-    o = ORIGIN.as_array()
-    sats = np.vstack([_random_sats(rng, 3), o + [0.5, 0.0, 0.0]])
+    sats = np.vstack([_random_sats(rng, 3), ORIGIN + [0.5, 0.0, 0.0]])
     with pytest.raises(DegenerateGeometry):
-        line_of_sight(sats, o)
+        line_of_sight(sats, ORIGIN)
     with pytest.raises(DegenerateGeometry):
         elevation_azimuth(ORIGIN, sats)
 
 
 def test_los_unit_norm(rng):
-    d, dist = line_of_sight(_random_sats(rng, 200), _random_surface_point(rng).as_array())
+    d, dist = line_of_sight(_random_sats(rng, 200), _random_surface_point(rng))
     assert np.all(np.abs(np.linalg.norm(d / dist[:, None], axis=1) - 1.0) <= 1e-12)
 
 
@@ -57,17 +49,17 @@ def test_enu_of_origin_is_zero():
 
 
 def test_enu_equator_east_axis():
-    enu = ecef_to_enu(ORIGIN, EcefPosition(EARTH_R, 1.0, 0.0))
+    enu = ecef_to_enu(ORIGIN, np.array([EARTH_R, 1.0, 0.0]))
     assert np.allclose(enu, [1.0, 0.0, 0.0], atol=1e-9)
 
 
 def test_enu_roundtrip(rng):
     for _ in range(100):
         origin = _random_surface_point(rng)
-        point = EcefPosition.from_array(origin.as_array() + rng.uniform(-5e4, 5e4, 3))
+        point = origin + rng.uniform(-5e4, 5e4, 3)
         enu = ecef_to_enu(origin, point)
         back = enu_to_ecef(origin, enu)
-        assert np.linalg.norm(back - point.as_array()) <= 1e-6
+        assert np.linalg.norm(back - point) <= 1e-6
 
 
 def test_elevation_azimuth_zenith_tiebreak():
@@ -113,22 +105,22 @@ def test_sin_elevation_consistent_with_enu(rng):
 
 
 def test_angular_proximity_same_direction():
-    sat = EcefPosition(2.66e7, 0.0, 0.0)
-    further = EcefPosition(2.7e7, 0.0, 0.0)
+    sat = np.array([2.66e7, 0.0, 0.0])
+    further = np.array([2.7e7, 0.0, 0.0])
     assert angular_proximity(ORIGIN, sat, further) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_angular_proximity_orthogonal():
-    up = EcefPosition(EARTH_R + 2.0e7, 0.0, 0.0)
-    north = EcefPosition(EARTH_R, 0.0, 2.0e7)
+    up = np.array([EARTH_R + 2.0e7, 0.0, 0.0])
+    north = np.array([EARTH_R, 0.0, 2.0e7])
     assert angular_proximity(ORIGIN, up, north) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_angular_proximity_sixty_degrees():
     a = enu_direction(ORIGIN, az=0.0, el=math.radians(15.0))
     b = enu_direction(ORIGIN, az=0.0, el=math.radians(75.0))
-    sat_a = EcefPosition.from_array(ORIGIN.as_array() + 2.0e7 * a)
-    sat_b = EcefPosition.from_array(ORIGIN.as_array() + 2.0e7 * b)
+    sat_a = ORIGIN + 2.0e7 * a
+    sat_b = ORIGIN + 2.0e7 * b
     assert angular_proximity(ORIGIN, sat_a, sat_b) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -147,10 +139,8 @@ def test_angular_proximity_rotation_invariant(rng):
         si, sj = _random_sat(rng), _random_sat(rng)
         q, r = np.linalg.qr(rng.standard_normal((3, 3)))
         rot = q * np.sign(np.diag(r))  # proper random orthogonal matrix
-        o = origin.as_array()
-
         def spin(p):
-            return EcefPosition.from_array(o + rot @ (p.as_array() - o))
+            return origin + rot @ (p - origin)
 
         before = angular_proximity(origin, si, sj)
         after = angular_proximity(origin, spin(si), spin(sj))

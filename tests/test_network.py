@@ -4,28 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gnssfix import (
-    EpochGraph,
-    IoFailure,
-    MissingFit,
-    ModelMissing,
-    ScalerParams,
-    ShapeMismatch,
-    build_graph,
-    extract_features,
-    init_params,
-    load_model,
-    predict_errors,
-    save_model,
-)
+from gnssfix.errors import IoFailure, MissingFit, ModelMissing, ShapeMismatch
+from gnssfix.estimator.features import EpochGraph, ScalerParams, build_graph, extract_features
 from gnssfix.estimator.network import (
-    BN_EPS,
     AGG_FLOOR,
+    BN_EPS,
     N_ENCODER,
     N_HEAD,
     N_SAGE,
     batch_forward,
     bn_layer_names,
+    init_params,
+    load_model,
+    predict_errors,
+    save_model,
 )
 
 from util import make_epoch
@@ -178,7 +170,7 @@ def test_model_params_shape_validation(rng):
     params = init_params(rng, hidden=4)
     tensors = dict(params.tensors)
     tensors["enc0.w"] = np.zeros((13, 5))  # wrong width
-    from gnssfix import ModelParams
+    from gnssfix.estimator.network import ModelParams
 
     with pytest.raises(ShapeMismatch):
         ModelParams(13, 4, 0.01, tensors, dict(params.bn_stats))

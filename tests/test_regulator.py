@@ -1,25 +1,11 @@
 import numpy as np
 import pytest
 
-from gnssfix import (
-    DegenerateProjection,
-    EcefPosition,
-    InsufficientRedundancy,
-    LengthMismatch,
-    SolutionState,
-    WlsConfig,
-    build_scaled_geometry,
-    cost,
-    geometry_matrix,
-    regulate_measurements,
-    regulate_weights,
-    residuals,
-    wls_solve,
-)
-from gnssfix.regulator import kernel_basis
-from gnssfix.geometry import enu_basis
+from gnssfix.errors import DegenerateProjection, InsufficientRedundancy, LengthMismatch, NonFiniteInput
+from gnssfix.regulator import build_scaled_geometry, kernel_basis, regulate_measurements, regulate_weights
+from gnssfix.solver import WlsConfig, geometry_matrix, residuals, wls_solve
 
-from util import make_epoch
+from util import cost, make_epoch
 
 
 def _epoch_geometry(rng, n=8, sigma=5.0):
@@ -130,10 +116,10 @@ def test_two_kernel_points_both_recover_truth(rng):
     w_ones = regulate_weights(H, e)
     w_alt = regulate_weights(H, e, probe=rng.standard_normal(9))
     assert np.linalg.norm(w_ones - w_alt) > 1e-6  # genuinely different points
-    start = SolutionState(ep.initial_guess, 0.0)
+    start = np.append(ep.initial_guess, 0.0)
     for w in (w_ones, w_alt):
         res = wls_solve(ep, w, start, WlsConfig())
-        err = np.linalg.norm(res.state.pos.as_array() - ep.truth.pos.as_array())
+        err = np.linalg.norm(res.state[:3] - ep.truth[:3])
         assert err <= 1e-3
 
 
@@ -141,7 +127,7 @@ def test_regulate_measurements_zero_estimate(rng):
     ep = make_epoch(rng, n=6)
     out = regulate_measurements(ep, np.zeros(6))
     assert np.array_equal(out.pseudorange, ep.pseudorange)
-    assert out.truth == ep.truth
+    assert np.array_equal(out.truth, ep.truth)
 
 
 def test_regulate_measurements_exact_errors(rng):
@@ -157,8 +143,8 @@ def test_regulate_measurements_pipeline(rng):
     e = rng.normal(0.0, 6.0, 8)
     ep = make_epoch(rng, n=8, errors=e, guess_offset=(700.0, -700.0))
     fixed = regulate_measurements(ep, e)
-    res = wls_solve(fixed, np.ones(8), SolutionState(ep.initial_guess, 0.0), WlsConfig())
-    err = np.linalg.norm(res.state.pos.as_array() - ep.truth.pos.as_array())
+    res = wls_solve(fixed, np.ones(8), np.append(ep.initial_guess, 0.0), WlsConfig())
+    err = np.linalg.norm(res.state[:3] - ep.truth[:3])
     assert err <= 1e-3
 
 
@@ -176,6 +162,26 @@ def test_regulate_measurements_length_mismatch(rng):
         regulate_measurements(ep, np.zeros(5))
 
 
+def test_regulate_weights_rejects_non_finite_estimates(rng):
+    # a NaN used to reach the SVD and fail there with numpy's LinAlgError
+    _, H, e = _epoch_geometry(rng, n=8)
+    for bad in (np.nan, np.inf):
+        e_bad = e.copy()
+        e_bad[3] = bad
+        with pytest.raises(NonFiniteInput):
+            regulate_weights(H, e_bad)
+
+
+def test_regulate_measurements_rejects_non_finite_estimates(rng):
+    # a NaN used to surface as Epoch's ValueError, a configuration error in the CLI
+    ep = make_epoch(rng, n=6)
+    for bad in (np.nan, -np.inf):
+        e_bad = np.zeros(6)
+        e_bad[2] = bad
+        with pytest.raises(NonFiniteInput):
+            regulate_measurements(ep, e_bad)
+
+
 def test_weight_regulation_moves_stationary_point(rng):
     # with regulated weights the truth is a stationary point even though
     # plain unit weights would be biased by the planted errors
@@ -183,10 +189,10 @@ def test_weight_regulation_moves_stationary_point(rng):
     ep = make_epoch(rng, n=10, errors=e, guess_offset=(400.0, 300.0))
     H = geometry_matrix(ep, ep.truth)
     w = regulate_weights(H, e)
-    res = wls_solve(ep, w, SolutionState(ep.initial_guess, 0.0), WlsConfig())
-    err_reg = np.linalg.norm(res.state.pos.as_array() - ep.truth.pos.as_array())
-    res_unit = wls_solve(ep, np.ones(10), SolutionState(ep.initial_guess, 0.0), WlsConfig())
-    err_unit = np.linalg.norm(res_unit.state.pos.as_array() - ep.truth.pos.as_array())
+    res = wls_solve(ep, w, np.append(ep.initial_guess, 0.0), WlsConfig())
+    err_reg = np.linalg.norm(res.state[:3] - ep.truth[:3])
+    res_unit = wls_solve(ep, np.ones(10), np.append(ep.initial_guess, 0.0), WlsConfig())
+    err_unit = np.linalg.norm(res_unit.state[:3] - ep.truth[:3])
     assert err_reg <= 1e-3
     assert err_unit > 1.0
 

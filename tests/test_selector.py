@@ -3,7 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from gnssfix import NonFiniteInput, SelectorConfig, select_measurements
+from gnssfix.errors import NonFiniteInput
+from gnssfix.selector import SelectorConfig, select_measurements
 
 
 def loop_select(e_hat, config):

@@ -3,24 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from gnssfix import (
-    SceneConfig,
-    SolutionState,
-    WlsConfig,
-    elevation_azimuth,
-    generate_epoch,
-    sample_sky_mask,
-    wls_solve,
-)
+from gnssfix.geometry import elevation_azimuth
 from gnssfix.simulator import (
     MASK_RANGES,
     MIN_SAT_ELEVATION,
     N_MASK_BINS,
+    SceneConfig,
     default_scenes,
     epoch_seed,
+    generate_epoch,
     origin_from_lat_lon,
+    sample_sky_mask,
     stable_seed,
 )
+from gnssfix.solver import WlsConfig, wls_solve
 
 from util import ORIGIN
 
@@ -46,7 +42,7 @@ def _noiseless_scene():
 
 def _nlos_flags(scene, epoch):
     """Reconstruct the generator's visibility rule from stored geometry."""
-    el, az = elevation_azimuth(epoch.truth.pos, epoch.sat_pos)
+    el, az = elevation_azimuth(epoch.truth[:3], epoch.sat_pos)
     bins = (az // (2.0 * math.pi / N_MASK_BINS)).astype(int) % N_MASK_BINS
     return el <= np.asarray(scene.sky_mask_bins)[bins]
 
@@ -87,8 +83,8 @@ def test_noiseless_epoch_errors_zero_and_wls_recovers(rng):
     for k in range(5):
         ep = generate_epoch(scene, k, np.random.default_rng(k))
         assert np.all(ep.truth_error == 0.0)
-        res = wls_solve(ep, np.ones(len(ep)), SolutionState(ep.initial_guess, 0.0), WlsConfig())
-        err = np.linalg.norm(res.state.pos.as_array() - ep.truth.pos.as_array())
+        res = wls_solve(ep, np.ones(len(ep)), np.append(ep.initial_guess, 0.0), WlsConfig())
+        err = np.linalg.norm(res.state[:3] - ep.truth[:3])
         assert err <= 1e-6
 
 
@@ -96,8 +92,8 @@ def test_construction_identity_exact(rng):
     scene = _scene(mask_elevation=math.radians(40.0))
     for k in range(50):
         ep = generate_epoch(scene, k, np.random.default_rng(k))
-        dists = np.linalg.norm(ep.sat_pos - ep.truth.pos.as_array(), axis=1)
-        lhs = (ep.pseudorange - dists) - ep.truth.clock_bias
+        dists = np.linalg.norm(ep.sat_pos - ep.truth[:3], axis=1)
+        lhs = (ep.pseudorange - dists) - ep.truth[3]
         assert np.array_equal(lhs, ep.truth_error)
 
 
@@ -105,7 +101,7 @@ def test_satellites_above_minimum_elevation(rng):
     scene = _scene()
     for k in range(10):
         ep = generate_epoch(scene, k, np.random.default_rng(k))
-        el, _ = elevation_azimuth(ep.truth.pos, ep.sat_pos)
+        el, _ = elevation_azimuth(ep.truth[:3], ep.sat_pos)
         assert np.all(el >= MIN_SAT_ELEVATION - 1e-9)
 
 
@@ -113,9 +109,9 @@ def test_truth_stays_near_origin(rng):
     scene = _scene()
     for k in range(20):
         ep = generate_epoch(scene, k, np.random.default_rng(k))
-        lateral = np.linalg.norm(ep.truth.pos.as_array() - ORIGIN.as_array())
+        lateral = np.linalg.norm(ep.truth[:3] - ORIGIN)
         assert lateral <= 100.0 + 1e-6
-        assert abs(ep.truth.clock_bias) <= 300.0
+        assert abs(ep.truth[3]) <= 300.0
 
 
 def test_dense_has_more_nlos_than_open():
@@ -189,9 +185,9 @@ def test_stable_seed_distinguishes_parts():
 
 def test_origin_from_lat_lon():
     p = origin_from_lat_lon(0.0, 0.0)
-    assert np.allclose(p.as_array(), [6_371_000.0, 0.0, 0.0], atol=1e-6)
+    assert np.allclose(p, [6_371_000.0, 0.0, 0.0], atol=1e-6)
     q = origin_from_lat_lon(90.0, 0.0)
-    assert np.allclose(q.as_array(), [0.0, 0.0, 6_371_000.0], atol=1e-6)
+    assert np.allclose(q, [0.0, 0.0, 6_371_000.0], atol=1e-6)
 
 
 def test_default_scenes_cover_styles():
@@ -210,3 +206,6 @@ def test_scene_validation():
         _scene(n_sats_range=(4, 10))
     with pytest.raises(ValueError):
         _scene(los_sigma_base=-1.0)
+    for origin in ([6_371_000.0, 0.0], [6_371_000.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]):
+        with pytest.raises(ValueError, match="receiver_origin"):
+            _scene(receiver_origin=origin)

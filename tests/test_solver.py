@@ -1,37 +1,26 @@
 import numpy as np
 import pytest
 
-from gnssfix import (
-    EcefPosition,
-    InsufficientMeasurements,
-    SingularNormalMatrix,
-    SolutionState,
-    WlsConfig,
-    computed_pseudorange,
-    cost,
-    geometry_matrix,
-    horizontal_error,
-    residuals,
-    wls_solve,
-)
+from gnssfix.errors import InsufficientMeasurements, SingularNormalMatrix
 from gnssfix.geometry import enu_basis
+from gnssfix.solver import WlsConfig, geometry_matrix, horizontal_error, residuals, wls_solve
 
-from util import EARTH_R, ORIGIN, epoch_of, make_epoch, spread_satellites
+from util import ORIGIN, computed_pseudorange, cost, epoch_of, make_epoch
 
-TRUTH = SolutionState(ORIGIN, 37.5)
+TRUTH = np.append(ORIGIN, 37.5)
 
 
 def _offset_guess(state, east=1000.0, north=0.0, up=0.0, clk=0.0):
-    basis = enu_basis(state.pos)
-    pos = state.pos.as_array() + east * basis[0] + north * basis[1] + up * basis[2]
-    return SolutionState(EcefPosition.from_array(pos), state.clock_bias + clk)
+    basis = enu_basis(state[:3])
+    pos = state[:3] + east * basis[0] + north * basis[1] + up * basis[2]
+    return np.append(pos, state[3] + clk)
 
 
 def test_computed_pseudorange_axis_cases():
-    origin = SolutionState(EcefPosition(0.0, 0.0, 0.0), 0.0)
+    origin = np.zeros(4)
     sat = np.array([26_560_000.0, 0.0, 0.0])
     assert computed_pseudorange(origin, sat) == 26_560_000.0
-    biased = SolutionState(EcefPosition(0.0, 0.0, 0.0), 100.0)
+    biased = np.array([0.0, 0.0, 0.0, 100.0])
     assert computed_pseudorange(biased, sat) == 26_560_100.0
 
 
@@ -40,7 +29,7 @@ def test_computed_pseudorange_extended_precision(rng):
         pos = rng.uniform(-1e6, 1e6, 3)
         sat = rng.uniform(2e7, 3e7, 3) * rng.choice([-1.0, 1.0], 3)
         clk = rng.uniform(-1e3, 1e3)
-        got = computed_pseudorange(SolutionState(EcefPosition.from_array(pos), clk), sat)
+        got = computed_pseudorange(np.append(pos, clk), sat)
         d = np.asarray(sat, np.longdouble) - np.asarray(pos, np.longdouble)
         want = np.sqrt((d * d).sum()) + np.longdouble(clk)
         assert abs(np.longdouble(got) - want) <= 1e-6
@@ -84,7 +73,7 @@ def test_cost_matches_naive_sum(rng):
 
 
 def test_cost_length_mismatch(rng):
-    from gnssfix import LengthMismatch
+    from gnssfix.errors import LengthMismatch
 
     ep = make_epoch(rng, n=5)
     with pytest.raises(LengthMismatch):
@@ -92,8 +81,8 @@ def test_cost_length_mismatch(rng):
 
 
 def test_geometry_matrix_axis_row():
-    ep = epoch_of([[26_560_000.0, 0.0, 0.0]], 26_560_000.0, EcefPosition(0.0, 0.0, 0.0))
-    H = geometry_matrix(ep, SolutionState(EcefPosition(0.0, 0.0, 0.0), 0.0))
+    ep = epoch_of([[26_560_000.0, 0.0, 0.0]], 26_560_000.0, np.zeros(3))
+    H = geometry_matrix(ep, np.zeros(4))
     assert np.allclose(H, [[-1.0, 0.0, 0.0, 1.0]])
 
 
@@ -107,14 +96,14 @@ def test_geometry_matrix_matches_finite_differences(rng):
             delta = np.zeros(3)
             delta[j] = step
             hi = computed_pseudorange(
-                SolutionState(EcefPosition.from_array(state.pos.as_array() + delta), state.clock_bias), sat_pos
+                np.append(state[:3] + delta, state[3]), sat_pos
             )
             lo = computed_pseudorange(
-                SolutionState(EcefPosition.from_array(state.pos.as_array() - delta), state.clock_bias), sat_pos
+                np.append(state[:3] - delta, state[3]), sat_pos
             )
             assert H[i, j] == pytest.approx((hi - lo) / (2 * step), abs=1e-6)
-        hi = computed_pseudorange(SolutionState(state.pos, state.clock_bias + step), sat_pos)
-        lo = computed_pseudorange(SolutionState(state.pos, state.clock_bias - step), sat_pos)
+        hi = computed_pseudorange(np.append(state[:3], state[3] + step), sat_pos)
+        lo = computed_pseudorange(np.append(state[:3], state[3] - step), sat_pos)
         assert H[i, 3] == pytest.approx((hi - lo) / (2 * step), abs=1e-6)
 
 
@@ -128,54 +117,54 @@ def test_geometry_matrix_structure(rng):
 def test_wls_noiseless_recovers_truth(rng):
     ep = make_epoch(rng, n=8, errors=np.zeros(8))
     # start a full kilometer out
-    far = _offset_guess(SolutionState(ep.truth.pos, 0.0), east=800.0, north=-600.0)
+    far = _offset_guess(np.append(ep.truth[:3], 0.0), east=800.0, north=-600.0)
     res = wls_solve(ep, np.ones(8), far, WlsConfig())
     assert res.converged
-    err = np.linalg.norm(res.state.pos.as_array() - ep.truth.pos.as_array())
+    err = np.linalg.norm(res.state[:3] - ep.truth[:3])
     assert err <= 1e-6
-    assert res.state.clock_bias == pytest.approx(ep.truth.clock_bias, abs=1e-6)
+    assert res.state[3] == pytest.approx(ep.truth[3], abs=1e-6)
 
 
 def test_wls_identical_directions_singular(rng):
     truth = TRUTH
-    u = enu_basis(truth.pos)[2]  # all sats straight up
+    u = enu_basis(truth[:3])[2]  # all sats straight up
     dist = np.linspace(2.0e7, 2.4e7, 6)
-    ep = epoch_of(truth.pos.as_array() + dist[:, None] * u, dist + truth.clock_bias, truth.pos, truth=truth)
+    ep = epoch_of(truth[:3] + dist[:, None] * u, dist + truth[3], truth[:3], truth=truth)
     with pytest.raises(SingularNormalMatrix):
-        wls_solve(ep, np.ones(6), SolutionState(truth.pos, 0.0), WlsConfig())
+        wls_solve(ep, np.ones(6), np.append(truth[:3], 0.0), WlsConfig())
 
 
 def test_wls_too_few_measurements(rng):
     ep = make_epoch(rng, n=3)
     with pytest.raises(InsufficientMeasurements):
-        wls_solve(ep, np.ones(3), SolutionState(ep.truth.pos, 0.0), WlsConfig())
+        wls_solve(ep, np.ones(3), np.append(ep.truth[:3], 0.0), WlsConfig())
 
 
 def test_wls_weight_scale_invariance(rng):
     ep = make_epoch(rng, n=9, errors=rng.normal(0, 3, 9))
     w = rng.uniform(0.2, 4.0, 9)
-    start = SolutionState(ep.initial_guess, 0.0)
+    start = np.append(ep.initial_guess, 0.0)
     a = wls_solve(ep, w, start, WlsConfig())
     b = wls_solve(ep, 137.0 * w, start, WlsConfig())
-    assert np.linalg.norm(a.state.pos.as_array() - b.state.pos.as_array()) <= 1e-9
-    assert abs(a.state.clock_bias - b.state.clock_bias) <= 1e-9
+    assert np.linalg.norm(a.state[:3] - b.state[:3]) <= 1e-9
+    assert abs(a.state[3] - b.state[3]) <= 1e-9
 
 
 def test_wls_permutation_invariance(rng):
     ep = make_epoch(rng, n=9, errors=rng.normal(0, 3, 9))
     w = rng.uniform(0.2, 4.0, 9)
-    start = SolutionState(ep.initial_guess, 0.0)
+    start = np.append(ep.initial_guess, 0.0)
     perm = rng.permutation(9)
     shuffled = ep.subset(perm)
     a = wls_solve(ep, w, start, WlsConfig())
     b = wls_solve(shuffled, w[perm], start, WlsConfig())
-    assert np.linalg.norm(a.state.pos.as_array() - b.state.pos.as_array()) <= 1e-9
+    assert np.linalg.norm(a.state[:3] - b.state[:3]) <= 1e-9
 
 
 def test_wls_converged_stationarity(rng):
     ep = make_epoch(rng, n=10, errors=rng.normal(0, 4, 10))
     w = rng.uniform(0.5, 2.0, 10)
-    res = wls_solve(ep, w, SolutionState(ep.initial_guess, 0.0), WlsConfig())
+    res = wls_solve(ep, w, np.append(ep.initial_guess, 0.0), WlsConfig())
     assert res.converged
     H = geometry_matrix(ep, res.state)
     r = residuals(ep, res.state)
@@ -187,7 +176,7 @@ def test_wls_converged_stationarity(rng):
 def test_wls_nonconvergence_flag(rng):
     ep = make_epoch(rng, n=8, errors=rng.normal(0, 3, 8))
     tol = 1e-12
-    res = wls_solve(ep, np.ones(8), SolutionState(ep.initial_guess, 0.0), WlsConfig(max_iterations=1, convergence_tol=tol))
+    res = wls_solve(ep, np.ones(8), np.append(ep.initial_guess, 0.0), WlsConfig(max_iterations=1, convergence_tol=tol))
     assert not res.converged
     assert res.step_norm >= 10 * tol
     assert res.iterations == 1
@@ -198,19 +187,17 @@ def test_wls_accepts_negative_weights(rng):
     ep = make_epoch(rng, n=8, errors=np.zeros(8))
     w = np.ones(8)
     w[0] = -0.5
-    res = wls_solve(ep, w, SolutionState(ep.initial_guess, 0.0), WlsConfig())
-    err = np.linalg.norm(res.state.pos.as_array() - ep.truth.pos.as_array())
+    res = wls_solve(ep, w, np.append(ep.initial_guess, 0.0), WlsConfig())
+    err = np.linalg.norm(res.state[:3] - ep.truth[:3])
     assert err <= 1e-5  # noiseless data: any nonsingular weighting recovers truth
 
 
 def test_horizontal_error_cases():
     assert horizontal_error(TRUTH, TRUTH) == 0.0
-    basis = enu_basis(TRUTH.pos)
-    up = SolutionState(EcefPosition.from_array(TRUTH.pos.as_array() + 12.0 * basis[2]), TRUTH.clock_bias)
+    basis = enu_basis(TRUTH[:3])
+    up = np.append(TRUTH[:3] + 12.0 * basis[2], TRUTH[3])
     assert horizontal_error(up, TRUTH) == pytest.approx(0.0, abs=1e-9)
-    en = SolutionState(
-        EcefPosition.from_array(TRUTH.pos.as_array() + 3.0 * basis[0] + 4.0 * basis[1]), TRUTH.clock_bias
-    )
+    en = np.append(TRUTH[:3] + 3.0 * basis[0] + 4.0 * basis[1], TRUTH[3])
     assert horizontal_error(en, TRUTH) == pytest.approx(5.0, abs=1e-9)
 
 

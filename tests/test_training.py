@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from gnssfix import (
-    LengthMismatch,
-    NoLabels,
-    TrainConfig,
-    init_params,
-    train,
-)
-from gnssfix.estimator.network import batch_forward
-from gnssfix.estimator.training import batch_loss, loss_and_grads
+from gnssfix.errors import LengthMismatch, NoLabels
+from gnssfix.estimator.network import batch_forward, init_params
+from gnssfix.estimator.training import TrainConfig, batch_loss, loss_and_grads, train
 
 from util import make_epoch
 from test_network import _random_graph, _randomized_params
@@ -195,7 +189,7 @@ def test_trained_model_beats_zero_predictor(rng):
     holdout = _toy_dataset(rng, n_epochs=60)
     cfg = TrainConfig(batch_size=32, iterations=600, seed=11)
     model = train(train_set, cfg, hidden=16)
-    from gnssfix import predict_errors
+    from gnssfix.estimator.network import predict_errors
 
     dev_model, dev_zero = [], []
     for ep in holdout:

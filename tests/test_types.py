@@ -3,14 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gnssfix import (
-    Band,
-    Constellation,
-    EcefPosition,
-    Epoch,
-    SolutionState,
-)
-from gnssfix.types import BANDS, CONSTELLATIONS
+from gnssfix.types import BANDS, Band, CONSTELLATIONS, Constellation, Epoch
 
 from util import EARTH_R, ORIGIN, make_epoch
 
@@ -19,7 +12,7 @@ SAT2 = [0.0, 26_560_000.0, 0.0]
 
 
 def _epoch(**columns):
-    """Two-satellite epoch with every column overridable."""
+    """Two-satellite epoch with every field but the ids overridable."""
     fields = dict(
         sat_id=[1, 2],
         constellation=[0, 0],
@@ -30,20 +23,40 @@ def _epoch(**columns):
         avg_power=[15.0, 15.0],
     )
     fields.update(columns)
-    return Epoch(epoch_id=0, region_id="r", initial_guess=ORIGIN, **fields)
+    fields.setdefault("initial_guess", ORIGIN)
+    return Epoch(epoch_id=0, region_id="r", **fields)
 
 
-def test_ecef_array_roundtrip():
-    p = EcefPosition(1.0, -2.0, 3.5)
-    assert np.array_equal(p.as_array(), [1.0, -2.0, 3.5])
-    assert EcefPosition.from_array(p.as_array()) == p
+def test_guess_and_truth_are_read_only_copies():
+    guess = np.array([1.0e6, -2.0e6, 3.5e6])
+    truth = [1.0e6, -2.0e6, 3.5e6, 42.0]
+    ep = _epoch(initial_guess=guess, truth=truth)
+    guess[0] = 0.0
+    assert ep.initial_guess.shape == (3,) and ep.initial_guess.dtype == float
+    assert np.array_equal(ep.initial_guess, [1.0e6, -2.0e6, 3.5e6])
+    assert np.array_equal(ep.truth, truth)
+    for vector in (ep.initial_guess, ep.truth):
+        with pytest.raises(ValueError):
+            vector[0] = 1.0
+    assert _epoch().truth is None
 
 
-def test_ecef_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        EcefPosition(float("nan"), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        SolutionState(ORIGIN, float("inf"))
+def test_guess_and_truth_must_be_finite():
+    with pytest.raises(ValueError, match="initial_guess must be finite"):
+        _epoch(initial_guess=[float("nan"), 0.0, 0.0])
+    with pytest.raises(ValueError, match="truth must be finite"):
+        _epoch(truth=[EARTH_R, 0.0, 0.0, float("inf")])  # clock bias
+    with pytest.raises(ValueError, match="truth must be finite"):
+        _epoch(truth=[EARTH_R, float("-inf"), 0.0, 0.0])  # position
+
+
+def test_guess_and_truth_shapes():
+    for guess in ([EARTH_R, 0.0], [EARTH_R, 0.0, 0.0, 0.0], [[EARTH_R, 0.0, 0.0]], None):
+        with pytest.raises(ValueError, match="initial_guess has shape"):
+            _epoch(initial_guess=guess)
+    for truth in (ORIGIN, [EARTH_R, 0.0, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="truth has shape"):
+            _epoch(truth=truth)
 
 
 def test_satellite_must_be_above_surface():
@@ -138,6 +151,9 @@ def test_epoch_equality_compares_columns(rng):
     assert ep != replace(ep, cn0=ep.cn0 + 1.0)
     assert ep != replace(ep, truth_error=None)
     assert ep != replace(ep, epoch_id=ep.epoch_id + 1)
+    assert ep != replace(ep, initial_guess=ep.initial_guess + [0.0, 0.0, 1.0])
+    assert ep != replace(ep, truth=ep.truth + [0.0, 0.0, 0.0, 1.0])
+    assert ep != replace(ep, truth=None)
 
 
 def test_epoch_subset_keeps_order(rng):
@@ -148,7 +164,7 @@ def test_epoch_subset_keeps_order(rng):
     assert np.array_equal(sub.sat_id, ep.sat_id[mask])
     assert np.array_equal(sub.sat_pos, ep.sat_pos[mask])
     assert np.array_equal(sub.truth_error, ep.truth_error[mask])
-    assert sub.region_id == ep.region_id and sub.truth == ep.truth
+    assert sub.region_id == ep.region_id and np.array_equal(sub.truth, ep.truth)
 
 
 def test_epoch_subset_by_index_array(rng):
@@ -194,4 +210,4 @@ def test_make_epoch_geometry_sane(rng):
     ep = make_epoch(rng, n=8)
     radii = np.linalg.norm(ep.sat_pos, axis=1)
     assert np.all(radii > 6_400_000.0)
-    assert abs(np.linalg.norm(ep.truth.pos.as_array()) - EARTH_R) < 1.0
+    assert abs(np.linalg.norm(ep.truth[:3]) - EARTH_R) < 1.0

@@ -1,18 +1,24 @@
-"""Shared builders: epochs with controlled geometry, errors and guesses."""
+"""Shared builders (epochs with controlled geometry, errors and guesses) and
+reference implementations the tests compare the package against.
+
+Positions are (3,) ECEF arrays and states (4,) arrays [x, y, z, clock bias].
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from gnssfix.geometry import enu_basis
-from gnssfix.types import BANDS, CONSTELLATIONS, EcefPosition, Epoch, SolutionState
+from gnssfix.errors import DegenerateGeometry, LengthMismatch
+from gnssfix.geometry import MIN_LOS_DISTANCE, enu_basis, line_of_sight
+from gnssfix.solver import residuals
+from gnssfix.types import BANDS, CONSTELLATIONS, Epoch
 
 EARTH_R = 6_371_000.0
-ORIGIN = EcefPosition(EARTH_R, 0.0, 0.0)
+ORIGIN = np.array([EARTH_R, 0.0, 0.0])
+ORIGIN.setflags(write=False)
 
 
-
-def enu_direction(origin: EcefPosition, az: float, el: float) -> np.ndarray:
+def enu_direction(origin: np.ndarray, az: float, el: float) -> np.ndarray:
     basis = enu_basis(origin)
     return (
         np.sin(az) * np.cos(el) * basis[0]
@@ -22,19 +28,18 @@ def enu_direction(origin: EcefPosition, az: float, el: float) -> np.ndarray:
 
 
 def spread_satellites(
-    origin: EcefPosition,
+    origin: np.ndarray,
     n: int,
     rng: np.random.Generator,
     el_range: tuple[float, float] = (0.1, 1.4),
 ) -> np.ndarray:
     """Satellite positions in general position above the origin."""
-    o = origin.as_array()
     rows = []
     for _ in range(n):
         az = rng.uniform(0.0, 2.0 * np.pi)
         el = rng.uniform(*el_range)
         r = rng.uniform(2.5e7, 2.7e7)
-        rows.append(o + r * enu_direction(origin, az, el))
+        rows.append(origin + r * enu_direction(origin, az, el))
     return np.array(rows)
 
 
@@ -44,7 +49,7 @@ def make_epoch(
     errors=None,
     clock: float = 37.5,
     guess_offset: tuple[float, float] = (30.0, -40.0),
-    truth_pos: EcefPosition = ORIGIN,
+    truth_pos: np.ndarray = ORIGIN,
     region: str = "testville",
     epoch_id: int = 0,
     cn0=None,
@@ -52,16 +57,16 @@ def make_epoch(
 ) -> Epoch:
     """Epoch with known truth, optional per-measurement errors."""
     sat_pos = spread_satellites(truth_pos, n, rng)
-    d = np.linalg.norm(sat_pos - truth_pos.as_array(), axis=1)
+    d = np.linalg.norm(sat_pos - truth_pos, axis=1)
     e = np.zeros(n) if errors is None else np.asarray(errors, dtype=float)
     c = np.full(n, 40.0) if cn0 is None else np.asarray(cn0, dtype=float)
     basis = enu_basis(truth_pos)
-    guess = truth_pos.as_array() + guess_offset[0] * basis[0] + guess_offset[1] * basis[1]
+    guess = truth_pos + guess_offset[0] * basis[0] + guess_offset[1] * basis[1]
     codes = np.arange(n)
     return Epoch(
         epoch_id=epoch_id,
         region_id=region,
-        initial_guess=EcefPosition.from_array(guess),
+        initial_guess=guess,
         sat_id=codes + 1,
         constellation=codes % len(CONSTELLATIONS),
         band=codes % len(BANDS),
@@ -70,11 +75,11 @@ def make_epoch(
         cn0=c,
         avg_power=c - 30.0,
         truth_error=e if labelled else None,
-        truth=SolutionState(pos=truth_pos, clock_bias=clock),
+        truth=np.append(truth_pos, clock),
     )
 
 
-def epoch_of(sat_pos, pseudorange, guess: EcefPosition = ORIGIN, **fields) -> Epoch:
+def epoch_of(sat_pos, pseudorange, guess: np.ndarray = ORIGIN, **fields) -> Epoch:
     """Epoch over the given (n, 3) satellites; any other Epoch field may be given.
 
     Defaults: epoch 0 of region "r", satellites numbered from 1, GPS L1,
@@ -97,3 +102,36 @@ def epoch_of(sat_pos, pseudorange, guess: EcefPosition = ORIGIN, **fields) -> Ep
         sat_pos=sat_pos,
         pseudorange=np.broadcast_to(np.asarray(pseudorange, dtype=float), (n,)),
     )
+
+
+def enu_to_ecef(origin: np.ndarray, enu) -> np.ndarray:
+    """Inverse of geometry.ecef_to_enu."""
+    return origin + enu_basis(origin).T @ np.asarray(enu, dtype=float)
+
+
+def angular_proximity(receiver: np.ndarray, sat_i, sat_j) -> float:
+    """How close two satellites appear in the receiver's sky, in [0, 1].
+
+    1 for coincident directions, 0 at 90 degrees apart and beyond.
+    """
+    d, dist = line_of_sight(np.vstack([sat_i, sat_j]).astype(float), receiver)
+    u = d / dist[:, None]
+    return max(0.0, float(u[0] @ u[1]))
+
+
+def computed_pseudorange(state: np.ndarray, sat_pos) -> float:
+    """Geometric range from the state's position to one satellite (3,) plus clock bias."""
+    d = np.asarray(sat_pos, dtype=float) - state[:3]
+    dist = float(np.linalg.norm(d))
+    if dist < MIN_LOS_DISTANCE:
+        raise DegenerateGeometry("state coincides with satellite")
+    return dist + float(state[3])
+
+
+def cost(epoch: Epoch, state: np.ndarray, weights) -> float:
+    """Weighted sum of squared residuals at the given state."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (len(epoch),):
+        raise LengthMismatch(f"{w.shape} weights for {len(epoch)} observations")
+    r = residuals(epoch, state)
+    return float(np.sum(w * r * r))
