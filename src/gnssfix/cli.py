@@ -164,7 +164,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     epochs = read_shard(args.epoch_file)
     if not epochs:
         raise EmptyInput(f"no epochs in {args.epoch_file}")
-    spec = PipelineSpec(method=args.method, model_path=args.model)
+    spec = PipelineSpec(method=args.method, use_selector=args.selector, model_path=args.model)
     model = load_estimator(spec, oracle_errors=False)
     for ep in epochs:
         record = {"epoch_id": ep.epoch_id, "region": ep.region_id}
@@ -239,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epoch-file", required=True, help="JSONL epochs")
     p.add_argument("--model", help="model JSON")
     p.add_argument("--method", default="regulate_measurements", choices=LOCALIZE_METHODS)
+    p.add_argument("--selector", action="store_true", help="apply measurement selection")
     p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("trace", help="per-epoch mean error vs prediction deviation CSV")

@@ -55,3 +55,27 @@ class ModelMissing(GnssFixError):
 
 class IoFailure(GnssFixError):
     """Dataset or report file could not be read or written."""
+
+
+# Failures that end one epoch without a fix. The batch kernels record them per
+# epoch as a status code, the failure's index here plus one (0: no failure);
+# the one-epoch views raise them, and evaluation skips the epoch by name.
+EPOCH_FAILURES = (
+    InsufficientMeasurements,
+    DegenerateGeometry,
+    DegenerateProjection,
+    InsufficientRedundancy,
+    SingularNormalMatrix,
+)
+
+
+def failure_code(failure: type[GnssFixError]) -> int:
+    """Status code of one of EPOCH_FAILURES."""
+    return EPOCH_FAILURES.index(failure) + 1
+
+
+def raise_failure(code: int, what: str) -> None:
+    """Raise the failure a nonzero status code stands for; do nothing for 0."""
+    if code:
+        failure = EPOCH_FAILURES[code - 1]
+        raise failure(f"{what}: {failure.__doc__}")

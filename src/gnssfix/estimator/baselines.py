@@ -7,9 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import EmptyInput, LengthMismatch, MissingFit
-from ..geometry import elevation_azimuth
-from ..types import Epoch
+from ..errors import DegenerateGeometry, EmptyInput, LengthMismatch, MissingFit, failure_code, raise_failure
+from ..geometry import directions, elevation_azimuth, local_angles
+from ..types import Epoch, EpochBatch
 
 # E[ln e^2] for e ~ N(0, s^2) is ln s^2 + E[ln chi2_1]; correcting by this
 # constant makes the log-domain variance fit unbiased.
@@ -68,6 +68,29 @@ def fit_elevation_baseline(epochs: Sequence[Epoch]) -> ElevationWeightFit:
     return fit_elevation_weights(np.concatenate(els), np.concatenate(errs))
 
 
+def batch_heuristic_weights(
+    method: str, batch: EpochBatch, fit: ElevationWeightFit | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) weights of one classic scheme for every measurement of the batch.
+
+    Also returns which epochs have degenerate geometry at their initial guess
+    (elevation only); see heuristic_weights for the schemes.
+    """
+    fine = np.zeros(batch.size, dtype=bool)
+    if method == "unit":
+        return np.ones(batch.offsets[-1]), fine
+    if method == "cn0":
+        w = 10.0 ** (batch.cn0 / 10.0)
+        return w / (batch.segment_sums(w) / batch.counts)[batch.epoch_of_row], fine
+    if method == "elevation":
+        if fit is None:
+            raise MissingFit("elevation weighting requires a fitted variance law")
+        units, _, too_close = directions(batch.pad(batch.sat_pos), batch.initial_guess)
+        el, _, at_center = local_angles(batch.initial_guess, units)
+        return 1.0 / fit.variance(batch.unpad(el)), too_close | at_center
+    raise ValueError(f"unknown weighting method {method!r}")
+
+
 def heuristic_weights(method: str, epoch: Epoch, fit: ElevationWeightFit | None = None) -> np.ndarray:
     """Per-measurement weights for one of the classic schemes.
 
@@ -75,14 +98,6 @@ def heuristic_weights(method: str, epoch: Epoch, fit: ElevationWeightFit | None 
     one.  elevation: inverse of the fitted variance law, evaluated at each
     satellite's elevation from the initial guess.
     """
-    if method == "unit":
-        return np.ones(len(epoch))
-    if method == "cn0":
-        w = 10.0 ** (epoch.cn0 / 10.0)
-        return w / w.mean()
-    if method == "elevation":
-        if fit is None:
-            raise MissingFit("elevation weighting requires a fitted variance law")
-        el, _ = elevation_azimuth(epoch.initial_guess, epoch.sat_pos)
-        return 1.0 / fit.variance(el)
-    raise ValueError(f"unknown weighting method {method!r}")
+    w, degenerate = batch_heuristic_weights(method, EpochBatch.of([epoch]), fit)
+    raise_failure(failure_code(DegenerateGeometry) * int(degenerate[0]), f"epoch {epoch.epoch_id}")
+    return w

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import elevation_azimuth, line_of_sight
-from ..solver import residuals
-from ..types import CONSTELLATIONS, Epoch
+from ..errors import DegenerateGeometry, failure_code, raise_failure
+from ..geometry import directions, distances, local_angles
+from ..types import CONSTELLATIONS, Epoch, EpochBatch
 
 FEATURE_DIM = 13
 
@@ -19,38 +19,86 @@ ONE_HOT_DIMS = 6
 
 STD_FLOOR = 1e-8
 
+_DEGENERATE = failure_code(DegenerateGeometry)
+
 
 class DegenerateStdWarning(UserWarning):
     """A feature dimension had (near-)zero variance on the fit set."""
 
 
+def _percentile_10(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Linear-interpolation 10th percentile of each row's first counts[b] values.
+
+    values is (B, K) and +inf past each row's count. The two order statistics
+    the interpolation needs come from one np.partition, and the interpolation
+    is np.percentile's, so a row gives the bits np.percentile gives it.
+    """
+    virtual = 0.1 * (counts - 1)
+    lo = virtual.astype(int)  # the floor, as virtual >= 0
+    hi = np.minimum(lo + 1, counts - 1)
+    parted = np.partition(values, np.arange(hi.max() + 1), axis=1)
+    rows = np.arange(counts.size)
+    a, b = parted[rows, lo], parted[rows, hi]
+    t = virtual - lo
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t)
+
+
+def _clock_biases(batch: EpochBatch, dist: np.ndarray, pr: np.ndarray) -> np.ndarray:
+    """(B,) clock bias that moves the 10th percentile of each epoch's padded
+    guess-location residuals dist - pr to zero."""
+    return -_percentile_10(np.where(batch.mask, dist - pr, np.inf), batch.counts)
+
+
+def guess_states(batch: EpochBatch) -> np.ndarray:
+    """(B, 4) initial linearization states: guess positions plus percentile-anchored clock biases."""
+    _, dist = distances(batch.pad(batch.sat_pos), batch.initial_guess)
+    bias = _clock_biases(batch, dist, batch.pad(batch.pseudorange))
+    return np.concatenate([batch.initial_guess, bias[:, None]], axis=1)
+
+
 def initial_clock_bias(epoch: Epoch) -> float:
     """Clock bias that moves the 10th percentile of guess-location residuals to zero."""
-    d = epoch.sat_pos - epoch.initial_guess
-    pre = np.linalg.norm(d, axis=1) - epoch.pseudorange
-    return float(-np.percentile(pre, 10.0))
+    return float(guess_state(epoch)[3])
 
 
 def guess_state(epoch: Epoch) -> np.ndarray:
     """Initial linearization state (4,): guess position plus percentile-anchored clock bias."""
-    return np.append(epoch.initial_guess, initial_clock_bias(epoch))
+    return guess_states(EpochBatch.of([epoch]))[0]
+
+
+def batch_features(batch: EpochBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw (N, 13) feature rows of every measurement of the batch.
+
+    Also returns the padded (B, K, 3) unit vectors from each initial guess to
+    its satellites, which the graphs are built from, and which epochs have
+    degenerate geometry at the guess (their rows are finite but meaningless).
+    """
+    guesses = batch.initial_guess
+    units, dist, too_close = directions(batch.pad(batch.sat_pos), guesses)
+    el, az, at_center = local_angles(guesses, units)
+    pr = batch.pad(batch.pseudorange)
+    bias = _clock_biases(batch, dist, pr)
+    rows = np.arange(batch.offsets[-1])
+    out = np.zeros((rows.size, FEATURE_DIM))
+    out[rows, batch.constellation] = 1.0
+    out[rows, len(CONSTELLATIONS) + batch.band] = 1.0
+    az = batch.unpad(az)
+    out[:, 6] = np.sin(az)
+    out[:, 7] = np.cos(az)
+    out[:, 8] = batch.unpad(el)
+    out[:, 9] = batch.cn0
+    out[:, 10] = batch.avg_power
+    out[:, 11] = batch.unpad(dist + bias[:, None] - pr)
+    out[:, 12] = 1.0
+    return out, units, too_close | at_center
 
 
 def extract_features(epoch: Epoch) -> np.ndarray:
     """(n, 13) raw feature matrix, one row per observation."""
-    rows = np.arange(len(epoch))
-    el, az = elevation_azimuth(epoch.initial_guess, epoch.sat_pos)
-    out = np.zeros((len(epoch), FEATURE_DIM))
-    out[rows, epoch.constellation] = 1.0
-    out[rows, len(CONSTELLATIONS) + epoch.band] = 1.0
-    out[:, 6] = np.sin(az)
-    out[:, 7] = np.cos(az)
-    out[:, 8] = el
-    out[:, 9] = epoch.cn0
-    out[:, 10] = epoch.avg_power
-    out[:, 11] = residuals(epoch, guess_state(epoch))
-    out[:, 12] = 1.0
-    return out
+    features, _, degenerate = batch_features(EpochBatch.of([epoch]))
+    raise_failure(_DEGENERATE * int(degenerate[0]), f"epoch {epoch.epoch_id}")
+    return features
 
 
 @dataclass(frozen=True)
@@ -115,6 +163,26 @@ class EpochGraph:
     adjacency: np.ndarray      # (n, n), symmetric, entries in [0, 1]
 
 
+def proximity_blocks(units: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(B, K, K) angular proximity of each epoch's satellites, zero on the
+    diagonal and on padding: max(0, cos) of the angle between LOS directions."""
+    # numpy's own sum of products, not BLAS, whose bits would change with K
+    A = np.minimum(np.maximum(np.einsum("bic,bjc->bij", units, units), 0.0), 1.0)
+    A *= mask[:, :, None] & mask[:, None, :]
+    A[:, np.arange(A.shape[1]), np.arange(A.shape[1])] = 0.0
+    return A
+
+
+def batch_graphs(batch: EpochBatch, features: np.ndarray, units: np.ndarray) -> list[EpochGraph]:
+    """One graph per epoch from its (N, D) feature rows and padded unit vectors."""
+    blocks = proximity_blocks(units, batch.mask)
+    bounds = batch.offsets
+    return [
+        EpochGraph(node_features=features[bounds[b] : bounds[b + 1]], adjacency=blocks[b, :n, :n])
+        for b, n in enumerate(batch.counts.tolist())
+    ]
+
+
 def build_graph(epoch: Epoch, features: np.ndarray) -> EpochGraph:
     """Complete weighted graph over the epoch's measurements.
 
@@ -125,8 +193,7 @@ def build_graph(epoch: Epoch, features: np.ndarray) -> EpochGraph:
     n = len(epoch)
     if features.shape[0] != n:
         raise ValueError(f"{features.shape[0]} feature rows for {n} observations")
-    d, dist = line_of_sight(epoch.sat_pos, epoch.initial_guess)
-    u = d / dist[:, None]
-    A = np.clip(u @ u.T, 0.0, 1.0)
-    np.fill_diagonal(A, 0.0)
-    return EpochGraph(node_features=features, adjacency=A)
+    batch = EpochBatch.of([epoch])
+    units, _, too_close = directions(batch.pad(batch.sat_pos), batch.initial_guess)
+    raise_failure(_DEGENERATE * int(too_close[0]), f"epoch {epoch.epoch_id}")
+    return batch_graphs(batch, features, units)[0]

@@ -18,14 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import IoFailure, MissingFit, ModelMissing, ShapeMismatch
+from ..errors import DegenerateGeometry, IoFailure, MissingFit, ModelMissing, ShapeMismatch, failure_code, raise_failure
+from ..types import EpochBatch
 from .features import (
     FEATURE_DIM,
     EpochGraph,
     ScalerParams,
     apply_feature_scaler,
-    build_graph,
-    extract_features,
+    batch_features,
+    batch_graphs,
     unscale_labels,
 )
 
@@ -121,17 +122,39 @@ def init_params(
     return ModelParams(in_dim, hidden, leaky_slope, tensors, bn_stats)
 
 
-def _aggregator(graphs: list[EpochGraph]) -> np.ndarray:
-    """Block-diagonal neighbour-averaging matrix over a batch of graphs."""
+def _aggregator(graphs: list[EpochGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-graph neighbour-averaging blocks over a batch of graphs.
+
+    Returns the (B, K, K) row-normalised adjacencies, zero-padded to the
+    largest graph, and the (N,) positions of the stacked nodes in the
+    flattened (B * K) padded layout.
+    """
     sizes = [g.adjacency.shape[0] for g in graphs]
-    total = int(sum(sizes))
-    P = np.zeros((total, total))
-    at = 0
-    for g, n in zip(graphs, sizes):
+    k = max(sizes)
+    blocks = np.zeros((len(graphs), k, k))
+    for b, (g, n) in enumerate(zip(graphs, sizes)):
         denom = np.maximum(g.adjacency.sum(axis=1, keepdims=True), AGG_FLOOR)
-        P[at : at + n, at : at + n] = g.adjacency / denom
-        at += n
-    return P
+        blocks[b, :n, :n] = g.adjacency / denom
+    rows = np.flatnonzero(np.arange(k) < np.array(sizes)[:, None])
+    return blocks, rows
+
+
+def _aggregate(blocks: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per-graph block product with the stacked (N, H) node values: h is
+    scattered into the zero-padded layout, multiplied block by block and
+    gathered back, so a graph's result does not depend on the others."""
+    padded = np.zeros((blocks.shape[0] * blocks.shape[1], h.shape[1]))
+    padded[rows] = h
+    out = blocks @ padded.reshape(blocks.shape[0], blocks.shape[1], -1)
+    return out.reshape(padded.shape)[rows]
+
+
+def _node_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w where each row's bits do not depend on the number of rows: numpy
+    hands a single row to a matrix-vector routine, so it runs as two."""
+    if x.shape[0] == 1:
+        return (np.concatenate([x, x]) @ w)[:1]
+    return x @ w
 
 
 def _bn_act(
@@ -159,7 +182,7 @@ def _bn_act(
 
 
 def _dense(params: ModelParams, name: str, x: np.ndarray, train: bool, cache: dict | None) -> np.ndarray:
-    z = x @ params.tensors[f"{name}.w"]
+    z = _node_matmul(x, params.tensors[f"{name}.w"])
     return _bn_act(params, name, x, z, train, cache)
 
 
@@ -182,22 +205,24 @@ def batch_forward(
             )
     t = params.tensors
     X = np.vstack([g.node_features for g in graphs])
-    P = _aggregator(graphs)
-    cache: dict | None = {"P": P} if train else None
+    blocks, rows = _aggregator(graphs)
+    cache: dict | None = {"blocks": blocks, "rows": rows} if train else None
     h = X
     for i in range(N_ENCODER):
         h = _dense(params, f"enc{i}", h, train, cache)
     for i in range(N_SAGE):
         name = f"sage{i}"
-        agg = P @ h
-        z = h @ t[f"{name}.self_w"] + agg @ t[f"{name}.nbr_w"]
+        agg = _aggregate(blocks, rows, h)
+        z = _node_matmul(h, t[f"{name}.self_w"]) + _node_matmul(agg, t[f"{name}.nbr_w"])
         h_next = _bn_act(params, name, h, z, train, cache)
         if cache is not None:
             cache[name]["agg"] = agg
         h = h_next
     for i in range(N_HEAD):
         h = _dense(params, f"head{i}", h, train, cache)
-    out = (h @ t["out.w"] + t["out.b"]).ravel()
+    # a row-wise reduction, not a matrix-vector product, whose bits would
+    # change with the number of rows
+    out = (h * t["out.w"][:, 0]).sum(axis=1) + t["out.b"][0]
     if cache is not None:
         cache["out_x"] = h
     return out, cache
@@ -228,13 +253,13 @@ def batch_backward(params: ModelParams, cache: dict, d_out: np.ndarray) -> dict[
         dz = _bn_act_backward(params, name, cache, dh, grads)
         grads[f"{name}.w"] = cache[name]["x"].T @ dz
         dh = dz @ t[f"{name}.w"].T
-    P = cache["P"]
+    blocks_t, rows = np.swapaxes(cache["blocks"], 1, 2), cache["rows"]
     for i in reversed(range(N_SAGE)):
         name = f"sage{i}"
         dz = _bn_act_backward(params, name, cache, dh, grads)
         grads[f"{name}.self_w"] = cache[name]["x"].T @ dz
         grads[f"{name}.nbr_w"] = cache[name]["agg"].T @ dz
-        dh = dz @ t[f"{name}.self_w"].T + P.T @ (dz @ t[f"{name}.nbr_w"].T)
+        dh = dz @ t[f"{name}.self_w"].T + _aggregate(blocks_t, rows, dz @ t[f"{name}.nbr_w"].T)
     for i in reversed(range(N_ENCODER)):
         name = f"enc{i}"
         dz = _bn_act_backward(params, name, cache, dh, grads)
@@ -252,14 +277,25 @@ def update_running_stats(params: ModelParams, cache: dict, momentum: float) -> N
             params.bn_stats[key] = (1.0 - momentum) * params.bn_stats[key] + momentum * entry[kind]
 
 
-def predict_errors(params: ModelParams, epoch) -> np.ndarray:
-    """Estimated pseudo-range error, in metres, for every measurement."""
+def predict_batch(params: ModelParams, batch: EpochBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Estimated pseudo-range error, in metres, of every measurement of the batch.
+
+    One forward pass runs over every epoch's graph. Also returns which epochs
+    have degenerate geometry at their initial guess; their estimates are 0.
+    """
     if params.scaler is None:
         raise MissingFit("model carries no feature scaler; train it first")
-    feats = extract_features(epoch)
-    graph = build_graph(epoch, apply_feature_scaler(params.scaler, feats))
-    out, _ = batch_forward(params, [graph])
-    return unscale_labels(params.scaler, out)
+    feats, units, degenerate = batch_features(batch)
+    graphs = batch_graphs(batch, apply_feature_scaler(params.scaler, feats), units)
+    out, _ = batch_forward(params, graphs)
+    return np.where(degenerate[batch.epoch_of_row], 0.0, unscale_labels(params.scaler, out)), degenerate
+
+
+def predict_errors(params: ModelParams, epoch) -> np.ndarray:
+    """Estimated pseudo-range error, in metres, for every measurement."""
+    e_hat, degenerate = predict_batch(params, EpochBatch.of([epoch]))
+    raise_failure(failure_code(DegenerateGeometry) * int(degenerate[0]), f"epoch {epoch.epoch_id}")
+    return e_hat
 
 
 def save_model(params: ModelParams, path: str) -> None:

@@ -7,15 +7,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import LengthMismatch, NoLabels
-from ..types import Epoch
+from ..errors import DegenerateGeometry, LengthMismatch, NoLabels
+from ..types import Epoch, EpochBatch
 from .features import (
+    EpochGraph,
     apply_feature_scaler,
     apply_label_scaler,
-    build_graph,
-    extract_features,
+    batch_features,
+    batch_graphs,
     fit_scaler,
-    EpochGraph,
 )
 from .network import (
     DEFAULT_HIDDEN,
@@ -119,16 +119,19 @@ def train(
     if not labelled:
         raise NoLabels("no epochs with per-measurement truth errors to train on")
 
-    feats_raw = [extract_features(ep) for ep in labelled]
+    batch = EpochBatch.of(labelled)
+    feats_raw, units, degenerate = batch_features(batch)
+    if degenerate.any():
+        raise DegenerateGeometry(f"epoch {labelled[int(np.argmax(degenerate))].epoch_id}: degenerate geometry at the guess")
     labels_raw = [ep.truth_error for ep in labelled]
-    scaler = fit_scaler(np.vstack(feats_raw), np.concatenate(labels_raw))
-    graphs = [build_graph(ep, apply_feature_scaler(scaler, f)) for ep, f in zip(labelled, feats_raw)]
+    scaler = fit_scaler(feats_raw, np.concatenate(labels_raw))
+    graphs = batch_graphs(batch, apply_feature_scaler(scaler, feats_raw), units)
     labels = [apply_label_scaler(scaler, y) for y in labels_raw]
 
     rng = np.random.default_rng(config.seed)
     params = init_params(
         rng,
-        in_dim=feats_raw[0].shape[1],
+        in_dim=feats_raw.shape[1],
         hidden=hidden,
         leaky_slope=config.leaky_slope,
     )

@@ -5,28 +5,29 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
+    EPOCH_FAILURES,
     DegenerateGeometry,
-    DegenerateProjection,
     EmptyInput,
     InsufficientMeasurements,
-    InsufficientRedundancy,
     IoFailure,
     ModelMissing,
     NoLabels,
-    SingularNormalMatrix,
+    NonFiniteInput,
+    failure_code,
+    raise_failure,
 )
-from .estimator.baselines import ElevationWeightFit, heuristic_weights
-from .estimator.features import guess_state
-from .estimator.network import ModelParams, load_model, predict_errors
-from .regulator import regulate_measurements, regulate_weights
-from .selector import SelectorConfig, select_measurements
-from .solver import WlsConfig, WlsResult, geometry_matrix, horizontal_error, wls_solve
-from .types import Epoch
+from .estimator.baselines import ElevationWeightFit, batch_heuristic_weights
+from .estimator.features import guess_states
+from .estimator.network import ModelParams, load_model, predict_batch, predict_errors
+from .regulator import regulate_batch, regulate_measurements
+from .selector import SelectorConfig, select_batch
+from .solver import WlsConfig, WlsResult, geometry_matrices, horizontal_errors, solve_batch
+from .types import Epoch, EpochBatch
 
 METHODS = (
     "wls_unit",
@@ -36,14 +37,12 @@ METHODS = (
     "regulate_measurements",
 )
 _REGULATED = ("regulate_weights", "regulate_measurements")
-# Errors that end one epoch without a fix; evaluation records them as skips.
-EPOCH_FAILURES = (
-    InsufficientMeasurements,
-    DegenerateGeometry,
-    DegenerateProjection,
-    InsufficientRedundancy,
-    SingularNormalMatrix,
-)
+_TOO_FEW = failure_code(InsufficientMeasurements)
+_DEGENERATE = failure_code(DegenerateGeometry)
+# Epochs per batch in run_pipeline. It bounds the memory of the padded
+# layouts and the network activations; the kernels give each epoch the same
+# bits in any batch, so the scores do not depend on it.
+FOLD_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -164,9 +163,13 @@ def _skip(epoch: Epoch, reason: str) -> EpochScore:
     )
 
 
+def _failure_name(failure: type[Exception]) -> str:
+    return "too_few_measurements" if failure is InsufficientMeasurements else failure.__name__
+
+
 def skip_reason(exc: Exception) -> str:
     """Name under which an epoch ended by one of EPOCH_FAILURES is skipped."""
-    return "too_few_measurements" if isinstance(exc, InsufficientMeasurements) else type(exc).__name__
+    return _failure_name(type(exc))
 
 
 def load_estimator(spec: PipelineSpec, oracle_errors: bool) -> ModelParams | None:
@@ -186,15 +189,83 @@ def require_held_out(model: ModelParams, eval_regions: Iterable[str]) -> None:
         raise ValueError(f"model was trained on evaluation regions {overlap}; hold these out or evaluate elsewhere")
 
 
+def _missing_labels(epoch: Epoch) -> NoLabels:
+    return NoLabels(f"epoch {epoch.epoch_id} lacks per-measurement truth errors")
+
+
 def epoch_estimates(epoch: Epoch, model: ModelParams | None, oracle_errors: bool) -> np.ndarray | None:
     """Per-measurement error estimates: the truth errors, the model's, or none."""
     if oracle_errors:
         if epoch.truth_error is None:
-            raise NoLabels(f"epoch {epoch.epoch_id} lacks per-measurement truth errors")
+            raise _missing_labels(epoch)
         return epoch.truth_error
     if model is not None:
         return predict_errors(model, epoch)
     return None
+
+
+def _batch_estimates(
+    epochs: Sequence[Epoch], batch: EpochBatch, model: ModelParams | None, oracle_errors: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """epoch_estimates over a batch: the (N,) estimates or None, and the (B,)
+    status with the epochs whose features are degenerate."""
+    status = np.zeros(batch.size, dtype=int)
+    if oracle_errors:
+        for ep in epochs:
+            if ep.truth_error is None:
+                raise _missing_labels(ep)
+        return np.concatenate([ep.truth_error for ep in epochs]), status
+    if model is not None:
+        e_hat, degenerate = predict_batch(model, batch)
+        status[degenerate] = _DEGENERATE
+        return e_hat, status
+    return None, status
+
+
+class _Fixes(NamedTuple):
+    result: WlsResult  # array-valued, one entry per epoch
+    used: np.ndarray  # (N,) keep-mask of the measurements used
+    batch: EpochBatch  # the measurements used, as solved
+    status: np.ndarray  # (B,) failure codes, 0 for a fix
+
+
+def _fix_batch(
+    spec: PipelineSpec,
+    batch: EpochBatch,
+    e_hat: np.ndarray | None,
+    elevation_fit: ElevationWeightFit | None,
+    status: np.ndarray,
+) -> _Fixes:
+    """Select, regulate or weight, then solve, every epoch of the batch.
+
+    An epoch keeps the first failure a stage records for it, in the order
+    localize_epoch raises them; later stages leave it alone.
+    """
+    if e_hat is not None and not np.isfinite(e_hat).all():
+        raise NonFiniteInput("error estimates must be finite")
+    used = np.ones(batch.offsets[-1], dtype=bool)
+    sub = batch
+    if spec.use_selector:
+        used = batch.unpad(select_batch(batch.pad(e_hat), batch.counts, spec.selector_config))
+        sub = batch.subset(used)
+        e_hat = e_hat[used]
+    status = np.where((status == 0) & (sub.counts < 4), _TOO_FEW, status)
+
+    if spec.method == "regulate_measurements":
+        sub = regulate_measurements(sub, e_hat)
+    start = guess_states(sub)
+    if spec.method == "regulate_weights":
+        H, degenerate = geometry_matrices(sub, start)
+        status[(status == 0) & degenerate] = _DEGENERATE
+        weights, status = regulate_batch(H, sub.pad(e_hat), sub.counts, status)
+        weights = sub.unpad(weights)
+    elif spec.method in ("wls_unit", "regulate_measurements"):
+        weights = np.ones(sub.offsets[-1])
+    else:  # wls_cn0, wls_elevation; membership checked at construction
+        weights, degenerate = batch_heuristic_weights(spec.method.removeprefix("wls_"), sub, elevation_fit)
+        status[(status == 0) & degenerate] = _DEGENERATE
+    result, status = solve_batch(sub, weights, start, spec.wls_config, status)
+    return _Fixes(result, used, sub, status)
 
 
 def localize_epoch(
@@ -210,32 +281,58 @@ def localize_epoch(
     four measurements left after selection raises InsufficientMeasurements
     before any regulation. Truth is never read.
     """
-    used = np.ones(len(epoch), dtype=bool)
-    sub = epoch
-    if spec.use_selector:
-        used = select_measurements(e_hat, spec.selector_config)
-        sub = epoch.subset(used)
-        e_hat = e_hat[used]
-    if len(sub) < 4:
-        raise InsufficientMeasurements(f"{len(sub)} measurements left, need >= 4")
-
-    if spec.method == "regulate_measurements":
-        sub = regulate_measurements(sub, e_hat)
-    start = guess_state(sub)
-    if spec.method == "regulate_weights":
-        weights = regulate_weights(geometry_matrix(sub, start), e_hat)
-    elif spec.method in ("wls_unit", "regulate_measurements"):
-        weights = np.ones(len(sub))
-    elif spec.method == "wls_cn0":
-        weights = heuristic_weights("cn0", sub)
-    else:  # wls_elevation, membership checked at construction
-        weights = heuristic_weights("elevation", sub, elevation_fit)
-    return wls_solve(sub, weights, start, spec.wls_config), used
+    fixes = _fix_batch(spec, EpochBatch.of([epoch]), e_hat, elevation_fit, np.zeros(1, dtype=int))
+    raise_failure(int(fixes.status[0]), f"epoch {epoch.epoch_id}")
+    r = fixes.result
+    result = WlsResult(r.state[0], int(r.iterations[0]), float(r.step_norm[0]), bool(r.converged[0]))
+    return result, fixes.used
 
 
 def abs_error_means(labels: np.ndarray, e_hat: np.ndarray | float) -> tuple[float, float]:
-    """Mean |error| before and after subtracting the estimates."""
-    return float(np.mean(np.abs(labels))), float(np.mean(np.abs(labels - e_hat)))
+    """Mean |error| before and after subtracting the estimates, summed in row order."""
+    n = len(labels)
+    before = np.add.reduceat(np.abs(labels), [0])[0]
+    after = np.add.reduceat(np.abs(labels - e_hat), [0])[0]
+    return float(before / n), float(after / n)
+
+
+def _score_batch(
+    spec: PipelineSpec,
+    epochs: Sequence[Epoch],
+    batch: EpochBatch,
+    e_hat: np.ndarray | None,
+    status: np.ndarray,
+    elevation_fit: ElevationWeightFit | None,
+) -> tuple[EpochScore, ...]:
+    """Fix every epoch of the batch and score it against truth."""
+    if any(ep.truth is None for ep in epochs):
+        raise NoLabels("an epoch has no truth state to score against")
+    fixes = _fix_batch(spec, batch, e_hat, elevation_fit, status)
+    fixed = fixes.status == 0
+    errors = np.full(batch.size, np.nan)
+    truth = np.array([ep.truth for ep in epochs])
+    errors[fixed] = horizontal_errors(fixes.result.state[fixed], truth[fixed])
+    labels = np.concatenate([np.full(len(ep), np.nan) if ep.truth_error is None else ep.truth_error for ep in epochs])
+    labels = labels[fixes.used]
+    used_estimates = 0.0 if e_hat is None else e_hat[fixes.used]
+    before = fixes.batch.segment_sums(np.abs(labels)) / fixes.batch.counts
+    after = fixes.batch.segment_sums(np.abs(labels - used_estimates)) / fixes.batch.counts
+    columns = zip(
+        epochs,
+        fixes.status.tolist(),
+        fixes.batch.counts.tolist(),
+        errors.tolist(),
+        fixes.result.iterations.tolist(),
+        fixes.result.converged.tolist(),
+        before.tolist(),
+        after.tolist(),
+    )
+    return tuple(
+        _skip(ep, _failure_name(EPOCH_FAILURES[code - 1]))
+        if code
+        else EpochScore(ep.epoch_id, ep.region_id, len(ep), n_used, he, it, conv, None, b, a)
+        for ep, code, n_used, he, it, conv, b, a in columns
+    )
 
 
 def score_epoch(
@@ -250,25 +347,9 @@ def score_epoch(
         raise NoLabels(f"epoch {epoch.epoch_id} has no truth state to score against")
     try:
         e_hat = epoch_estimates(epoch, model, oracle_errors)
-        result, used = localize_epoch(spec, epoch, e_hat, elevation_fit)
     except EPOCH_FAILURES as exc:
         return _skip(epoch, skip_reason(exc))
-
-    before = after = float("nan")
-    if epoch.truth_error is not None:
-        before, after = abs_error_means(epoch.truth_error[used], 0.0 if e_hat is None else e_hat[used])
-    return EpochScore(
-        epoch_id=epoch.epoch_id,
-        region_id=epoch.region_id,
-        n_all=len(epoch),
-        n_used=int(np.count_nonzero(used)),
-        horizontal_error=horizontal_error(result.state, epoch.truth),
-        iterations=result.iterations,
-        converged=result.converged,
-        skipped=None,
-        mean_abs_err_before=before,
-        mean_abs_err_after=after,
-    )
+    return _score_batch(spec, [epoch], EpochBatch.of([epoch]), e_hat, np.zeros(1, dtype=int), elevation_fit)[0]
 
 
 def run_pipeline(
@@ -281,10 +362,12 @@ def run_pipeline(
 ) -> EvalReport:
     """Score every epoch of the dataset under the configured pipeline.
 
-    Epochs whose solver hit the iteration cap are scored on the last iterate
-    and reported in nonconverged_count; epochs the method cannot handle
-    (degenerate weight projection, too few measurements, singular normal
-    matrix) are skipped with the reason recorded.
+    The dataset runs in batches of up to FOLD_BATCH epochs, each stage once
+    per batch, and every epoch gets the score score_epoch gives it alone. Epochs whose solver hit the
+    iteration cap are scored on the last iterate and reported in
+    nonconverged_count; epochs the method cannot handle (degenerate weight
+    projection, too few measurements, singular normal matrix) are skipped
+    with the reason recorded.
     """
     if len(dataset) == 0:
         raise EmptyInput("empty dataset")
@@ -292,12 +375,17 @@ def run_pipeline(
     eval_regions = tuple(sorted({ep.region_id for ep in dataset}))
     if model is not None and not allow_train_overlap:
         require_held_out(model, eval_regions)
-    scores = tuple(score_epoch(spec, ep, model, oracle_errors, elevation_fit) for ep in dataset)
+    scores: list[EpochScore] = []
+    for start in range(0, len(dataset), FOLD_BATCH):
+        epochs = dataset[start : start + FOLD_BATCH]
+        batch = EpochBatch.of(epochs)
+        e_hat, status = _batch_estimates(epochs, batch, model, oracle_errors)
+        scores += _score_batch(spec, epochs, batch, e_hat, status, elevation_fit)
     return EvalReport(
         method=spec.method,
         oracle_errors=oracle_errors,
         use_selector=spec.use_selector,
-        scores=scores,
+        scores=tuple(scores),
         train_regions=model.train_regions if model is not None else (),
         eval_regions=eval_regions,
         seed=seed,

@@ -4,6 +4,9 @@ All local-frame math (ENU, elevation/azimuth) uses the radial direction at
 the origin as "up". The simulator and the metrics share this frame, so the
 approximation is self-consistent. Points are (3,) ECEF arrays, and
 line-of-sight work takes all satellites of an epoch as one (n, 3) array.
+The batch forms take any leading batch axes, (B, K, 3) satellites seen from
+(B, 3) points, and flag the epochs whose geometry is degenerate instead of
+raising.
 """
 
 from __future__ import annotations
@@ -18,35 +21,103 @@ MIN_LOS_DISTANCE = 1.0
 # Horizontal component below which azimuth is defined as 0 [m].
 ZENITH_HORIZONTAL_EPS = 1e-9
 
+# East-vector norm below which the origin is treated as a pole.
+POLAR_EPS = 1e-12
+
+
+def _dot_self(v: np.ndarray) -> np.ndarray:
+    """v . v over the last axis, by the BLAS dot product np.linalg.norm uses."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def distances(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors and distances from each point to its satellites, batched:
+    sat_pos is (..., n, 3) and pos (..., 3)."""
+    d = sat_pos - pos[..., None, :]
+    return d, np.sqrt(np.add.reduce(d * d, axis=-1))  # np.linalg.norm's arithmetic
+
+
+def directions(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit vectors and distances from each point to its satellites, batched.
+
+    Also returns which points lie within MIN_LOS_DISTANCE of one of their
+    satellites; their unit vectors are finite but meaningless.
+    """
+    d, dist = distances(sat_pos, pos)
+    too_close = (dist < MIN_LOS_DISTANCE).any(axis=-1)
+    return d / np.maximum(dist, MIN_LOS_DISTANCE)[..., None], dist, too_close
+
 
 def line_of_sight(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Receiver-to-satellite vectors (n, 3) and their lengths (n,)."""
-    d = sat_pos - pos
-    dist = np.linalg.norm(d, axis=1)
+    d, dist = distances(sat_pos, pos)
     if np.any(dist < MIN_LOS_DISTANCE):
         raise DegenerateGeometry(f"receiver-satellite distance {dist.min():.3g} m below {MIN_LOS_DISTANCE} m")
     return d, dist
 
 
+# Component orders that write a 3-vector cross product as whole-array
+# multiplies: cross(a, b) = a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT].
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+_POLE_AXIS = np.array([0.0, 0.0, 1.0])
+_POLAR_EAST = np.array([0.0, 1.0, 0.0])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of (..., 3) vectors, term by term, with np.cross's bits."""
+    return a.take(_NEXT, axis=-1) * b.take(_PREV, axis=-1) - a.take(_PREV, axis=-1) * b.take(_NEXT, axis=-1)
+
+
+def enu_bases(origins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """East, north, up rows of the local frame at each (..., 3) origin, batched.
+
+    Also returns which origins lie at Earth's center. east is
+    cross((0, 0, 1), up) and north cross(up, east), with the norms the dot
+    products np.linalg.norm takes, so a frame has the bits of the np.cross
+    and np.linalg.norm calls. At a pole east is +y by convention.
+    """
+    o = np.asarray(origins, dtype=float)
+    r = np.sqrt(_dot_self(o))
+    up = o / np.maximum(r, MIN_LOS_DISTANCE)[..., None]
+    east = _cross(_POLE_AXIS, up)
+    e_norm = np.sqrt(_dot_self(east))
+    polar = e_norm < POLAR_EPS
+    if polar.any():
+        east = np.where(polar[..., None], _POLAR_EAST, east / np.where(polar, 1.0, e_norm)[..., None])
+    else:
+        east /= e_norm[..., None]
+    bases = np.concatenate([east, _cross(up, east), up], axis=-1).reshape(o.shape[:-1] + (3, 3))
+    return bases, r < MIN_LOS_DISTANCE
+
+
 def enu_basis(origin: np.ndarray) -> np.ndarray:
     """Rows are the east, north, up unit vectors of the local frame at origin."""
-    r = float(np.linalg.norm(origin))
-    if r < MIN_LOS_DISTANCE:
+    basis, at_center = enu_bases(origin)
+    if at_center:
         raise DegenerateGeometry("ENU origin at Earth's center")
-    up = origin / r
-    east = np.cross([0.0, 0.0, 1.0], up)
-    e_norm = float(np.linalg.norm(east))
-    if e_norm < 1e-12:
-        east = np.array([0.0, 1.0, 0.0])  # polar origin: pick +y by convention
-    else:
-        east = east / e_norm
-    north = np.cross(up, east)
-    return np.vstack([east, north, up])
+    return basis
 
 
 def ecef_to_enu(origin: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Local tangent-plane (east, north, up) coordinates of point relative to origin."""
     return enu_basis(origin) @ (point - origin)
+
+
+def local_angles(origins: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elevation and azimuth of (..., n, 3) unit vectors in the local frames at (..., 3) origins.
+
+    Azimuth is clockwise from north in [0, 2*pi); a unit vector at zenith
+    gets azimuth 0 by convention. Also returns which origins lie at Earth's
+    center.
+    """
+    bases, at_center = enu_bases(origins)
+    # numpy's own sum of products, not BLAS, whose bits would change with n
+    e, n, u = np.einsum("...kc,...ic->i...k", units, bases)
+    horiz = np.hypot(e, n)
+    elevation = np.arctan2(u, horiz)
+    azimuth = np.where(horiz < ZENITH_HORIZONTAL_EPS, 0.0, np.arctan2(e, n) % (2.0 * np.pi))
+    return elevation, azimuth, at_center
 
 
 def elevation_azimuth(receiver: np.ndarray, sat_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,10 +126,9 @@ def elevation_azimuth(receiver: np.ndarray, sat_pos: np.ndarray) -> tuple[np.nda
     sat_pos is an (n, 3) array; both results have length n. Azimuth lies in
     [0, 2*pi); a satellite at zenith gets azimuth 0 by convention.
     """
-    d, dist = line_of_sight(np.asarray(sat_pos, dtype=float), receiver)
-    e, n, u = enu_basis(receiver) @ (d / dist[:, None]).T
-    horiz = np.hypot(e, n)
-    elevation = np.arctan2(u, horiz)
-    azimuth = np.where(horiz < ZENITH_HORIZONTAL_EPS, 0.0, np.arctan2(e, n) % (2.0 * np.pi))
-    return elevation, azimuth
-
+    receiver = np.asarray(receiver, dtype=float)[None]
+    units, _, too_close = directions(np.asarray(sat_pos, dtype=float)[None], receiver)
+    elevation, azimuth, at_center = local_angles(receiver, units)
+    if too_close[0] or at_center[0]:
+        raise DegenerateGeometry(f"receiver within {MIN_LOS_DISTANCE} m of a satellite or at Earth's center")
+    return elevation[0], azimuth[0]

@@ -7,8 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import DegenerateProjection, InsufficientRedundancy, LengthMismatch, NonFiniteInput
-from .types import Epoch
+from .errors import DegenerateProjection, InsufficientRedundancy, LengthMismatch, NonFiniteInput, failure_code
+from .types import Epoch, EpochBatch
 
 # Singular values below this fraction of the largest are treated as zero
 # when deciding the rank of the scaled geometry map.
@@ -37,9 +37,58 @@ def kernel_basis(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     n = M.shape[1]
     _, s, vt = np.linalg.svd(M, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > RANK_EPS * smax)) if smax > 0 else 0
+    rank = int(_ranks(s[None])[0])
     return vt[rank:].T.reshape(n, n - rank)
+
+
+def _ranks(s: np.ndarray) -> np.ndarray:
+    """Rank of each matrix from its (g, m) singular values, largest first."""
+    if s.shape[1] == 0:
+        return np.zeros(s.shape[0], dtype=int)
+    smax = s[:, :1]
+    return np.where(smax[:, 0] > 0, np.sum(s > RANK_EPS * smax, axis=1), 0)
+
+
+def _kernel_points(he_t: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projections of (g, n) probes onto the kernels of (g, 4, n) scaled geometries.
+
+    Returns the projections rescaled to norm sqrt(n) and which of them were
+    too short to rescale. The matrices all have the same n, so their SVDs
+    stack into one call.
+    """
+    n = he_t.shape[2]
+    _, s, vt = np.linalg.svd(he_t, full_matrices=True)
+    rank = _ranks(s)
+    # coordinates of the probe along the right singular vectors, kept on the kernel's
+    coef = vt @ probe[..., None]
+    coef[np.arange(n) < rank[:, None]] = 0.0
+    proj = (np.swapaxes(vt, 1, 2) @ coef)[..., 0]
+    norm = np.sqrt(np.sum(proj * proj, axis=1))
+    short = norm < PROJECTION_EPS * np.sqrt(n)
+    return proj * (np.sqrt(n) / np.where(short, 1.0, norm))[:, None], short
+
+
+def regulate_batch(H: np.ndarray, e: np.ndarray, counts: np.ndarray, status: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regulated weights for every epoch of a batch, all-ones probes.
+
+    H is (B, K, 4) and e (B, K), padded past each epoch's count. Epochs with
+    a nonzero status are left alone; the SVDs of the others are stacked by
+    measurement count. Returns the (B, K) weights, zero on padding, and the
+    status with InsufficientRedundancy and DegenerateProjection added.
+    """
+    weights = np.zeros(e.shape)
+    status = status.copy()
+    small = np.flatnonzero((counts <= 4) & (status == 0))
+    if small.size:  # all errors nonzero leaves a trivial kernel
+        trivial = ((e[small] != 0.0) | (np.arange(e.shape[1]) >= counts[small, None])).all(axis=1)
+        status[small[trivial]] = failure_code(InsufficientRedundancy)
+    for n in sorted(set(counts[status == 0].tolist())):
+        group = np.flatnonzero((counts == n) & (status == 0))
+        he_t = np.swapaxes(H[group, :n] * e[group, :n, None], 1, 2)
+        w, short = _kernel_points(he_t, np.ones((group.size, n)))
+        weights[group, :n] = w
+        status[group[short]] = failure_code(DegenerateProjection)
+    return weights, status
 
 
 def regulate_weights(H: np.ndarray, e: np.ndarray, probe: np.ndarray | None = None) -> np.ndarray:
@@ -59,29 +108,23 @@ def regulate_weights(H: np.ndarray, e: np.ndarray, probe: np.ndarray | None = No
         raise NonFiniteInput("error estimates must be finite")
     if n <= 4 and np.all(e != 0.0):
         raise InsufficientRedundancy(f"n={n} with all errors nonzero leaves a trivial kernel")
-
-    he_t = build_scaled_geometry(H, e)
-    basis = kernel_basis(he_t)
-    if probe is None:
-        probe = np.ones(n)
-    probe = np.asarray(probe, dtype=float)
-    proj = basis @ (basis.T @ probe)
-    norm = float(np.linalg.norm(proj))
-    if norm < PROJECTION_EPS * np.sqrt(n):
+    probe = np.ones(n) if probe is None else np.asarray(probe, dtype=float)
+    w, short = _kernel_points(build_scaled_geometry(H, e)[None], probe[None])
+    if short[0]:
         raise DegenerateProjection("probe is almost orthogonal to the weight kernel")
-    return proj * (np.sqrt(n) / norm)
+    return w[0]
 
 
-def regulate_measurements(epoch: Epoch, e_hat: np.ndarray) -> Epoch:
-    """Epoch copy with each pseudo-range corrected by subtracting its estimated error.
+def regulate_measurements(epoch: Epoch | EpochBatch, e_hat: np.ndarray) -> Epoch | EpochBatch:
+    """Copy with each pseudo-range corrected by subtracting its estimated error.
 
     With exact errors the corrected residuals at the truth state vanish, so any
     positive weighting drives WLS to the truth. Truth-error fields are carried
-    over unmodified.
+    over unmodified. An epoch is validated again; a batch is not.
     """
     e_hat = np.asarray(e_hat, dtype=float)
-    if e_hat.shape != (len(epoch),):
-        raise LengthMismatch(f"{e_hat.shape} estimates for {len(epoch)} observations")
+    if e_hat.shape != epoch.pseudorange.shape:
+        raise LengthMismatch(f"{e_hat.shape} estimates for {epoch.pseudorange.size} observations")
     if not np.isfinite(e_hat).all():
         raise NonFiniteInput("error estimates must be finite")
     return replace(epoch, pseudorange=epoch.pseudorange - e_hat)

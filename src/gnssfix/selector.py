@@ -28,10 +28,36 @@ class SelectorConfig:
             raise ValueError("l_b must not exceed u_b")
 
 
-def _steps(bound: float, target: float, s: float) -> float:
+def _steps(bound: np.ndarray, target: np.ndarray, s: float) -> np.ndarray:
     """Fewest steps of size s that raise bound to target or beyond."""
-    k = max(0.0, float(np.ceil((target - bound) / s)))
-    return k + 1.0 if bound + k * s < target else k
+    k = np.maximum(0.0, np.ceil((target - bound) / s))
+    return np.where(bound + k * s < target, k + 1.0, k)
+
+
+def select_batch(e_hat: np.ndarray, counts: np.ndarray, config: SelectorConfig) -> np.ndarray:
+    """(B, K) keep-mask over padded (B, K) finite estimates, False on padding.
+
+    Row b holds counts[b] estimates; what follows them is ignored. See
+    select_measurements for the rule, applied to each row.
+    """
+    n_req, l_b, u_b, s = config.n_req, config.l_b, config.u_b, config.s
+    real = np.arange(e_hat.shape[1]) < counts[:, None]
+    ordered = np.sort(np.where(real, e_hat, np.inf), axis=1)
+    below = (ordered < l_b).sum(axis=1)
+    rows, last = np.arange(counts.size), counts - 1
+    top = ordered[rows, last]
+    kth_above = ordered[rows, np.minimum(below + n_req - 1, last)]  # the n_req-th at or above l_b
+    kth_largest = ordered[rows, np.maximum(counts - n_req, 0)]
+    steps = _steps(np.array([[u_b], [u_b], [-l_b]]), np.array([top, kth_above, -kth_largest]), s)
+    # the step on which the upper bound reaches the largest estimate is also
+    # the first step that lowers the lower bound
+    k_top = np.maximum(1.0, steps[0])
+    k_up = np.where(counts - below >= n_req, steps[1], np.inf)
+    # otherwise the upper bound holds everything; lower l_b to the n_req-th largest
+    j = np.where(k_up < k_top, 0.0, np.maximum(1.0, steps[2]))
+    k = np.where(k_up < k_top, k_up, k_top - 1.0 + j)
+    keep = (e_hat >= (l_b - j * s)[:, None]) & (e_hat <= (u_b + k * s)[:, None])
+    return real & (keep | (counts <= n_req)[:, None])
 
 
 def select_measurements(e_hat: np.ndarray, config: SelectorConfig) -> np.ndarray:
@@ -51,20 +77,4 @@ def select_measurements(e_hat: np.ndarray, config: SelectorConfig) -> np.ndarray
         raise ValueError("need at least one estimate")
     if not np.all(np.isfinite(e_hat)):
         raise NonFiniteInput("error estimates must be finite")
-    n_req, l_b, u_b, s = config.n_req, config.l_b, config.u_b, config.s
-    if n <= n_req:
-        return np.ones(n, dtype=bool)
-
-    ordered = np.sort(e_hat)
-    # the step on which the upper bound reaches the largest estimate is also
-    # the first step that lowers the lower bound
-    k_top = max(1.0, _steps(u_b, ordered[-1], s))
-    above = ordered[ordered >= l_b]
-    k_up = _steps(u_b, above[n_req - 1], s) if above.size >= n_req else np.inf
-    if k_up < k_top:
-        k, j = k_up, 0.0
-    else:
-        # the upper bound holds everything; lower l_b to the n_req-th largest
-        j = max(1.0, _steps(-l_b, -ordered[n - n_req], s))
-        k = k_top - 1.0 + j
-    return (e_hat >= l_b - j * s) & (e_hat <= u_b + k * s)
+    return select_batch(e_hat[None], np.array([n]), config)[0]

@@ -1,6 +1,8 @@
 """Residuals, geometry matrix and the iterative WLS solver.
 
-A receiver state is a (4,) array [x, y, z, clock bias] in metres.
+A receiver state is a (4,) array [x, y, z, clock bias] in metres. The
+solver kernel steps a whole epoch batch at once; ``wls_solve`` is its
+one-epoch view.
 """
 
 from __future__ import annotations
@@ -9,12 +11,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientMeasurements, LengthMismatch, SingularNormalMatrix
-from .geometry import ecef_to_enu, line_of_sight
-from .types import Epoch
+from .errors import (
+    DegenerateGeometry,
+    InsufficientMeasurements,
+    LengthMismatch,
+    SingularNormalMatrix,
+    failure_code,
+    raise_failure,
+)
+from .geometry import directions, enu_bases, line_of_sight
+from .types import Epoch, EpochBatch
 
 # Condition number above which the 4x4 normal matrix is treated as singular.
 NORMAL_COND_LIMIT = 1e12
+
+_TOO_FEW = failure_code(InsufficientMeasurements)
+_DEGENERATE = failure_code(DegenerateGeometry)
+_SINGULAR = failure_code(SingularNormalMatrix)
 
 
 @dataclass(frozen=True)
@@ -35,7 +48,8 @@ class WlsResult:
 
     converged: the last update norm fell below the tolerance. Otherwise the
     iteration cap was hit and the state carries the last iterate, so hard
-    epochs can still be scored.
+    epochs can still be scored. From the batch kernel every field has a
+    leading epoch axis.
     """
 
     state: np.ndarray  # (4,)
@@ -44,22 +58,109 @@ class WlsResult:
     converged: bool
 
 
-def _jacobian(d: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    H = np.empty((dist.size, 4))
-    H[:, :3] = -d / dist[:, None]
-    H[:, 3] = 1.0
-    return H
-
-
 def residuals(epoch: Epoch, state: np.ndarray) -> np.ndarray:
     """Computed-minus-measured pseudo-range for every observation."""
     _, dist = line_of_sight(epoch.sat_pos, state[:3])
     return dist + state[3] - epoch.pseudorange
 
 
+def geometry_matrices(batch: EpochBatch, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, K, 4) Jacobians at the (B, 4) states and which epochs are degenerate there."""
+    units, _, too_close = directions(batch.pad(batch.sat_pos), states[:, :3])
+    H = np.empty(units.shape[:-1] + (4,))
+    H[..., :3] = -units
+    H[..., 3] = 1.0
+    return H, too_close
+
+
 def geometry_matrix(epoch: Epoch, state: np.ndarray) -> np.ndarray:
     """n x 4 Jacobian of computed pseudo-ranges; row i is (-los_i, 1)."""
-    return _jacobian(*line_of_sight(epoch.sat_pos, state[:3]))
+    H, too_close = geometry_matrices(EpochBatch.of([epoch]), np.asarray(state, dtype=float)[None])
+    raise_failure(_DEGENERATE * int(too_close[0]), f"epoch {epoch.epoch_id}")
+    return H[0]
+
+
+def _normal_singular(normal: np.ndarray) -> np.ndarray:
+    """Which (b, 4, 4) normal matrices are non-finite or too ill-conditioned.
+
+    The condition number is the ratio of the extreme eigenvalue magnitudes,
+    from the symmetric eigensolver rather than an SVD.
+    """
+    if not np.isfinite(normal).all():
+        finite = np.isfinite(normal).all(axis=(1, 2))
+        singular = ~finite
+        singular[finite] = _normal_singular(normal[finite])
+        return singular
+    magnitudes = np.abs(np.linalg.eigvalsh(normal))
+    largest = magnitudes.max(axis=1)
+    # cond > limit, without dividing by a zero eigenvalue; all zero is singular too
+    return (largest > NORMAL_COND_LIMIT * magnitudes.min(axis=1)) | (largest == 0.0)
+
+
+def solve_batch(
+    batch: EpochBatch,
+    weights: np.ndarray,
+    initial: np.ndarray,
+    config: WlsConfig = WlsConfig(),
+    status: np.ndarray | None = None,
+) -> tuple[WlsResult, np.ndarray]:
+    """Gauss-Newton weighted least squares for every epoch of the batch at once.
+
+    weights is an (N,) column and initial a (B, 4) array of states. Epochs
+    with a nonzero entry in ``status`` are not solved. Each iteration stacks
+    the active epochs' padded (K, 4) geometry matrices, with zero weight on
+    padding, into one normal-matrix product and one solve; an epoch leaves
+    the loop when its update norm falls below the tolerance or it fails.
+    Returns the array-valued result and the status with each epoch's failure
+    (too few measurements, degenerate geometry, singular normal matrix)
+    added. A non-finite initial state or iterate raises ValueError.
+    """
+    x = np.array(initial, dtype=float)
+    if x.shape != (batch.size, 4) or not np.isfinite(x).all():
+        raise ValueError(f"initial states must be a finite ({batch.size}, 4) array")
+    too_few = batch.counts < 4
+    status = np.where(too_few, _TOO_FEW, 0) if status is None else np.where((status == 0) & too_few, _TOO_FEW, status)
+    iterations = np.zeros(batch.size, dtype=int)
+    step_norm = np.full(batch.size, np.inf)
+    # the active epochs and their rows, pruned as epochs converge or fail
+    active = np.flatnonzero(status == 0)
+    rows = (batch.pad(batch.sat_pos), batch.pad(batch.pseudorange), batch.pad(weights, fill=0.0)[..., None], x)
+    if active.size < batch.size:
+        rows = tuple(a[active] for a in rows)
+    sat, pr, w, xa = rows
+    # columns of J: the geometry matrix H, then the residuals r
+    J = np.empty(pr.shape + (5,))
+    J[..., 3] = 1.0
+    for it in range(1, config.max_iterations + 1):
+        if not active.size:
+            break
+        units, dist, too_close = directions(sat, xa[:, :3])
+        np.negative(units, out=J[..., :3])
+        J[..., 4] = dist + xa[:, 3:] - pr
+        # one product gives H^T W H and H^T W r
+        normal_rhs = np.swapaxes(J[..., :4] * w, 1, 2) @ J
+        failed = too_close | _normal_singular(normal_rhs[:, :, :4])
+        if failed.any():
+            status[active[failed]] = np.where(too_close[failed], _DEGENERATE, _SINGULAR)
+            ok = ~failed
+            active, sat, pr, w, xa, J, normal_rhs = (a[ok] for a in (active, sat, pr, w, xa, J, normal_rhs))
+        # the update is minus the solution of the normal equations
+        solution = np.linalg.solve(normal_rhs[:, :, :4], normal_rhs[:, :, 4:])[..., 0]
+        xa = xa - solution
+        if not np.isfinite(xa).all():
+            raise ValueError(f"iterate {it} is not finite")
+        step = np.sqrt((solution * solution).sum(axis=1))
+        leave = step < config.convergence_tol
+        if it == config.max_iterations or leave.all():
+            x[active], iterations[active], step_norm[active] = xa, it, step
+            break
+        if leave.any():
+            done = active[leave]
+            x[done], iterations[done], step_norm[done] = xa[leave], it, step[leave]
+            stay = ~leave
+            active, sat, pr, w, xa, J = (a[stay] for a in (active, sat, pr, w, xa, J))
+    result = WlsResult(state=x, iterations=iterations, step_norm=step_norm, converged=step_norm < config.convergence_tol)
+    return result, status
 
 
 def wls_solve(
@@ -81,37 +182,28 @@ def wls_solve(
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise LengthMismatch(f"{w.shape} weights for {n} observations")
-
-    x = np.array(initial, dtype=float)
-    if x.shape != (4,) or not np.isfinite(x).all():
+    x = np.asarray(initial, dtype=float)
+    if x.shape != (4,):
         raise ValueError(f"initial state must be a finite (4,) array, got {x}")
-    step_norm = np.inf
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        d, dist = line_of_sight(epoch.sat_pos, x[:3])
-        H = _jacobian(d, dist)
-        r = dist + x[3] - epoch.pseudorange
-        Hw = H * w[:, None]
-        normal = H.T @ Hw
-        if not np.all(np.isfinite(normal)) or np.linalg.cond(normal) > NORMAL_COND_LIMIT:
-            raise SingularNormalMatrix("normal matrix singular or ill-conditioned")
-        dx = -np.linalg.solve(normal, Hw.T @ r)
-        x = x + dx
-        if not np.isfinite(x).all():
-            raise ValueError(f"iterate {iterations} is not finite: {x}")
-        step_norm = float(np.linalg.norm(dx))
-        if step_norm < config.convergence_tol:
-            break
-
+    result, status = solve_batch(EpochBatch.of([epoch]), w, x[None], config)
+    raise_failure(int(status[0]), f"epoch {epoch.epoch_id}")
     return WlsResult(
-        state=x,
-        iterations=iterations,
-        step_norm=step_norm,
-        converged=step_norm < config.convergence_tol,
+        state=result.state[0],
+        iterations=int(result.iterations[0]),
+        step_norm=float(result.step_norm[0]),
+        converged=bool(result.converged[0]),
     )
+
+
+def horizontal_errors(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """(B,) east-north distances between the positions of two (B, 3+) state arrays."""
+    bases, at_center = enu_bases(truth[:, :3])
+    if at_center.any():
+        raise DegenerateGeometry("truth position at Earth's center")
+    east, north, _ = np.einsum("bic,bc->ib", bases, predicted[:, :3] - truth[:, :3])
+    return np.hypot(east, north)
 
 
 def horizontal_error(predicted: np.ndarray, truth: np.ndarray) -> float:
     """East-north distance between the positions of two states, meters."""
-    e, n, _ = ecef_to_enu(truth[:3], predicted[:3])
-    return float(np.hypot(e, n))
+    return float(horizontal_errors(np.asarray(predicted)[None], np.asarray(truth)[None])[0])

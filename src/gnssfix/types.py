@@ -1,4 +1,5 @@
-"""Domain types shared by every module: measurement enums and columnar epochs.
+"""Domain types shared by every module: measurement enums, columnar epochs and
+the ragged epoch batch the pipeline kernels run on.
 
 A receiver position is a (3,) ECEF array and a receiver state a (4,) array
 [x, y, z, clock bias], all in metres.
@@ -9,7 +10,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,3 +153,106 @@ class Epoch:
         keep = np.asarray(keep)
         columns = {name: getattr(self, name) for name, _, _ in _COLUMNS}
         return replace(self, **{name: None if c is None else c[keep] for name, c in columns.items()})
+
+
+# The measurement columns the pipeline kernels read.
+_BATCH_COLUMNS = ("constellation", "band", "sat_pos", "pseudorange", "cn0", "avg_power")
+
+
+@dataclass(frozen=True, eq=False)
+class EpochBatch:
+    """Epochs run through the pipeline kernels together, as one ragged batch.
+
+    Each measurement column is concatenated over the epochs, epoch b owning
+    rows offsets[b]:offsets[b + 1], and initial_guess stacks the (3,) guesses.
+    ``pad`` lays a column out as (B, K), K the largest count, repeating each
+    epoch's last measurement into its padding so padded values stay finite;
+    ``mask`` marks the real entries. A batch is built from validated epochs
+    and derived by ``subset`` or ``dataclasses.replace`` without validating
+    again. A kernel gives each epoch the same bits whatever else is in the
+    batch, so a batch of one is the one-epoch view of the same code.
+    """
+
+    counts: np.ndarray  # (B,) measurements per epoch, each >= 1
+    initial_guess: np.ndarray  # (B, 3)
+    constellation: np.ndarray  # (N,)
+    band: np.ndarray  # (N,)
+    sat_pos: np.ndarray  # (N, 3)
+    pseudorange: np.ndarray  # (N,)
+    cn0: np.ndarray  # (N,)
+    avg_power: np.ndarray  # (N,)
+
+    @classmethod
+    def of(cls, epochs: Sequence[Epoch]) -> "EpochBatch":
+        if len(epochs) == 1:  # nothing to join
+            (ep,) = epochs
+            return cls(np.array([len(ep)]), ep.initial_guess[None], *(getattr(ep, name) for name in _BATCH_COLUMNS))
+        return cls(
+            np.array([len(ep) for ep in epochs]),
+            np.array([ep.initial_guess for ep in epochs]),
+            *(np.concatenate([getattr(ep, name) for ep in epochs]) for name in _BATCH_COLUMNS),
+        )
+
+    @property
+    def size(self) -> int:
+        """Number of epochs."""
+        return self.counts.size
+
+    @cached_property
+    def width(self) -> int:
+        """K, the largest measurement count."""
+        return int(self.counts.max())
+
+    @cached_property
+    def uniform(self) -> bool:
+        """Whether every epoch has K measurements, so the layout needs no padding."""
+        return self.sat_pos.shape[0] == self.size * self.width
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(B + 1,) row where each epoch starts, then the total row count."""
+        offsets = np.zeros(self.size + 1, dtype=self.counts.dtype)
+        np.add.accumulate(self.counts, out=offsets[1:])
+        return offsets
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """(B, K) True on real entries, False on padding."""
+        return np.arange(self.width) < self.counts[:, None]
+
+    @cached_property
+    def epoch_of_row(self) -> np.ndarray:
+        """(N,) epoch each row belongs to."""
+        return np.repeat(np.arange(self.size), self.counts)
+
+    @cached_property
+    def _index(self) -> np.ndarray:
+        """(B, K) row of each padded entry; padding repeats the epoch's last row."""
+        slots = np.minimum(np.arange(self.width), self.counts[:, None] - 1)
+        return self.offsets[:-1, None] + slots
+
+    def pad(self, values: np.ndarray, fill: float | None = None) -> np.ndarray:
+        """(B, K, ...) layout of an (N, ...) column; padding repeats real values or holds ``fill``."""
+        values = np.asarray(values)
+        if self.uniform:
+            return values.reshape((self.size, self.width) + values.shape[1:])
+        padded = values[self._index]
+        if fill is None:
+            return padded
+        return np.where(self.mask.reshape(self.mask.shape + (1,) * (padded.ndim - 2)), padded, fill)
+
+    def unpad(self, padded: np.ndarray) -> np.ndarray:
+        """(N, ...) column of the real entries of a (B, K, ...) layout."""
+        if self.uniform:
+            return padded.reshape((-1,) + padded.shape[2:])
+        return padded[self.mask]
+
+    def segment_sums(self, values: np.ndarray) -> np.ndarray:
+        """(B,) sum of each epoch's rows of an (N,) column, added in row order."""
+        return np.add.reduceat(values, self.offsets[:-1])
+
+    def subset(self, keep: np.ndarray) -> "EpochBatch":
+        """Batch of the rows a boolean (N,) mask keeps; every epoch must keep one."""
+        counts = np.bincount(self.epoch_of_row[keep], minlength=self.size)
+        columns = {name: getattr(self, name)[keep] for name in _BATCH_COLUMNS}
+        return EpochBatch(counts=counts, initial_guess=self.initial_guess, **columns)

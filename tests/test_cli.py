@@ -423,3 +423,33 @@ def test_evaluate_with_every_epoch_skipped(tiny_data, tmp_path, capsys):
     assert summary["p50"] == summary["p95"] == "nan"
     assert summary["epochs"] == "6" and summary["skipped"] == "6"
     assert len(list(csv.reader(open(os.path.join(out, "trace.csv"))))) == 1  # header only
+
+
+def test_localize_selector_fixes_equal_evaluate(tiny_data, tmp_path, capsys):
+    # localize --selector streams epoch by epoch; evaluate --selector runs the
+    # fold as one batch; both report the same fixes
+    model = str(tmp_path / "model20.json")
+    train_args = ["--holdout", "canyon", "--out", model, "--seed", "2", "--iters", "20", "--batch", "3"]
+    assert main(["train", "--data", tiny_data["data"], *train_args]) == 0
+    method = ["--method", "regulate_measurements", "--model", model, "--selector"]
+    shard = shard_path(tiny_data["data"], "canyon")
+    capsys.readouterr()
+    assert main(["localize", "--epoch-file", shard, *method]) == 0
+    fixes = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    out = str(tmp_path / "eval")
+    assert main(["evaluate", "--data", tiny_data["data"], "--holdout", "canyon", "--out", out, *method]) == 0
+
+    epochs = read_shard(shard)
+    report = run_pipeline(PipelineSpec("regulate_measurements", use_selector=True, model_path=model), epochs)
+    assert any(s.n_used < s.n_all for s in report.scores)  # the selector dropped something
+    errors = sorted(
+        horizontal_error(np.array([f["x"], f["y"], f["z"], f["clk"]]), ep.truth)
+        for f, ep in zip(fixes, epochs)
+        if "skipped" not in f
+    )
+    with open(os.path.join(out, "cdf.csv")) as fh:
+        assert errors == [float(row[0]) for row in list(csv.reader(fh))[1:]]
+    with open(os.path.join(out, "summary.csv")) as fh:
+        summary = dict(zip(*csv.reader(fh)))
+    assert int(summary["skipped"]) == sum("skipped" in f for f in fixes)
+    assert int(summary["nonconverged"]) == sum(not f["converged"] for f in fixes if "skipped" not in f)

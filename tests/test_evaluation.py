@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,22 @@ from gnssfix.errors import EmptyInput, ModelMissing
 from gnssfix.estimator.baselines import ElevationWeightFit
 from gnssfix.estimator.network import save_model
 from gnssfix.estimator.training import TrainConfig, train
-from gnssfix.evaluation import EpochScore, EvalReport, PipelineSpec, emit_reports, percentile, run_pipeline
+from gnssfix.evaluation import (
+    EpochScore,
+    EvalReport,
+    PipelineSpec,
+    emit_reports,
+    load_estimator,
+    percentile,
+    run_pipeline,
+    score_epoch,
+)
+from gnssfix.geometry import enu_basis
 from gnssfix.selector import SelectorConfig
 from gnssfix.simulator import N_MASK_BINS, SceneConfig, epoch_seed, generate_epoch, sample_sky_mask
 from gnssfix.solver import WlsConfig
 
-from util import ORIGIN, make_epoch
+from util import ORIGIN, epoch_of, make_epoch
 
 ALL_METHODS = ("wls_unit", "wls_cn0", "wls_elevation", "regulate_weights", "regulate_measurements")
 
@@ -246,3 +257,84 @@ def test_all_skipped_evaluation_writes_nan_summary(rng, tmp_path):
     summary = dict(zip(*list(csv.reader(open(paths["summary"])))))
     assert summary["p50"] == summary["p95"] == "nan"
     assert int(summary["epochs"]) == 3 and int(summary["skipped"]) == 3
+
+
+def _same_score(a, b):
+    """Field-wise equality of two EpochScores, NaN equal to NaN."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if x != y and not (isinstance(x, float) and math.isnan(x) and math.isnan(y)):
+            return False
+    return True
+
+
+def _mixed_fold(rng):
+    """Epochs of 4 to 16 measurements with, in the middle, one of three
+    measurements, one whose normal matrix is singular and one whose initial
+    guess sits on a satellite."""
+    fold = []
+    for k, n in enumerate(rng.integers(4, 17, 24).tolist()):
+        fold.append(make_epoch(rng, n=n, errors=rng.normal(0, 8, n), cn0=rng.uniform(20, 50, n), epoch_id=k))
+    up = enu_basis(ORIGIN)[2]
+    dist = np.linspace(2.0e7, 2.4e7, 6)
+    singular = epoch_of(
+        ORIGIN + dist[:, None] * up, dist + 5.0, ORIGIN, truth=np.append(ORIGIN, 5.0), truth_error=np.zeros(6),
+        epoch_id=101, region_id="testville",
+    )
+    on_satellite = make_epoch(rng, n=9, errors=rng.normal(0, 8, 9), epoch_id=102)
+    on_satellite = dataclasses.replace(on_satellite, initial_guess=on_satellite.sat_pos[4])
+    tiny = make_epoch(rng, n=3, errors=rng.normal(0, 8, 3), epoch_id=103)
+    fold[8:8] = [tiny, singular, on_satellite]
+    return fold
+
+
+@pytest.fixture(scope="module")
+def learned_models(tmp_path_factory):
+    rng = np.random.default_rng(7)
+    epochs = [
+        make_epoch(rng, n=n, errors=rng.normal(0, 8, n), cn0=rng.uniform(20, 50, n), epoch_id=k, region="elsewhere")
+        for k, n in enumerate(rng.integers(5, 14, 30).tolist())
+    ]
+    paths = {}
+    for hidden in (16, 64):
+        path = str(tmp_path_factory.mktemp("models") / f"h{hidden}.json")
+        save_model(train(epochs, TrainConfig(batch_size=8, iterations=20, seed=1), hidden=hidden), path)
+        paths[hidden] = path
+    return paths
+
+
+@pytest.mark.parametrize("estimates", ["oracle", 16, 64])
+@pytest.mark.parametrize("use_selector", [False, True])
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_fold_scores_equal_one_epoch_scores(learned_models, method, use_selector, estimates):
+    # run_pipeline runs the fold as one batch; score_epoch runs a batch of one
+    # through the same kernels, so every field agrees to the last bit
+    fold = _mixed_fold(np.random.default_rng(11))
+    oracle = estimates == "oracle"
+    spec = PipelineSpec(
+        method, use_selector=use_selector, model_path=None if oracle else learned_models[estimates]
+    )
+    fit = ElevationWeightFit(a=4.0, b=0.5)
+    report = run_pipeline(spec, fold, oracle_errors=oracle, elevation_fit=fit)
+    model = load_estimator(spec, oracle)
+    alone = [score_epoch(spec, ep, model, oracle, fit) for ep in fold]
+    assert all(map(_same_score, report.scores, alone))
+    skips = {s.epoch_id: s.skipped for s in report.scores if s.skipped is not None}
+    assert skips.get(103) == "too_few_measurements"
+    assert skips.get(102) == "DegenerateGeometry"
+    assert 101 in skips
+    # padding repeats real satellites, so it never trips the line-of-sight guard
+    assert [k for k, reason in skips.items() if reason == "DegenerateGeometry"] == [102]
+
+
+def test_fold_batch_size_does_not_change_scores(learned_models, monkeypatch):
+    # run_pipeline bounds its memory by batching the fold; any split gives the same scores
+    from gnssfix import evaluation
+
+    fold = _mixed_fold(np.random.default_rng(5))
+    spec = PipelineSpec("regulate_weights", use_selector=True, model_path=learned_models[16])
+    whole = run_pipeline(spec, fold)
+    monkeypatch.setattr(evaluation, "FOLD_BATCH", 4)
+    split = run_pipeline(spec, fold)
+    assert len(split.scores) == len(fold)
+    assert all(map(_same_score, whole.scores, split.scores))

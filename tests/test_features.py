@@ -14,13 +14,14 @@ from gnssfix.estimator.features import (
     extract_features,
     fit_scaler,
     guess_state,
+    guess_states,
     initial_clock_bias,
     unscale_labels,
 )
 from gnssfix.geometry import enu_basis
 from gnssfix.simulator import default_scenes, epoch_seed, generate_epoch
 from gnssfix.solver import residuals
-from gnssfix.types import BANDS, Band, CONSTELLATIONS, Constellation
+from gnssfix.types import BANDS, Band, CONSTELLATIONS, Constellation, EpochBatch
 
 from util import EARTH_R, ORIGIN, angular_proximity, enu_direction, epoch_of, make_epoch
 
@@ -215,3 +216,26 @@ def test_build_graph_uses_initial_guess_not_truth(rng):
     a_guess = angular_proximity(ep.initial_guess, ep.sat_pos[0], ep.sat_pos[1])
     assert g.adjacency[0, 1] == pytest.approx(a_guess, abs=1e-12)
     assert abs(a_truth - a_guess) > 0  # offset large enough to matter
+
+
+def test_partition_clock_bias_matches_percentile(rng):
+    # every count a fold can mix, with and without tied residuals
+    for n in range(1, 41):
+        for tied in (False, True):
+            ep = make_epoch(rng, n=n, errors=rng.normal(0.0, 20.0, n), epoch_id=n)
+            if tied:  # every other measurement repeats the first one's satellite and range
+                dup = np.arange(n) % 2 == 1
+                ep = replace(
+                    ep,
+                    sat_pos=np.where(dup[:, None], ep.sat_pos[0], ep.sat_pos),
+                    pseudorange=np.where(dup, ep.pseudorange[0], ep.pseudorange),
+                )
+            pre = np.linalg.norm(ep.sat_pos - ep.initial_guess, axis=1) - ep.pseudorange
+            assert abs(initial_clock_bias(ep) + np.percentile(pre, 10.0)) <= 1e-9
+
+
+def test_guess_states_of_a_fold_equal_one_epoch_views(rng):
+    epochs = [make_epoch(rng, n=int(n), errors=rng.normal(0.0, 9.0, n), epoch_id=k) for k, n in enumerate(rng.integers(1, 40, 60))]
+    states = guess_states(EpochBatch.of(epochs))
+    for ep, state in zip(epochs, states):
+        assert np.array_equal(state, guess_state(ep))

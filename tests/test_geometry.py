@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gnssfix.errors import DegenerateGeometry
-from gnssfix.geometry import ecef_to_enu, elevation_azimuth, line_of_sight
+from gnssfix.geometry import ecef_to_enu, elevation_azimuth, enu_bases, enu_basis, line_of_sight
 
-from util import EARTH_R, ORIGIN, angular_proximity, enu_direction, enu_to_ecef
+from util import EARTH_R, ORIGIN, angular_proximity, enu_basis_cross, enu_direction, enu_to_ecef
 
 
 def _random_surface_point(rng):
@@ -145,3 +145,33 @@ def test_angular_proximity_rotation_invariant(rng):
         before = angular_proximity(origin, si, sj)
         after = angular_proximity(origin, spin(si), spin(sj))
         assert after == pytest.approx(before, abs=1e-9)
+
+
+def _bit_equal(a, b):
+    # array_equal alone treats -0.0 and 0.0 as equal
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_enu_basis_matches_cross_product_oracle(rng):
+    scale = rng.uniform(1.0, 7e6, (20_000, 1))
+    origins = rng.standard_normal((20_000, 3)) * scale
+    poles = [[0.0, 0.0, EARTH_R], [0.0, 0.0, -EARTH_R], [1e-9, 0.0, EARTH_R], [0.0, -1e-9, -EARTH_R]]
+    origins = np.vstack([origins, poles])
+    bases, at_center = enu_bases(origins)
+    assert not at_center.any()
+    for origin, basis in zip(origins, bases):
+        want = enu_basis_cross(origin)
+        assert _bit_equal(enu_basis(origin), want)
+        assert _bit_equal(basis, want)
+
+
+def test_enu_basis_at_poles_and_center():
+    for z in (EARTH_R, -EARTH_R):
+        east, north, up = enu_basis(np.array([0.0, 0.0, z]))
+        assert east.tolist() == [0.0, 1.0, 0.0]
+        assert up.tolist() == [0.0, 0.0, math.copysign(1.0, z)]
+        assert np.allclose(np.cross(up, east), north)
+    _, at_center = enu_bases(np.array([[0.5, 0.0, 0.0], [EARTH_R, 0.0, 0.0]]))
+    assert at_center.tolist() == [True, False]
+    with pytest.raises(DegenerateGeometry):
+        enu_basis(np.array([0.5, 0.0, 0.0]))

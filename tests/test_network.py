@@ -20,7 +20,7 @@ from gnssfix.estimator.network import (
     save_model,
 )
 
-from util import make_epoch
+from util import dense_aggregator, make_epoch
 
 
 def _random_graph(rng, n, in_dim=13):
@@ -287,3 +287,32 @@ def test_predict_errors_shape_and_determinism(rng):
     graph = build_graph(ep, extract_features(ep))
     raw = batch_forward(params, [graph])[0]
     assert np.allclose(a, raw * 2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("hidden", [16, 64])
+def test_stacked_inference_equals_one_graph_calls(rng, hidden):
+    # a graph's estimates must not depend on what else is in the batch,
+    # down to the last bit: a fold and a batch of one share every kernel
+    params = _randomized_params(rng, hidden=hidden)
+    graphs = [_random_graph(rng, int(n)) for n in rng.integers(1, 41, 200)]
+    out, _ = batch_forward(params, graphs)
+    bounds = np.cumsum([0] + [g.node_features.shape[0] for g in graphs])
+    for g, lo, hi in zip(graphs, bounds[:-1], bounds[1:]):
+        assert np.array_equal(out[lo:hi], batch_forward(params, [g])[0])
+
+
+def test_block_aggregation_trains_like_dense_matrix(rng, monkeypatch):
+    # the padded per-graph blocks and the dense N x N matrix are the same
+    # linear map, summed in another order
+    from gnssfix.estimator import network
+    from gnssfix.estimator.training import TrainConfig, train
+
+    epochs = [make_epoch(rng, n=int(n), errors=rng.normal(0, 5, n), cn0=rng.uniform(25, 50, n), epoch_id=k)
+              for k, n in enumerate(rng.integers(4, 16, 40))]
+    config = TrainConfig(batch_size=8, iterations=50, seed=3)
+    blocks: list[float] = []
+    train(epochs, config, hidden=16, loss_sink=blocks)
+    monkeypatch.setattr(network, "_aggregator", dense_aggregator)
+    dense: list[float] = []
+    train(epochs, config, hidden=16, loss_sink=dense)
+    assert np.allclose(blocks, dense, rtol=1e-9, atol=0.0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gnssfix.errors import InsufficientMeasurements, SingularNormalMatrix
+from gnssfix.errors import InsufficientMeasurements, SingularNormalMatrix, failure_code
 from gnssfix.geometry import enu_basis
-from gnssfix.solver import WlsConfig, geometry_matrix, horizontal_error, residuals, wls_solve
+from gnssfix.solver import WlsConfig, geometry_matrix, horizontal_error, residuals, solve_batch, wls_solve
+from gnssfix.types import EpochBatch
 
 from util import ORIGIN, computed_pseudorange, cost, epoch_of, make_epoch
 
@@ -206,3 +207,34 @@ def test_cost_nonnegative_for_nonnegative_weights(rng):
         ep = make_epoch(rng, n=6, errors=rng.normal(0, 10, 6))
         state = _offset_guess(ep.truth, east=float(rng.uniform(-500, 500)), north=float(rng.uniform(-500, 500)))
         assert cost(ep, state, rng.uniform(0.0, 5.0, 6)) >= 0.0
+
+
+def _stacked_epoch():
+    # every satellite straight up: the normal matrix is singular
+    u = enu_basis(TRUTH[:3])[2]
+    dist = np.linspace(2.0e7, 2.4e7, 6)
+    return epoch_of(TRUTH[:3] + dist[:, None] * u, dist + TRUTH[3], TRUTH[:3], truth=TRUTH)
+
+
+@pytest.mark.parametrize("cap", [3, 20])
+def test_batched_solve_keeps_neighbours_unchanged(rng, cap):
+    # a singular epoch and one that needs many iterations, mid-batch: every
+    # epoch gets the iterations, convergence and state it gets alone
+    epochs = [make_epoch(rng, n=int(n), errors=rng.normal(0, 3, n), epoch_id=k) for k, n in enumerate([5, 12, 9, 7])]
+    far = make_epoch(rng, n=10, errors=rng.normal(0, 3, 10), guess_offset=(3e6, -2e6), epoch_id=9)
+    epochs[2:2] = [_stacked_epoch(), far]
+    starts = np.array([np.append(ep.initial_guess, 0.0) for ep in epochs])
+    weights = [rng.uniform(0.5, 2.0, len(ep)) for ep in epochs]
+    config = WlsConfig(max_iterations=cap)
+    result, status = solve_batch(EpochBatch.of(epochs), np.concatenate(weights), starts, config)
+    assert status.tolist() == [0, 0, failure_code(SingularNormalMatrix), 0, 0, 0]
+    # the far epoch hits the cap of 3 and needs more than 3 iterations without it
+    assert (result.iterations[3] == 3 and not result.converged[3]) if cap == 3 else result.iterations[3] > 3
+    for k, (ep, w, x0) in enumerate(zip(epochs, weights, starts)):
+        if status[k]:
+            with pytest.raises(SingularNormalMatrix):
+                wls_solve(ep, w, x0, config)
+            continue
+        alone = wls_solve(ep, w, x0, config)
+        assert np.array_equal(result.state[k], alone.state)
+        assert (result.iterations[k], result.converged[k]) == (alone.iterations, alone.converged)

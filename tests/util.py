@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from gnssfix.errors import DegenerateGeometry, LengthMismatch
+from gnssfix.estimator.network import AGG_FLOOR
 from gnssfix.geometry import MIN_LOS_DISTANCE, enu_basis, line_of_sight
 from gnssfix.solver import residuals
 from gnssfix.types import BANDS, CONSTELLATIONS, Epoch
@@ -135,3 +136,27 @@ def cost(epoch: Epoch, state: np.ndarray, weights) -> float:
         raise LengthMismatch(f"{w.shape} weights for {len(epoch)} observations")
     r = residuals(epoch, state)
     return float(np.sum(w * r * r))
+
+
+def enu_basis_cross(origin: np.ndarray) -> np.ndarray:
+    """geometry.enu_basis written with np.cross and np.linalg.norm, bit for bit."""
+    r = float(np.linalg.norm(origin))
+    up = origin / r
+    east = np.cross([0.0, 0.0, 1.0], up)
+    e_norm = float(np.linalg.norm(east))
+    east = np.array([0.0, 1.0, 0.0]) if e_norm < 1e-12 else east / e_norm
+    return np.vstack([east, np.cross(up, east), up])
+
+
+def dense_aggregator(graphs) -> tuple[np.ndarray, np.ndarray]:
+    """network._aggregator as one dense block-diagonal N x N neighbour-averaging
+    matrix over the stacked nodes, the layout the padded blocks replaced."""
+    sizes = [g.adjacency.shape[0] for g in graphs]
+    total = int(sum(sizes))
+    P = np.zeros((total, total))
+    at = 0
+    for g, n in zip(graphs, sizes):
+        denom = np.maximum(g.adjacency.sum(axis=1, keepdims=True), AGG_FLOOR)
+        P[at : at + n, at : at + n] = g.adjacency / denom
+        at += n
+    return P[None], np.arange(total)
