@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -45,9 +47,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        # a NaN, infinite or out-of-range value here would train a model with
+        # non-finite tensors and raise nothing, so every optimiser field is checked
+        for name in ("batch_size", "iterations", "lr_decay_every"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         for name in (
+            "batch_size",
             "iterations",
             "learning_rate",
             "weight_decay",
@@ -59,8 +66,16 @@ class TrainConfig:
             "leaky_slope",
             "bn_momentum",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite, not {value!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if getattr(self, name) >= 1.0:
+                raise ValueError(f"{name} must be below 1")
+        if self.bn_momentum > 1.0:
+            raise ValueError("bn_momentum must be at most 1")
+        if self.lr_decay > 1.0:
+            raise ValueError("lr_decay must be at most 1")
 
 
 def batch_loss(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gnssfix.errors import IoFailure, MissingFit, ModelMissing, ShapeMismatch
+from gnssfix.estimator import network
 from gnssfix.estimator.features import EpochGraph, ScalerParams, build_graph, extract_features
 from gnssfix.estimator.network import (
     AGG_FLOOR,
@@ -12,6 +13,7 @@ from gnssfix.estimator.network import (
     N_ENCODER,
     N_HEAD,
     N_SAGE,
+    batch_backward,
     batch_forward,
     bn_layer_names,
     init_params,
@@ -20,7 +22,7 @@ from gnssfix.estimator.network import (
     save_model,
 )
 
-from util import dense_aggregator, make_epoch
+from util import bn_act_backward_reference, bn_act_reference, dense_aggregator, make_epoch
 
 
 def _random_graph(rng, n, in_dim=13):
@@ -316,3 +318,86 @@ def test_block_aggregation_trains_like_dense_matrix(rng, monkeypatch):
     dense: list[float] = []
     train(epochs, config, hidden=16, loss_sink=dense)
     assert np.allclose(blocks, dense, rtol=1e-9, atol=0.0)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [6, 64])
+@pytest.mark.parametrize("rows", [1, 5, 13, 446])
+def test_bn_kernels_match_textbook_reference_bits(rng, rows, hidden):
+    # the fused in-place kernels are a pure refactor of the textbook ones:
+    # outputs, caches and gradients agree bit for bit, signed zeros and NaN
+    # included, in train mode and inference mode
+    params = _randomized_params(rng, hidden=hidden)
+    params.tensors["head0.gamma"][3] = 0.0
+    params.tensors["head0.beta"][3] = -0.0  # leaky ReLU input of ±0.0
+    x = rng.standard_normal((rows, hidden))
+    z = 3.0 * rng.standard_normal((rows, hidden))
+    z[0, 0] = 0.0
+    z[-1, 1] = -0.0
+    z[rows // 2, 2] = np.nan
+    for train in (True, False):
+        # a one-row pre-activation is a view into _node_matmul's two-row product
+        fused_z = np.concatenate([z, z])[:1] if rows == 1 else z.copy()
+        fused_cache, ref_cache = ({}, {}) if train else (None, None)
+        fused = network._bn_act(params, "head0", x, fused_z, fused_cache)
+        ref = bn_act_reference(params, "head0", x, z.copy(), ref_cache)
+        assert _same_bits(fused, ref)
+        if not train:
+            continue
+        assert fused_cache["head0"].keys() == ref_cache["head0"].keys()
+        for key, value in ref_cache["head0"].items():
+            assert _same_bits(fused_cache["head0"][key], value), key
+        d_out = rng.standard_normal((rows, hidden))
+        d_out[0, 4] = -0.0
+        d_out.setflags(write=False)
+        fused_grads, ref_grads = {}, {}
+        dz = network._bn_act_backward(params, "head0", fused_cache, d_out, fused_grads)
+        ref_dz = bn_act_backward_reference(params, "head0", ref_cache, d_out, ref_grads)
+        assert _same_bits(dz, ref_dz)
+        assert fused_grads.keys() == ref_grads.keys()
+        for key, value in ref_grads.items():
+            assert _same_bits(fused_grads[key], value), key
+
+
+def test_textbook_kernels_train_identically(rng, monkeypatch):
+    from gnssfix.estimator.training import TrainConfig, train
+    from gnssfix.types import EpochBatch
+
+    epochs = [make_epoch(rng, n=int(n), errors=rng.normal(0, 5, n), cn0=rng.uniform(25, 50, n), epoch_id=k)
+              for k, n in enumerate(rng.integers(4, 16, 40))]
+    config = TrainConfig(batch_size=8, iterations=50, seed=3)
+    runs = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(network, "_bn_act", bn_act_reference)
+            monkeypatch.setattr(network, "_bn_act_backward", bn_act_backward_reference)
+        losses: list[float] = []
+        model = train(epochs, config, hidden=16, loss_sink=losses)
+        runs.append((losses, model, network.predict_batch(model, EpochBatch.of(epochs))[0]))
+    (fused_losses, fused, fused_pred), (ref_losses, ref, ref_pred) = runs
+    assert fused_losses == ref_losses
+    for key, value in ref.tensors.items():
+        assert _same_bits(fused.tensors[key], value), key
+    for key, value in ref.bn_stats.items():
+        assert _same_bits(fused.bn_stats[key], value), key
+    assert _same_bits(fused_pred, ref_pred)
+
+
+def test_kernels_write_nothing_they_are_given(rng):
+    # the batch-norm kernels work in place on their own fresh arrays only:
+    # node features, weights, running statistics and the output gradient are
+    # read-only here, so a stray in-place write into any of them raises
+    params = _randomized_params(rng, hidden=8)
+    graphs = [_random_graph(rng, n) for n in (1, 4, 7)]
+    for arr in [g.node_features for g in graphs] + list(params.tensors.values()) + list(params.bn_stats.values()):
+        arr.setflags(write=False)
+    for batch in (graphs, graphs[:1]):
+        batch_forward(params, batch)
+        out, cache = batch_forward(params, batch, train=True)
+        d_out = rng.standard_normal(out.shape)
+        d_out.setflags(write=False)
+        batch_backward(params, cache, d_out)

@@ -201,12 +201,34 @@ def test_trained_model_beats_zero_predictor(rng):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(iterations=-5)
+    for field in (
+        dict(batch_size=0),
+        dict(learning_rate=0.0),
+        dict(iterations=-5),
+        # each of these used to pass and train a model with NaN tensors
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(weight_decay=float("nan")),
+        dict(lr_decay=float("inf")),
+        dict(lr_decay=1.5),
+        dict(adam_eps=float("inf")),
+        dict(leaky_slope=float("nan")),
+        dict(adam_beta1=1.0),
+        dict(adam_beta1=0.0),
+        dict(adam_beta2=1.0),
+        dict(adam_beta2=1.5),
+        dict(adam_beta2=float("nan")),
+        dict(bn_momentum=1.5),
+        dict(bn_momentum=0.0),
+        dict(batch_size=8.0),
+        dict(batch_size=True),
+        dict(iterations=10.5),
+        dict(lr_decay_every=1500.0),
+    ):
+        with pytest.raises(ValueError):
+            TrainConfig(**field)
+    # the closed ends of the ranges, and numpy integers, are accepted
+    TrainConfig(lr_decay=1.0, bn_momentum=1.0, batch_size=np.int64(4), iterations=1)
 
 
 def test_forward_unchanged_by_training_flag_roundtrip(rng):

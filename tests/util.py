@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from gnssfix.errors import DegenerateGeometry, LengthMismatch
-from gnssfix.estimator.network import AGG_FLOOR
+from gnssfix.estimator.network import AGG_FLOOR, BN_EPS
 from gnssfix.geometry import MIN_LOS_DISTANCE, enu_basis, line_of_sight
 from gnssfix.solver import residuals
 from gnssfix.types import BANDS, CONSTELLATIONS, Epoch
@@ -160,3 +160,35 @@ def dense_aggregator(graphs) -> tuple[np.ndarray, np.ndarray]:
         P[at : at + n, at : at + n] = g.adjacency / denom
         at += n
     return P[None], np.arange(total)
+
+
+def bn_act_reference(params, name, x_in, z, cache):
+    """network._bn_act in its textbook form: numpy's mean and var, fresh arrays
+    at every step and ``np.where`` for the leaky slope.  ``z`` is left as it
+    is.  The fused kernel gives the same bits at every width above one; at
+    width one numpy sums a contiguous column pairwise, not row after row."""
+    if cache is not None:
+        mean = z.mean(axis=0)
+        var = z.var(axis=0)
+    else:
+        mean = params.bn_stats[f"{name}.mean"]
+        var = params.bn_stats[f"{name}.var"]
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (z - mean) * inv
+    y = params.tensors[f"{name}.gamma"] * xhat + params.tensors[f"{name}.beta"]
+    mask = y > 0.0
+    out = np.where(mask, y, params.leaky_slope * y)
+    if cache is not None:
+        cache[name] = {"x": x_in, "xhat": xhat, "inv": inv, "mask": mask, "mean": mean, "var": var}
+    return out
+
+
+def bn_act_backward_reference(params, name, cache, d_out, grads):
+    """network._bn_act_backward in its textbook form (Ioffe & Szegedy 2015)."""
+    entry = cache[name]
+    dy = d_out * np.where(entry["mask"], 1.0, params.leaky_slope)
+    xhat = entry["xhat"]
+    grads[f"{name}.gamma"] = (dy * xhat).sum(axis=0)
+    grads[f"{name}.beta"] = dy.sum(axis=0)
+    dxhat = dy * params.tensors[f"{name}.gamma"]
+    return entry["inv"] * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
