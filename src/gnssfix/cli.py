@@ -22,22 +22,9 @@ from .errors import (
     NoLabels,
 )
 from .estimator.baselines import fit_elevation_baseline
-from .estimator.network import load_model, predict_errors, save_model
+from .estimator.network import load_model, save_model
 from .estimator.training import TrainConfig, train
-from .evaluation import (
-    EPOCH_FAILURES,
-    METHODS,
-    PipelineSpec,
-    abs_error_means,
-    emit_reports,
-    epoch_estimates,
-    load_estimator,
-    localize_epoch,
-    require_held_out,
-    run_pipeline,
-    skip_reason,
-    write_trace,
-)
+from .evaluation import METHODS, PipelineSpec, emit_reports, localize, run_pipeline, trace_rows, write_trace
 from .simulator import (
     DEFAULT_EPOCHS_PER_REGION,
     SceneConfig,
@@ -165,33 +152,14 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     if not epochs:
         raise EmptyInput(f"no epochs in {args.epoch_file}")
     spec = PipelineSpec(method=args.method, use_selector=args.selector, model_path=args.model)
-    model = load_estimator(spec, oracle_errors=False)
-    for ep in epochs:
-        record = {"epoch_id": ep.epoch_id, "region": ep.region_id}
-        try:
-            result, _ = localize_epoch(spec, ep, epoch_estimates(ep, model, False), None)
-        except EPOCH_FAILURES as exc:
-            record["skipped"] = skip_reason(exc)
-        else:
-            record.update(
-                zip(("x", "y", "z", "clk"), result.state.tolist()),
-                converged=result.converged,
-                iterations=result.iterations,
-            )
+    for record in localize(spec, epochs):
         print(json.dumps(record, separators=(",", ":")))
     return EXIT_OK
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     rest, held = _split_dataset(args.data, args.holdout)
-    epochs = held if args.holdout is not None else rest
-    model = load_model(args.model)
-    require_held_out(model, {ep.region_id for ep in epochs})
-    rows = [
-        (ep.epoch_id, ep.region_id, *abs_error_means(ep.truth_error, predict_errors(model, ep)))
-        for ep in epochs
-        if ep.truth_error is not None
-    ]
+    rows = trace_rows(load_model(args.model), held if args.holdout is not None else rest)
     write_trace(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK

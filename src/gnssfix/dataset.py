@@ -183,7 +183,20 @@ def load_region(data_dir: str, region_id: str) -> list[Epoch]:
 
 
 def load_dataset(data_dir: str) -> tuple[DatasetManifest, dict[str, list[Epoch]]]:
-    """Read the manifest plus every region shard it lists."""
+    """Read the manifest plus every region shard it lists.
+
+    A shard must hold as many epochs as its manifest entry counts, all of its
+    own region, else the holdout split would be wrong without a word.
+    """
     manifest = read_manifest(data_dir)
-    regions = {rid: load_region(data_dir, rid) for rid in manifest.region_ids}
+    regions = {}
+    for entry in manifest.entries:
+        path = shard_path(data_dir, entry.region_id)
+        epochs = load_region(data_dir, entry.region_id)
+        if len(epochs) != entry.epochs:
+            raise IoFailure(f"{path} holds {len(epochs)} epochs; the manifest expects {entry.epochs}")
+        for ep in epochs:
+            if ep.region_id != entry.region_id:
+                raise IoFailure(f"{path}: epoch {ep.epoch_id} is of region {ep.region_id!r}, not {entry.region_id!r}")
+        regions[entry.region_id] = epochs
     return manifest, regions

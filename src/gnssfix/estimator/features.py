@@ -57,11 +57,6 @@ def guess_states(batch: EpochBatch) -> np.ndarray:
     return np.concatenate([batch.initial_guess, bias[:, None]], axis=1)
 
 
-def initial_clock_bias(epoch: Epoch) -> float:
-    """Clock bias that moves the 10th percentile of guess-location residuals to zero."""
-    return float(guess_state(epoch)[3])
-
-
 def guess_state(epoch: Epoch) -> np.ndarray:
     """Initial linearization state (4,): guess position plus percentile-anchored clock bias."""
     return guess_states(EpochBatch.of([epoch]))[0]

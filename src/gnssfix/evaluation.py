@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ METHODS = (
 _REGULATED = ("regulate_weights", "regulate_measurements")
 _TOO_FEW = failure_code(InsufficientMeasurements)
 _DEGENERATE = failure_code(DegenerateGeometry)
-# Epochs per batch in run_pipeline. It bounds the memory of the padded
+# Epochs per chunk of every pipeline run. It bounds the memory of the padded
 # layouts and the network activations; the kernels give each epoch the same
 # bits in any batch, so the scores do not depend on it.
 FOLD_BATCH = 256
@@ -163,13 +163,10 @@ def _skip(epoch: Epoch, reason: str) -> EpochScore:
     )
 
 
-def _failure_name(failure: type[Exception]) -> str:
+def _failure_name(code: int) -> str:
+    """Name under which an epoch with a nonzero status code is skipped."""
+    failure = EPOCH_FAILURES[code - 1]
     return "too_few_measurements" if failure is InsufficientMeasurements else failure.__name__
-
-
-def skip_reason(exc: Exception) -> str:
-    """Name under which an epoch ended by one of EPOCH_FAILURES is skipped."""
-    return _failure_name(type(exc))
 
 
 def load_estimator(spec: PipelineSpec, oracle_errors: bool) -> ModelParams | None:
@@ -189,31 +186,17 @@ def require_held_out(model: ModelParams, eval_regions: Iterable[str]) -> None:
         raise ValueError(f"model was trained on evaluation regions {overlap}; hold these out or evaluate elsewhere")
 
 
-def _missing_labels(epoch: Epoch) -> NoLabels:
-    return NoLabels(f"epoch {epoch.epoch_id} lacks per-measurement truth errors")
-
-
-def epoch_estimates(epoch: Epoch, model: ModelParams | None, oracle_errors: bool) -> np.ndarray | None:
-    """Per-measurement error estimates: the truth errors, the model's, or none."""
-    if oracle_errors:
-        if epoch.truth_error is None:
-            raise _missing_labels(epoch)
-        return epoch.truth_error
-    if model is not None:
-        return predict_errors(model, epoch)
-    return None
-
-
 def _batch_estimates(
     epochs: Sequence[Epoch], batch: EpochBatch, model: ModelParams | None, oracle_errors: bool
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """epoch_estimates over a batch: the (N,) estimates or None, and the (B,)
-    status with the epochs whose features are degenerate."""
+    """Per-measurement error estimates of a batch: the truth errors, the
+    model's, or None; and the (B,) status with the epochs whose features are
+    degenerate."""
     status = np.zeros(batch.size, dtype=int)
     if oracle_errors:
         for ep in epochs:
             if ep.truth_error is None:
-                raise _missing_labels(ep)
+                raise NoLabels(f"epoch {ep.epoch_id} lacks per-measurement truth errors")
         return np.concatenate([ep.truth_error for ep in epochs]), status
     if model is not None:
         e_hat, degenerate = predict_batch(model, batch)
@@ -238,8 +221,9 @@ def _fix_batch(
 ) -> _Fixes:
     """Select, regulate or weight, then solve, every epoch of the batch.
 
-    An epoch keeps the first failure a stage records for it, in the order
-    localize_epoch raises them; later stages leave it alone.
+    An epoch keeps the first failure a stage records for it: degenerate
+    features, too few measurements left after selection, then the weighting
+    and the solver; later stages leave it alone. Truth is never read.
     """
     if e_hat is not None and not np.isfinite(e_hat).all():
         raise NonFiniteInput("error estimates must be finite")
@@ -268,55 +252,49 @@ def _fix_batch(
     return _Fixes(result, used, sub, status)
 
 
-def localize_epoch(
-    spec: PipelineSpec,
-    epoch: Epoch,
-    e_hat: np.ndarray | None,
-    elevation_fit: ElevationWeightFit | None,
-) -> tuple[WlsResult, np.ndarray]:
-    """Fix one epoch: select, regulate or weight, then solve.
-
-    Returns the solver result and the keep-mask of the measurements used.
-    An epoch the method cannot fix raises one of EPOCH_FAILURES; fewer than
-    four measurements left after selection raises InsufficientMeasurements
-    before any regulation. Truth is never read.
-    """
-    fixes = _fix_batch(spec, EpochBatch.of([epoch]), e_hat, elevation_fit, np.zeros(1, dtype=int))
-    raise_failure(int(fixes.status[0]), f"epoch {epoch.epoch_id}")
-    r = fixes.result
-    result = WlsResult(r.state[0], int(r.iterations[0]), float(r.step_norm[0]), bool(r.converged[0]))
-    return result, fixes.used
+def _chunks(epochs: Sequence[Epoch]) -> Iterator[tuple[Sequence[Epoch], EpochBatch]]:
+    """The epochs in runs of up to FOLD_BATCH, each with its batch."""
+    for start in range(0, len(epochs), FOLD_BATCH):
+        chunk = epochs[start : start + FOLD_BATCH]
+        yield chunk, EpochBatch.of(chunk)
 
 
-def abs_error_means(labels: np.ndarray, e_hat: np.ndarray | float) -> tuple[float, float]:
-    """Mean |error| before and after subtracting the estimates, summed in row order."""
-    n = len(labels)
-    before = np.add.reduceat(np.abs(labels), [0])[0]
-    after = np.add.reduceat(np.abs(labels - e_hat), [0])[0]
-    return float(before / n), float(after / n)
-
-
-def _score_batch(
+def _fixed_chunks(
     spec: PipelineSpec,
     epochs: Sequence[Epoch],
-    batch: EpochBatch,
-    e_hat: np.ndarray | None,
-    status: np.ndarray,
+    model: ModelParams | None,
+    oracle_errors: bool,
     elevation_fit: ElevationWeightFit | None,
-) -> tuple[EpochScore, ...]:
-    """Fix every epoch of the batch and score it against truth."""
-    if any(ep.truth is None for ep in epochs):
-        raise NoLabels("an epoch has no truth state to score against")
-    fixes = _fix_batch(spec, batch, e_hat, elevation_fit, status)
+) -> Iterator[tuple[Sequence[Epoch], np.ndarray | None, _Fixes]]:
+    """Each chunk of the epochs with its estimates and its fixes, each stage
+    run once per chunk."""
+    for chunk, batch in _chunks(epochs):
+        e_hat, status = _batch_estimates(chunk, batch, model, oracle_errors)
+        yield chunk, e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, status)
+
+
+def _mean_abs_errors(batch: EpochBatch, labels: np.ndarray, e_hat: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) mean |error| before and after subtracting the estimates, summed in row order."""
+    counts = batch.counts
+    return batch.segment_sums(np.abs(labels)) / counts, batch.segment_sums(np.abs(labels - e_hat)) / counts
+
+
+def _require_truth(epochs: Iterable[Epoch]) -> None:
+    """Refuse epochs that carry no truth state to score against."""
+    for ep in epochs:
+        if ep.truth is None:
+            raise NoLabels(f"epoch {ep.epoch_id} has no truth state to score against")
+
+
+def _score_chunk(epochs: Sequence[Epoch], e_hat: np.ndarray | None, fixes: _Fixes) -> list[EpochScore]:
+    """Score every fix of a chunk against truth; every epoch must carry truth."""
     fixed = fixes.status == 0
-    errors = np.full(batch.size, np.nan)
+    errors = np.full(fixes.status.size, np.nan)
     truth = np.array([ep.truth for ep in epochs])
     errors[fixed] = horizontal_errors(fixes.result.state[fixed], truth[fixed])
     labels = np.concatenate([np.full(len(ep), np.nan) if ep.truth_error is None else ep.truth_error for ep in epochs])
     labels = labels[fixes.used]
-    used_estimates = 0.0 if e_hat is None else e_hat[fixes.used]
-    before = fixes.batch.segment_sums(np.abs(labels)) / fixes.batch.counts
-    after = fixes.batch.segment_sums(np.abs(labels - used_estimates)) / fixes.batch.counts
+    before, after = _mean_abs_errors(fixes.batch, labels, 0.0 if e_hat is None else e_hat[fixes.used])
     columns = zip(
         epochs,
         fixes.status.tolist(),
@@ -327,12 +305,12 @@ def _score_batch(
         before.tolist(),
         after.tolist(),
     )
-    return tuple(
-        _skip(ep, _failure_name(EPOCH_FAILURES[code - 1]))
+    return [
+        _skip(ep, _failure_name(code))
         if code
         else EpochScore(ep.epoch_id, ep.region_id, len(ep), n_used, he, it, conv, None, b, a)
         for ep, code, n_used, he, it, conv, b, a in columns
-    )
+    ]
 
 
 def score_epoch(
@@ -342,14 +320,22 @@ def score_epoch(
     oracle_errors: bool,
     elevation_fit: ElevationWeightFit | None,
 ) -> EpochScore:
-    """Run the configured pipeline on one epoch and score against truth."""
-    if epoch.truth is None:
-        raise NoLabels(f"epoch {epoch.epoch_id} has no truth state to score against")
-    try:
-        e_hat = epoch_estimates(epoch, model, oracle_errors)
-    except EPOCH_FAILURES as exc:
-        return _skip(epoch, skip_reason(exc))
-    return _score_batch(spec, [epoch], EpochBatch.of([epoch]), e_hat, np.zeros(1, dtype=int), elevation_fit)[0]
+    """Run the configured pipeline on one epoch and score against truth.
+
+    The epoch is a chunk of one through the stages run_pipeline uses, so it
+    gets the score run_pipeline gives it. A learned estimate goes through
+    predict_errors, the one-epoch estimator entry that perfbench traces.
+    """
+    _require_truth([epoch])
+    batch = EpochBatch.of([epoch])
+    if model is None or oracle_errors:
+        e_hat, status = _batch_estimates([epoch], batch, model, oracle_errors)
+    else:
+        try:
+            e_hat, status = predict_errors(model, epoch), np.zeros(1, dtype=int)
+        except DegenerateGeometry:
+            e_hat, status = np.zeros(len(epoch)), np.full(1, _DEGENERATE)
+    return _score_chunk([epoch], e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, status))[0]
 
 
 def run_pipeline(
@@ -357,30 +343,30 @@ def run_pipeline(
     dataset: Sequence[Epoch],
     oracle_errors: bool = False,
     elevation_fit: ElevationWeightFit | None = None,
-    allow_train_overlap: bool = False,
     seed: int | None = None,
 ) -> EvalReport:
     """Score every epoch of the dataset under the configured pipeline.
 
-    The dataset runs in batches of up to FOLD_BATCH epochs, each stage once
-    per batch, and every epoch gets the score score_epoch gives it alone. Epochs whose solver hit the
-    iteration cap are scored on the last iterate and reported in
-    nonconverged_count; epochs the method cannot handle (degenerate weight
-    projection, too few measurements, singular normal matrix) are skipped
-    with the reason recorded.
+    The dataset runs in chunks of up to FOLD_BATCH epochs, each stage once
+    per chunk, and every epoch gets the score score_epoch gives it alone.
+    Epochs whose solver hit the iteration cap are scored on the last iterate
+    and reported in nonconverged_count; epochs the method cannot handle
+    (degenerate weight projection, too few measurements, singular normal
+    matrix) are skipped with the reason recorded. A model trained on any of
+    the dataset's regions is refused.
     """
     if len(dataset) == 0:
         raise EmptyInput("empty dataset")
+    _require_truth(dataset)
     model = load_estimator(spec, oracle_errors)
     eval_regions = tuple(sorted({ep.region_id for ep in dataset}))
-    if model is not None and not allow_train_overlap:
+    if model is not None:
         require_held_out(model, eval_regions)
-    scores: list[EpochScore] = []
-    for start in range(0, len(dataset), FOLD_BATCH):
-        epochs = dataset[start : start + FOLD_BATCH]
-        batch = EpochBatch.of(epochs)
-        e_hat, status = _batch_estimates(epochs, batch, model, oracle_errors)
-        scores += _score_batch(spec, epochs, batch, e_hat, status, elevation_fit)
+    scores = [
+        score
+        for chunk in _fixed_chunks(spec, dataset, model, oracle_errors, elevation_fit)
+        for score in _score_chunk(*chunk)
+    ]
     return EvalReport(
         method=spec.method,
         oracle_errors=oracle_errors,
@@ -390,6 +376,42 @@ def run_pipeline(
         eval_regions=eval_regions,
         seed=seed,
     )
+
+
+def localize(spec: PipelineSpec, epochs: Sequence[Epoch]) -> Iterator[dict]:
+    """The fix of every epoch, in order, as a JSON-ready record.
+
+    A record holds epoch_id and region, then x, y, z, clk, converged and
+    iterations, or the skip reason under skipped. Truth is never read.
+    """
+    model = load_estimator(spec, oracle_errors=False)
+    for chunk, _, fixes in _fixed_chunks(spec, epochs, model, False, None):
+        r = fixes.result
+        columns = zip(chunk, fixes.status.tolist(), r.state.tolist(), r.converged.tolist(), r.iterations.tolist())
+        for ep, code, state, converged, iterations in columns:
+            record = {"epoch_id": ep.epoch_id, "region": ep.region_id}
+            if code:
+                record["skipped"] = _failure_name(code)
+            else:
+                record.update(zip(("x", "y", "z", "clk"), state), converged=converged, iterations=iterations)
+            yield record
+
+
+def trace_rows(model: ModelParams, epochs: Sequence[Epoch]) -> list[tuple[int, str, float, float]]:
+    """Per labelled epoch, mean |error| and mean |error - estimate| under the model.
+
+    The model must be held out from the epochs' regions. An epoch whose
+    geometry is degenerate at its initial guess raises DegenerateGeometry.
+    """
+    require_held_out(model, {ep.region_id for ep in epochs})
+    rows = []
+    for chunk, batch in _chunks([ep for ep in epochs if ep.truth_error is not None]):
+        e_hat, status = _batch_estimates(chunk, batch, model, False)
+        for ep, code in zip(chunk, status.tolist()):
+            raise_failure(code, f"epoch {ep.epoch_id}")
+        before, after = _mean_abs_errors(batch, np.concatenate([ep.truth_error for ep in chunk]), e_hat)
+        rows += [(ep.epoch_id, ep.region_id, b, a) for ep, b, a in zip(chunk, before.tolist(), after.tolist())]
+    return rows
 
 
 def emit_reports(report: EvalReport, out_dir: str) -> dict[str, str]:

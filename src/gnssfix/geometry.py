@@ -48,14 +48,6 @@ def directions(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.nda
     return d / np.maximum(dist, MIN_LOS_DISTANCE)[..., None], dist, too_close
 
 
-def line_of_sight(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Receiver-to-satellite vectors (n, 3) and their lengths (n,)."""
-    d, dist = distances(sat_pos, pos)
-    if np.any(dist < MIN_LOS_DISTANCE):
-        raise DegenerateGeometry(f"receiver-satellite distance {dist.min():.3g} m below {MIN_LOS_DISTANCE} m")
-    return d, dist
-
-
 # Component orders that write a 3-vector cross product as whole-array
 # multiplies: cross(a, b) = a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT].
 _NEXT = np.array([1, 2, 0])
@@ -97,11 +89,6 @@ def enu_basis(origin: np.ndarray) -> np.ndarray:
     if at_center:
         raise DegenerateGeometry("ENU origin at Earth's center")
     return basis
-
-
-def ecef_to_enu(origin: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Local tangent-plane (east, north, up) coordinates of point relative to origin."""
-    return enu_basis(origin) @ (point - origin)
 
 
 def local_angles(origins: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -28,19 +28,6 @@ def build_scaled_geometry(H: np.ndarray, e: np.ndarray) -> np.ndarray:
     return (H * e[:, None]).T
 
 
-def kernel_basis(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the kernel of M, as columns.
-
-    Rank is decided from the SVD with singular values below
-    RANK_EPS * sigma_max counted as zero.
-    """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[1]
-    _, s, vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(_ranks(s[None])[0])
-    return vt[rank:].T.reshape(n, n - rank)
-
-
 def _ranks(s: np.ndarray) -> np.ndarray:
     """Rank of each matrix from its (g, m) singular values, largest first."""
     if s.shape[1] == 0:

@@ -1,4 +1,4 @@
-"""Residuals, geometry matrix and the iterative WLS solver.
+"""Geometry matrix and the iterative WLS solver.
 
 A receiver state is a (4,) array [x, y, z, clock bias] in metres. The
 solver kernel steps a whole epoch batch at once; ``wls_solve`` is its
@@ -19,7 +19,7 @@ from .errors import (
     failure_code,
     raise_failure,
 )
-from .geometry import directions, enu_bases, line_of_sight
+from .geometry import directions, enu_bases
 from .types import Epoch, EpochBatch
 
 # Condition number above which the 4x4 normal matrix is treated as singular.
@@ -56,12 +56,6 @@ class WlsResult:
     iterations: int
     step_norm: float
     converged: bool
-
-
-def residuals(epoch: Epoch, state: np.ndarray) -> np.ndarray:
-    """Computed-minus-measured pseudo-range for every observation."""
-    _, dist = line_of_sight(epoch.sat_pos, state[:3])
-    return dist + state[3] - epoch.pseudorange
 
 
 def geometry_matrices(batch: EpochBatch, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

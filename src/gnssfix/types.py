@@ -15,6 +15,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .geometry import MIN_LOS_DISTANCE
+
 # Minimum geocentric radius for a plausible satellite position [m].
 MIN_SAT_RADIUS = 6_400_000.0
 
@@ -109,6 +111,8 @@ class Epoch:
         # min and max propagate NaN, so the range checks reject it too
         radius_sq = np.einsum("ij,ij->i", self.sat_pos, self.sat_pos)
         pr = self.pseudorange
+        # on three or four values, math is cheaper than a ufunc
+        truth = None if self.truth is None else self.truth.tolist()
         checks = (
             (len(set(self.sat_id.tolist())) == n, "duplicate sat_id within epoch"),
             (set(self.constellation.tolist()) <= _CONSTELLATION_CODES, "constellation code out of range"),
@@ -119,9 +123,10 @@ class Epoch:
             (0.0 <= self.cn0.min() <= self.cn0.max() <= 70.0, "cn0 outside [0, 70] dB-Hz"),
             (np.isfinite(self.avg_power).all(), "avg_power must be finite"),
             (self.truth_error is None or np.isfinite(self.truth_error).all(), "truth_error must be finite"),
-            # on three or four values, math.isfinite is cheaper than a ufunc
             (all(map(math.isfinite, self.initial_guess.tolist())), "initial_guess must be finite"),
-            (self.truth is None or all(map(math.isfinite, self.truth.tolist())), "truth must be finite"),
+            (truth is None or all(map(math.isfinite, truth)), "truth must be finite"),
+            # no local frame there, so no horizontal error to score
+            (truth is None or math.hypot(*truth[:3]) >= MIN_LOS_DISTANCE, "truth position at Earth's center"),
         )
         for ok, message in checks:
             if not ok:

@@ -21,14 +21,14 @@ from gnssfix.estimator.network import init_params, load_model, predict_errors, s
 from gnssfix.estimator.training import TrainConfig, train
 from gnssfix.evaluation import PipelineSpec, run_pipeline
 from gnssfix.geometry import enu_basis
-from gnssfix.regulator import build_scaled_geometry, kernel_basis, regulate_weights
+from gnssfix.regulator import build_scaled_geometry, regulate_weights
 from gnssfix.selector import SelectorConfig, select_measurements
 from gnssfix.simulator import default_scenes, generate_dataset
 from gnssfix.solver import WlsConfig, geometry_matrix, wls_solve
 
 from test_selector import loop_select
 from test_training import check_gradients_fd
-from util import ORIGIN, cost, enu_direction, epoch_of, make_epoch
+from util import ORIGIN, cost, enu_direction, epoch_of, kernel_basis, make_epoch
 
 DATA_SEED = 20250816
 HOLDOUT = "dense-1"          # evaluation fold; the other four regions train

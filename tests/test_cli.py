@@ -219,6 +219,47 @@ def test_trace_writes_csv(tiny_data, tmp_path):
     assert len(rows) == 7
 
 
+def test_chunked_localize_and_trace_match_default(tiny_data, tmp_path, monkeypatch, capsys):
+    # localize and trace run the epochs in FOLD_BATCH chunks; any chunk size gives the same output
+    from gnssfix import evaluation
+
+    shard = shard_path(tiny_data["data"], "canyon")
+    assert len(read_shard(shard)) > 4
+    trace = str(tmp_path / "trace.csv")
+
+    def outputs():
+        printed = []
+        for method in LOCALIZE_METHODS:
+            for selector in ([], ["--selector"]):
+                args = ["localize", "--epoch-file", shard, "--model", tiny_data["model"], "--method", method]
+                assert main(args + selector) == 0
+                printed.append(capsys.readouterr().out)
+        args = ["trace", "--data", tiny_data["data"], "--model", tiny_data["model"], "--holdout", "canyon"]
+        assert main(args + ["--out", trace]) == 0
+        printed.append(capsys.readouterr().out)
+        with open(trace) as fh:
+            printed.append(fh.read())
+        return printed
+
+    whole = outputs()
+    monkeypatch.setattr(evaluation, "FOLD_BATCH", 4)
+    assert outputs() == whole
+
+
+def test_trace_exits_4_on_degenerate_geometry(tiny_data, tmp_path, capsys):
+    import shutil
+
+    data = str(tmp_path / "data")
+    shutil.copytree(tiny_data["data"], data)
+    shard = shard_path(data, "canyon")
+    epochs = read_shard(shard)
+    epochs[2] = _guess_on_satellite(epochs[2])
+    write_shard(shard, epochs)
+    args = ["trace", "--data", data, "--model", tiny_data["model"], "--holdout", "canyon"]
+    assert main(args + ["--out", str(tmp_path / "trace.csv")]) == 4
+    assert f"numerical failure: epoch {epochs[2].epoch_id}:" in capsys.readouterr().err
+
+
 def test_trace_refuses_training_regions(tiny_data, tmp_path, capsys):
     # without --holdout trace covers every region, flat included, which the model was trained on
     out = str(tmp_path / "trace.csv")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -87,6 +88,17 @@ def test_read_shard_reports_bad_line(rng, tmp_path):
     assert ":1:" in str(err.value)  # line number in the message
     with pytest.raises(IoFailure):
         read_shard(str(tmp_path / "absent.jsonl"))
+
+
+def test_read_shard_rejects_truth_at_earths_center(rng, tmp_path):
+    rec = epoch_to_record(make_epoch(rng, n=5))
+    rec["truth"].update(x=0.0, y=0.0, z=0.0)
+    path = str(tmp_path / "center.jsonl")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(rec) + "\n")
+    with pytest.raises(IoFailure) as err:
+        read_shard(path)
+    assert ":1:" in str(err.value) and "Earth's center" in str(err.value)
 
 
 def test_read_shard_rejects_partial_labels(rng, tmp_path):
@@ -205,6 +217,34 @@ def test_load_dataset(tmp_path):
     for rid, eps in regions.items():
         assert all(ep.region_id == rid for ep in eps)
         assert all(ep.truth_error is not None for ep in eps)
+
+
+def test_load_dataset_rejects_truncated_shard(tmp_path):
+    out = str(tmp_path / "data")
+    generate_dataset(_two_scenes(), counts=[5, 3], out_dir=out, global_seed=2)
+    path = shard_path(out, "alpha")
+    with open(path) as fh:
+        lines = fh.readlines()
+    with open(path, "w") as fh:
+        fh.writelines(lines[:2])
+    with pytest.raises(IoFailure) as err:
+        load_dataset(out)
+    message = str(err.value)
+    assert path in message and "2 epochs" in message and "expects 5" in message
+
+
+def test_load_dataset_rejects_epochs_of_another_region(tmp_path):
+    # such an epoch would escape the holdout split, which goes by region_id
+    out = str(tmp_path / "data")
+    generate_dataset(_two_scenes(), counts=[4, 3], out_dir=out, global_seed=2)
+    path = shard_path(out, "beta")
+    epochs = read_shard(path)
+    epochs[1] = dataclasses.replace(epochs[1], region_id="alpha")
+    write_shard(path, epochs)
+    with pytest.raises(IoFailure) as err:
+        load_dataset(out)
+    message = str(err.value)
+    assert path in message and "'alpha'" in message and "'beta'" in message
 
 
 def test_shard_lines_follow_schema(tmp_path, rng):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gnssfix.dataset import epoch_to_record, record_to_epoch
+from gnssfix.geometry import MIN_LOS_DISTANCE
 from gnssfix.types import BANDS, CONSTELLATIONS, Epoch, MIN_SAT_RADIUS
 
 COLUMNS = ("sat_id", "constellation", "band", "sat_pos", "pseudorange", "cn0", "avg_power", "truth_error")
@@ -26,6 +27,9 @@ def epochs(draw):
     sat_pos = draw(hnp.arrays(float, (n, 3), elements=coordinates))
     # lift rows inside the orbit-radius sphere out of it along x
     sat_pos[:, 0] += np.where(np.linalg.norm(sat_pos, axis=1) > MIN_SAT_RADIUS, 0.0, 3 * MIN_SAT_RADIUS)
+    truth = draw(st.none() | hnp.arrays(float, 4, elements=coordinates))
+    if truth is not None and np.linalg.norm(truth[:3]) < 2 * MIN_LOS_DISTANCE:
+        truth[0] += 4 * MIN_LOS_DISTANCE  # lift a truth at Earth's center out along x
     return Epoch(
         epoch_id=draw(st.integers(0, 2**31)),
         region_id=draw(st.text(max_size=8)),
@@ -38,7 +42,7 @@ def epochs(draw):
         cn0=draw(_column(n, st.floats(0.0, 70.0))),
         avg_power=draw(_column(n, st.floats(-1e3, 1e3, **finite))),
         truth_error=draw(st.none() | _column(n, st.floats(-1e4, 1e4, **finite))),
-        truth=draw(st.none() | hnp.arrays(float, 4, elements=coordinates)),
+        truth=truth,
     )
 
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gnssfix.errors import EmptyInput, ModelMissing
+from gnssfix.errors import DegenerateGeometry, EmptyInput, ModelMissing, NoLabels
 from gnssfix.estimator.baselines import ElevationWeightFit
-from gnssfix.estimator.network import save_model
+from gnssfix.estimator.network import load_model, predict_errors, save_model
 from gnssfix.estimator.training import TrainConfig, train
 from gnssfix.evaluation import (
     EpochScore,
@@ -15,16 +15,18 @@ from gnssfix.evaluation import (
     PipelineSpec,
     emit_reports,
     load_estimator,
+    localize,
     percentile,
     run_pipeline,
     score_epoch,
+    trace_rows,
 )
 from gnssfix.geometry import enu_basis
 from gnssfix.selector import SelectorConfig
 from gnssfix.simulator import N_MASK_BINS, SceneConfig, epoch_seed, generate_epoch, sample_sky_mask
 from gnssfix.solver import WlsConfig
 
-from util import ORIGIN, epoch_of, make_epoch
+from util import ORIGIN, abs_error_means, epoch_of, make_epoch
 
 ALL_METHODS = ("wls_unit", "wls_cn0", "wls_elevation", "regulate_weights", "regulate_measurements")
 
@@ -170,22 +172,36 @@ def test_pipeline_skips_tiny_epochs(rng):
         run_pipeline(PipelineSpec(method="wls_unit"), [])
 
 
+def test_missing_truth_is_refused_before_any_work(rng, tmp_path):
+    data = [make_epoch(rng, n=6, errors=rng.normal(0, 3, 6), epoch_id=k) for k in range(3)]
+    data[2] = dataclasses.replace(data[2], truth=None)
+    # the model path does not exist: loading it would fail with IoFailure
+    spec = PipelineSpec(method="regulate_weights", model_path=str(tmp_path / "absent.json"))
+    with pytest.raises(NoLabels, match="epoch 2 "):
+        run_pipeline(spec, data)
+    with pytest.raises(NoLabels, match="epoch 2 "):
+        score_epoch(PipelineSpec(method="wls_unit"), data[2], None, False, None)
+
+
 def test_provenance_guard_blocks_train_eval_overlap(rng, tmp_path):
-    epochs = [
-        make_epoch(
-            rng, n=6, errors=rng.normal(0, 4, 6), cn0=rng.uniform(25, 50, 6), epoch_id=k, region="overlap-zone"
-        )
-        for k in range(12)
-    ]
-    model = train(epochs, TrainConfig(batch_size=4, iterations=5, seed=0), hidden=8)
+    def region(name, first_id):
+        return [
+            make_epoch(rng, n=6, errors=rng.normal(0, 4, 6), cn0=rng.uniform(25, 50, 6), epoch_id=k, region=name)
+            for k in range(first_id, first_id + 12)
+        ]
+
+    trained_on, held_out = region("overlap-zone", 0), region("elsewhere", 100)
+    model = train(trained_on, TrainConfig(batch_size=4, iterations=5, seed=0), hidden=8)
     path = str(tmp_path / "model.json")
     save_model(model, path)
     spec = PipelineSpec(method="regulate_measurements", model_path=path)
     with pytest.raises(ValueError):
-        run_pipeline(spec, epochs)
-    report = run_pipeline(spec, epochs, allow_train_overlap=True)
+        run_pipeline(spec, trained_on)
+    with pytest.raises(ValueError):
+        run_pipeline(spec, held_out + trained_on[:1])
+    report = run_pipeline(spec, held_out)
     assert report.train_regions == ("overlap-zone",)
-    assert report.eval_regions == ("overlap-zone",)
+    assert report.eval_regions == ("elsewhere",)
 
 
 def test_emit_cdf_rows(tmp_path):
@@ -328,13 +344,66 @@ def test_fold_scores_equal_one_epoch_scores(learned_models, method, use_selector
 
 
 def test_fold_batch_size_does_not_change_scores(learned_models, monkeypatch):
-    # run_pipeline bounds its memory by batching the fold; any split gives the same scores
+    # the chunk loop bounds its memory by batching the fold; any split gives the same scores and records
     from gnssfix import evaluation
 
     fold = _mixed_fold(np.random.default_rng(5))
     spec = PipelineSpec("regulate_weights", use_selector=True, model_path=learned_models[16])
-    whole = run_pipeline(spec, fold)
+    whole, records = run_pipeline(spec, fold), list(localize(spec, fold))
     monkeypatch.setattr(evaluation, "FOLD_BATCH", 4)
     split = run_pipeline(spec, fold)
     assert len(split.scores) == len(fold)
     assert all(map(_same_score, whole.scores, split.scores))
+    assert list(localize(spec, fold)) == records
+
+
+def _labelled_fold(rng):
+    """Eleven epochs of 4 to 16 labelled measurements, the fourth unlabelled."""
+    fold = [
+        make_epoch(rng, n=n, errors=rng.normal(0, 8, n), cn0=rng.uniform(20, 50, n), epoch_id=k)
+        for k, n in enumerate(rng.integers(4, 17, 11).tolist())
+    ]
+    fold[3] = make_epoch(rng, n=7, epoch_id=3, labelled=False)
+    return fold
+
+
+@pytest.mark.parametrize("hidden", [16, 64])
+def test_trace_rows_equal_per_epoch_reference(learned_models, hidden):
+    # one forward pass per chunk gives each epoch the bits predict_errors gives it alone
+    fold = _labelled_fold(np.random.default_rng(3))
+    model = load_model(learned_models[hidden])
+    want = [
+        (ep.epoch_id, ep.region_id, *abs_error_means(ep.truth_error, predict_errors(model, ep)))
+        for ep in fold
+        if ep.truth_error is not None
+    ]
+    assert len(want) == len(fold) - 1
+    assert trace_rows(model, fold) == want
+
+
+def test_trace_rows_raise_the_degenerate_epochs_failure(learned_models):
+    fold = _labelled_fold(np.random.default_rng(3))
+    fold[6] = dataclasses.replace(fold[6], initial_guess=fold[6].sat_pos[0])
+    model = load_model(learned_models[16])
+    with pytest.raises(DegenerateGeometry) as alone:
+        predict_errors(model, fold[6])
+    with pytest.raises(DegenerateGeometry) as chunked:
+        trace_rows(model, fold)
+    assert str(chunked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("method", ["wls_unit", "regulate_weights", "regulate_measurements"])
+def test_localize_records_match_scores(learned_models, method):
+    fold = _mixed_fold(np.random.default_rng(11))
+    spec = PipelineSpec(method, use_selector=True, model_path=learned_models[16])
+    records = list(localize(spec, fold))
+    scores = run_pipeline(spec, fold).scores
+    assert [r["epoch_id"] for r in records] == [ep.epoch_id for ep in fold]
+    for record, score in zip(records, scores):
+        assert list(record)[:2] == ["epoch_id", "region"]
+        if score.skipped is not None:
+            assert record == {"epoch_id": score.epoch_id, "region": score.region_id, "skipped": score.skipped}
+        else:
+            assert list(record)[2:] == ["x", "y", "z", "clk", "converged", "iterations"]
+            assert (record["converged"], record["iterations"]) == (score.converged, score.iterations)
+

@@ -15,15 +15,13 @@ from gnssfix.estimator.features import (
     fit_scaler,
     guess_state,
     guess_states,
-    initial_clock_bias,
     unscale_labels,
 )
 from gnssfix.geometry import enu_basis
 from gnssfix.simulator import default_scenes, epoch_seed, generate_epoch
-from gnssfix.solver import residuals
 from gnssfix.types import BANDS, Band, CONSTELLATIONS, Constellation, EpochBatch
 
-from util import EARTH_R, ORIGIN, angular_proximity, enu_direction, epoch_of, make_epoch
+from util import EARTH_R, ORIGIN, angular_proximity, enu_direction, epoch_of, initial_clock_bias, make_epoch, residuals
 
 # column layout: 0-3 constellation, 4-5 band, 6 sin az, 7 cos az,
 # 8 elevation, 9 cn0, 10 avg_power, 11 initial residual, 12 bias

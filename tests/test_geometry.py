@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from gnssfix.errors import DegenerateGeometry
-from gnssfix.geometry import ecef_to_enu, elevation_azimuth, enu_bases, enu_basis, line_of_sight
+from gnssfix.geometry import elevation_azimuth, enu_bases, enu_basis
 
-from util import EARTH_R, ORIGIN, angular_proximity, enu_basis_cross, enu_direction, enu_to_ecef
+from util import (
+    EARTH_R,
+    ORIGIN,
+    angular_proximity,
+    ecef_to_enu,
+    enu_basis_cross,
+    enu_direction,
+    enu_to_ecef,
+    line_of_sight,
+)
 
 
 def _random_surface_point(rng):

@@ -1,21 +1,38 @@
-"""The top-level exports still serve the benchmark's imports."""
+"""The package still serves every name the benchmark imports or traces."""
 
 import ast
+import glob
+import importlib
 import os
 
-import gnssfix
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
-WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+
+def _tree(name):
+    with open(os.path.join(PERFBENCH, name), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
 
 
 def test_benchmark_imports_resolve():
-    tree = ast.parse(open(WORKLOADS, encoding="utf-8").read())
-    names = [
-        alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.module == "gnssfix"
+    imports = [
+        (node.module, alias.name)
+        for path in sorted(glob.glob(os.path.join(PERFBENCH, "*.py")))
+        for node in ast.walk(_tree(os.path.basename(path)))
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "gnssfix"
         for alias in node.names
     ]
-    assert names
-    assert [name for name in names if not hasattr(gnssfix, name)] == []
+    assert ("gnssfix.evaluation", "score_epoch") in imports
+    missing = [(m, name) for m, name in imports if not hasattr(importlib.import_module(m), name)]
+    assert missing == []
 
+
+def test_traced_functions_exist():
+    (targets,) = [
+        node.value
+        for node in _tree("tracing.py").body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]
+    ]
+    pairs = [(ast.literal_eval(entry.elts[0]), ast.literal_eval(entry.elts[1])) for entry in targets.elts]
+    assert ("evaluation", "score_epoch") in pairs
+    missing = [(m, f) for m, f in pairs if not callable(getattr(importlib.import_module(f"gnssfix.{m}"), f, None))]
+    assert missing == []

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from gnssfix.errors import DegenerateProjection, InsufficientRedundancy, LengthMismatch, NonFiniteInput
-from gnssfix.regulator import build_scaled_geometry, kernel_basis, regulate_measurements, regulate_weights
-from gnssfix.solver import WlsConfig, geometry_matrix, residuals, wls_solve
+from gnssfix.regulator import build_scaled_geometry, regulate_measurements, regulate_weights
+from gnssfix.solver import WlsConfig, geometry_matrix, wls_solve
 
-from util import cost, make_epoch
+from util import cost, kernel_basis, make_epoch, residuals
 
 
 def _epoch_geometry(rng, n=8, sigma=5.0):

@@ -50,6 +50,14 @@ def test_guess_and_truth_must_be_finite():
         _epoch(truth=[EARTH_R, float("-inf"), 0.0, 0.0])  # position
 
 
+def test_truth_must_not_sit_at_earths_center():
+    # no local frame there, so the horizontal error could not be scored
+    for position in ([0.0, 0.0, 0.0], [0.5, -0.5, 0.0]):
+        with pytest.raises(ValueError, match="truth position at Earth's center"):
+            _epoch(truth=[*position, 42.0])
+    assert _epoch(truth=[1.0, 0.0, 0.0, 42.0]).truth[0] == 1.0
+
+
 def test_guess_and_truth_shapes():
     for guess in ([EARTH_R, 0.0], [EARTH_R, 0.0, 0.0, 0.0], [[EARTH_R, 0.0, 0.0]], None):
         with pytest.raises(ValueError, match="initial_guess has shape"):

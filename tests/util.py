@@ -9,9 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from gnssfix.errors import DegenerateGeometry, LengthMismatch
+from gnssfix.estimator.features import guess_state
 from gnssfix.estimator.network import AGG_FLOOR, BN_EPS
-from gnssfix.geometry import MIN_LOS_DISTANCE, enu_basis, line_of_sight
-from gnssfix.solver import residuals
+from gnssfix.geometry import MIN_LOS_DISTANCE, distances, enu_basis
+from gnssfix.regulator import _ranks
 from gnssfix.types import BANDS, CONSTELLATIONS, Epoch
 
 EARTH_R = 6_371_000.0
@@ -105,9 +106,46 @@ def epoch_of(sat_pos, pseudorange, guess: np.ndarray = ORIGIN, **fields) -> Epoc
     )
 
 
+def ecef_to_enu(origin: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Local tangent-plane (east, north, up) coordinates of point relative to origin."""
+    return enu_basis(origin) @ (point - origin)
+
+
 def enu_to_ecef(origin: np.ndarray, enu) -> np.ndarray:
-    """Inverse of geometry.ecef_to_enu."""
+    """Inverse of ecef_to_enu."""
     return origin + enu_basis(origin).T @ np.asarray(enu, dtype=float)
+
+
+def line_of_sight(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Receiver-to-satellite vectors (n, 3) and their lengths (n,)."""
+    d, dist = distances(sat_pos, pos)
+    if np.any(dist < MIN_LOS_DISTANCE):
+        raise DegenerateGeometry(f"receiver-satellite distance {dist.min():.3g} m below {MIN_LOS_DISTANCE} m")
+    return d, dist
+
+
+def residuals(epoch: Epoch, state: np.ndarray) -> np.ndarray:
+    """Computed-minus-measured pseudo-range for every observation."""
+    _, dist = line_of_sight(epoch.sat_pos, state[:3])
+    return dist + state[3] - epoch.pseudorange
+
+
+def initial_clock_bias(epoch: Epoch) -> float:
+    """Clock bias that moves the 10th percentile of guess-location residuals to zero."""
+    return float(guess_state(epoch)[3])
+
+
+def kernel_basis(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the kernel of M, as columns.
+
+    Rank is decided from the SVD by the regulator's own rule: singular
+    values below RANK_EPS * sigma_max count as zero.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[1]
+    _, s, vt = np.linalg.svd(M, full_matrices=True)
+    rank = int(_ranks(s[None])[0])
+    return vt[rank:].T.reshape(n, n - rank)
 
 
 def angular_proximity(receiver: np.ndarray, sat_i, sat_j) -> float:
@@ -136,6 +174,14 @@ def cost(epoch: Epoch, state: np.ndarray, weights) -> float:
         raise LengthMismatch(f"{w.shape} weights for {len(epoch)} observations")
     r = residuals(epoch, state)
     return float(np.sum(w * r * r))
+
+
+def abs_error_means(labels: np.ndarray, e_hat: np.ndarray) -> tuple[float, float]:
+    """Mean |error| before and after subtracting one epoch's estimates, summed in row order."""
+    n = len(labels)
+    before = np.add.reduceat(np.abs(labels), [0])[0]
+    after = np.add.reduceat(np.abs(labels - e_hat), [0])[0]
+    return float(before / n), float(after / n)
 
 
 def enu_basis_cross(origin: np.ndarray) -> np.ndarray:
