@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoFailure
-from .types import BANDS, CONSTELLATIONS, Band, Constellation, Epoch
+from .types import BANDS, CONSTELLATIONS, Epoch
 
 DATASET_FORMAT = "gnssfix.dataset/1"
 MANIFEST_NAME = "manifest.json"
@@ -25,6 +25,9 @@ _OBS_KEYS = ("sat_id", "const", "band", "sat_pos", "pr", "cn0", "avg_pow", "trut
 _TRUTH_KEYS = ("x", "y", "z", "clk")
 _CONSTELLATION_NAMES = np.array([c.value for c in CONSTELLATIONS])
 _BAND_NAMES = np.array([b.value for b in BANDS])
+# On-disk name -> code; an unknown name is a KeyError, reported as malformed
+_CONSTELLATION_CODES = {c.value: i for i, c in enumerate(CONSTELLATIONS)}
+_BAND_CODES = {b.value: i for i, b in enumerate(BANDS)}
 
 
 def epoch_to_record(epoch: Epoch, include_truth: bool = True) -> dict:
@@ -65,8 +68,8 @@ def record_to_epoch(rec: dict) -> Epoch:
             region_id=str(rec["region"]),
             initial_guess=guess,
             sat_id=[int(d["sat_id"]) for d in obs],
-            constellation=[CONSTELLATIONS.index(Constellation(d["const"])) for d in obs],
-            band=[BANDS.index(Band(d["band"])) for d in obs],
+            constellation=[_CONSTELLATION_CODES[d["const"]] for d in obs],
+            band=[_BAND_CODES[d["band"]] for d in obs],
             sat_pos=[d["sat_pos"] for d in obs],
             pseudorange=[d["pr"] for d in obs],
             cn0=[d["cn0"] for d in obs],

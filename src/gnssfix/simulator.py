@@ -5,6 +5,21 @@ its azimuth is received indirectly and picks up a positive excess-path
 error; satellites above it get small zero-mean noise.  Pseudo-ranges are
 built as distance + clock + error, so the stored per-measurement error is
 exact by construction.
+
+Draw order is part of the dataset format: every epoch has its own
+generator, and generate_epoch draws from it in this order, scalar call by
+scalar call. First the truth offset angle, its radius and the clock
+(three uniforms), then the satellite count (one integer). Then, satellite
+after satellite: its azimuth, sine of elevation and distance (one
+``random(3)``, scaled as ``rng.uniform`` scales), its constellation and
+band (two ``integers`` calls, which share PCG64's buffered 32-bit halves),
+then the normals of its branch: error, C/N0 and power in line of sight, or
+latent z1, error noise, z2 and power when blocked. Last come the two
+guess-offset normals. The satellite loop holds only these draws and the
+line-of-sight test that picks the branch (``np.arcsin``, whose rounding
+differs from ``math.asin``); the arithmetic on them runs on whole-epoch
+arrays with the same per-element operation order, so the bytes match a
+one-satellite-at-a-time generator exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +117,17 @@ class SceneConfig:
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        for name in ("cn0_los_mean", "cn0_nlos_mean"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
+    @cached_property
+    def origin_basis(self) -> np.ndarray:
+        """East, north, up rows of the local frame at receiver_origin, read-only."""
+        basis = enu_basis(np.array(self.receiver_origin))
+        basis.setflags(write=False)
+        return basis
 
 
 def stable_seed(*parts) -> int:
@@ -138,24 +165,24 @@ def origin_from_lat_lon(lat_deg: float, lon_deg: float) -> np.ndarray:
 
 ERROR_QUANTUM = 2.0**-28  # ulp of the satellite-range binade [2^24, 2^25)
 
+_BIN_WIDTH = 2.0 * np.pi / N_MASK_BINS
+# rng.uniform(low, high) is low + (high - low) * rng.random(), so a
+# satellite's azimuth, sine of elevation and distance are one rng.random(3)
+# scaled by these
+_SAT_LOW = (0.0, float(np.sin(MIN_SAT_ELEVATION)), SAT_RANGE_MIN)
+_SAT_SPAN = (2.0 * np.pi, 1.0 - _SAT_LOW[1], SAT_RANGE_MAX - SAT_RANGE_MIN)
+_NLOS_CN0_RESIDUAL = np.sqrt(1.0 - NLOS_CN0_COUPLING**2)
 
-def _quantize(value: float) -> float:
+
+def _quantize(value):
     """Snap to the range ulp so range + clock + error is exact in doubles."""
-    return float(np.round(value / ERROR_QUANTUM) * ERROR_QUANTUM)
-
-
-def _los_sigma(base: float, cos_el: float) -> float:
-    # base 0 means a deliberately noise-free scene; the floor only applies
-    # to real noise laws
-    if base == 0.0:
-        return 0.0
-    return max(LOS_SIGMA_FLOOR, base * (1.0 + cos_el))
+    return np.round(value / ERROR_QUANTUM) * ERROR_QUANTUM
 
 
 def generate_epoch(scene: SceneConfig, epoch_id: int, rng: np.random.Generator) -> Epoch:
     """One epoch: truth state, satellites, errors, pseudo-ranges, guess."""
     origin = np.array(scene.receiver_origin)
-    basis_origin = enu_basis(origin)
+    basis_origin = scene.origin_basis
     ang = rng.uniform(0.0, 2.0 * np.pi)
     lateral = TRUTH_LATERAL_MAX * np.sqrt(rng.uniform())
     truth_pos = (
@@ -163,65 +190,77 @@ def generate_epoch(scene: SceneConfig, epoch_id: int, rng: np.random.Generator) 
         + lateral * np.sin(ang) * basis_origin[0]
         + lateral * np.cos(ang) * basis_origin[1]
     )
-    clock = _quantize(rng.uniform(-CLOCK_TRUTH_RANGE, CLOCK_TRUTH_RANGE))
+    clock = float(_quantize(rng.uniform(-CLOCK_TRUTH_RANGE, CLOCK_TRUTH_RANGE)))
 
     n = int(rng.integers(scene.n_sats_range[0], scene.n_sats_range[1] + 1))
     basis = enu_basis(truth_pos)
-    mask = np.asarray(scene.sky_mask_bins, dtype=float)
-    bin_width = 2.0 * np.pi / N_MASK_BINS
-    sin_el_min = np.sin(MIN_SAT_ELEVATION)
+    mask = scene.sky_mask_bins
+    n_const, n_band = len(CONSTELLATIONS), len(BANDS)
 
-    drawn = []
+    # The draw loop keeps the draws in their per-satellite order: three
+    # uniforms (azimuth, sine of elevation, area-uniform on the cap, and
+    # distance), constellation, band, then the normals of the branch the LOS
+    # test picks. LOS: error, C/N0, power; NLOS: latent z1, error noise, z2,
+    # power. Row i of `normals` holds them right-aligned, so column 0 is z1,
+    # 1 the error normal, 2 the C/N0 normal (z2 for NLOS) and 3 the power
+    # normal.
+    uniforms, codes, el, los, normals = [], [], [], [], []
     for _ in range(n):
-        az = rng.uniform(0.0, 2.0 * np.pi)
-        sin_el = rng.uniform(sin_el_min, 1.0)  # area-uniform on the cap
-        distance = rng.uniform(SAT_RANGE_MIN, SAT_RANGE_MAX)
-        constellation = int(rng.integers(0, len(CONSTELLATIONS)))
-        band = int(rng.integers(0, len(BANDS)))
+        draw = rng.random(3).tolist()
+        codes.append((rng.integers(0, n_const), rng.integers(0, n_band)))
+        az = _SAT_LOW[0] + _SAT_SPAN[0] * draw[0]
+        e = np.arcsin(_SAT_LOW[1] + _SAT_SPAN[1] * draw[1])
+        visible = e > mask[int(az // _BIN_WIDTH) % N_MASK_BINS]
+        uniforms.append(draw)
+        el.append(e)
+        los.append(visible)
+        normals.append([0.0, *rng.standard_normal(3).tolist()] if visible else rng.standard_normal(4).tolist())
+    az, sin_el, distance = np.add(_SAT_LOW, np.multiply(_SAT_SPAN, uniforms)).T
+    el = np.array(el)
+    z1, z_err, z_cn0, z_pow = np.array(normals).T
+    codes = np.array(codes)
+    los = np.array(los)
 
-        el = np.arcsin(sin_el)
-        cos_el = np.cos(el)
-        u = (
-            np.sin(az) * cos_el * basis[0]
-            + np.cos(az) * cos_el * basis[1]
-            + sin_el * basis[2]
-        )
-        sat_pos = truth_pos + distance * u
-        los = el > mask[int(az // bin_width) % N_MASK_BINS]
+    cos_el = np.cos(el)
+    u = (
+        (np.sin(az) * cos_el)[:, None] * basis[0]
+        + (np.cos(az) * cos_el)[:, None] * basis[1]
+        + sin_el[:, None] * basis[2]
+    )
+    sat_pos = truth_pos + distance[:, None] * u
 
-        if los:
-            error = _los_sigma(scene.los_sigma_base, cos_el) * rng.standard_normal()
-            cn0 = scene.cn0_los_mean + scene.cn0_los_std * rng.standard_normal()
-        else:
-            z1 = rng.standard_normal()
-            # -ln of a uniform tail probability is a unit exponential
-            excess = -scene.nlos_mean_extra * np.log(max(ndtr(-z1), 1e-300))
-            error = excess + scene.nlos_sigma * rng.standard_normal()
-            z2 = rng.standard_normal()
-            mix = -NLOS_CN0_COUPLING * z1 + np.sqrt(1.0 - NLOS_CN0_COUPLING**2) * z2
-            cn0 = scene.cn0_nlos_mean + scene.cn0_nlos_std * mix
-        cn0 = float(np.clip(cn0, CN0_MIN, CN0_MAX))
-        avg_power = float(cn0 + AVG_POWER_OFFSET + rng.standard_normal())
-        drawn.append((sat_pos, constellation, band, _quantize(error), cn0, avg_power))
+    # base 0 means a deliberately noise-free scene; the floor only applies
+    # to real noise laws
+    if scene.los_sigma_base == 0.0:
+        los_sigma = np.zeros(n)
+    else:
+        los_sigma = np.maximum(LOS_SIGMA_FLOOR, scene.los_sigma_base * (1.0 + cos_el))
+    # -ln of a uniform tail probability is a unit exponential
+    excess = -scene.nlos_mean_extra * np.log(np.maximum(ndtr(-z1), 1e-300))
+    error = _quantize(np.where(los, los_sigma * z_err, excess + scene.nlos_sigma * z_err))
+    mix = -NLOS_CN0_COUPLING * z1 + _NLOS_CN0_RESIDUAL * z_cn0
+    cn0 = np.where(
+        los,
+        scene.cn0_los_mean + scene.cn0_los_std * z_cn0,
+        scene.cn0_nlos_mean + scene.cn0_nlos_std * mix,
+    )
+    cn0 = np.clip(cn0, CN0_MIN, CN0_MAX)
+    avg_power = cn0 + AVG_POWER_OFFSET + z_pow
 
     # every range sits in the [2^24, 2^25) binade, so with clock and error
     # quantized to the 2^-28 ulp the sum below is exactly representable and
     # m - range - clock returns the stored error to the last bit
-    sat_pos, constellation, band, error, cn0, avg_power = (np.array(c) for c in zip(*drawn))
     ranges = np.linalg.norm(sat_pos - truth_pos, axis=1)
 
-    guess = (
-        truth_pos
-        + scene.guess_offset_sigma * rng.standard_normal() * basis[0]
-        + scene.guess_offset_sigma * rng.standard_normal() * basis[1]
-    )
+    offset = scene.guess_offset_sigma * rng.standard_normal(2)
+    guess = truth_pos + offset[0] * basis[0] + offset[1] * basis[1]
     return Epoch(
         epoch_id=epoch_id,
         region_id=scene.region_id,
         initial_guess=guess,
         sat_id=np.arange(1, n + 1),
-        constellation=constellation,
-        band=band,
+        constellation=codes[:, 0],
+        band=codes[:, 1],
         sat_pos=sat_pos,
         pseudorange=ranges + clock + error,
         cn0=cn0,

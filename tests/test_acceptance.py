@@ -4,7 +4,8 @@ Run with `pytest -v tests/test_acceptance.py` for a per-criterion
 pass/fail line. The learned-pipeline criteria share one generated
 five-region dataset and five trained models (module-scoped fixtures),
 so the file takes several minutes; everything is seeded and
-deterministic.
+deterministic. The three criteria that need the trained models are marked
+``slow``; `pytest -m "not slow"` skips them and the trainings.
 """
 
 import dataclasses
@@ -320,6 +321,7 @@ def test_criterion_07_selection_traces_and_floor(rng):
 
 # ------------------------------------------------------------- criterion 8
 
+@pytest.mark.slow
 def test_criterion_08_learned_pipeline_beats_unit_wls(folds, trained_models, dataset):
     _, holdout = folds
     start = time.perf_counter()
@@ -347,6 +349,7 @@ def test_criterion_08_learned_pipeline_beats_unit_wls(folds, trained_models, dat
 
 # ------------------------------------------------------------- criterion 9
 
+@pytest.mark.slow
 def test_criterion_09_error_correction_halves_mean_error(folds, trained_models):
     _, holdout = folds
     model = load_model(trained_models["paths"][0])
@@ -369,6 +372,7 @@ def test_criterion_09_error_correction_halves_mean_error(folds, trained_models):
 
 # ------------------------------------------------------------ criterion 10
 
+@pytest.mark.slow
 def test_criterion_10_small_errors_predicted_better(folds, trained_models):
     _, holdout = folds
     model = load_model(trained_models["paths"][0])

@@ -21,7 +21,7 @@ from gnssfix.dataset import (
     write_shard,
 )
 from gnssfix.errors import IoFailure
-from gnssfix.simulator import SceneConfig, generate_dataset, sample_sky_mask
+from gnssfix.simulator import SceneConfig, default_scenes, generate_dataset, sample_sky_mask
 
 from util import ORIGIN, make_epoch
 
@@ -88,6 +88,19 @@ def test_read_shard_reports_bad_line(rng, tmp_path):
     assert ":1:" in str(err.value)  # line number in the message
     with pytest.raises(IoFailure):
         read_shard(str(tmp_path / "absent.jsonl"))
+
+
+@pytest.mark.parametrize("key, value", [("const", "QZS"), ("band", "L2"), ("const", "gps"), ("band", 5)])
+def test_read_shard_rejects_unknown_codes(rng, tmp_path, key, value):
+    good = epoch_to_record(make_epoch(rng, n=5))
+    bad = epoch_to_record(make_epoch(rng, n=5, epoch_id=1))
+    bad["obs"][3][key] = value
+    path = str(tmp_path / "codes.jsonl")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(IoFailure) as err:
+        read_shard(path)
+    assert f"{path}:2:" in str(err.value) and repr(value) in str(err.value)
 
 
 def test_read_shard_rejects_truth_at_earths_center(rng, tmp_path):
@@ -176,6 +189,23 @@ def test_generate_dataset_byte_identical_regeneration(tmp_path):
     assert _file_digest(os.path.join(out_a, "manifest.json")) == _file_digest(
         os.path.join(out_b, "manifest.json")
     )
+
+
+# sha256 of the five default shards (20 epochs each, global seed 0) in scene
+# order. Pins the simulator's draw order and rounding: regenerating with the
+# same code cannot catch a change to either.
+GOLDEN_DEFAULT_SHARDS_SHA256 = "405a7560ab9997e8d5eae4a65c34083ed5784a73ffe4bbf8dc0619ec9168953f"
+
+
+def test_generate_dataset_golden_bytes(tmp_path):
+    out = str(tmp_path / "data")
+    scenes = default_scenes(0)
+    generate_dataset(scenes, 20, out, global_seed=0)
+    digest = hashlib.sha256()
+    for scene in scenes:
+        with open(shard_path(out, scene.region_id), "rb") as fh:
+            digest.update(fh.read())
+    assert digest.hexdigest() == GOLDEN_DEFAULT_SHARDS_SHA256
 
 
 def test_generate_dataset_seed_changes_content(tmp_path):

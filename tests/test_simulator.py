@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gnssfix.geometry import elevation_azimuth
+from gnssfix.geometry import elevation_azimuth, enu_basis
 from gnssfix.simulator import (
     MASK_RANGES,
     MIN_SAT_ELEVATION,
@@ -14,11 +17,14 @@ from gnssfix.simulator import (
     generate_epoch,
     origin_from_lat_lon,
     sample_sky_mask,
+    scene_from_dict,
+    scene_to_dict,
     stable_seed,
 )
 from gnssfix.solver import WlsConfig, wls_solve
+from gnssfix.types import Epoch
 
-from util import ORIGIN
+from util import ORIGIN, generate_epoch_reference
 
 
 def _scene(mask_elevation=0.0, **overrides):
@@ -209,3 +215,71 @@ def test_scene_validation():
     for origin in ([6_371_000.0, 0.0], [6_371_000.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]):
         with pytest.raises(ValueError, match="receiver_origin"):
             _scene(receiver_origin=origin)
+
+
+def test_scene_rejects_non_finite_cn0_means():
+    for name in ("cn0_los_mean", "cn0_nlos_mean"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                _scene(**{name: value})
+            payload = scene_to_dict(_scene())
+            payload[name] = value
+            with pytest.raises(ValueError, match=f"scene 'lab'.*{name}"):
+                scene_from_dict(payload)
+    # a finite mean outside [CN0_MIN, CN0_MAX] is clipped, not refused
+    assert _scene(cn0_los_mean=-5.0, cn0_nlos_mean=90.0).cn0_los_mean == -5.0
+
+
+def test_origin_basis_is_the_fixed_frame():
+    scene = default_scenes(0)[3]
+    basis = scene.origin_basis
+    assert basis is scene.origin_basis  # computed once per scene
+    assert np.array_equal(basis, enu_basis(np.array(scene.receiver_origin)))
+    assert not basis.flags.writeable
+
+
+# Scenes that between them take every branch of the error law: the default
+# regions (both branches), no skyline (all LOS), a skyline at 89 degrees
+# (all but the rare satellite near zenith NLOS) and a noise-free LOS law,
+# whose zero sigma signs the stored errors like the normals.
+_ALL_LOS = _scene(region_id="all-los", mask_elevation=0.0)
+_ALL_NLOS = _scene(region_id="all-nlos", mask_elevation=math.radians(89.0))
+_NOISE_FREE = _scene(region_id="noise-free", mask_elevation=math.radians(35.0), los_sigma_base=0.0)
+_EQUIVALENCE_SCENES = (*default_scenes(0), _ALL_LOS, _ALL_NLOS, _NOISE_FREE)
+
+
+def _bits(ep: Epoch) -> list:
+    """Every field, arrays as dtype and raw bytes, so -0.0 differs from 0.0."""
+    values = (getattr(ep, f.name) for f in dataclasses.fields(Epoch))
+    return [(v.dtype, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 10**6),
+    st.sampled_from(range(len(_EQUIVALENCE_SCENES))),
+)
+def test_generate_epoch_matches_scalar_reference(global_seed, epoch_id, which):
+    scene = _EQUIVALENCE_SCENES[which]
+    seed = epoch_seed(global_seed, scene.region_id, epoch_id)
+    ep = generate_epoch(scene, epoch_id, np.random.default_rng(seed))
+    ref = generate_epoch_reference(scene, epoch_id, np.random.default_rng(seed))
+    assert ep == ref
+    assert _bits(ep) == _bits(ref)
+
+
+def test_equivalence_scenes_take_both_branches():
+    def nlos_fraction(scene):
+        return np.mean(np.concatenate([_nlos_flags(scene, generate_epoch(scene, k, np.random.default_rng(k))) for k in range(40)]))
+
+    assert nlos_fraction(_ALL_LOS) == 0.0
+    assert nlos_fraction(_ALL_NLOS) > 0.99
+    assert 0.0 < nlos_fraction(_NOISE_FREE) < 1.0
+    # a zero sigma times a negative normal stores -0.0
+    los_errors = []
+    for k in range(20):
+        ep = generate_epoch(_NOISE_FREE, k, np.random.default_rng(k))
+        los_errors.append(ep.truth_error[~_nlos_flags(_NOISE_FREE, ep)])
+    los_errors = np.concatenate(los_errors)
+    assert np.all(los_errors == 0.0) and np.signbit(los_errors).any()

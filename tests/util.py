@@ -7,7 +7,9 @@ Positions are (3,) ECEF arrays and states (4,) arrays [x, y, z, clock bias].
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtr
 
+from gnssfix import simulator as sim
 from gnssfix.errors import DegenerateGeometry, LengthMismatch
 from gnssfix.estimator.features import guess_state
 from gnssfix.estimator.network import AGG_FLOOR, BN_EPS
@@ -238,3 +240,75 @@ def bn_act_backward_reference(params, name, cache, d_out, grads):
     grads[f"{name}.beta"] = dy.sum(axis=0)
     dxhat = dy * params.tensors[f"{name}.gamma"]
     return entry["inv"] * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
+
+
+def generate_epoch_reference(scene: sim.SceneConfig, epoch_id: int, rng: np.random.Generator) -> Epoch:
+    """simulator.generate_epoch in its textbook form: every satellite drawn and
+    computed in one scalar pass, one ``rng`` call per value."""
+    origin = np.array(scene.receiver_origin)
+    basis_origin = enu_basis(origin)
+    ang = rng.uniform(0.0, 2.0 * np.pi)
+    lateral = sim.TRUTH_LATERAL_MAX * np.sqrt(rng.uniform())
+    truth_pos = origin + lateral * np.sin(ang) * basis_origin[0] + lateral * np.cos(ang) * basis_origin[1]
+    clock = _quantize(rng.uniform(-sim.CLOCK_TRUTH_RANGE, sim.CLOCK_TRUTH_RANGE))
+
+    n = int(rng.integers(scene.n_sats_range[0], scene.n_sats_range[1] + 1))
+    basis = enu_basis(truth_pos)
+    mask = np.asarray(scene.sky_mask_bins, dtype=float)
+    bin_width = 2.0 * np.pi / sim.N_MASK_BINS
+    sin_el_min = np.sin(sim.MIN_SAT_ELEVATION)
+
+    drawn = []
+    for _ in range(n):
+        az = rng.uniform(0.0, 2.0 * np.pi)
+        sin_el = rng.uniform(sin_el_min, 1.0)
+        distance = rng.uniform(sim.SAT_RANGE_MIN, sim.SAT_RANGE_MAX)
+        constellation = int(rng.integers(0, len(CONSTELLATIONS)))
+        band = int(rng.integers(0, len(BANDS)))
+
+        el = np.arcsin(sin_el)
+        cos_el = np.cos(el)
+        u = np.sin(az) * cos_el * basis[0] + np.cos(az) * cos_el * basis[1] + sin_el * basis[2]
+        sat_pos = truth_pos + distance * u
+        los = el > mask[int(az // bin_width) % sim.N_MASK_BINS]
+
+        if los:
+            sigma = 0.0 if scene.los_sigma_base == 0.0 else max(sim.LOS_SIGMA_FLOOR, scene.los_sigma_base * (1.0 + cos_el))
+            error = sigma * rng.standard_normal()
+            cn0 = scene.cn0_los_mean + scene.cn0_los_std * rng.standard_normal()
+        else:
+            z1 = rng.standard_normal()
+            excess = -scene.nlos_mean_extra * np.log(max(ndtr(-z1), 1e-300))
+            error = excess + scene.nlos_sigma * rng.standard_normal()
+            z2 = rng.standard_normal()
+            mix = -sim.NLOS_CN0_COUPLING * z1 + np.sqrt(1.0 - sim.NLOS_CN0_COUPLING**2) * z2
+            cn0 = scene.cn0_nlos_mean + scene.cn0_nlos_std * mix
+        cn0 = float(np.clip(cn0, sim.CN0_MIN, sim.CN0_MAX))
+        avg_power = float(cn0 + sim.AVG_POWER_OFFSET + rng.standard_normal())
+        drawn.append((sat_pos, constellation, band, _quantize(error), cn0, avg_power))
+
+    sat_pos, constellation, band, error, cn0, avg_power = (np.array(c) for c in zip(*drawn))
+    ranges = np.linalg.norm(sat_pos - truth_pos, axis=1)
+    guess = (
+        truth_pos
+        + scene.guess_offset_sigma * rng.standard_normal() * basis[0]
+        + scene.guess_offset_sigma * rng.standard_normal() * basis[1]
+    )
+    return Epoch(
+        epoch_id=epoch_id,
+        region_id=scene.region_id,
+        initial_guess=guess,
+        sat_id=np.arange(1, n + 1),
+        constellation=constellation,
+        band=band,
+        sat_pos=sat_pos,
+        pseudorange=ranges + clock + error,
+        cn0=cn0,
+        avg_power=avg_power,
+        truth_error=error,
+        truth=np.append(truth_pos, clock),
+    )
+
+
+def _quantize(value: float) -> float:
+    return float(np.round(value / sim.ERROR_QUANTUM) * sim.ERROR_QUANTUM)
