@@ -159,9 +159,10 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     rest, held = _split_dataset(args.data, args.holdout)
-    rows = trace_rows(load_model(args.model), held if args.holdout is not None else rest)
+    epochs = held if args.holdout is not None else rest
+    rows = trace_rows(load_model(args.model), epochs)
     write_trace(args.out, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(rows)} rows to {args.out} ({len(epochs) - len(rows)} skipped)")
     return EXIT_OK
 
 

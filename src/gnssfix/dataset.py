@@ -1,7 +1,8 @@
 """JSONL epoch serialization and dataset manifest handling.
 
-One epoch per line.  Truth fields are written only when present, so the
-same schema serves labelled training data and inference-only exports.
+One epoch per line.  Truth fields are written only when the epoch carries
+them, so the same schema serves labelled training data and unlabelled
+epochs.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ _CONSTELLATION_CODES = {c.value: i for i, c in enumerate(CONSTELLATIONS)}
 _BAND_CODES = {b.value: i for i, b in enumerate(BANDS)}
 
 
-def epoch_to_record(epoch: Epoch, include_truth: bool = True) -> dict:
+def epoch_to_record(epoch: Epoch) -> dict:
     """Plain-dict form of one epoch, keys in the on-disk order."""
     rec: dict = {"epoch_id": epoch.epoch_id, "region": epoch.region_id}
-    if include_truth and epoch.truth is not None:
+    if epoch.truth is not None:
         rec["truth"] = dict(zip(_TRUTH_KEYS, epoch.truth.tolist()))
     rec["guess"] = dict(zip(_TRUTH_KEYS[:3], epoch.initial_guess.tolist()))
     columns = [
@@ -45,7 +46,7 @@ def epoch_to_record(epoch: Epoch, include_truth: bool = True) -> dict:
         epoch.cn0,
         epoch.avg_power,
     ]
-    if include_truth and epoch.truth_error is not None:
+    if epoch.truth_error is not None:
         columns.append(epoch.truth_error)
     rec["obs"] = [dict(zip(_OBS_KEYS, row)) for row in zip(*(c.tolist() for c in columns))]
     return rec
@@ -81,12 +82,12 @@ def record_to_epoch(rec: dict) -> Epoch:
         raise IoFailure(f"malformed epoch record: {exc}") from exc
 
 
-def write_shard(path: str, epochs: list[Epoch], include_truth: bool = True) -> None:
+def write_shard(path: str, epochs: list[Epoch]) -> None:
     """Write epochs as one JSONL shard, one line per epoch."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for ep in epochs:
-                fh.write(json.dumps(epoch_to_record(ep, include_truth), separators=(",", ":")))
+                fh.write(json.dumps(epoch_to_record(ep), separators=(",", ":")))
                 fh.write("\n")
     except OSError as exc:
         raise IoFailure(f"cannot write shard {path}: {exc}") from exc

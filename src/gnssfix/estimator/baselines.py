@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DegenerateGeometry, EmptyInput, LengthMismatch, MissingFit, failure_code, raise_failure
-from ..geometry import directions, elevation_azimuth, local_angles
+from ..geometry import directions, local_angles
 from ..types import Epoch, EpochBatch
 
 # E[ln e^2] for e ~ N(0, s^2) is ln s^2 + E[ln chi2_1]; correcting by this
@@ -58,14 +58,23 @@ def fit_elevation_weights(elevations: np.ndarray, errors: np.ndarray) -> Elevati
     return ElevationWeightFit(a=a, b=b)
 
 
+def _elevations(batch: EpochBatch) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) elevation of every measurement seen from its epoch's initial guess,
+    and which epochs have degenerate geometry there."""
+    units, _, too_close = directions(batch.pad(batch.sat_pos), batch.initial_guess)
+    el, _, at_center = local_angles(batch.initial_guess, units)
+    return batch.unpad(el), too_close | at_center
+
+
 def fit_elevation_baseline(epochs: Sequence[Epoch]) -> ElevationWeightFit:
     """Fit the variance law on every labelled measurement of the epochs."""
     labelled = [ep for ep in epochs if ep.truth_error is not None]
     if not labelled:
         raise EmptyInput("no labelled measurements to fit on")
-    els = [elevation_azimuth(ep.initial_guess, ep.sat_pos)[0] for ep in labelled]
-    errs = [ep.truth_error for ep in labelled]
-    return fit_elevation_weights(np.concatenate(els), np.concatenate(errs))
+    el, degenerate = _elevations(EpochBatch.of(labelled))
+    if degenerate.any():
+        raise DegenerateGeometry(f"epoch {labelled[int(np.argmax(degenerate))].epoch_id}: degenerate geometry at the guess")
+    return fit_elevation_weights(el, np.concatenate([ep.truth_error for ep in labelled]))
 
 
 def batch_heuristic_weights(
@@ -85,9 +94,8 @@ def batch_heuristic_weights(
     if method == "elevation":
         if fit is None:
             raise MissingFit("elevation weighting requires a fitted variance law")
-        units, _, too_close = directions(batch.pad(batch.sat_pos), batch.initial_guess)
-        el, _, at_center = local_angles(batch.initial_guess, units)
-        return 1.0 / fit.variance(batch.unpad(el)), too_close | at_center
+        el, degenerate = _elevations(batch)
+        return 1.0 / fit.variance(el), degenerate
     raise ValueError(f"unknown weighting method {method!r}")
 
 

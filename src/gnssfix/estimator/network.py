@@ -100,12 +100,7 @@ class ModelParams:
                 raise ShapeMismatch(f"{name}: expected shape ({self.hidden},), got {arr.shape}")
 
 
-def init_params(
-    rng: np.random.Generator,
-    in_dim: int = FEATURE_DIM,
-    hidden: int = DEFAULT_HIDDEN,
-    leaky_slope: float = DEFAULT_LEAKY_SLOPE,
-) -> ModelParams:
+def init_params(rng: np.random.Generator, in_dim: int = FEATURE_DIM, hidden: int = DEFAULT_HIDDEN) -> ModelParams:
     """Fresh parameters: He-normal weight matrices, zero biases, identity norm."""
     tensors: dict[str, np.ndarray] = {}
     for name, shape in tensor_shapes(in_dim, hidden).items():
@@ -119,7 +114,7 @@ def init_params(
     for layer in bn_layer_names():
         bn_stats[f"{layer}.mean"] = np.zeros(hidden)
         bn_stats[f"{layer}.var"] = np.ones(hidden)
-    return ModelParams(in_dim, hidden, leaky_slope, tensors, bn_stats)
+    return ModelParams(in_dim, hidden, DEFAULT_LEAKY_SLOPE, tensors, bn_stats)
 
 
 def _aggregator(graphs: list[EpochGraph]) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -29,53 +28,33 @@ from .network import (
 )
 
 
+# The one optimiser schedule: Adam with L2 weight decay, the learning rate
+# multiplied by LR_DECAY every LR_DECAY_EVERY iterations.
+LEARNING_RATE = 1e-3
+WEIGHT_DECAY = 1e-3
+LR_DECAY = 0.8
+LR_DECAY_EVERY = 1500
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+BN_MOMENTUM = 0.1
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimiser schedule; batch_size counts epochs, not measurements."""
+    """Batch size (in epochs, not measurements), iteration count and seed."""
 
     batch_size: int = 32
     iterations: int = 10_000
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-3
-    lr_decay: float = 0.8
-    lr_decay_every: int = 1500
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    leaky_slope: float = 0.01
-    bn_momentum: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # a NaN, infinite or out-of-range value here would train a model with
-        # non-finite tensors and raise nothing, so every optimiser field is checked
-        for name in ("batch_size", "iterations", "lr_decay_every"):
+        for name in ("batch_size", "iterations"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
-        for name in (
-            "batch_size",
-            "iterations",
-            "learning_rate",
-            "weight_decay",
-            "lr_decay",
-            "lr_decay_every",
-            "adam_beta1",
-            "adam_beta2",
-            "adam_eps",
-            "leaky_slope",
-            "bn_momentum",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive and finite, not {value!r}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if getattr(self, name) >= 1.0:
-                raise ValueError(f"{name} must be below 1")
-        if self.bn_momentum > 1.0:
-            raise ValueError("bn_momentum must be at most 1")
-        if self.lr_decay > 1.0:
-            raise ValueError("lr_decay must be at most 1")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, not {value!r}")
 
 
 def batch_loss(
@@ -144,12 +123,7 @@ def train(
     labels = [apply_label_scaler(scaler, y) for y in labels_raw]
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(
-        rng,
-        in_dim=feats_raw.shape[1],
-        hidden=hidden,
-        leaky_slope=config.leaky_slope,
-    )
+    params = init_params(rng, in_dim=feats_raw.shape[1], hidden=hidden)
 
     m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     v = {k: np.zeros_like(val) for k, val in params.tensors.items()}
@@ -163,27 +137,22 @@ def train(
         idx = order[pos : pos + config.batch_size]
         pos += config.batch_size
 
-        loss, grads, cache = loss_and_grads(
-            params,
-            [graphs[i] for i in idx],
-            [labels[i] for i in idx],
-            config.weight_decay,
-        )
+        loss, grads, cache = loss_and_grads(params, [graphs[i] for i in idx], [labels[i] for i in idx], WEIGHT_DECAY)
         if loss_sink is not None:
             loss_sink.append(loss)
-        update_running_stats(params, cache, config.bn_momentum)
+        update_running_stats(params, cache, BN_MOMENTUM)
 
-        lr = config.learning_rate * config.lr_decay ** (it // config.lr_decay_every)
+        lr = LEARNING_RATE * LR_DECAY ** (it // LR_DECAY_EVERY)
         step = it + 1
-        bias1 = 1.0 - config.adam_beta1**step
-        bias2 = 1.0 - config.adam_beta2**step
+        bias1 = 1.0 - ADAM_BETA1**step
+        bias2 = 1.0 - ADAM_BETA2**step
         for name in params.tensors:
             g = grads[name]
-            m[name] = config.adam_beta1 * m[name] + (1.0 - config.adam_beta1) * g
-            v[name] = config.adam_beta2 * v[name] + (1.0 - config.adam_beta2) * g**2
+            m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+            v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g**2
             m_hat = m[name] / bias1
             v_hat = v[name] / bias2
-            params.tensors[name] = params.tensors[name] - lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            params.tensors[name] = params.tensors[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     regions = tuple(sorted({ep.region_id for ep in labelled}))
     return replace(params, scaler=scaler, train_regions=regions)

@@ -19,7 +19,6 @@ from .errors import (
     NoLabels,
     NonFiniteInput,
     failure_code,
-    raise_failure,
 )
 from .estimator.baselines import ElevationWeightFit, batch_heuristic_weights
 from .estimator.features import guess_states
@@ -401,16 +400,15 @@ def trace_rows(model: ModelParams, epochs: Sequence[Epoch]) -> list[tuple[int, s
     """Per labelled epoch, mean |error| and mean |error - estimate| under the model.
 
     The model must be held out from the epochs' regions. An epoch whose
-    geometry is degenerate at its initial guess raises DegenerateGeometry.
+    geometry is degenerate at its initial guess gets no row.
     """
     require_held_out(model, {ep.region_id for ep in epochs})
     rows = []
     for chunk, batch in _chunks([ep for ep in epochs if ep.truth_error is not None]):
         e_hat, status = _batch_estimates(chunk, batch, model, False)
-        for ep, code in zip(chunk, status.tolist()):
-            raise_failure(code, f"epoch {ep.epoch_id}")
         before, after = _mean_abs_errors(batch, np.concatenate([ep.truth_error for ep in chunk]), e_hat)
-        rows += [(ep.epoch_id, ep.region_id, b, a) for ep, b, a in zip(chunk, before.tolist(), after.tolist())]
+        columns = zip(chunk, status.tolist(), before.tolist(), after.tolist())
+        rows += [(ep.epoch_id, ep.region_id, b, a) for ep, code, b, a in columns if not code]
     return rows
 
 

@@ -271,21 +271,9 @@ def generate_epoch(scene: SceneConfig, epoch_id: int, rng: np.random.Generator) 
 
 
 def scene_to_dict(scene: SceneConfig) -> dict:
-    return {
-        "region_id": scene.region_id,
-        "receiver_origin": list(scene.receiver_origin),
-        "sky_mask_bins": list(scene.sky_mask_bins),
-        "n_sats_range": list(scene.n_sats_range),
-        "los_sigma_base": scene.los_sigma_base,
-        "nlos_mean_extra": scene.nlos_mean_extra,
-        "nlos_sigma": scene.nlos_sigma,
-        "cn0_los_mean": scene.cn0_los_mean,
-        "cn0_los_std": scene.cn0_los_std,
-        "cn0_nlos_mean": scene.cn0_nlos_mean,
-        "cn0_nlos_std": scene.cn0_nlos_std,
-        "guess_offset_sigma": scene.guess_offset_sigma,
-        "seed": scene.seed,
-    }
+    """JSON-ready form of a scene: every field in declaration order, tuples as lists."""
+    values = ((f.name, getattr(scene, f.name)) for f in fields(SceneConfig))
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
 # How a scene field is read from JSON; every field not listed is a float.

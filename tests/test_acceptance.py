@@ -220,11 +220,15 @@ def _lattice_minimum(epoch, weights, half=50.0, step=0.5):
     xs = center[0] + offsets
     ys = center[1] + offsets
     grid_xy = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    # squared distance as np.linalg.norm sums it, (dx^2 + dy^2) + dz^2, with
+    # the horizontal part shared by every z-slice
+    d_xy = grid_xy[:, None, :] - sats[None, :, :2]
+    sq_xy = d_xy[..., 0] ** 2 + d_xy[..., 1] ** 2
 
     best = (np.inf, None, None)
     for dz in offsets:
-        pts = np.column_stack([grid_xy, np.full(len(grid_xy), center[2] + dz)])
-        d = np.linalg.norm(pts[:, None, :] - sats[None, :, :], axis=2)
+        z = center[2] + dz
+        d = np.sqrt(sq_xy + (z - sats[:, 2]) ** 2)
         a = d - meas[None, :]
         s1 = a @ w
         s2 = (a * a) @ w
@@ -234,7 +238,7 @@ def _lattice_minimum(epoch, weights, half=50.0, step=0.5):
         cost = s2 + 2.0 * dt_grid * s1 + dt_grid**2 * wsum
         k = int(np.argmin(cost))
         if cost[k] < best[0]:
-            best = (float(cost[k]), pts[k], float(dt_grid[k]))
+            best = (float(cost[k]), np.append(grid_xy[k], z), float(dt_grid[k]))
     return best
 
 

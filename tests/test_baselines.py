@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gnssfix.errors import EmptyInput, MissingFit
+from gnssfix.errors import DegenerateGeometry, EmptyInput, MissingFit
 from gnssfix.estimator.baselines import (
     ElevationWeightFit,
     fit_elevation_baseline,
@@ -89,6 +89,22 @@ def test_fit_elevation_baseline_over_epochs(rng):
     fit = fit_elevation_baseline(epochs)
     assert fit.a == pytest.approx(a, rel=0.15)
     assert fit.b == pytest.approx(b, rel=0.15)
+
+
+def test_fit_elevation_baseline_equals_per_epoch_elevations(rng):
+    # one batched pass over epochs of different sizes gives each measurement
+    # the elevation elevation_azimuth gives it alone
+    from dataclasses import replace
+
+    epochs = [make_epoch(rng, n=n, errors=rng.normal(0, 5, n), epoch_id=k) for k, n in enumerate(range(4, 16))]
+    epochs[3] = replace(epochs[3], truth_error=None)
+    labelled = [ep for ep in epochs if ep.truth_error is not None]
+    els = np.concatenate([elevation_azimuth(ep.initial_guess, ep.sat_pos)[0] for ep in labelled])
+    want = fit_elevation_weights(els, np.concatenate([ep.truth_error for ep in labelled]))
+    assert fit_elevation_baseline(epochs) == want
+    epochs[5] = replace(epochs[5], initial_guess=epochs[5].sat_pos[0])
+    with pytest.raises(DegenerateGeometry, match="epoch 5:"):
+        fit_elevation_baseline(epochs)
 
 
 def test_fit_elevation_baseline_needs_labels(rng):

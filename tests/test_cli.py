@@ -246,7 +246,8 @@ def test_chunked_localize_and_trace_match_default(tiny_data, tmp_path, monkeypat
     assert outputs() == whole
 
 
-def test_trace_exits_4_on_degenerate_geometry(tiny_data, tmp_path, capsys):
+def test_trace_skips_degenerate_geometry(tiny_data, tmp_path, capsys):
+    # an initial guess on a satellite costs that epoch its row, not the region's
     import shutil
 
     data = str(tmp_path / "data")
@@ -255,9 +256,12 @@ def test_trace_exits_4_on_degenerate_geometry(tiny_data, tmp_path, capsys):
     epochs = read_shard(shard)
     epochs[2] = _guess_on_satellite(epochs[2])
     write_shard(shard, epochs)
-    args = ["trace", "--data", data, "--model", tiny_data["model"], "--holdout", "canyon"]
-    assert main(args + ["--out", str(tmp_path / "trace.csv")]) == 4
-    assert f"numerical failure: epoch {epochs[2].epoch_id}:" in capsys.readouterr().err
+    out = str(tmp_path / "trace.csv")
+    args = ["trace", "--data", data, "--model", tiny_data["model"], "--holdout", "canyon", "--out", out]
+    assert main(args) == 0
+    assert f"wrote {len(epochs) - 1} rows to {out} (1 skipped)" in capsys.readouterr().out
+    rows = list(csv.reader(open(out)))[1:]
+    assert [int(r[0]) for r in rows] == [ep.epoch_id for k, ep in enumerate(epochs) if k != 2]
 
 
 def test_trace_refuses_training_regions(tiny_data, tmp_path, capsys):

@@ -50,8 +50,8 @@ def test_record_roundtrip(rng):
 
 
 def test_record_without_truth(rng):
-    ep = make_epoch(rng, n=5)
-    rec = epoch_to_record(ep, include_truth=False)
+    ep = dataclasses.replace(make_epoch(rng, n=5, labelled=False), truth=None)
+    rec = epoch_to_record(ep)
     assert "truth" not in rec
     assert all("truth_err" not in d for d in rec["obs"])
     back = record_to_epoch(rec)
