@@ -117,12 +117,14 @@ def init_params(rng: np.random.Generator, in_dim: int = FEATURE_DIM, hidden: int
     return ModelParams(in_dim, hidden, DEFAULT_LEAKY_SLOPE, tensors, bn_stats)
 
 
-def _aggregator(graphs: list[EpochGraph]) -> tuple[np.ndarray, np.ndarray]:
+def aggregation_blocks(graphs: list[EpochGraph]) -> tuple[np.ndarray, np.ndarray]:
     """Per-graph neighbour-averaging blocks over a batch of graphs.
 
     Returns the (B, K, K) row-normalised adjacencies, zero-padded to the
     largest graph, and the (N,) positions of the stacked nodes in the
-    flattened (B * K) padded layout.
+    flattened (B * K) padded layout.  Each graph's row sums run over its own
+    n columns: summing its zero padding too would group the additions
+    differently and change their bits.
     """
     sizes = [g.adjacency.shape[0] for g in graphs]
     k = max(sizes)
@@ -130,8 +132,13 @@ def _aggregator(graphs: list[EpochGraph]) -> tuple[np.ndarray, np.ndarray]:
     for b, (g, n) in enumerate(zip(graphs, sizes)):
         denom = np.maximum(g.adjacency.sum(axis=1, keepdims=True), AGG_FLOOR)
         blocks[b, :n, :n] = g.adjacency / denom
-    rows = np.flatnonzero(np.arange(k) < np.array(sizes)[:, None])
-    return blocks, rows
+    return blocks, padded_rows(np.array(sizes), k)
+
+
+def padded_rows(counts: np.ndarray, k: int) -> np.ndarray:
+    """(N,) positions of the stacked nodes of graphs with ``counts`` nodes in
+    the flattened (B * k) padded layout."""
+    return np.flatnonzero(np.arange(k) < counts[:, None])
 
 
 def _aggregate(blocks: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -197,26 +204,19 @@ def _dense(params: ModelParams, name: str, x: np.ndarray, cache: dict | None) ->
     return _bn_act(params, name, x, _node_matmul(x, params.tensors[f"{name}.w"]), cache)
 
 
-def batch_forward(
-    params: ModelParams, graphs: list[EpochGraph], train: bool = False
+def forward(
+    params: ModelParams, X: np.ndarray, blocks: np.ndarray, rows: np.ndarray, train: bool = False
 ) -> tuple[np.ndarray, dict | None]:
-    """Run the network over a batch of graphs stacked into one node set.
+    """Run the network over the (N, D) stacked node features of a batch of
+    graphs, given their aggregation ``blocks`` and node ``rows`` as
+    ``aggregation_blocks`` returns them.
 
     Normalisation pools statistics over all nodes of the batch when ``train``
     is set, and uses the stored running statistics otherwise.  Returns the
     per-node outputs flat over the batch, plus the activation cache in train
     mode (None otherwise).
     """
-    if not graphs:
-        raise ShapeMismatch("no graphs to run")
-    for g in graphs:
-        if g.node_features.shape[1] != params.in_dim:
-            raise ShapeMismatch(
-                f"graph feature dim {g.node_features.shape[1]} does not match model in_dim {params.in_dim}"
-            )
     t = params.tensors
-    X = np.vstack([g.node_features for g in graphs])
-    blocks, rows = _aggregator(graphs)
     cache: dict | None = {"blocks": blocks, "rows": rows} if train else None
     h = X
     for i in range(N_ENCODER):
@@ -237,6 +237,21 @@ def batch_forward(
     if cache is not None:
         cache["out_x"] = h
     return out, cache
+
+
+def batch_forward(
+    params: ModelParams, graphs: list[EpochGraph], train: bool = False
+) -> tuple[np.ndarray, dict | None]:
+    """``forward`` over a batch of graphs stacked into one node set."""
+    if not graphs:
+        raise ShapeMismatch("no graphs to run")
+    for g in graphs:
+        if g.node_features.shape[1] != params.in_dim:
+            raise ShapeMismatch(
+                f"graph feature dim {g.node_features.shape[1]} does not match model in_dim {params.in_dim}"
+            )
+    blocks, rows = aggregation_blocks(graphs)
+    return forward(params, np.vstack([g.node_features for g in graphs]), blocks, rows, train)
 
 
 def _bn_act_backward(params: ModelParams, name: str, cache: dict, d_out: np.ndarray, grads: dict) -> np.ndarray:
@@ -284,7 +299,8 @@ def batch_backward(params: ModelParams, cache: dict, d_out: np.ndarray) -> dict[
         name = f"enc{i}"
         dz = _bn_act_backward(params, name, cache, dh, grads)
         grads[f"{name}.w"] = cache[name]["x"].T @ dz
-        dh = dz @ t[f"{name}.w"].T
+        if i > 0:  # the input features need no gradient
+            dh = dz @ t[f"{name}.w"].T
     return grads
 
 

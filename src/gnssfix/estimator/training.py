@@ -21,9 +21,12 @@ from .features import (
 from .network import (
     DEFAULT_HIDDEN,
     ModelParams,
+    aggregation_blocks,
     batch_backward,
     batch_forward,
+    forward,
     init_params,
+    padded_rows,
     update_running_stats,
 )
 
@@ -57,6 +60,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive, not {value!r}")
 
 
+def _squared_error(out: np.ndarray, y: np.ndarray, batch: int) -> tuple[float, np.ndarray]:
+    """Squared error summed over the nodes of ``batch`` epochs and averaged
+    over them, and its derivative with respect to every node output."""
+    diff = out - y
+    return float(np.sum(diff**2)) / batch, 2.0 * diff / batch
+
+
 def batch_loss(
     params: ModelParams,
     graphs: Sequence[EpochGraph],
@@ -75,24 +85,30 @@ def batch_loss(
             raise LengthMismatch(f"{g.node_features.shape[0]} nodes vs {len(y)} labels in one epoch")
     out, cache = batch_forward(params, list(graphs), train=True)
     y_cat = np.concatenate([np.asarray(y, dtype=float) for y in labels_scaled])
-    batch = len(graphs)
-    diff = out - y_cat
-    return float(np.sum(diff**2)) / batch, 2.0 * diff / batch, cache
+    loss, d_out = _squared_error(out, y_cat, len(graphs))
+    return loss, d_out, cache
 
 
 def loss_and_grads(
     params: ModelParams,
     graphs: Sequence[EpochGraph],
     labels_scaled: Sequence[np.ndarray],
-    weight_decay: float = 0.0,
 ) -> tuple[float, dict[str, np.ndarray], dict]:
-    """Batch loss plus the exact reverse-mode gradient of every tensor, with
-    L2 weight decay added; the cache carries the batch normalisation moments."""
+    """Batch loss plus the exact reverse-mode gradient of every tensor; the
+    cache carries the batch normalisation moments."""
     loss, d_out, cache = batch_loss(params, graphs, labels_scaled)
-    grads = batch_backward(params, cache, d_out)
-    for name, value in params.tensors.items():
-        grads[name] = grads[name] + weight_decay * value
-    return loss, grads, cache
+    return loss, batch_backward(params, cache, d_out), cache
+
+
+def _flat_tensors(params: ModelParams) -> tuple[np.ndarray, ModelParams]:
+    """One flat vector holding every tensor, and ``params`` with its tensors
+    replaced by views of that vector, in ``tensor_shapes`` order."""
+    theta = np.concatenate([t.ravel() for t in params.tensors.values()])
+    views, at = {}, 0
+    for name, t in params.tensors.items():
+        views[name] = theta[at : at + t.size].reshape(t.shape)
+        at += t.size
+    return theta, replace(params, tensors=views)
 
 
 def train(
@@ -106,8 +122,9 @@ def train(
     Deterministic for a fixed seed: initialisation, batch order and update
     arithmetic all come from one seeded generator.  The returned parameters
     embed the feature scaler, the running normalisation statistics and the
-    set of regions trained on.  When ``loss_sink`` is given, the pre-update
-    batch loss of every iteration is appended to it.
+    set of regions trained on; their tensors are views of one flat vector,
+    which Adam updates in place.  When ``loss_sink`` is given, the
+    pre-update batch loss of every iteration is appended to it.
     """
     labelled = [ep for ep in dataset if ep.truth_error is not None]
     if not labelled:
@@ -117,17 +134,21 @@ def train(
     feats_raw, units, degenerate = batch_features(batch)
     if degenerate.any():
         raise DegenerateGeometry(f"epoch {labelled[int(np.argmax(degenerate))].epoch_id}: degenerate geometry at the guess")
-    labels_raw = [ep.truth_error for ep in labelled]
-    scaler = fit_scaler(feats_raw, np.concatenate(labels_raw))
-    graphs = batch_graphs(batch, apply_feature_scaler(scaler, feats_raw), units)
-    labels = [apply_label_scaler(scaler, y) for y in labels_raw]
+    labels_raw = np.concatenate([ep.truth_error for ep in labelled])
+    scaler = fit_scaler(feats_raw, labels_raw)
+    features = apply_feature_scaler(scaler, feats_raw)
+    # the padded training set, built once: each batch gathers its epochs' rows
+    blocks, _ = aggregation_blocks(batch_graphs(batch, features, units))
+    features = batch.pad(features)
+    labels = batch.pad(apply_label_scaler(scaler, labels_raw))
+    counts = batch.counts
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(rng, in_dim=feats_raw.shape[1], hidden=hidden)
-
-    m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-    v = {k: np.zeros_like(val) for k, val in params.tensors.items()}
-    n_epochs = len(graphs)
+    theta, params = _flat_tensors(init_params(rng, in_dim=feats_raw.shape[1], hidden=hidden))
+    g = np.empty_like(theta)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    n_epochs = batch.size
     order = rng.permutation(n_epochs)
     pos = 0
     for it in range(config.iterations):
@@ -137,22 +158,29 @@ def train(
         idx = order[pos : pos + config.batch_size]
         pos += config.batch_size
 
-        loss, grads, cache = loss_and_grads(params, [graphs[i] for i in idx], [labels[i] for i in idx], WEIGHT_DECAY)
+        # gathered at the batch's own width: the block products keep the
+        # shapes, and so the bits, of blocks built for this batch alone
+        k = counts[idx].max()
+        rows = padded_rows(counts[idx], k)
+        X = features[idx, :k].reshape(-1, features.shape[2])[rows]
+        out, cache = forward(params, X, blocks[idx, :k, :k], rows, train=True)
+        loss, d_out = _squared_error(out, labels[idx, :k].reshape(-1)[rows], idx.size)
+        grads = batch_backward(params, cache, d_out)
         if loss_sink is not None:
             loss_sink.append(loss)
         update_running_stats(params, cache, BN_MOMENTUM)
 
+        np.concatenate([grads[name].ravel() for name in params.tensors], out=g)
+        g += WEIGHT_DECAY * theta
         lr = LEARNING_RATE * LR_DECAY ** (it // LR_DECAY_EVERY)
         step = it + 1
         bias1 = 1.0 - ADAM_BETA1**step
         bias2 = 1.0 - ADAM_BETA2**step
-        for name in params.tensors:
-            g = grads[name]
-            m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
-            v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g**2
-            m_hat = m[name] / bias1
-            v_hat = v[name] / bias2
-            params.tensors[name] = params.tensors[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
     regions = tuple(sorted({ep.region_id for ep in labelled}))
     return replace(params, scaler=scaler, train_regions=regions)

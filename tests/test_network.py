@@ -22,7 +22,7 @@ from gnssfix.estimator.network import (
     save_model,
 )
 
-from util import bn_act_backward_reference, bn_act_reference, dense_aggregator, make_epoch
+from util import bn_act_backward_reference, bn_act_reference, dense_aggregate, make_epoch
 
 
 def _random_graph(rng, n, in_dim=13):
@@ -306,7 +306,6 @@ def test_stacked_inference_equals_one_graph_calls(rng, hidden):
 def test_block_aggregation_trains_like_dense_matrix(rng, monkeypatch):
     # the padded per-graph blocks and the dense N x N matrix are the same
     # linear map, summed in another order
-    from gnssfix.estimator import network
     from gnssfix.estimator.training import TrainConfig, train
 
     epochs = [make_epoch(rng, n=int(n), errors=rng.normal(0, 5, n), cn0=rng.uniform(25, 50, n), epoch_id=k)
@@ -314,10 +313,18 @@ def test_block_aggregation_trains_like_dense_matrix(rng, monkeypatch):
     config = TrainConfig(batch_size=8, iterations=50, seed=3)
     blocks: list[float] = []
     train(epochs, config, hidden=16, loss_sink=blocks)
-    monkeypatch.setattr(network, "_aggregator", dense_aggregator)
-    dense: list[float] = []
-    train(epochs, config, hidden=16, loss_sink=dense)
-    assert np.allclose(blocks, dense, rtol=1e-9, atol=0.0)
+    calls: list[int] = []
+
+    def dense(blocks, rows, h):
+        calls.append(h.shape[0])
+        return dense_aggregate(blocks, rows, h)
+
+    monkeypatch.setattr(network, "_aggregate", dense)
+    dense_losses: list[float] = []
+    train(epochs, config, hidden=16, loss_sink=dense_losses)
+    # every SAGE block of every forward and backward pass ran the dense map
+    assert len(calls) == 2 * N_SAGE * config.iterations
+    assert np.allclose(blocks, dense_losses, rtol=1e-9, atol=0.0)
 
 
 def _same_bits(a, b) -> bool:

@@ -5,7 +5,7 @@ from gnssfix.errors import LengthMismatch, NoLabels
 from gnssfix.estimator.network import batch_forward, init_params
 from gnssfix.estimator.training import TrainConfig, batch_loss, loss_and_grads, train
 
-from util import make_epoch
+from util import make_epoch, train_reference
 from test_network import _random_graph, _randomized_params
 
 
@@ -127,14 +127,19 @@ def test_gradients_match_finite_differences(rng):
     assert not bad, "\n".join(bad[:10])
 
 
-def test_gradients_include_weight_decay(rng):
-    params = _randomized_params(rng, hidden=4)
-    graphs = [_random_graph(rng, 4)]
-    labels = [rng.standard_normal(4)]
-    g0 = loss_and_grads(params, graphs, labels)[1]
-    g1 = loss_and_grads(params, graphs, labels, weight_decay=0.5)[1]
-    for name, tensor in params.tensors.items():
-        assert np.allclose(g1[name], g0[name] + 0.5 * tensor, atol=1e-12)
+def test_gradients_include_weight_decay(rng, monkeypatch):
+    # the flat step adds the decay as the per-tensor reference does, and a
+    # decay this large moves the trained weights
+    from gnssfix.estimator import training
+
+    data = _toy_dataset(rng, n_epochs=12)
+    cfg = TrainConfig(batch_size=4, iterations=5, seed=2)
+    plain = train(data, cfg, hidden=4)
+    monkeypatch.setattr(training, "WEIGHT_DECAY", 0.5)
+    decayed, reference = train(data, cfg, hidden=4), train_reference(data, cfg, hidden=4)
+    for name, tensor in reference.tensors.items():
+        assert decayed.tensors[name].tobytes() == tensor.tobytes(), name
+    assert any(not np.array_equal(decayed.tensors[n], plain.tensors[n]) for n in plain.tensors)
 
 
 def test_gradients_duplicate_batch_invariance(rng):
@@ -173,6 +178,32 @@ def test_train_same_seed_bit_identical(rng):
     for name in a.bn_stats:
         assert np.array_equal(a.bn_stats[name], b.bn_stats[name]), name
     assert a.train_regions == b.train_regions
+
+
+@pytest.mark.parametrize("batch_size", [1, 8])
+def test_train_matches_reference_bits(rng, batch_size):
+    # the padded set gathered by index and the flat Adam buffer are a pure
+    # refactor of the per-iteration graph lists and per-tensor moments: most
+    # batches are narrower than the widest epoch, and one epoch has no labels
+    data = [
+        make_epoch(rng, n=int(n), errors=rng.normal(0, 5, n), cn0=rng.uniform(25, 50, n), epoch_id=k)
+        for k, n in enumerate(rng.integers(4, 17, 30))
+    ]
+    data.append(make_epoch(rng, n=16, epoch_id=30, labelled=False))
+    cfg = TrainConfig(batch_size=batch_size, iterations=40, seed=5)
+    got_losses: list[float] = []
+    want_losses: list[float] = []
+    got = train(data, cfg, hidden=8, loss_sink=got_losses)
+    want = train_reference(data, cfg, hidden=8, loss_sink=want_losses)
+    assert got_losses == want_losses
+    for name, tensor in want.tensors.items():
+        assert got.tensors[name].shape == tensor.shape, name
+        assert got.tensors[name].tobytes() == tensor.tobytes(), name
+    for name, stat in want.bn_stats.items():
+        assert got.bn_stats[name].tobytes() == stat.tobytes(), name
+    assert got.train_regions == want.train_regions
+    for name, value in vars(want.scaler).items():
+        assert np.asarray(getattr(got.scaler, name)).tobytes() == np.asarray(value).tobytes(), name
 
 
 def test_train_embeds_scaler_and_regions(rng):

@@ -6,16 +6,27 @@ Positions are (3,) ECEF arrays and states (4,) arrays [x, y, z, clock bias].
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.special import ndtr
 
 from gnssfix import simulator as sim
 from gnssfix.errors import DegenerateGeometry, LengthMismatch
-from gnssfix.estimator.features import guess_state
-from gnssfix.estimator.network import AGG_FLOOR, BN_EPS
+from gnssfix.estimator import training
+from gnssfix.estimator.features import (
+    apply_feature_scaler,
+    apply_label_scaler,
+    batch_features,
+    batch_graphs,
+    fit_scaler,
+    guess_state,
+)
+from gnssfix.estimator.network import BN_EPS, init_params, update_running_stats
+from gnssfix.estimator.training import loss_and_grads
 from gnssfix.geometry import MIN_LOS_DISTANCE, distances, enu_basis
 from gnssfix.regulator import _ranks
-from gnssfix.types import BANDS, CONSTELLATIONS, Epoch
+from gnssfix.types import BANDS, CONSTELLATIONS, Epoch, EpochBatch
 
 EARTH_R = 6_371_000.0
 ORIGIN = np.array([EARTH_R, 0.0, 0.0])
@@ -196,18 +207,58 @@ def enu_basis_cross(origin: np.ndarray) -> np.ndarray:
     return np.vstack([east, np.cross(up, east), up])
 
 
-def dense_aggregator(graphs) -> tuple[np.ndarray, np.ndarray]:
-    """network._aggregator as one dense block-diagonal N x N neighbour-averaging
+def dense_aggregate(blocks: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """network._aggregate as one dense block-diagonal N x N neighbour-averaging
     matrix over the stacked nodes, the layout the padded blocks replaced."""
-    sizes = [g.adjacency.shape[0] for g in graphs]
-    total = int(sum(sizes))
-    P = np.zeros((total, total))
-    at = 0
-    for g, n in zip(graphs, sizes):
-        denom = np.maximum(g.adjacency.sum(axis=1, keepdims=True), AGG_FLOOR)
-        P[at : at + n, at : at + n] = g.adjacency / denom
-        at += n
-    return P[None], np.arange(total)
+    b, k, _ = blocks.shape
+    full = np.zeros((b * k, b * k))
+    for i in range(b):
+        full[i * k : (i + 1) * k, i * k : (i + 1) * k] = blocks[i]
+    return full[np.ix_(rows, rows)] @ h
+
+
+def train_reference(dataset, config, hidden: int, loss_sink: list | None = None):
+    """training.train in its textbook form: each iteration's batch is a list of
+    graphs through ``loss_and_grads``, weight decay is added tensor by tensor
+    and Adam keeps one pair of moments per tensor.  The constants are read
+    from the training module at call time, so a test can patch them for both."""
+    labelled = [ep for ep in dataset if ep.truth_error is not None]
+    batch = EpochBatch.of(labelled)
+    feats_raw, units, _ = batch_features(batch)
+    labels_raw = [ep.truth_error for ep in labelled]
+    scaler = fit_scaler(feats_raw, np.concatenate(labels_raw))
+    graphs = batch_graphs(batch, apply_feature_scaler(scaler, feats_raw), units)
+    labels = [apply_label_scaler(scaler, y) for y in labels_raw]
+
+    rng = np.random.default_rng(config.seed)
+    params = init_params(rng, in_dim=feats_raw.shape[1], hidden=hidden)
+    m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    v = {k: np.zeros_like(val) for k, val in params.tensors.items()}
+    order = rng.permutation(len(graphs))
+    pos = 0
+    for it in range(config.iterations):
+        if pos + config.batch_size > len(graphs):
+            order = rng.permutation(len(graphs))
+            pos = 0
+        idx = order[pos : pos + config.batch_size]
+        pos += config.batch_size
+
+        loss, grads, cache = loss_and_grads(params, [graphs[i] for i in idx], [labels[i] for i in idx])
+        if loss_sink is not None:
+            loss_sink.append(loss)
+        update_running_stats(params, cache, training.BN_MOMENTUM)
+
+        lr = training.LEARNING_RATE * training.LR_DECAY ** (it // training.LR_DECAY_EVERY)
+        bias1 = 1.0 - training.ADAM_BETA1 ** (it + 1)
+        bias2 = 1.0 - training.ADAM_BETA2 ** (it + 1)
+        for name in params.tensors:
+            g = grads[name] + training.WEIGHT_DECAY * params.tensors[name]
+            m[name] = training.ADAM_BETA1 * m[name] + (1.0 - training.ADAM_BETA1) * g
+            v[name] = training.ADAM_BETA2 * v[name] + (1.0 - training.ADAM_BETA2) * g**2
+            m_hat = m[name] / bias1
+            v_hat = v[name] / bias2
+            params.tensors[name] = params.tensors[name] - lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+    return replace(params, scaler=scaler, train_regions=tuple(sorted({ep.region_id for ep in labelled})))
 
 
 def bn_act_reference(params, name, x_in, z, cache):
