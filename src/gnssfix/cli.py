@@ -11,8 +11,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .dataset import load_dataset, read_shard
 from .errors import (
     EmptyInput,
@@ -25,16 +23,7 @@ from .estimator.baselines import fit_elevation_baseline
 from .estimator.network import load_model, save_model
 from .estimator.training import TrainConfig, train
 from .evaluation import METHODS, PipelineSpec, emit_reports, localize, run_pipeline, trace_rows, write_trace
-from .simulator import (
-    DEFAULT_EPOCHS_PER_REGION,
-    SceneConfig,
-    default_scenes,
-    generate_dataset,
-    origin_from_lat_lon,
-    sample_sky_mask,
-    scene_from_dict,
-    stable_seed,
-)
+from .simulator import DEFAULT_EPOCHS_PER_REGION, SceneConfig, default_scenes, generate_dataset, scene_from_entry
 from .types import Epoch
 
 EXIT_OK = 0
@@ -44,31 +33,6 @@ EXIT_NUMERICAL = 4
 
 # wls_elevation needs a variance law fitted on labelled epochs; localize has none
 LOCALIZE_METHODS = tuple(m for m in METHODS if m != "wls_elevation")
-
-
-def _parse_scene_entry(entry: dict, global_seed: int) -> tuple[SceneConfig, int]:
-    """One region from a config file: SceneConfig fields by name plus `epochs`.
-
-    An entry without `receiver_origin` takes it from `lat`/`lon`; one without
-    `sky_mask_bins` draws the mask of its `style`.
-    """
-    if not isinstance(entry, dict) or "region_id" not in entry:
-        raise ValueError(f"region entry {entry!r} is not an object with a region_id")
-    payload = dict(entry)
-    style = payload.pop("style", "urban")
-    try:
-        count = int(payload.pop("epochs", DEFAULT_EPOCHS_PER_REGION))
-        lat = float(payload.pop("lat", 0.0))
-        lon = float(payload.pop("lon", 0.0))
-    except TypeError as exc:
-        raise ValueError(f"region {entry['region_id']!r}: {exc}") from exc
-    mask_seed = stable_seed(global_seed, entry["region_id"], "mask")
-    payload.setdefault("seed", mask_seed)
-    if "receiver_origin" not in payload:
-        payload["receiver_origin"] = origin_from_lat_lon(lat, lon)
-    if "sky_mask_bins" not in payload:
-        payload["sky_mask_bins"] = sample_sky_mask(style, np.random.default_rng(mask_seed))
-    return scene_from_dict(payload), count
 
 
 def _load_scenes_config(path: str, global_seed: int) -> tuple[list[SceneConfig], list[int]]:
@@ -83,7 +47,7 @@ def _load_scenes_config(path: str, global_seed: int) -> tuple[list[SceneConfig],
         raise ValueError(f"config {path} must be an object with a 'regions' list")
     scenes, counts = [], []
     for entry in payload["regions"]:
-        scene, count = _parse_scene_entry(entry, global_seed)
+        scene, count = scene_from_entry(entry, global_seed)
         scenes.append(scene)
         counts.append(count)
     return scenes, counts

@@ -33,12 +33,12 @@ from .features import (
 BN_EPS = 1e-5
 AGG_FLOOR = 1e-8  # row-sum floor so a node with no neighbours aggregates zero
 DEFAULT_HIDDEN = 64
-DEFAULT_LEAKY_SLOPE = 0.01
+LEAKY_SLOPE = 0.01
 N_ENCODER = 5
 N_SAGE = 2
 N_HEAD = 4  # hidden head blocks before the final affine
 
-MODEL_FORMAT = "gnssfix.model/2"
+MODEL_FORMAT = "gnssfix.model/3"
 
 
 def bn_layer_names() -> list[str]:
@@ -78,7 +78,6 @@ class ModelParams:
 
     in_dim: int
     hidden: int
-    leaky_slope: float
     tensors: dict[str, np.ndarray]
     bn_stats: dict[str, np.ndarray]
     scaler: ScalerParams | None = None
@@ -100,10 +99,10 @@ class ModelParams:
                 raise ShapeMismatch(f"{name}: expected shape ({self.hidden},), got {arr.shape}")
 
 
-def init_params(rng: np.random.Generator, in_dim: int = FEATURE_DIM, hidden: int = DEFAULT_HIDDEN) -> ModelParams:
+def init_params(rng: np.random.Generator, hidden: int = DEFAULT_HIDDEN) -> ModelParams:
     """Fresh parameters: He-normal weight matrices, zero biases, identity norm."""
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in tensor_shapes(in_dim, hidden).items():
+    for name, shape in tensor_shapes(FEATURE_DIM, hidden).items():
         if name.endswith("w"):
             tensors[name] = rng.standard_normal(shape) * np.sqrt(2.0 / shape[0])
         elif name.endswith("gamma"):
@@ -114,7 +113,7 @@ def init_params(rng: np.random.Generator, in_dim: int = FEATURE_DIM, hidden: int
     for layer in bn_layer_names():
         bn_stats[f"{layer}.mean"] = np.zeros(hidden)
         bn_stats[f"{layer}.var"] = np.ones(hidden)
-    return ModelParams(in_dim, hidden, DEFAULT_LEAKY_SLOPE, tensors, bn_stats)
+    return ModelParams(FEATURE_DIM, hidden, tensors, bn_stats)
 
 
 def aggregation_blocks(graphs: list[EpochGraph]) -> tuple[np.ndarray, np.ndarray]:
@@ -159,13 +158,13 @@ def _node_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w
 
 
-def _slope_factor(mask: np.ndarray, slope: float) -> np.ndarray:
-    """The leaky ReLU's derivative, 1.0 where ``mask`` is set and ``slope``
+def _slope_factor(mask: np.ndarray) -> np.ndarray:
+    """The leaky ReLU's derivative, 1.0 where ``mask`` is set and LEAKY_SLOPE
     elsewhere, by arithmetic: ``np.where`` on a random mask branches and is
     several times slower.  (1 - slope) + slope rounds to exactly 1.0."""
     factor = mask.astype(float)
-    factor *= 1.0 - slope
-    factor += slope
+    factor *= 1.0 - LEAKY_SLOPE
+    factor += LEAKY_SLOPE
     return factor
 
 
@@ -194,7 +193,7 @@ def _bn_act(params: ModelParams, name: str, x_in: np.ndarray, z: np.ndarray, cac
     y = z * gamma if cache is not None else np.multiply(z, gamma, out=z)
     y += params.tensors[f"{name}.beta"]
     mask = y > 0.0
-    y *= _slope_factor(mask, params.leaky_slope)
+    y *= _slope_factor(mask)
     if cache is not None:
         cache[name] = {"x": x_in, "xhat": z, "inv": inv, "mask": mask, "mean": mean, "var": var}
     return y
@@ -258,7 +257,7 @@ def _bn_act_backward(params: ModelParams, name: str, cache: dict, d_out: np.ndar
     entry = cache[name]
     xhat = entry["xhat"]
     n = xhat.shape[0]
-    dy = _slope_factor(entry["mask"], params.leaky_slope)
+    dy = _slope_factor(entry["mask"])
     dy *= d_out
     grads[f"{name}.gamma"] = np.einsum("ij,ij->j", dy, xhat)
     grads[f"{name}.beta"] = np.einsum("ij->j", dy)
@@ -341,7 +340,6 @@ def save_model(params: ModelParams, path: str) -> None:
         "format": MODEL_FORMAT,
         "in_dim": params.in_dim,
         "hidden": params.hidden,
-        "leaky_slope": params.leaky_slope,
         "train_regions": list(params.train_regions),
         "tensors": {k: v.tolist() for k, v in params.tensors.items()},
         "bn_stats": {k: v.tolist() for k, v in params.bn_stats.items()},
@@ -362,7 +360,8 @@ def save_model(params: ModelParams, path: str) -> None:
 
 
 def load_model(path: str) -> ModelParams:
-    """Read a model file back; shape mismatches against the declared dims fail."""
+    """Read a model file back; a file whose dims differ from the extracted
+    features, or whose tensors differ from its declared dims, is refused."""
     if not os.path.exists(path):
         raise ModelMissing(f"no model file at {path}")
     try:
@@ -376,7 +375,6 @@ def load_model(path: str) -> ModelParams:
     try:
         in_dim = int(payload["in_dim"])
         hidden = int(payload["hidden"])
-        slope = float(payload["leaky_slope"])
         tensors = {k: np.asarray(v, dtype=float) for k, v in payload["tensors"].items()}
         bn_stats = {k: np.asarray(v, dtype=float) for k, v in payload["bn_stats"].items()}
         regions = tuple(str(r) for r in payload.get("train_regions", []))
@@ -391,6 +389,11 @@ def load_model(path: str) -> ModelParams:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"malformed model file {path}: {exc}") from exc
+    if in_dim != FEATURE_DIM:
+        raise IoFailure(f"model file {path} takes {in_dim} features, not the {FEATURE_DIM} extracted")
+    if scaler is not None and not scaler.feature_mean.shape == scaler.feature_std.shape == (in_dim,):
+        shapes = f"{scaler.feature_mean.shape} and {scaler.feature_std.shape}"
+        raise IoFailure(f"model file {path} has feature scaler shapes {shapes}, not ({in_dim},)")
     values = {f"tensors.{k}": v for k, v in tensors.items()}
     values.update({f"bn_stats.{k}": v for k, v in bn_stats.items()})
     if scaler is not None:
@@ -398,4 +401,4 @@ def load_model(path: str) -> ModelParams:
     non_finite = [name for name, v in values.items() if not np.all(np.isfinite(v))]
     if non_finite:
         raise IoFailure(f"model file {path} has non-finite values in {non_finite}")
-    return ModelParams(in_dim, hidden, slope, tensors, bn_stats, scaler, regions)
+    return ModelParams(in_dim, hidden, tensors, bn_stats, scaler, regions)

@@ -1,4 +1,4 @@
-"""Adam training loop and gradients for the error estimator."""
+"""Adam training loop for the error estimator."""
 
 from __future__ import annotations
 
@@ -8,10 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DegenerateGeometry, LengthMismatch, NoLabels
+from ..errors import DegenerateGeometry, NoLabels
 from ..types import Epoch, EpochBatch
 from .features import (
-    EpochGraph,
     apply_feature_scaler,
     apply_label_scaler,
     batch_features,
@@ -23,7 +22,6 @@ from .network import (
     ModelParams,
     aggregation_blocks,
     batch_backward,
-    batch_forward,
     forward,
     init_params,
     padded_rows,
@@ -65,39 +63,6 @@ def _squared_error(out: np.ndarray, y: np.ndarray, batch: int) -> tuple[float, n
     over them, and its derivative with respect to every node output."""
     diff = out - y
     return float(np.sum(diff**2)) / batch, 2.0 * diff / batch
-
-
-def batch_loss(
-    params: ModelParams,
-    graphs: Sequence[EpochGraph],
-    labels_scaled: Sequence[np.ndarray],
-) -> tuple[float, np.ndarray, dict]:
-    """Train-mode squared error of one batch, summed over each epoch's nodes and
-    averaged over epochs.
-
-    Returns the loss, its derivative with respect to every node output, and
-    the activation cache of the forward pass.
-    """
-    if len(graphs) != len(labels_scaled):
-        raise LengthMismatch(f"{len(graphs)} graphs vs {len(labels_scaled)} label groups")
-    for g, y in zip(graphs, labels_scaled):
-        if g.node_features.shape[0] != len(y):
-            raise LengthMismatch(f"{g.node_features.shape[0]} nodes vs {len(y)} labels in one epoch")
-    out, cache = batch_forward(params, list(graphs), train=True)
-    y_cat = np.concatenate([np.asarray(y, dtype=float) for y in labels_scaled])
-    loss, d_out = _squared_error(out, y_cat, len(graphs))
-    return loss, d_out, cache
-
-
-def loss_and_grads(
-    params: ModelParams,
-    graphs: Sequence[EpochGraph],
-    labels_scaled: Sequence[np.ndarray],
-) -> tuple[float, dict[str, np.ndarray], dict]:
-    """Batch loss plus the exact reverse-mode gradient of every tensor; the
-    cache carries the batch normalisation moments."""
-    loss, d_out, cache = batch_loss(params, graphs, labels_scaled)
-    return loss, batch_backward(params, cache, d_out), cache
 
 
 def _flat_tensors(params: ModelParams) -> tuple[np.ndarray, ModelParams]:
@@ -144,7 +109,7 @@ def train(
     counts = batch.counts
 
     rng = np.random.default_rng(config.seed)
-    theta, params = _flat_tensors(init_params(rng, in_dim=feats_raw.shape[1], hidden=hidden))
+    theta, params = _flat_tensors(init_params(rng, hidden=hidden))
     g = np.empty_like(theta)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)

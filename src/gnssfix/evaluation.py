@@ -42,17 +42,19 @@ _DEGENERATE = failure_code(DegenerateGeometry)
 # layouts and the network activations; the kernels give each epoch the same
 # bits in any batch, so the scores do not depend on it.
 FOLD_BATCH = 256
+# the one selection and solver setting every pipeline runs at
+SELECTOR_CONFIG = SelectorConfig()
+WLS_CONFIG = WlsConfig()
 
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Which weighting/correction path to run and with what knobs."""
+    """Which weighting/correction path to run, with or without selection,
+    and the model file whose estimates it needs."""
 
     method: str
     use_selector: bool = False
     model_path: str | None = None
-    selector_config: SelectorConfig = SelectorConfig()
-    wls_config: WlsConfig = WlsConfig()
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -85,7 +87,6 @@ class EvalReport:
     scores: tuple[EpochScore, ...]
     train_regions: tuple[str, ...] = ()
     eval_regions: tuple[str, ...] = ()
-    seed: int | None = None
 
     @property
     def horizontal_errors(self) -> np.ndarray:
@@ -229,7 +230,7 @@ def _fix_batch(
     used = np.ones(batch.offsets[-1], dtype=bool)
     sub = batch
     if spec.use_selector:
-        used = batch.unpad(select_batch(batch.pad(e_hat), batch.counts, spec.selector_config))
+        used = batch.unpad(select_batch(batch.pad(e_hat), batch.counts, SELECTOR_CONFIG))
         sub = batch.subset(used)
         e_hat = e_hat[used]
     status = np.where((status == 0) & (sub.counts < 4), _TOO_FEW, status)
@@ -247,7 +248,7 @@ def _fix_batch(
     else:  # wls_cn0, wls_elevation; membership checked at construction
         weights, degenerate = batch_heuristic_weights(spec.method.removeprefix("wls_"), sub, elevation_fit)
         status[(status == 0) & degenerate] = _DEGENERATE
-    result, status = solve_batch(sub, weights, start, spec.wls_config, status)
+    result, status = solve_batch(sub, weights, start, WLS_CONFIG, status)
     return _Fixes(result, used, sub, status)
 
 
@@ -342,7 +343,6 @@ def run_pipeline(
     dataset: Sequence[Epoch],
     oracle_errors: bool = False,
     elevation_fit: ElevationWeightFit | None = None,
-    seed: int | None = None,
 ) -> EvalReport:
     """Score every epoch of the dataset under the configured pipeline.
 
@@ -373,7 +373,6 @@ def run_pipeline(
         scores=tuple(scores),
         train_regions=model.train_regions if model is not None else (),
         eval_regions=eval_regions,
-        seed=seed,
     )
 
 

@@ -301,21 +301,37 @@ def scene_from_dict(payload: dict) -> SceneConfig:
         raise ValueError(f"scene {payload.get('region_id')!r}: {exc}") from exc
 
 
+def scene_from_entry(entry: dict, global_seed: int) -> tuple[SceneConfig, int]:
+    """One region of a scenes config and its epoch count: SceneConfig fields
+    by name plus `epochs`.
+
+    An entry without `seed` takes the region's mask seed, one without
+    `receiver_origin` takes it from `lat`/`lon`, and one without
+    `sky_mask_bins` draws the mask of its `style` from the mask seed.
+    """
+    if not isinstance(entry, dict) or "region_id" not in entry:
+        raise ValueError(f"region entry {entry!r} is not an object with a region_id")
+    payload = dict(entry)
+    style = payload.pop("style", "urban")
+    try:
+        count = int(payload.pop("epochs", DEFAULT_EPOCHS_PER_REGION))
+        lat = float(payload.pop("lat", 0.0))
+        lon = float(payload.pop("lon", 0.0))
+    except TypeError as exc:
+        raise ValueError(f"region {entry['region_id']!r}: {exc}") from exc
+    mask_seed = stable_seed(global_seed, entry["region_id"], "mask")
+    payload.setdefault("seed", mask_seed)
+    if "receiver_origin" not in payload:
+        payload["receiver_origin"] = origin_from_lat_lon(lat, lon)
+    if "sky_mask_bins" not in payload:
+        payload["sky_mask_bins"] = sample_sky_mask(style, np.random.default_rng(mask_seed))
+    return scene_from_dict(payload), count
+
+
 def default_scenes(global_seed: int = 0) -> list[SceneConfig]:
     """The built-in five-region layout: one open-sky, two urban, two dense."""
-    scenes = []
-    for region_id, style, lat, lon in DEFAULT_REGIONS:
-        mask_seed = stable_seed(global_seed, region_id, "mask")
-        mask = sample_sky_mask(style, np.random.default_rng(mask_seed))
-        scenes.append(
-            SceneConfig(
-                region_id=region_id,
-                receiver_origin=origin_from_lat_lon(lat, lon),
-                sky_mask_bins=tuple(float(v) for v in mask),
-                seed=mask_seed,
-            )
-        )
-    return scenes
+    entries = ({"region_id": r, "style": style, "lat": lat, "lon": lon} for r, style, lat, lon in DEFAULT_REGIONS)
+    return [scene_from_entry(entry, global_seed)[0] for entry in entries]
 
 
 def generate_dataset(

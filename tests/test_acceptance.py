@@ -152,7 +152,7 @@ def test_criterion_04_gradients_match_finite_differences(rng):
     bad = []
     checked = 0
     for _ in range(10):
-        params = init_params(rng, in_dim=13, hidden=8)
+        params = init_params(rng, hidden=8)
         graphs = []
         labels = []
         for _ in range(int(rng.integers(2, 4))):
@@ -188,7 +188,7 @@ def test_criterion_05_predict_path_permutation_equivariance(rng):
     feats = np.vstack([extract_features(ep) for ep in pool])
     labels = np.concatenate([ep.truth_error for ep in pool])
     scaler = fit_scaler(feats, labels)
-    params = dataclasses.replace(init_params(rng, in_dim=13, hidden=16), scaler=scaler)
+    params = dataclasses.replace(init_params(rng, hidden=16), scaler=scaler)
 
     worst = 0.0
     for ep in pool:
@@ -334,7 +334,7 @@ def test_criterion_08_learned_pipeline_beats_unit_wls(folds, trained_models, dat
     ratios = []
     for seed, path in zip(TRAIN_SEEDS, trained_models["paths"]):
         spec = PipelineSpec("regulate_measurements", use_selector=True, model_path=path)
-        rep = run_pipeline(spec, holdout, seed=seed)
+        rep = run_pipeline(spec, holdout)
         r50 = rep.p50 / base.p50
         r95 = rep.p95 / base.p95
         ratios.append((seed, r50, r95))

@@ -452,6 +452,22 @@ def test_exit_code_3_for_non_finite_model(tiny_data, tmp_path, capsys):
     assert "data error" in err and bad in err and "tensors.out.b" in err
 
 
+def test_exit_code_3_for_model_of_other_feature_dim(tiny_data, tmp_path, capsys):
+    # a scaler one feature short would fail in the first prediction's
+    # broadcast; the file is refused when it loads
+    payload = json.load(open(tiny_data["model"]))
+    for key in ("feature_mean", "feature_std"):
+        payload["scaler"][key] = payload["scaler"][key][:-1]
+    bad = str(tmp_path / "short-scaler.json")
+    with open(bad, "w") as fh:
+        json.dump(payload, fh)
+    args = ["--holdout", "canyon", "--method", "regulate_measurements", "--model", bad]
+    rc = main(["evaluate", "--data", tiny_data["data"], *args, "--out", str(tmp_path / "rep")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and bad in err and "scaler" in err
+
+
 def test_evaluate_with_every_epoch_skipped(tiny_data, tmp_path, capsys):
     import shutil
 

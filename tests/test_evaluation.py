@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gnssfix import evaluation
 from gnssfix.errors import DegenerateGeometry, EmptyInput, ModelMissing, NoLabels
 from gnssfix.estimator.baselines import ElevationWeightFit
 from gnssfix.estimator.network import load_model, predict_errors, save_model
@@ -22,7 +23,6 @@ from gnssfix.evaluation import (
     trace_rows,
 )
 from gnssfix.geometry import enu_basis
-from gnssfix.selector import SelectorConfig
 from gnssfix.simulator import N_MASK_BINS, SceneConfig, epoch_seed, generate_epoch, sample_sky_mask
 from gnssfix.solver import WlsConfig
 
@@ -138,7 +138,7 @@ def test_selector_with_oracle_errors_drops_outliers():
     data = _urban_dataset(100)
     base = run_pipeline(PipelineSpec(method="wls_unit"), data)
     sel = run_pipeline(
-        PipelineSpec(method="wls_unit", use_selector=True, selector_config=SelectorConfig(n_req=8)),
+        PipelineSpec(method="wls_unit", use_selector=True),
         data,
         oracle_errors=True,
     )
@@ -154,10 +154,10 @@ def test_regulated_method_requires_model_or_oracle():
         run_pipeline(PipelineSpec(method="regulate_measurements"), data)
 
 
-def test_pipeline_counts_nonconverged():
+def test_pipeline_counts_nonconverged(monkeypatch):
     data = _urban_dataset(40)
-    spec = PipelineSpec(method="wls_unit", wls_config=WlsConfig(max_iterations=1, convergence_tol=1e-10))
-    report = run_pipeline(spec, data)
+    monkeypatch.setattr(evaluation, "WLS_CONFIG", WlsConfig(max_iterations=1, convergence_tol=1e-10))
+    report = run_pipeline(PipelineSpec(method="wls_unit"), data)
     assert report.nonconverged_count == len(data)
     # still scored: horizontal errors exist for every epoch
     assert report.horizontal_errors.size == len(data)

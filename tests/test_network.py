@@ -33,10 +33,10 @@ def _random_graph(rng, n, in_dim=13):
     return EpochGraph(node_features=feats, adjacency=A)
 
 
-def _randomized_params(rng, in_dim=13, hidden=6):
+def _randomized_params(rng, hidden=6):
     # perturb every tensor and the running stats so no layer is at its
     # freshly-initialized identity
-    params = init_params(rng, in_dim=in_dim, hidden=hidden)
+    params = init_params(rng, hidden=hidden)
     for name, arr in params.tensors.items():
         arr += 0.3 * rng.standard_normal(arr.shape)
     for name, arr in params.bn_stats.items():
@@ -49,7 +49,7 @@ def _randomized_params(rng, in_dim=13, hidden=6):
 
 def _oracle_forward_infer(params, graph):
     """Straight-line reimplementation of the inference path, loop arithmetic."""
-    slope = params.leaky_slope
+    slope = network.LEAKY_SLOPE
     t = params.tensors
 
     def bn_act(name, z):
@@ -160,7 +160,7 @@ def test_train_mode_uses_batch_statistics(rng):
 
 
 def test_forward_rejects_wrong_feature_dim(rng):
-    params = init_params(rng, in_dim=13, hidden=4)
+    params = init_params(rng, hidden=4)
     bad = _random_graph(rng, 3, in_dim=12)
     with pytest.raises(ShapeMismatch):
         batch_forward(params, [bad])
@@ -175,14 +175,30 @@ def test_model_params_shape_validation(rng):
     from gnssfix.estimator.network import ModelParams
 
     with pytest.raises(ShapeMismatch):
-        ModelParams(13, 4, 0.01, tensors, dict(params.bn_stats))
+        ModelParams(13, 4, tensors, dict(params.bn_stats))
     missing = dict(params.tensors)
     del missing["out.b"]
     with pytest.raises(ShapeMismatch):
-        ModelParams(13, 4, 0.01, missing, dict(params.bn_stats))
+        ModelParams(13, 4, missing, dict(params.bn_stats))
 
 
-def test_save_load_roundtrip(rng, tmp_path):
+class _ReadKeys(dict):
+    """A JSON object that records which of its keys were looked up."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_save_load_roundtrip(rng, tmp_path, monkeypatch):
     params = _randomized_params(rng, hidden=5)
     scaler = ScalerParams(
         feature_mean=rng.standard_normal(13),
@@ -193,7 +209,18 @@ def test_save_load_roundtrip(rng, tmp_path):
     params = replace(params, scaler=scaler, train_regions=("a", "b"))
     path = str(tmp_path / "model.json")
     save_model(params, path)
+    objects = []  # every JSON object of the file, innermost first
+
+    def record(pairs):
+        objects.append(_ReadKeys(pairs))
+        return objects[-1]
+
+    monkeypatch.setattr(json, "load", lambda fh: json.loads(fh.read(), object_pairs_hook=record))
     back = load_model(path)
+    # every key written is read back, so no stored field goes unused
+    saved = json.loads(open(path).read())
+    assert objects[-1].read == set(saved)
+    assert next(o for o in objects if "label_std" in o).read == set(saved["scaler"])
     assert back.in_dim == params.in_dim and back.hidden == params.hidden
     assert back.train_regions == ("a", "b")
     for name in params.tensors:
@@ -222,13 +249,15 @@ def test_load_model_malformed(tmp_path):
         load_model(str(wrong))
 
 
-def test_load_model_refuses_format_1(rng, tmp_path):
-    # format 1 carried biases that the batch normalisation cancels; such a
-    # file is refused outright and the model has to be retrained
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_model_refuses_old_formats(rng, tmp_path, version):
+    # format 1 carried biases that the batch normalisation cancels and
+    # format 2 a leaky slope that no model varied; such a file is refused
+    # outright and the model has to be retrained
     path = str(tmp_path / "model.json")
     save_model(init_params(rng, hidden=4), path)
     payload = json.loads(open(path).read())
-    payload["format"] = "gnssfix.model/1"
+    payload["format"] = f"gnssfix.model/{version}"
     open(path, "w").write(json.dumps(payload))
     with pytest.raises(IoFailure, match="retrain"):
         load_model(path)
@@ -262,6 +291,27 @@ def test_load_model_rejects_dimension_lie(rng, tmp_path):
     open(path, "w").write(json.dumps(payload))
     with pytest.raises(ShapeMismatch):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda p: p.update(in_dim=12), "takes 12 features"),
+        (lambda p: p["scaler"].update(feature_mean=p["scaler"]["feature_mean"][:-1]), "scaler"),
+        (lambda p: p["scaler"].update(feature_std=[1.0] * 14), "scaler"),
+        (lambda p: p["scaler"].update(feature_mean=0.0), "scaler"),
+    ],
+)
+def test_load_model_refuses_other_feature_dims(rng, tmp_path, edit, named):
+    scaler = ScalerParams(np.zeros(13), np.ones(13), 0.0, 1.0)
+    path = str(tmp_path / "model.json")
+    save_model(replace(init_params(rng, hidden=4), scaler=scaler), path)
+    payload = json.loads(open(path).read())
+    edit(payload)
+    open(path, "w").write(json.dumps(payload))
+    with pytest.raises(IoFailure, match=named) as info:
+        load_model(path)
+    assert path in str(info.value)
 
 
 def test_predict_errors_requires_scaler(rng):

@@ -3,9 +3,9 @@ import pytest
 
 from gnssfix.errors import LengthMismatch, NoLabels
 from gnssfix.estimator.network import batch_forward, init_params
-from gnssfix.estimator.training import TrainConfig, batch_loss, loss_and_grads, train
+from gnssfix.estimator.training import TrainConfig, train
 
-from util import make_epoch, train_reference
+from util import batch_loss, loss_and_grads, make_epoch, train_reference
 from test_network import _random_graph, _randomized_params
 
 

@@ -22,8 +22,14 @@ from gnssfix.estimator.features import (
     fit_scaler,
     guess_state,
 )
-from gnssfix.estimator.network import BN_EPS, init_params, update_running_stats
-from gnssfix.estimator.training import loss_and_grads
+from gnssfix.estimator.network import (
+    BN_EPS,
+    LEAKY_SLOPE,
+    batch_backward,
+    batch_forward,
+    init_params,
+    update_running_stats,
+)
 from gnssfix.geometry import MIN_LOS_DISTANCE, distances, enu_basis
 from gnssfix.regulator import _ranks
 from gnssfix.types import BANDS, CONSTELLATIONS, Epoch, EpochBatch
@@ -217,6 +223,32 @@ def dense_aggregate(blocks: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.n
     return full[np.ix_(rows, rows)] @ h
 
 
+def batch_loss(params, graphs, labels_scaled):
+    """Train-mode squared error of one batch of graphs, summed over each
+    epoch's nodes and averaged over epochs, as training.train computes it on
+    its padded set.
+
+    Returns the loss, its derivative with respect to every node output, and
+    the activation cache of the forward pass.
+    """
+    if len(graphs) != len(labels_scaled):
+        raise LengthMismatch(f"{len(graphs)} graphs vs {len(labels_scaled)} label groups")
+    for g, y in zip(graphs, labels_scaled):
+        if g.node_features.shape[0] != len(y):
+            raise LengthMismatch(f"{g.node_features.shape[0]} nodes vs {len(y)} labels in one epoch")
+    out, cache = batch_forward(params, list(graphs), train=True)
+    y_cat = np.concatenate([np.asarray(y, dtype=float) for y in labels_scaled])
+    loss, d_out = training._squared_error(out, y_cat, len(graphs))
+    return loss, d_out, cache
+
+
+def loss_and_grads(params, graphs, labels_scaled):
+    """Batch loss plus the exact reverse-mode gradient of every tensor; the
+    cache carries the batch normalisation moments."""
+    loss, d_out, cache = batch_loss(params, graphs, labels_scaled)
+    return loss, batch_backward(params, cache, d_out), cache
+
+
 def train_reference(dataset, config, hidden: int, loss_sink: list | None = None):
     """training.train in its textbook form: each iteration's batch is a list of
     graphs through ``loss_and_grads``, weight decay is added tensor by tensor
@@ -231,7 +263,7 @@ def train_reference(dataset, config, hidden: int, loss_sink: list | None = None)
     labels = [apply_label_scaler(scaler, y) for y in labels_raw]
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(rng, in_dim=feats_raw.shape[1], hidden=hidden)
+    params = init_params(rng, hidden=hidden)
     m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     v = {k: np.zeros_like(val) for k, val in params.tensors.items()}
     order = rng.permutation(len(graphs))
@@ -276,7 +308,7 @@ def bn_act_reference(params, name, x_in, z, cache):
     xhat = (z - mean) * inv
     y = params.tensors[f"{name}.gamma"] * xhat + params.tensors[f"{name}.beta"]
     mask = y > 0.0
-    out = np.where(mask, y, params.leaky_slope * y)
+    out = np.where(mask, y, LEAKY_SLOPE * y)
     if cache is not None:
         cache[name] = {"x": x_in, "xhat": xhat, "inv": inv, "mask": mask, "mean": mean, "var": var}
     return out
@@ -285,7 +317,7 @@ def bn_act_reference(params, name, x_in, z, cache):
 def bn_act_backward_reference(params, name, cache, d_out, grads):
     """network._bn_act_backward in its textbook form (Ioffe & Szegedy 2015)."""
     entry = cache[name]
-    dy = d_out * np.where(entry["mask"], 1.0, params.leaky_slope)
+    dy = d_out * np.where(entry["mask"], 1.0, LEAKY_SLOPE)
     xhat = entry["xhat"]
     grads[f"{name}.gamma"] = (dy * xhat).sum(axis=0)
     grads[f"{name}.beta"] = dy.sum(axis=0)
