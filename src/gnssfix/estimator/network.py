@@ -144,7 +144,7 @@ def _aggregate(blocks: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.ndarra
     """Per-graph block product with the stacked (N, H) node values: h is
     scattered into the zero-padded layout, multiplied block by block and
     gathered back, so a graph's result does not depend on the others."""
-    padded = np.zeros((blocks.shape[0] * blocks.shape[1], h.shape[1]))
+    padded = np.zeros((blocks.shape[0] * blocks.shape[1], h.shape[1]), dtype=h.dtype)
     padded[rows] = h
     out = blocks @ padded.reshape(blocks.shape[0], blocks.shape[1], -1)
     return out.reshape(padded.shape)[rows]
@@ -158,11 +158,12 @@ def _node_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w
 
 
-def _slope_factor(mask: np.ndarray) -> np.ndarray:
-    """The leaky ReLU's derivative, 1.0 where ``mask`` is set and LEAKY_SLOPE
-    elsewhere, by arithmetic: ``np.where`` on a random mask branches and is
-    several times slower.  (1 - slope) + slope rounds to exactly 1.0."""
-    factor = mask.astype(float)
+def _slope_factor(mask: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The leaky ReLU's derivative in ``dtype``, 1.0 where ``mask`` is set and
+    LEAKY_SLOPE elsewhere, by arithmetic: ``np.where`` on a random mask
+    branches and is several times slower.  (1 - slope) + slope rounds to
+    exactly 1.0 in float64 and in float32."""
+    factor = mask.astype(dtype)
     factor *= 1.0 - LEAKY_SLOPE
     factor += LEAKY_SLOPE
     return factor
@@ -193,7 +194,7 @@ def _bn_act(params: ModelParams, name: str, x_in: np.ndarray, z: np.ndarray, cac
     y = z * gamma if cache is not None else np.multiply(z, gamma, out=z)
     y += params.tensors[f"{name}.beta"]
     mask = y > 0.0
-    y *= _slope_factor(mask)
+    y *= _slope_factor(mask, y.dtype)
     if cache is not None:
         cache[name] = {"x": x_in, "xhat": z, "inv": inv, "mask": mask, "mean": mean, "var": var}
     return y
@@ -257,7 +258,7 @@ def _bn_act_backward(params: ModelParams, name: str, cache: dict, d_out: np.ndar
     entry = cache[name]
     xhat = entry["xhat"]
     n = xhat.shape[0]
-    dy = _slope_factor(entry["mask"])
+    dy = _slope_factor(entry["mask"], d_out.dtype)
     dy *= d_out
     grads[f"{name}.gamma"] = np.einsum("ij,ij->j", dy, xhat)
     grads[f"{name}.beta"] = np.einsum("ij->j", dy)
@@ -274,10 +275,11 @@ def _bn_act_backward(params: ModelParams, name: str, cache: dict, d_out: np.ndar
 
 
 def batch_backward(params: ModelParams, cache: dict, d_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradient of the loss w.r.t. every tensor, given d loss / d output."""
+    """Gradient of the loss w.r.t. every tensor, given d loss / d output, in
+    the dtype of the forward pass."""
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
-    d = np.asarray(d_out, dtype=float).reshape(-1, 1)
+    d = np.asarray(d_out).reshape(-1, 1)
     x = cache["out_x"]
     grads["out.w"] = x.T @ d
     grads["out.b"] = d.sum(axis=0)
@@ -304,12 +306,14 @@ def batch_backward(params: ModelParams, cache: dict, d_out: np.ndarray) -> dict[
 
 
 def update_running_stats(params: ModelParams, cache: dict, momentum: float) -> None:
-    """Fold one batch's normalisation statistics into the running state."""
+    """Fold one batch's normalisation statistics into the running state, in
+    the running state's dtype whatever the dtype of the batch."""
     for name in bn_layer_names():
         entry = cache[name]
         for kind in ("mean", "var"):
             key = f"{name}.{kind}"
-            params.bn_stats[key] = (1.0 - momentum) * params.bn_stats[key] + momentum * entry[kind]
+            stat = params.bn_stats[key]
+            params.bn_stats[key] = (1.0 - momentum) * stat + momentum * entry[kind].astype(stat.dtype, copy=False)
 
 
 def predict_batch(params: ModelParams, batch: EpochBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -401,4 +405,10 @@ def load_model(path: str) -> ModelParams:
     non_finite = [name for name, v in values.items() if not np.all(np.isfinite(v))]
     if non_finite:
         raise IoFailure(f"model file {path} has non-finite values in {non_finite}")
+    # a negative variance or a zero or negative std turns every estimate NaN
+    bad_scale = [f"bn_stats.{k}" for k, v in bn_stats.items() if k.endswith(".var") and np.any(v < 0.0)]
+    if scaler is not None:
+        bad_scale += [f"scaler.{k}" for k in ("feature_std", "label_std") if np.any(getattr(scaler, k) <= 0.0)]
+    if bad_scale:
+        raise IoFailure(f"model file {path} has negative variances or non-positive stds in {bad_scale}")
     return ModelParams(in_dim, hidden, tensors, bn_stats, scaler, regions)

@@ -1,4 +1,9 @@
-"""Adam training loop for the error estimator."""
+"""Adam training loop for the error estimator.
+
+The network runs in ``COMPUTE_DTYPE``; the weights, the Adam moments, the
+loss and the running normalisation statistics stay float64 (the master copy
+of Micikevicius et al., *Mixed Precision Training*, arXiv 1710.03740).
+"""
 
 from __future__ import annotations
 
@@ -39,6 +44,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 BN_MOMENTUM = 0.1
+COMPUTE_DTYPE = np.float32  # forward and backward passes of train()
 
 
 @dataclass(frozen=True)
@@ -59,21 +65,21 @@ class TrainConfig:
 
 
 def _squared_error(out: np.ndarray, y: np.ndarray, batch: int) -> tuple[float, np.ndarray]:
-    """Squared error summed over the nodes of ``batch`` epochs and averaged
-    over them, and its derivative with respect to every node output."""
+    """Squared error summed in float64 over the nodes of ``batch`` epochs and
+    averaged over them, and its derivative with respect to every node output,
+    in the outputs' dtype."""
     diff = out - y
-    return float(np.sum(diff**2)) / batch, 2.0 * diff / batch
+    return float(np.sum(np.square(diff, dtype=np.float64))) / batch, 2.0 * diff / batch
 
 
-def _flat_tensors(params: ModelParams) -> tuple[np.ndarray, ModelParams]:
-    """One flat vector holding every tensor, and ``params`` with its tensors
-    replaced by views of that vector, in ``tensor_shapes`` order."""
-    theta = np.concatenate([t.ravel() for t in params.tensors.values()])
+def _flat_views(theta: np.ndarray, params: ModelParams) -> ModelParams:
+    """``params`` with its tensors replaced by views of the flat ``theta``, in
+    ``tensor_shapes`` order."""
     views, at = {}, 0
     for name, t in params.tensors.items():
         views[name] = theta[at : at + t.size].reshape(t.shape)
         at += t.size
-    return theta, replace(params, tensors=views)
+    return replace(params, tensors=views)
 
 
 def train(
@@ -87,9 +93,10 @@ def train(
     Deterministic for a fixed seed: initialisation, batch order and update
     arithmetic all come from one seeded generator.  The returned parameters
     embed the feature scaler, the running normalisation statistics and the
-    set of regions trained on; their tensors are views of one flat vector,
-    which Adam updates in place.  When ``loss_sink`` is given, the
-    pre-update batch loss of every iteration is appended to it.
+    set of regions trained on; their tensors are float64 views of one flat
+    vector, which Adam updates in place.  Each iteration casts that vector to
+    ``COMPUTE_DTYPE`` for the forward and backward passes.  When ``loss_sink``
+    is given, the pre-update batch loss of every iteration is appended to it.
     """
     labelled = [ep for ep in dataset if ep.truth_error is not None]
     if not labelled:
@@ -102,14 +109,21 @@ def train(
     labels_raw = np.concatenate([ep.truth_error for ep in labelled])
     scaler = fit_scaler(feats_raw, labels_raw)
     features = apply_feature_scaler(scaler, feats_raw)
-    # the padded training set, built once: each batch gathers its epochs' rows
+    # the padded training set, built once in float64, so each graph's row sums
+    # keep their bits, then cast: each batch gathers its epochs' rows
     blocks, _ = aggregation_blocks(batch_graphs(batch, features, units))
-    features = batch.pad(features)
-    labels = batch.pad(apply_label_scaler(scaler, labels_raw))
+    blocks = blocks.astype(COMPUTE_DTYPE)
+    features = batch.pad(features).astype(COMPUTE_DTYPE)
+    labels = batch.pad(apply_label_scaler(scaler, labels_raw)).astype(COMPUTE_DTYPE)
     counts = batch.counts
 
     rng = np.random.default_rng(config.seed)
-    theta, params = _flat_tensors(init_params(rng, hidden=hidden))
+    init = init_params(rng, hidden=hidden)
+    theta = np.concatenate([t.ravel() for t in init.tensors.values()])
+    params = _flat_views(theta, init)
+    # the compute copy shares the running statistics with the master
+    theta_c = np.empty(theta.size, dtype=COMPUTE_DTYPE)
+    compute = _flat_views(theta_c, init)
     g = np.empty_like(theta)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -128,9 +142,10 @@ def train(
         k = counts[idx].max()
         rows = padded_rows(counts[idx], k)
         X = features[idx, :k].reshape(-1, features.shape[2])[rows]
-        out, cache = forward(params, X, blocks[idx, :k, :k], rows, train=True)
+        theta_c[...] = theta
+        out, cache = forward(compute, X, blocks[idx, :k, :k], rows, train=True)
         loss, d_out = _squared_error(out, labels[idx, :k].reshape(-1)[rows], idx.size)
-        grads = batch_backward(params, cache, d_out)
+        grads = batch_backward(compute, cache, d_out)
         if loss_sink is not None:
             loss_sink.append(loss)
         update_running_stats(params, cache, BN_MOMENTUM)

@@ -452,6 +452,21 @@ def test_exit_code_3_for_non_finite_model(tiny_data, tmp_path, capsys):
     assert "data error" in err and bad in err and "tensors.out.b" in err
 
 
+def test_exit_code_3_for_negative_model_variance(tiny_data, tmp_path, capsys):
+    # finite but out of range: every estimate would come out NaN, and the
+    # run would fail later in the regulator without naming the file
+    payload = json.load(open(tiny_data["model"]))
+    payload["bn_stats"]["head0.var"][0] = -5.0
+    bad = str(tmp_path / "negative-var-model.json")
+    with open(bad, "w") as fh:
+        json.dump(payload, fh)
+    shard = shard_path(tiny_data["data"], "canyon")
+    rc = main(["localize", "--epoch-file", shard, "--model", bad, "--method", "regulate_measurements"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and bad in err and "bn_stats.head0.var" in err
+
+
 def test_exit_code_3_for_model_of_other_feature_dim(tiny_data, tmp_path, capsys):
     # a scaler one feature short would fail in the first prediction's
     # broadcast; the file is refused when it loads

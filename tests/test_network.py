@@ -282,6 +282,42 @@ def test_load_model_rejects_non_finite(rng, tmp_path, group, name, value):
     assert path in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "group, name, index, value",
+    [
+        ("bn_stats", "head0.var", 0, -5.0),
+        ("scaler", "feature_std", 8, 0.0),
+        ("scaler", "feature_std", 3, -1.0),
+        ("scaler", "label_std", None, 0.0),
+        ("scaler", "label_std", None, -2.0),
+    ],
+)
+def test_load_model_rejects_bad_scales(rng, tmp_path, group, name, index, value):
+    # each of these turns every estimate NaN, so the file is refused when it
+    # loads, not in the regulator's finite check
+    scaler = ScalerParams(np.zeros(13), np.ones(13), 0.0, 1.0)
+    path = str(tmp_path / "model.json")
+    save_model(replace(init_params(rng, hidden=4), scaler=scaler), path)
+    payload = json.loads(open(path).read())
+    if index is None:
+        payload[group][name] = value
+    else:
+        payload[group][name][index] = value
+    open(path, "w").write(json.dumps(payload))
+    with pytest.raises(IoFailure, match=f"{group}.{name}") as info:
+        load_model(path)
+    assert path in str(info.value)
+
+
+def test_load_model_accepts_zero_variance(rng, tmp_path):
+    # the normalisation adds BN_EPS to the variance, so zero is a usable value
+    path = str(tmp_path / "model.json")
+    params = init_params(rng, hidden=4)
+    params.bn_stats["head0.var"][:] = 0.0
+    save_model(params, path)
+    assert np.array_equal(load_model(path).bn_stats["head0.var"], np.zeros(4))
+
+
 def test_load_model_rejects_dimension_lie(rng, tmp_path):
     params = init_params(rng, hidden=4)
     path = str(tmp_path / "model.json")
@@ -355,9 +391,12 @@ def test_stacked_inference_equals_one_graph_calls(rng, hidden):
 
 def test_block_aggregation_trains_like_dense_matrix(rng, monkeypatch):
     # the padded per-graph blocks and the dense N x N matrix are the same
-    # linear map, summed in another order
+    # linear map, summed in another order; float64 keeps the two orders'
+    # rounding apart by less than the tolerance
+    from gnssfix.estimator import training
     from gnssfix.estimator.training import TrainConfig, train
 
+    monkeypatch.setattr(training, "COMPUTE_DTYPE", np.float64)
     epochs = [make_epoch(rng, n=int(n), errors=rng.normal(0, 5, n), cn0=rng.uniform(25, 50, n), epoch_id=k)
               for k, n in enumerate(rng.integers(4, 16, 40))]
     config = TrainConfig(batch_size=8, iterations=50, seed=3)
@@ -382,42 +421,50 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _cast(params, dtype):
+    """``params`` with its tensors and running statistics cast to ``dtype``."""
+    tensors = {k: v.astype(dtype) for k, v in params.tensors.items()}
+    return replace(params, tensors=tensors, bn_stats={k: v.astype(dtype) for k, v in params.bn_stats.items()})
+
+
 @pytest.mark.parametrize("hidden", [6, 64])
 @pytest.mark.parametrize("rows", [1, 5, 13, 446])
 def test_bn_kernels_match_textbook_reference_bits(rng, rows, hidden):
     # the fused in-place kernels are a pure refactor of the textbook ones:
     # outputs, caches and gradients agree bit for bit, signed zeros and NaN
-    # included, in train mode and inference mode
-    params = _randomized_params(rng, hidden=hidden)
-    params.tensors["head0.gamma"][3] = 0.0
-    params.tensors["head0.beta"][3] = -0.0  # leaky ReLU input of ±0.0
-    x = rng.standard_normal((rows, hidden))
-    z = 3.0 * rng.standard_normal((rows, hidden))
-    z[0, 0] = 0.0
-    z[-1, 1] = -0.0
-    z[rows // 2, 2] = np.nan
-    for train in (True, False):
-        # a one-row pre-activation is a view into _node_matmul's two-row product
-        fused_z = np.concatenate([z, z])[:1] if rows == 1 else z.copy()
-        fused_cache, ref_cache = ({}, {}) if train else (None, None)
-        fused = network._bn_act(params, "head0", x, fused_z, fused_cache)
-        ref = bn_act_reference(params, "head0", x, z.copy(), ref_cache)
-        assert _same_bits(fused, ref)
-        if not train:
-            continue
-        assert fused_cache["head0"].keys() == ref_cache["head0"].keys()
-        for key, value in ref_cache["head0"].items():
-            assert _same_bits(fused_cache["head0"][key], value), key
-        d_out = rng.standard_normal((rows, hidden))
-        d_out[0, 4] = -0.0
-        d_out.setflags(write=False)
-        fused_grads, ref_grads = {}, {}
-        dz = network._bn_act_backward(params, "head0", fused_cache, d_out, fused_grads)
-        ref_dz = bn_act_backward_reference(params, "head0", ref_cache, d_out, ref_grads)
-        assert _same_bits(dz, ref_dz)
-        assert fused_grads.keys() == ref_grads.keys()
-        for key, value in ref_grads.items():
-            assert _same_bits(fused_grads[key], value), key
+    # included, in train mode and inference mode, at either dtype
+    for dtype in (np.float64, np.float32):
+        params = _cast(_randomized_params(rng, hidden=hidden), dtype)
+        params.tensors["head0.gamma"][3] = 0.0
+        params.tensors["head0.beta"][3] = -0.0  # leaky ReLU input of ±0.0
+        x = rng.standard_normal((rows, hidden)).astype(dtype)
+        z = 3.0 * rng.standard_normal((rows, hidden)).astype(dtype)
+        z[0, 0] = 0.0
+        z[-1, 1] = -0.0
+        z[rows // 2, 2] = np.nan
+        for train in (True, False):
+            # a one-row pre-activation is a view into _node_matmul's two-row product
+            fused_z = np.concatenate([z, z])[:1] if rows == 1 else z.copy()
+            fused_cache, ref_cache = ({}, {}) if train else (None, None)
+            fused = network._bn_act(params, "head0", x, fused_z, fused_cache)
+            ref = bn_act_reference(params, "head0", x, z.copy(), ref_cache)
+            assert fused.dtype == dtype
+            assert _same_bits(fused, ref)
+            if not train:
+                continue
+            assert fused_cache["head0"].keys() == ref_cache["head0"].keys()
+            for key, value in ref_cache["head0"].items():
+                assert _same_bits(fused_cache["head0"][key], value), key
+            d_out = rng.standard_normal((rows, hidden)).astype(dtype)
+            d_out[0, 4] = -0.0
+            d_out.setflags(write=False)
+            fused_grads, ref_grads = {}, {}
+            dz = network._bn_act_backward(params, "head0", fused_cache, d_out, fused_grads)
+            ref_dz = bn_act_backward_reference(params, "head0", ref_cache, d_out, ref_grads)
+            assert _same_bits(dz, ref_dz)
+            assert fused_grads.keys() == ref_grads.keys()
+            for key, value in ref_grads.items():
+                assert _same_bits(fused_grads[key], value), key
 
 
 def test_textbook_kernels_train_identically(rng, monkeypatch):
@@ -446,15 +493,24 @@ def test_textbook_kernels_train_identically(rng, monkeypatch):
 
 def test_kernels_write_nothing_they_are_given(rng):
     # the batch-norm kernels work in place on their own fresh arrays only:
-    # node features, weights, running statistics and the output gradient are
-    # read-only here, so a stray in-place write into any of them raises
-    params = _randomized_params(rng, hidden=8)
+    # node features, blocks, weights, running statistics and the output
+    # gradient are read-only here, so a stray in-place write into any of them
+    # raises; every output follows the dtype it is given
     graphs = [_random_graph(rng, n) for n in (1, 4, 7)]
-    for arr in [g.node_features for g in graphs] + list(params.tensors.values()) + list(params.bn_stats.values()):
-        arr.setflags(write=False)
-    for batch in (graphs, graphs[:1]):
-        batch_forward(params, batch)
-        out, cache = batch_forward(params, batch, train=True)
-        d_out = rng.standard_normal(out.shape)
-        d_out.setflags(write=False)
-        batch_backward(params, cache, d_out)
+    for dtype in (np.float64, np.float32):
+        params = _cast(_randomized_params(rng, hidden=8), dtype)
+        for arr in list(params.tensors.values()) + list(params.bn_stats.values()):
+            arr.setflags(write=False)
+        for batch in (graphs, graphs[:1]):
+            blocks, rows = network.aggregation_blocks(batch)
+            blocks = blocks.astype(dtype)
+            X = np.vstack([g.node_features for g in batch]).astype(dtype)
+            for arr in (X, blocks):
+                arr.setflags(write=False)
+            assert network.forward(params, X, blocks, rows)[0].dtype == dtype
+            out, cache = network.forward(params, X, blocks, rows, train=True)
+            assert out.dtype == dtype
+            d_out = rng.standard_normal(out.shape).astype(dtype)
+            d_out.setflags(write=False)
+            grads = batch_backward(params, cache, d_out)
+            assert all(g.dtype == dtype for g in grads.values())

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from gnssfix.errors import LengthMismatch, NoLabels
-from gnssfix.estimator.network import batch_forward, init_params
+from gnssfix.estimator import training
+from gnssfix.estimator.network import batch_forward, bn_layer_names, init_params, save_model
 from gnssfix.estimator.training import TrainConfig, train
 
 from util import batch_loss, loss_and_grads, make_epoch, train_reference
@@ -128,18 +131,20 @@ def test_gradients_match_finite_differences(rng):
 
 
 def test_gradients_include_weight_decay(rng, monkeypatch):
-    # the flat step adds the decay as the per-tensor reference does, and a
-    # decay this large moves the trained weights
-    from gnssfix.estimator import training
-
+    # the flat step adds the decay as the per-tensor reference does, at
+    # either compute dtype, and a decay this large moves the trained weights
     data = _toy_dataset(rng, n_epochs=12)
     cfg = TrainConfig(batch_size=4, iterations=5, seed=2)
-    plain = train(data, cfg, hidden=4)
-    monkeypatch.setattr(training, "WEIGHT_DECAY", 0.5)
-    decayed, reference = train(data, cfg, hidden=4), train_reference(data, cfg, hidden=4)
-    for name, tensor in reference.tensors.items():
-        assert decayed.tensors[name].tobytes() == tensor.tobytes(), name
-    assert any(not np.array_equal(decayed.tensors[n], plain.tensors[n]) for n in plain.tensors)
+    default_decay = training.WEIGHT_DECAY
+    for dtype in (np.float32, np.float64):
+        monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
+        monkeypatch.setattr(training, "WEIGHT_DECAY", default_decay)
+        plain = train(data, cfg, hidden=4)
+        monkeypatch.setattr(training, "WEIGHT_DECAY", 0.5)
+        decayed, reference = train(data, cfg, hidden=4), train_reference(data, cfg, hidden=4)
+        for name, tensor in reference.tensors.items():
+            assert decayed.tensors[name].tobytes() == tensor.tobytes(), (dtype, name)
+        assert any(not np.array_equal(decayed.tensors[n], plain.tensors[n]) for n in plain.tensors)
 
 
 def test_gradients_duplicate_batch_invariance(rng):
@@ -181,9 +186,10 @@ def test_train_same_seed_bit_identical(rng):
 
 
 @pytest.mark.parametrize("batch_size", [1, 8])
-def test_train_matches_reference_bits(rng, batch_size):
-    # the padded set gathered by index and the flat Adam buffer are a pure
-    # refactor of the per-iteration graph lists and per-tensor moments: most
+def test_train_matches_reference_bits(rng, monkeypatch, batch_size):
+    # the padded set gathered by index, the flat Adam buffer and the flat
+    # compute copy are a pure refactor of the per-iteration graph lists,
+    # per-tensor moments and per-tensor casts, at either compute dtype: most
     # batches are narrower than the widest epoch, and one epoch has no labels
     data = [
         make_epoch(rng, n=int(n), errors=rng.normal(0, 5, n), cn0=rng.uniform(25, 50, n), epoch_id=k)
@@ -191,19 +197,55 @@ def test_train_matches_reference_bits(rng, batch_size):
     ]
     data.append(make_epoch(rng, n=16, epoch_id=30, labelled=False))
     cfg = TrainConfig(batch_size=batch_size, iterations=40, seed=5)
-    got_losses: list[float] = []
-    want_losses: list[float] = []
-    got = train(data, cfg, hidden=8, loss_sink=got_losses)
-    want = train_reference(data, cfg, hidden=8, loss_sink=want_losses)
-    assert got_losses == want_losses
-    for name, tensor in want.tensors.items():
-        assert got.tensors[name].shape == tensor.shape, name
-        assert got.tensors[name].tobytes() == tensor.tobytes(), name
-    for name, stat in want.bn_stats.items():
-        assert got.bn_stats[name].tobytes() == stat.tobytes(), name
-    assert got.train_regions == want.train_regions
-    for name, value in vars(want.scaler).items():
-        assert np.asarray(getattr(got.scaler, name)).tobytes() == np.asarray(value).tobytes(), name
+    for dtype in (np.float32, np.float64):
+        monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
+        got_losses: list[float] = []
+        want_losses: list[float] = []
+        got = train(data, cfg, hidden=8, loss_sink=got_losses)
+        want = train_reference(data, cfg, hidden=8, loss_sink=want_losses)
+        assert got_losses == want_losses, dtype
+        for name, tensor in want.tensors.items():
+            assert got.tensors[name].dtype == tensor.dtype == np.float64, (dtype, name)
+            assert got.tensors[name].shape == tensor.shape, (dtype, name)
+            assert got.tensors[name].tobytes() == tensor.tobytes(), (dtype, name)
+        for name, stat in want.bn_stats.items():
+            assert got.bn_stats[name].tobytes() == stat.tobytes(), (dtype, name)
+        assert got.train_regions == want.train_regions
+        for name, value in vars(want.scaler).items():
+            assert np.asarray(getattr(got.scaler, name)).tobytes() == np.asarray(value).tobytes(), name
+
+
+def test_train_computes_in_float32_and_returns_float64(rng, monkeypatch, tmp_path):
+    # a silent upcast anywhere in the train step would keep the results and
+    # lose the speed; the model it returns and saves is float64 throughout
+    seen = []
+    backward = training.batch_backward
+
+    def recording_backward(params, cache, d_out):
+        grads = backward(params, cache, d_out)
+        seen.append((cache, d_out, grads))
+        return grads
+
+    monkeypatch.setattr(training, "batch_backward", recording_backward)
+    model = train(_toy_dataset(rng, n_epochs=20), TrainConfig(batch_size=4, iterations=3, seed=1), hidden=8)
+    assert len(seen) == 3
+    for cache, d_out, grads in seen:
+        assert d_out.dtype == np.float32
+        assert cache["out_x"].dtype == cache["blocks"].dtype == np.float32
+        for layer in bn_layer_names():
+            for key, value in cache[layer].items():
+                assert value.dtype == (bool if key == "mask" else np.float32), (layer, key)
+        assert set(grads) == set(model.tensors)
+        for name, g in grads.items():
+            assert g.dtype == np.float32, name
+    for group in (model.tensors, model.bn_stats):
+        for name, value in group.items():
+            assert value.dtype == np.float64, name
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    saved = json.loads(path.read_text())["tensors"]
+    for name, value in model.tensors.items():
+        assert np.asarray(saved[name]).tobytes() == value.tobytes(), name
 
 
 def test_train_embeds_scaler_and_regions(rng):

@@ -25,8 +25,10 @@ from gnssfix.estimator.features import (
 from gnssfix.estimator.network import (
     BN_EPS,
     LEAKY_SLOPE,
+    aggregation_blocks,
     batch_backward,
     batch_forward,
+    forward,
     init_params,
     update_running_stats,
 )
@@ -251,9 +253,11 @@ def loss_and_grads(params, graphs, labels_scaled):
 
 def train_reference(dataset, config, hidden: int, loss_sink: list | None = None):
     """training.train in its textbook form: each iteration's batch is a list of
-    graphs through ``loss_and_grads``, weight decay is added tensor by tensor
-    and Adam keeps one pair of moments per tensor.  The constants are read
-    from the training module at call time, so a test can patch them for both."""
+    graphs, whose blocks are built in float64 and cast with the node features
+    and labels to ``COMPUTE_DTYPE``; the network runs on a per-tensor cast of
+    the float64 weights, weight decay is added tensor by tensor and Adam keeps
+    one pair of float64 moments per tensor.  The constants are read from the
+    training module at call time, so a test can patch them for both."""
     labelled = [ep for ep in dataset if ep.truth_error is not None]
     batch = EpochBatch.of(labelled)
     feats_raw, units, _ = batch_features(batch)
@@ -266,6 +270,7 @@ def train_reference(dataset, config, hidden: int, loss_sink: list | None = None)
     params = init_params(rng, hidden=hidden)
     m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     v = {k: np.zeros_like(val) for k, val in params.tensors.items()}
+    dtype = training.COMPUTE_DTYPE
     order = rng.permutation(len(graphs))
     pos = 0
     for it in range(config.iterations):
@@ -275,7 +280,14 @@ def train_reference(dataset, config, hidden: int, loss_sink: list | None = None)
         idx = order[pos : pos + config.batch_size]
         pos += config.batch_size
 
-        loss, grads, cache = loss_and_grads(params, [graphs[i] for i in idx], [labels[i] for i in idx])
+        compute = replace(params, tensors={k: t.astype(dtype) for k, t in params.tensors.items()})
+        chosen = [graphs[i] for i in idx]
+        blocks, rows = aggregation_blocks(chosen)
+        X = np.vstack([g.node_features for g in chosen]).astype(dtype)
+        out, cache = forward(compute, X, blocks.astype(dtype), rows, train=True)
+        y = np.concatenate([labels[i] for i in idx]).astype(dtype)
+        loss, d_out = training._squared_error(out, y, idx.size)
+        grads = batch_backward(compute, cache, d_out)
         if loss_sink is not None:
             loss_sink.append(loss)
         update_running_stats(params, cache, training.BN_MOMENTUM)
@@ -284,7 +296,7 @@ def train_reference(dataset, config, hidden: int, loss_sink: list | None = None)
         bias1 = 1.0 - training.ADAM_BETA1 ** (it + 1)
         bias2 = 1.0 - training.ADAM_BETA2 ** (it + 1)
         for name in params.tensors:
-            g = grads[name] + training.WEIGHT_DECAY * params.tensors[name]
+            g = grads[name].astype(np.float64) + training.WEIGHT_DECAY * params.tensors[name]
             m[name] = training.ADAM_BETA1 * m[name] + (1.0 - training.ADAM_BETA1) * g
             v[name] = training.ADAM_BETA2 * v[name] + (1.0 - training.ADAM_BETA2) * g**2
             m_hat = m[name] / bias1
@@ -315,9 +327,10 @@ def bn_act_reference(params, name, x_in, z, cache):
 
 
 def bn_act_backward_reference(params, name, cache, d_out, grads):
-    """network._bn_act_backward in its textbook form (Ioffe & Szegedy 2015)."""
+    """network._bn_act_backward in its textbook form (Ioffe & Szegedy 2015),
+    in the dtype of ``d_out``."""
     entry = cache[name]
-    dy = d_out * np.where(entry["mask"], 1.0, LEAKY_SLOPE)
+    dy = np.where(entry["mask"], d_out, LEAKY_SLOPE * d_out)
     xhat = entry["xhat"]
     grads[f"{name}.gamma"] = (dy * xhat).sum(axis=0)
     grads[f"{name}.beta"] = dy.sum(axis=0)
