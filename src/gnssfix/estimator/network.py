@@ -26,7 +26,7 @@ from .features import (
     ScalerParams,
     apply_feature_scaler,
     batch_features,
-    batch_graphs,
+    proximity_blocks,
     unscale_labels,
 )
 
@@ -116,22 +116,36 @@ def init_params(rng: np.random.Generator, hidden: int = DEFAULT_HIDDEN) -> Model
     return ModelParams(FEATURE_DIM, hidden, tensors, bn_stats)
 
 
+def row_normalise(adjacency: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Neighbour-averaging blocks: each row of the zero-padded (B, K, K)
+    ``adjacency`` of graphs with ``counts`` nodes divided by its sum, floored
+    at AGG_FLOOR.
+
+    Graph b's rows are summed over its own counts[b] columns: summing its zero
+    padding too would group the additions differently and change their bits.
+    The graphs are summed a count at a time, so each row sum has the bits of
+    its graph's own unpadded ``adjacency.sum(axis=1)``.
+    """
+    sums = np.zeros(adjacency.shape[:2], dtype=adjacency.dtype)
+    for n in np.unique(counts).tolist():
+        graphs = np.flatnonzero(counts == n)
+        sums[graphs, :n] = adjacency[graphs, :n, :n].sum(axis=2)
+    return adjacency / np.maximum(sums, AGG_FLOOR)[:, :, None]
+
+
 def aggregation_blocks(graphs: list[EpochGraph]) -> tuple[np.ndarray, np.ndarray]:
     """Per-graph neighbour-averaging blocks over a batch of graphs.
 
-    Returns the (B, K, K) row-normalised adjacencies, zero-padded to the
-    largest graph, and the (N,) positions of the stacked nodes in the
-    flattened (B * K) padded layout.  Each graph's row sums run over its own
-    n columns: summing its zero padding too would group the additions
-    differently and change their bits.
+    Returns the (B, K, K) adjacencies, zero-padded to the largest graph and
+    row-normalised by ``row_normalise``, and the (N,) positions of the stacked
+    nodes in the flattened (B * K) padded layout.
     """
-    sizes = [g.adjacency.shape[0] for g in graphs]
-    k = max(sizes)
-    blocks = np.zeros((len(graphs), k, k))
-    for b, (g, n) in enumerate(zip(graphs, sizes)):
-        denom = np.maximum(g.adjacency.sum(axis=1, keepdims=True), AGG_FLOOR)
-        blocks[b, :n, :n] = g.adjacency / denom
-    return blocks, padded_rows(np.array(sizes), k)
+    counts = np.array([g.adjacency.shape[0] for g in graphs])
+    k = int(counts.max())
+    adjacency = np.zeros((len(graphs), k, k))
+    for b, (g, n) in enumerate(zip(graphs, counts.tolist())):
+        adjacency[b, :n, :n] = g.adjacency
+    return row_normalise(adjacency, counts), padded_rows(counts, k)
 
 
 def padded_rows(counts: np.ndarray, k: int) -> np.ndarray:
@@ -169,39 +183,50 @@ def _slope_factor(mask: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return factor
 
 
-def _bn_act(params: ModelParams, name: str, x_in: np.ndarray, z: np.ndarray, cache: dict | None) -> np.ndarray:
-    """Batch normalisation then leaky ReLU of the pre-activation ``z``.
+def _bn_act(params: ModelParams, name: str, x_in: np.ndarray, z: np.ndarray, cache: dict) -> np.ndarray:
+    """Train-mode batch normalisation then leaky ReLU of the pre-activation ``z``.
 
     ``z`` must be a fresh array that nothing else references: it is
-    normalised in place.  With a cache (train mode) the statistics come from
-    the batch and ``z`` ends up as the cached normalised value; without one
-    they come from the running state and every step runs in place on ``z``.
-    The column reductions are ``einsum``s, which sum row after row like
-    ``z.mean(0)`` and ``z.var(0)`` do at any width above one.
+    normalised in place with the batch's statistics and ends up as the cached
+    normalised value.  The column reductions are ``einsum``s, which sum row
+    after row like ``z.mean(0)`` and ``z.var(0)`` do at any width above one.
     """
-    if cache is not None:
-        n = z.shape[0]
-        mean = np.einsum("ij->j", z) / n
-        z -= mean
-        var = np.einsum("ij,ij->j", z, z) / n
-    else:
-        mean = params.bn_stats[f"{name}.mean"]
-        var = params.bn_stats[f"{name}.var"]
-        z -= mean
+    n = z.shape[0]
+    mean = np.einsum("ij->j", z) / n
+    z -= mean
+    var = np.einsum("ij,ij->j", z, z) / n
     inv = 1.0 / np.sqrt(var + BN_EPS)
     z *= inv
-    gamma = params.tensors[f"{name}.gamma"]
-    y = z * gamma if cache is not None else np.multiply(z, gamma, out=z)
+    y = z * params.tensors[f"{name}.gamma"]
     y += params.tensors[f"{name}.beta"]
     mask = y > 0.0
     y *= _slope_factor(mask, y.dtype)
-    if cache is not None:
-        cache[name] = {"x": x_in, "xhat": z, "inv": inv, "mask": mask, "mean": mean, "var": var}
+    cache[name] = {"x": x_in, "xhat": z, "inv": inv, "mask": mask, "mean": mean, "var": var}
     return y
 
 
-def _dense(params: ModelParams, name: str, x: np.ndarray, cache: dict | None) -> np.ndarray:
-    return _bn_act(params, name, x, _node_matmul(x, params.tensors[f"{name}.w"]), cache)
+def _hidden(params: ModelParams, name: str, pairs: list[tuple[np.ndarray, np.ndarray]], cache: dict | None) -> np.ndarray:
+    """One hidden block: the sum of the products ``x @ w`` of ``pairs``, batch
+    normalisation, then leaky ReLU.
+
+    With a cache (train mode) ``_bn_act`` normalises with the batch's
+    statistics.  Without one the running statistics make the normalisation
+    the fixed affine map ``z * k + c``, with ``k = gamma / sqrt(var + eps)``
+    and ``c = beta - mean * k`` (Ioffe & Szegedy, arXiv 1502.03167).  ``k``
+    is folded into the weights' columns (Jacob et al., arXiv 1712.05877), so
+    the block is one product per pair, the shift and the activation.  The
+    folded weights are rebuilt on every call: the tensors are mutable views.
+    """
+    if cache is None:
+        k = params.tensors[f"{name}.gamma"] / np.sqrt(params.bn_stats[f"{name}.var"] + BN_EPS)
+        pairs = [(x, w * k) for x, w in pairs]
+    z = _node_matmul(*pairs[0])
+    for x, w in pairs[1:]:
+        z += _node_matmul(x, w)
+    if cache is not None:
+        return _bn_act(params, name, pairs[0][0], z, cache)
+    z += params.tensors[f"{name}.beta"] - params.bn_stats[f"{name}.mean"] * k
+    return np.maximum(z, LEAKY_SLOPE * z, out=z)
 
 
 def forward(
@@ -212,25 +237,24 @@ def forward(
     ``aggregation_blocks`` returns them.
 
     Normalisation pools statistics over all nodes of the batch when ``train``
-    is set, and uses the stored running statistics otherwise.  Returns the
-    per-node outputs flat over the batch, plus the activation cache in train
-    mode (None otherwise).
+    is set, and uses the stored running statistics, folded into the weights,
+    otherwise.  Returns the per-node outputs flat over the batch, plus the
+    activation cache in train mode (None otherwise).
     """
     t = params.tensors
     cache: dict | None = {"blocks": blocks, "rows": rows} if train else None
     h = X
     for i in range(N_ENCODER):
-        h = _dense(params, f"enc{i}", h, cache)
+        h = _hidden(params, f"enc{i}", [(h, t[f"enc{i}.w"])], cache)
     for i in range(N_SAGE):
         name = f"sage{i}"
         agg = _aggregate(blocks, rows, h)
-        z = _node_matmul(h, t[f"{name}.self_w"]) + _node_matmul(agg, t[f"{name}.nbr_w"])
-        h_next = _bn_act(params, name, h, z, cache)
+        h_next = _hidden(params, name, [(h, t[f"{name}.self_w"]), (agg, t[f"{name}.nbr_w"])], cache)
         if cache is not None:
             cache[name]["agg"] = agg
         h = h_next
     for i in range(N_HEAD):
-        h = _dense(params, f"head{i}", h, cache)
+        h = _hidden(params, f"head{i}", [(h, t[f"head{i}.w"])], cache)
     # a row-wise reduction, not a matrix-vector product, whose bits would
     # change with the number of rows
     out = (h * t["out.w"][:, 0]).sum(axis=1) + t["out.b"][0]
@@ -250,8 +274,11 @@ def batch_forward(
             raise ShapeMismatch(
                 f"graph feature dim {g.node_features.shape[1]} does not match model in_dim {params.in_dim}"
             )
+    X = np.vstack([g.node_features for g in graphs])
+    # built in float64, as train() builds its blocks, then cast to the
+    # features' dtype, so a float32 model computes in float32 throughout
     blocks, rows = aggregation_blocks(graphs)
-    return forward(params, np.vstack([g.node_features for g in graphs]), blocks, rows, train)
+    return forward(params, X, blocks.astype(X.dtype, copy=False), rows, train)
 
 
 def _bn_act_backward(params: ModelParams, name: str, cache: dict, d_out: np.ndarray, grads: dict) -> np.ndarray:
@@ -319,14 +346,16 @@ def update_running_stats(params: ModelParams, cache: dict, momentum: float) -> N
 def predict_batch(params: ModelParams, batch: EpochBatch) -> tuple[np.ndarray, np.ndarray]:
     """Estimated pseudo-range error, in metres, of every measurement of the batch.
 
-    One forward pass runs over every epoch's graph. Also returns which epochs
-    have degenerate geometry at their initial guess; their estimates are 0.
+    One forward pass runs over the batch's padded (B, K, K) aggregation
+    blocks. Also returns which epochs have degenerate geometry at their
+    initial guess; their estimates are 0.
     """
     if params.scaler is None:
         raise MissingFit("model carries no feature scaler; train it first")
     feats, units, degenerate = batch_features(batch)
-    graphs = batch_graphs(batch, apply_feature_scaler(params.scaler, feats), units)
-    out, _ = batch_forward(params, graphs)
+    blocks = row_normalise(proximity_blocks(units, batch.mask), batch.counts)
+    X = apply_feature_scaler(params.scaler, feats)
+    out, _ = forward(params, X, blocks, padded_rows(batch.counts, batch.width))
     return np.where(degenerate[batch.epoch_of_row], 0.0, unscale_labels(params.scaler, out)), degenerate
 
 

@@ -19,17 +19,17 @@ from .features import (
     apply_feature_scaler,
     apply_label_scaler,
     batch_features,
-    batch_graphs,
     fit_scaler,
+    proximity_blocks,
 )
 from .network import (
     DEFAULT_HIDDEN,
     ModelParams,
-    aggregation_blocks,
     batch_backward,
     forward,
     init_params,
     padded_rows,
+    row_normalise,
     update_running_stats,
 )
 
@@ -109,10 +109,9 @@ def train(
     labels_raw = np.concatenate([ep.truth_error for ep in labelled])
     scaler = fit_scaler(feats_raw, labels_raw)
     features = apply_feature_scaler(scaler, feats_raw)
-    # the padded training set, built once in float64, so each graph's row sums
-    # keep their bits, then cast: each batch gathers its epochs' rows
-    blocks, _ = aggregation_blocks(batch_graphs(batch, features, units))
-    blocks = blocks.astype(COMPUTE_DTYPE)
+    # the padded training set, built once in float64, then cast: each batch
+    # gathers its epochs' rows
+    blocks = row_normalise(proximity_blocks(units, batch.mask), batch.counts).astype(COMPUTE_DTYPE)
     features = batch.pad(features).astype(COMPUTE_DTYPE)
     labels = batch.pad(apply_label_scaler(scaler, labels_raw)).astype(COMPUTE_DTYPE)
     counts = batch.counts

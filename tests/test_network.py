@@ -6,7 +6,14 @@ import pytest
 
 from gnssfix.errors import IoFailure, MissingFit, ModelMissing, ShapeMismatch
 from gnssfix.estimator import network
-from gnssfix.estimator.features import EpochGraph, ScalerParams, build_graph, extract_features
+from gnssfix.estimator.features import (
+    EpochGraph,
+    ScalerParams,
+    batch_graphs,
+    build_graph,
+    extract_features,
+    proximity_blocks,
+)
 from gnssfix.estimator.network import (
     AGG_FLOOR,
     BN_EPS,
@@ -21,6 +28,7 @@ from gnssfix.estimator.network import (
     predict_errors,
     save_model,
 )
+from gnssfix.types import EpochBatch
 
 from util import bn_act_backward_reference, bn_act_reference, dense_aggregate, make_epoch
 
@@ -98,20 +106,30 @@ def _oracle_forward_infer(params, graph):
     return out
 
 
+def _with_zero_variance(params, entry="sage1.var"):
+    """``params`` with one running variance of zero, which ``load_model``
+    accepts: the normalisation divides by sqrt(BN_EPS) there."""
+    bn_stats = {k: v.copy() for k, v in params.bn_stats.items()}
+    bn_stats[entry][1] = 0.0
+    return replace(params, bn_stats=bn_stats)
+
+
 def test_forward_matches_straight_line_oracle(rng):
     params = _randomized_params(rng, hidden=6)
     graph = _random_graph(rng, 2)
-    got = batch_forward(params, [graph])[0]
-    want = _oracle_forward_infer(params, graph)
-    assert np.allclose(got, want, atol=1e-9)
+    for p in (params, _with_zero_variance(params)):
+        got = batch_forward(p, [graph])[0]
+        want = _oracle_forward_infer(p, graph)
+        assert np.allclose(got, want, atol=1e-9)
 
 
 def test_forward_oracle_larger_graph(rng):
     params = _randomized_params(rng, hidden=5)
     graph = _random_graph(rng, 7)
-    got = batch_forward(params, [graph])[0]
-    want = _oracle_forward_infer(params, graph)
-    assert np.allclose(got, want, atol=1e-9)
+    for p in (params, _with_zero_variance(params)):
+        got = batch_forward(p, [graph])[0]
+        want = _oracle_forward_infer(p, graph)
+        assert np.allclose(got, want, atol=1e-9)
 
 
 def test_forward_permutation_equivariance(rng):
@@ -430,9 +448,9 @@ def _cast(params, dtype):
 @pytest.mark.parametrize("hidden", [6, 64])
 @pytest.mark.parametrize("rows", [1, 5, 13, 446])
 def test_bn_kernels_match_textbook_reference_bits(rng, rows, hidden):
-    # the fused in-place kernels are a pure refactor of the textbook ones:
-    # outputs, caches and gradients agree bit for bit, signed zeros and NaN
-    # included, in train mode and inference mode, at either dtype
+    # the fused in-place train-mode kernels are a pure refactor of the
+    # textbook ones: outputs, caches and gradients agree bit for bit, signed
+    # zeros and NaN included, at either dtype
     for dtype in (np.float64, np.float32):
         params = _cast(_randomized_params(rng, hidden=hidden), dtype)
         params.tensors["head0.gamma"][3] = 0.0
@@ -442,29 +460,51 @@ def test_bn_kernels_match_textbook_reference_bits(rng, rows, hidden):
         z[0, 0] = 0.0
         z[-1, 1] = -0.0
         z[rows // 2, 2] = np.nan
-        for train in (True, False):
-            # a one-row pre-activation is a view into _node_matmul's two-row product
-            fused_z = np.concatenate([z, z])[:1] if rows == 1 else z.copy()
-            fused_cache, ref_cache = ({}, {}) if train else (None, None)
-            fused = network._bn_act(params, "head0", x, fused_z, fused_cache)
-            ref = bn_act_reference(params, "head0", x, z.copy(), ref_cache)
-            assert fused.dtype == dtype
-            assert _same_bits(fused, ref)
-            if not train:
-                continue
-            assert fused_cache["head0"].keys() == ref_cache["head0"].keys()
-            for key, value in ref_cache["head0"].items():
-                assert _same_bits(fused_cache["head0"][key], value), key
-            d_out = rng.standard_normal((rows, hidden)).astype(dtype)
-            d_out[0, 4] = -0.0
-            d_out.setflags(write=False)
-            fused_grads, ref_grads = {}, {}
-            dz = network._bn_act_backward(params, "head0", fused_cache, d_out, fused_grads)
-            ref_dz = bn_act_backward_reference(params, "head0", ref_cache, d_out, ref_grads)
-            assert _same_bits(dz, ref_dz)
-            assert fused_grads.keys() == ref_grads.keys()
-            for key, value in ref_grads.items():
-                assert _same_bits(fused_grads[key], value), key
+        # a one-row pre-activation is a view into _node_matmul's two-row product
+        fused_z = np.concatenate([z, z])[:1] if rows == 1 else z.copy()
+        fused_cache, ref_cache = {}, {}
+        fused = network._bn_act(params, "head0", x, fused_z, fused_cache)
+        ref = bn_act_reference(params, "head0", x, z.copy(), ref_cache)
+        assert fused.dtype == dtype
+        assert _same_bits(fused, ref)
+        assert fused_cache["head0"].keys() == ref_cache["head0"].keys()
+        for key, value in ref_cache["head0"].items():
+            assert _same_bits(fused_cache["head0"][key], value), key
+        d_out = rng.standard_normal((rows, hidden)).astype(dtype)
+        d_out[0, 4] = -0.0
+        d_out.setflags(write=False)
+        fused_grads, ref_grads = {}, {}
+        dz = network._bn_act_backward(params, "head0", fused_cache, d_out, fused_grads)
+        ref_dz = bn_act_backward_reference(params, "head0", ref_cache, d_out, ref_grads)
+        assert _same_bits(dz, ref_dz)
+        assert fused_grads.keys() == ref_grads.keys()
+        for key, value in ref_grads.items():
+            assert _same_bits(fused_grads[key], value), key
+
+
+@pytest.mark.parametrize("hidden", [6, 64])
+@pytest.mark.parametrize("rows", [1, 5, 13, 446])
+def test_folded_inference_block_matches_textbook_reference(rng, rows, hidden):
+    # at inference the running-statistics normalisation is folded into the
+    # weights, which rounds differently from the textbook order; the bound is
+    # a forward error bound of the folded sum: (hidden + 1) roundings of its
+    # largest term, times a margin, in the dtype's epsilon
+    for dtype in (np.float64, np.float32):
+        params = _cast(_with_zero_variance(_randomized_params(rng, hidden=hidden), "head0.var"), dtype)
+        params.tensors["head0.gamma"][3] = 0.0
+        params.tensors["head0.beta"][3] = -0.0
+        x = rng.standard_normal((rows, hidden)).astype(dtype)
+        x[rows // 2, 2] = np.nan
+        w = params.tensors["head0.w"]
+        got = network._hidden(params, "head0", [(x, w)], None)
+        want = bn_act_reference(params, "head0", x, x @ w, None)
+        assert got.dtype == dtype
+        k = params.tensors["head0.gamma"] / np.sqrt(params.bn_stats["head0.var"] + BN_EPS)
+        shift = params.tensors["head0.beta"] - params.bn_stats["head0.mean"] * k
+        scale = (np.abs(np.nan_to_num(x)) @ np.abs(w * k) + np.abs(shift)).max()
+        tol = 4.0 * (hidden + 1) * np.finfo(dtype).eps * scale
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.allclose(got, want, rtol=0.0, atol=tol, equal_nan=True)
 
 
 def test_textbook_kernels_train_identically(rng, monkeypatch):
@@ -499,12 +539,15 @@ def test_kernels_write_nothing_they_are_given(rng):
     graphs = [_random_graph(rng, n) for n in (1, 4, 7)]
     for dtype in (np.float64, np.float32):
         params = _cast(_randomized_params(rng, hidden=8), dtype)
-        for arr in list(params.tensors.values()) + list(params.bn_stats.values()):
+        given = list(params.tensors.values()) + list(params.bn_stats.values())
+        snapshot = [arr.copy() for arr in given]
+        for arr in given:
             arr.setflags(write=False)
         for batch in (graphs, graphs[:1]):
             blocks, rows = network.aggregation_blocks(batch)
             blocks = blocks.astype(dtype)
             X = np.vstack([g.node_features for g in batch]).astype(dtype)
+            inputs = [(X, X.copy()), (blocks, blocks.copy())]
             for arr in (X, blocks):
                 arr.setflags(write=False)
             assert network.forward(params, X, blocks, rows)[0].dtype == dtype
@@ -514,3 +557,83 @@ def test_kernels_write_nothing_they_are_given(rng):
             d_out.setflags(write=False)
             grads = batch_backward(params, cache, d_out)
             assert all(g.dtype == dtype for g in grads.values())
+            for arr, before in inputs:
+                assert _same_bits(arr, before)
+        for arr, before in zip(given, snapshot):
+            assert _same_bits(arr, before)
+    # the inference entry reads a loaded model the same way
+    params = _randomized_params(rng, hidden=8)
+    params = replace(params, scaler=ScalerParams(np.zeros(13), np.ones(13), 0.0, 2.0))
+    given = list(params.tensors.values()) + list(params.bn_stats.values())
+    snapshot = [arr.copy() for arr in given]
+    for arr in given:
+        arr.setflags(write=False)
+    network.predict_batch(params, EpochBatch.of([make_epoch(rng, n=n, epoch_id=n) for n in (1, 5, 9)]))
+    for arr, before in zip(given, snapshot):
+        assert _same_bits(arr, before)
+
+
+def test_batch_forward_keeps_a_float32_model_in_float32(rng):
+    # the wrapper builds its blocks in float64, as train() does, and casts
+    # them to the features' dtype: no layer may silently widen to float64
+    params = _cast(_randomized_params(rng, hidden=8), np.float32)
+    graph = _random_graph(rng, 5)
+    graph = EpochGraph(node_features=graph.node_features.astype(np.float32), adjacency=graph.adjacency)
+    out, cache = batch_forward(params, [graph], train=True)
+    assert out.dtype == np.float32
+    floats = [(key, value) for key, value in cache.items() if isinstance(value, np.ndarray)]
+    for layer in bn_layer_names():
+        floats += [(f"{layer}.{key}", value) for key, value in cache[layer].items()]
+    floats = [(key, value) for key, value in floats if value.dtype.kind == "f"]
+    assert {key for key, _ in floats} >= {"blocks", "out_x", "sage0.agg", "sage0.xhat", "enc0.inv"}
+    for key, value in floats:
+        assert value.dtype == np.float32, key
+
+
+def test_row_normalise_equals_per_graph_blocks_bits(rng):
+    # grouping the graphs by count gives every row the bits of its own graph's
+    # unpadded row sum, whatever the other counts of the batch
+    counts = np.concatenate([np.arange(1, 41), rng.integers(1, 41, 60)])
+    rng.shuffle(counts)
+    width = int(counts.max())
+    units = rng.standard_normal((counts.size, width, 3))
+    units /= np.linalg.norm(units, axis=2, keepdims=True)
+    # a graph whose first two satellites share a direction, and whose third
+    # faces away from every other, so its row sums to zero and hits AGG_FLOOR
+    b = int(np.flatnonzero(counts == 6)[0])
+    az = rng.uniform(0.0, 2.0 * np.pi, 3)
+    units[b, :6] = [[0, 0, 1], [0, 0, 1], [0, 0, -1]] + [[np.cos(a), np.sin(a), 0.2] for a in az]
+    units[b] /= np.linalg.norm(units[b], axis=1, keepdims=True)
+    n = int(counts.sum())
+    batch = EpochBatch(
+        counts=counts,
+        initial_guess=np.zeros((counts.size, 3)),
+        constellation=np.zeros(n, dtype=int),
+        band=np.zeros(n, dtype=int),
+        sat_pos=np.zeros((n, 3)),
+        pseudorange=np.zeros(n),
+        cn0=np.zeros(n),
+        avg_power=np.zeros(n),
+    )
+    adjacency = proximity_blocks(units, batch.mask)
+    assert adjacency[b, 0, 1] == 1.0
+    assert adjacency[b, 2].sum() < AGG_FLOOR
+    got = network.row_normalise(adjacency, counts)
+    want, rows = network.aggregation_blocks(batch_graphs(batch, rng.standard_normal((n, 13)), units))
+    assert _same_bits(got, want)
+    assert np.array_equal(rows, network.padded_rows(counts, width))
+    assert not got[b, 2].any()
+
+
+def test_predict_batch_equals_single_epoch_calls_bits(rng):
+    params = _randomized_params(rng, hidden=16)
+    params = replace(params, scaler=ScalerParams(rng.standard_normal(13), rng.uniform(0.5, 2.0, 13), 0.5, 3.0))
+    epochs = [
+        make_epoch(rng, n=int(n), cn0=rng.uniform(20, 50, n), epoch_id=k)
+        for k, n in enumerate(np.concatenate([[1, 2, 40], rng.integers(1, 41, 37)]))
+    ]
+    e_hat, degenerate = network.predict_batch(params, EpochBatch.of(epochs))
+    assert not degenerate.any()
+    bounds = np.cumsum([0] + [len(ep) for ep in epochs])
+    for ep, lo, hi in zip(epochs, bounds[:-1], bounds[1:]):
+        assert _same_bits(e_hat[lo:hi], network.predict_batch(params, EpochBatch.of([ep]))[0])
