@@ -1,8 +1,9 @@
 """GNSS positioning toolkit: simulation, learned error estimation,
 cost-function regulation and weighted-least-squares multilateration.
 
-The top level exports the error classes, Epoch and the pieces a caller
-composes a pipeline from; every other helper lives in its module.
+The top level exports the error classes, Epoch and what a caller needs to
+generate data, train a model and run a pipeline; the kernels and their
+one-epoch views live in their modules.
 """
 
 from .errors import (
@@ -22,12 +23,8 @@ from .errors import (
     SingularNormalMatrix,
 )
 from .types import Epoch
-from .solver import WlsConfig, geometry_matrix, horizontal_error, wls_solve
-from .regulator import regulate_measurements, regulate_weights
-from .selector import SelectorConfig, select_measurements
 from .estimator.baselines import fit_elevation_baseline
-from .estimator.features import guess_state
-from .estimator.network import load_model, predict_errors, save_model
+from .estimator.network import load_model, save_model
 from .estimator.training import TrainConfig, train
 from .simulator import default_scenes, generate_dataset, generate_epoch
 from .dataset import load_dataset

@@ -31,6 +31,21 @@ _CONSTELLATION_CODES = {c.value: i for i, c in enumerate(CONSTELLATIONS)}
 _BAND_CODES = {b.value: i for i, b in enumerate(BANDS)}
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer field; int() would read 0.7 as 0, true as 1 and fail
+    on 1e400 with an OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {type(value).__name__} {value!r}")
+    return value
+
+
+def json_str(value, what: str) -> str:
+    """A JSON string field; str() would read null as "None"."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {type(value).__name__} {value!r}")
+    return value
+
+
 def epoch_to_record(epoch: Epoch) -> dict:
     """Plain-dict form of one epoch, keys in the on-disk order."""
     rec: dict = {"epoch_id": epoch.epoch_id, "region": epoch.region_id}
@@ -65,10 +80,10 @@ def record_to_epoch(rec: dict) -> Epoch:
         if 0 < labelled < len(obs):
             raise ValueError(f"{labelled} of {len(obs)} measurements carry truth_err; label all or none")
         return Epoch(
-            epoch_id=int(rec["epoch_id"]),
-            region_id=str(rec["region"]),
+            epoch_id=json_int(rec["epoch_id"], "epoch_id"),
+            region_id=json_str(rec["region"], "region"),
             initial_guess=guess,
-            sat_id=[int(d["sat_id"]) for d in obs],
+            sat_id=[json_int(d["sat_id"], "sat_id") for d in obs],
             constellation=[_CONSTELLATION_CODES[d["const"]] for d in obs],
             band=[_BAND_CODES[d["band"]] for d in obs],
             sat_pos=[d["sat_pos"] for d in obs],
@@ -167,13 +182,14 @@ def read_manifest(data_dir: str) -> DatasetManifest:
         if payload["format"] != DATASET_FORMAT:
             raise ValueError(f"dataset format {payload['format']!r}, expected {DATASET_FORMAT!r}")
         entries = tuple(
-            ManifestEntry(region_id=str(r["region_id"]), epochs=int(r["epochs"]), scene=dict(r["scene"]))
+            ManifestEntry(
+                region_id=json_str(r["region_id"], "region_id"),
+                epochs=json_int(r["epochs"], "epochs"),
+                scene=dict(r["scene"]),
+            )
             for r in payload["regions"]
         )
-        return DatasetManifest(
-            entries=entries,
-            global_seed=int(payload["global_seed"]),
-        )
+        return DatasetManifest(entries=entries, global_seed=json_int(payload["global_seed"], "global_seed"))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"cannot read manifest {path}: {exc}") from exc
 

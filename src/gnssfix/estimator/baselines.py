@@ -82,8 +82,11 @@ def batch_heuristic_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(N,) weights of one classic scheme for every measurement of the batch.
 
-    Also returns which epochs have degenerate geometry at their initial guess
-    (elevation only); see heuristic_weights for the schemes.
+    unit: all ones.  cn0: proportional to 10^(cn0/10), normalised to mean
+    one over each epoch.  elevation: inverse of the fitted variance law,
+    evaluated at each satellite's elevation from the initial guess.  Also
+    returns which epochs have degenerate geometry at their initial guess
+    (elevation only).
     """
     fine = np.zeros(batch.size, dtype=bool)
     if method == "unit":
@@ -100,12 +103,7 @@ def batch_heuristic_weights(
 
 
 def heuristic_weights(method: str, epoch: Epoch, fit: ElevationWeightFit | None = None) -> np.ndarray:
-    """Per-measurement weights for one of the classic schemes.
-
-    unit: all ones.  cn0: proportional to 10^(cn0/10), normalised to mean
-    one.  elevation: inverse of the fitted variance law, evaluated at each
-    satellite's elevation from the initial guess.
-    """
+    """batch_heuristic_weights on one epoch, raising its degenerate geometry."""
     w, degenerate = batch_heuristic_weights(method, EpochBatch.of([epoch]), fit)
     raise_failure(failure_code(DegenerateGeometry) * int(degenerate[0]), f"epoch {epoch.epoch_id}")
     return w

@@ -162,20 +162,11 @@ def proximity_blocks(units: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """(B, K, K) angular proximity of each epoch's satellites, zero on the
     diagonal and on padding: max(0, cos) of the angle between LOS directions."""
     # numpy's own sum of products, not BLAS, whose bits would change with K
-    A = np.minimum(np.maximum(np.einsum("bic,bjc->bij", units, units), 0.0), 1.0)
+    A = np.einsum("bic,bjc->bij", units, units)
+    np.clip(A, 0.0, 1.0, out=A)
     A *= mask[:, :, None] & mask[:, None, :]
     A[:, np.arange(A.shape[1]), np.arange(A.shape[1])] = 0.0
     return A
-
-
-def batch_graphs(batch: EpochBatch, features: np.ndarray, units: np.ndarray) -> list[EpochGraph]:
-    """One graph per epoch from its (N, D) feature rows and padded unit vectors."""
-    blocks = proximity_blocks(units, batch.mask)
-    bounds = batch.offsets
-    return [
-        EpochGraph(node_features=features[bounds[b] : bounds[b + 1]], adjacency=blocks[b, :n, :n])
-        for b, n in enumerate(batch.counts.tolist())
-    ]
 
 
 def build_graph(epoch: Epoch, features: np.ndarray) -> EpochGraph:
@@ -191,4 +182,4 @@ def build_graph(epoch: Epoch, features: np.ndarray) -> EpochGraph:
     batch = EpochBatch.of([epoch])
     units, _, too_close = directions(batch.pad(batch.sat_pos), batch.initial_guess)
     raise_failure(_DEGENERATE * int(too_close[0]), f"epoch {epoch.epoch_id}")
-    return batch_graphs(batch, features, units)[0]
+    return EpochGraph(node_features=features, adjacency=proximity_blocks(units, batch.mask)[0])

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dataset import json_int, json_str
 from ..errors import DegenerateGeometry, IoFailure, MissingFit, ModelMissing, ShapeMismatch, failure_code, raise_failure
 from ..types import EpochBatch
 from .features import (
@@ -133,21 +134,6 @@ def row_normalise(adjacency: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return adjacency / np.maximum(sums, AGG_FLOOR)[:, :, None]
 
 
-def aggregation_blocks(graphs: list[EpochGraph]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-graph neighbour-averaging blocks over a batch of graphs.
-
-    Returns the (B, K, K) adjacencies, zero-padded to the largest graph and
-    row-normalised by ``row_normalise``, and the (N,) positions of the stacked
-    nodes in the flattened (B * K) padded layout.
-    """
-    counts = np.array([g.adjacency.shape[0] for g in graphs])
-    k = int(counts.max())
-    adjacency = np.zeros((len(graphs), k, k))
-    for b, (g, n) in enumerate(zip(graphs, counts.tolist())):
-        adjacency[b, :n, :n] = g.adjacency
-    return row_normalise(adjacency, counts), padded_rows(counts, k)
-
-
 def padded_rows(counts: np.ndarray, k: int) -> np.ndarray:
     """(N,) positions of the stacked nodes of graphs with ``counts`` nodes in
     the flattened (B * k) padded layout."""
@@ -233,8 +219,8 @@ def forward(
     params: ModelParams, X: np.ndarray, blocks: np.ndarray, rows: np.ndarray, train: bool = False
 ) -> tuple[np.ndarray, dict | None]:
     """Run the network over the (N, D) stacked node features of a batch of
-    graphs, given their aggregation ``blocks`` and node ``rows`` as
-    ``aggregation_blocks`` returns them.
+    graphs, given their (B, K, K) ``row_normalise`` aggregation ``blocks`` and
+    the ``padded_rows`` of their nodes.
 
     Normalisation pools statistics over all nodes of the batch when ``train``
     is set, and uses the stored running statistics, folded into the weights,
@@ -275,10 +261,15 @@ def batch_forward(
                 f"graph feature dim {g.node_features.shape[1]} does not match model in_dim {params.in_dim}"
             )
     X = np.vstack([g.node_features for g in graphs])
+    counts = np.array([g.adjacency.shape[0] for g in graphs])
+    k = int(counts.max())
+    adjacency = np.zeros((len(graphs), k, k))
+    for b, (g, n) in enumerate(zip(graphs, counts.tolist())):
+        adjacency[b, :n, :n] = g.adjacency
     # built in float64, as train() builds its blocks, then cast to the
     # features' dtype, so a float32 model computes in float32 throughout
-    blocks, rows = aggregation_blocks(graphs)
-    return forward(params, X, blocks.astype(X.dtype, copy=False), rows, train)
+    blocks = row_normalise(adjacency, counts).astype(X.dtype, copy=False)
+    return forward(params, X, blocks, padded_rows(counts, k), train)
 
 
 def _bn_act_backward(params: ModelParams, name: str, cache: dict, d_out: np.ndarray, grads: dict) -> np.ndarray:
@@ -406,11 +397,13 @@ def load_model(path: str) -> ModelParams:
     if found != MODEL_FORMAT:
         raise IoFailure(f"{path} has model format {found!r}, not {MODEL_FORMAT!r}; retrain the model")
     try:
-        in_dim = int(payload["in_dim"])
-        hidden = int(payload["hidden"])
+        in_dim = json_int(payload["in_dim"], "in_dim")
+        hidden = json_int(payload["hidden"], "hidden")
+        if not all(isinstance(payload[key], dict) for key in ("tensors", "bn_stats")):
+            raise TypeError("tensors and bn_stats must be objects")
         tensors = {k: np.asarray(v, dtype=float) for k, v in payload["tensors"].items()}
         bn_stats = {k: np.asarray(v, dtype=float) for k, v in payload["bn_stats"].items()}
-        regions = tuple(str(r) for r in payload.get("train_regions", []))
+        regions = tuple(json_str(r, "train_regions entry") for r in payload.get("train_regions", []))
         raw = payload.get("scaler")
         scaler = None
         if raw is not None:
@@ -440,4 +433,7 @@ def load_model(path: str) -> ModelParams:
         bad_scale += [f"scaler.{k}" for k in ("feature_std", "label_std") if np.any(getattr(scaler, k) <= 0.0)]
     if bad_scale:
         raise IoFailure(f"model file {path} has negative variances or non-positive stds in {bad_scale}")
-    return ModelParams(in_dim, hidden, tensors, bn_stats, scaler, regions)
+    try:
+        return ModelParams(in_dim, hidden, tensors, bn_stats, scaler, regions)
+    except ShapeMismatch as exc:
+        raise IoFailure(f"model file {path} does not match its declared architecture: {exc}") from exc

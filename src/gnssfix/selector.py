@@ -37,8 +37,13 @@ def _steps(bound: np.ndarray, target: np.ndarray, s: float) -> np.ndarray:
 def select_batch(e_hat: np.ndarray, counts: np.ndarray, config: SelectorConfig) -> np.ndarray:
     """(B, K) keep-mask over padded (B, K) finite estimates, False on padding.
 
-    Row b holds counts[b] estimates; what follows them is ignored. See
-    select_measurements for the rule, applied to each row.
+    Row b holds counts[b] estimates; what follows them is ignored. Rows with
+    at most n_req estimates pass through untouched. Otherwise the acceptance
+    interval [l_b, u_b] is relaxed upward by s until it holds n_req
+    estimates; once the upper bound reaches the largest estimate, the lower
+    bound starts relaxing as well. The number of steps of each bound is
+    worked out from the sorted estimates, so the cost does not grow with the
+    distance the bounds travel.
     """
     n_req, l_b, u_b, s = config.n_req, config.l_b, config.u_b, config.s
     real = np.arange(e_hat.shape[1]) < counts[:, None]
@@ -61,16 +66,8 @@ def select_batch(e_hat: np.ndarray, counts: np.ndarray, config: SelectorConfig) 
 
 
 def select_measurements(e_hat: np.ndarray, config: SelectorConfig) -> np.ndarray:
-    """Boolean keep-mask over measurements.
-
-    Epochs with at most n_req measurements pass through untouched. Otherwise
-    the acceptance interval [l_b, u_b] is relaxed upward by s until it holds
-    n_req estimates; once the upper bound reaches the largest estimate, the
-    lower bound starts relaxing as well. The number of steps of each bound is
-    worked out from the sorted estimates, so the cost does not grow with the
-    distance the bounds travel. Non-finite estimates are rejected: the
-    interval could never grow to hold them.
-    """
+    """select_batch's keep-mask over one epoch's estimates. Non-finite
+    estimates are rejected: the interval could never grow to hold them."""
     e_hat = np.asarray(e_hat, dtype=float)
     n = e_hat.size
     if n < 1:

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .dataset import DatasetManifest, ManifestEntry, shard_path, write_manifest, write_shard
+from .dataset import DatasetManifest, ManifestEntry, json_int, json_str, shard_path, write_manifest, write_shard
 from .geometry import enu_basis
 from .types import BANDS, CONSTELLATIONS, Epoch
 
@@ -278,11 +278,11 @@ def scene_to_dict(scene: SceneConfig) -> dict:
 
 # How a scene field is read from JSON; every field not listed is a float.
 _SCENE_FIELD_TYPES = {
-    "region_id": str,
+    "region_id": lambda v: json_str(v, "region_id"),
     "receiver_origin": tuple,
     "sky_mask_bins": lambda v: tuple(float(c) for c in v),
-    "n_sats_range": lambda v: tuple(int(c) for c in v),
-    "seed": int,
+    "n_sats_range": lambda v: tuple(json_int(c, "n_sats_range entry") for c in v),
+    "seed": lambda v: json_int(v, "seed"),
 }
 
 
@@ -312,12 +312,12 @@ def scene_from_entry(entry: dict, global_seed: int) -> tuple[SceneConfig, int]:
     if not isinstance(entry, dict) or "region_id" not in entry:
         raise ValueError(f"region entry {entry!r} is not an object with a region_id")
     payload = dict(entry)
-    style = payload.pop("style", "urban")
     try:
-        count = int(payload.pop("epochs", DEFAULT_EPOCHS_PER_REGION))
+        style = json_str(payload.pop("style", "urban"), "style")
+        count = json_int(payload.pop("epochs", DEFAULT_EPOCHS_PER_REGION), "epochs")
         lat = float(payload.pop("lat", 0.0))
         lon = float(payload.pop("lon", 0.0))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"region {entry['region_id']!r}: {exc}") from exc
     mask_seed = stable_seed(global_seed, entry["region_id"], "mask")
     payload.setdefault("seed", mask_seed)

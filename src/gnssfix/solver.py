@@ -163,23 +163,13 @@ def wls_solve(
     initial: np.ndarray,
     config: WlsConfig = WlsConfig(),
 ) -> WlsResult:
-    """Gauss-Newton weighted least squares for position and clock bias.
-
-    The geometry matrix and residuals are rebuilt from one line-of-sight pass
-    at every iterate. Weights may be negative (weight regulation can produce
-    them); only singularity of the normal matrix is guarded. A non-finite
-    initial state or iterate raises ValueError.
-    """
-    n = len(epoch)
-    if n < 4:
-        raise InsufficientMeasurements(f"{n} observations, need >= 4")
+    """solve_batch on one epoch, its (n,) weights and (4,) initial state,
+    raising the failure it records. Weights may be negative (weight
+    regulation can produce them)."""
     w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise LengthMismatch(f"{w.shape} weights for {n} observations")
-    x = np.asarray(initial, dtype=float)
-    if x.shape != (4,):
-        raise ValueError(f"initial state must be a finite (4,) array, got {x}")
-    result, status = solve_batch(EpochBatch.of([epoch]), w, x[None], config)
+    if w.shape != (len(epoch),):
+        raise LengthMismatch(f"{w.shape} weights for {len(epoch)} observations")
+    result, status = solve_batch(EpochBatch.of([epoch]), w, np.asarray(initial, dtype=float)[None], config)
     raise_failure(int(status[0]), f"epoch {epoch.epoch_id}")
     return WlsResult(
         state=result.state[0],
@@ -197,7 +187,3 @@ def horizontal_errors(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
     east, north, _ = np.einsum("bic,bc->ib", bases, predicted[:, :3] - truth[:, :3])
     return np.hypot(east, north)
 
-
-def horizontal_error(predicted: np.ndarray, truth: np.ndarray) -> float:
-    """East-north distance between the positions of two states, meters."""
-    return float(horizontal_errors(np.asarray(predicted)[None], np.asarray(truth)[None])[0])

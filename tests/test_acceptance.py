@@ -22,14 +22,14 @@ from gnssfix.estimator.network import init_params, load_model, predict_errors, s
 from gnssfix.estimator.training import TrainConfig, train
 from gnssfix.evaluation import PipelineSpec, run_pipeline
 from gnssfix.geometry import enu_basis
-from gnssfix.regulator import build_scaled_geometry, regulate_weights
+from gnssfix.regulator import regulate_weights
 from gnssfix.selector import SelectorConfig, select_measurements
 from gnssfix.simulator import default_scenes, generate_dataset
 from gnssfix.solver import WlsConfig, geometry_matrix, wls_solve
 
 from test_selector import loop_select
 from test_training import check_gradients_fd
-from util import ORIGIN, cost, enu_direction, epoch_of, kernel_basis, make_epoch
+from util import ORIGIN, cost, enu_direction, epoch_of, kernel_basis, make_epoch, scaled_geometry
 
 DATA_SEED = 20250816
 HOLDOUT = "dense-1"          # evaluation fold; the other four regions train
@@ -113,7 +113,7 @@ def test_criterion_02_weight_stationarity_identity(rng):
         H = _random_geometry(rng, n)
         e = rng.standard_normal(n) * rng.uniform(0.5, 30.0)
         w = regulate_weights(H, e)
-        he = build_scaled_geometry(H, e)
+        he = scaled_geometry(H, e)
         bound = 1e-9 * max(1.0, np.linalg.norm(he)) * np.linalg.norm(w)
         resid = np.linalg.norm(H.T @ (w * e))
         worst = max(worst, resid / bound)

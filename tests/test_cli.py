@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,9 +13,8 @@ import pytest
 from gnssfix.cli import LOCALIZE_METHODS, main
 from gnssfix.dataset import read_manifest, read_shard, shard_path, write_shard
 from gnssfix.evaluation import PipelineSpec, run_pipeline
-from gnssfix.solver import horizontal_error
 
-from util import ORIGIN, epoch_of, make_epoch
+from util import ORIGIN, epoch_of, horizontal_error, make_epoch
 
 TINY_CONFIG = {
     "regions": [
@@ -431,6 +431,88 @@ def test_exit_code_2_for_bad_scene_entry(tmp_path, capsys, entry, named):
     assert _generate_from(tmp_path, {"regions": regions}) == 2
     err = capsys.readouterr().err
     assert "config error" in err and named in err
+    assert "Traceback" not in err
+
+
+# A JSON token put in place of the string RAW, so a file can hold numbers such
+# as 1e400, which json.dumps never writes and json.load reads as inf
+RAW = "<raw>"
+
+
+def _dumps_raw(payload, token):
+    return json.dumps(payload).replace(json.dumps(RAW), token)
+
+
+@pytest.mark.parametrize(
+    "edit, token, named",
+    [
+        (lambda e: e.update(epochs=RAW), "1e400", "epochs"),
+        (lambda e: e.update(seed=RAW), "1e400", "seed"),
+        (lambda e: e.update(n_sats_range=[5, RAW]), "1e400", "n_sats_range"),
+        (lambda e: e.update(epochs=RAW), "2.5", "epochs"),
+        (lambda e: e.update(seed=RAW), "true", "seed"),
+        (lambda e: e.update(region_id=RAW), "null", "region_id"),
+        (lambda e: e.update(style=RAW), '["urban"]', "style"),
+    ],
+)
+def test_exit_code_2_for_non_integer_or_non_string_scene_field(tmp_path, capsys, edit, token, named):
+    # int() would overflow on 1e400 or truncate 2.5, and str() would read null as "None"
+    entry = {"region_id": "a", "epochs": 2}
+    edit(entry)
+    cfg = tmp_path / "scenes.json"
+    cfg.write_text(_dumps_raw({"regions": [entry, {"region_id": "b", "epochs": 2}]}, token))
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d"), "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit, token, named",
+    [
+        (lambda r: r.update(epoch_id=RAW), "1e400", "epoch_id"),
+        (lambda r: r["obs"][2].update(sat_id=RAW), "1e400", "sat_id"),
+        (lambda r: r.update(epoch_id=RAW), "0.7", "epoch_id"),
+        (lambda r: r.update(epoch_id=RAW), "false", "epoch_id"),
+        (lambda r: r["obs"][0].update(sat_id=RAW), '"1000"', "sat_id"),
+        (lambda r: r.update(region=RAW), "null", "region"),
+    ],
+)
+def test_exit_code_3_for_non_integer_or_non_string_shard_field(tiny_data, tmp_path, capsys, edit, token, named):
+    with open(shard_path(tiny_data["data"], "canyon")) as fh:
+        first, second = (json.loads(ln) for ln in fh.readlines()[:2])
+    edit(second)
+    shard = str(tmp_path / "canyon.jsonl")
+    with open(shard, "w") as fh:
+        fh.write(json.dumps(first) + "\n" + _dumps_raw(second, token) + "\n")
+    assert main(["localize", "--epoch-file", shard, "--method", "wls_unit"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{shard}:2" in err and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit, token, named",
+    [
+        (lambda m: m.update(global_seed=RAW), "1e400", "global_seed"),
+        (lambda m: m.update(global_seed=RAW), "0.5", "global_seed"),
+        (lambda m: m["regions"][0].update(epochs=RAW), "1e400", "epochs"),
+        (lambda m: m["regions"][1].update(epochs=RAW), "true", "epochs"),
+        (lambda m: m["regions"][0].update(region_id=RAW), "null", "region_id"),
+    ],
+)
+def test_exit_code_3_for_non_integer_or_non_string_manifest_field(tiny_data, tmp_path, capsys, edit, token, named):
+    data = str(tmp_path / "data")
+    shutil.copytree(tiny_data["data"], data)
+    path = os.path.join(data, "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(path, "w") as fh:
+        fh.write(_dumps_raw(manifest, token))
+    assert main(["train", "--data", data, "--holdout", "canyon", "--out", str(tmp_path / "m.json")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and path in err and named in err
     assert "Traceback" not in err
 
 

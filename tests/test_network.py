@@ -9,7 +9,6 @@ from gnssfix.estimator import network
 from gnssfix.estimator.features import (
     EpochGraph,
     ScalerParams,
-    batch_graphs,
     build_graph,
     extract_features,
     proximity_blocks,
@@ -30,7 +29,7 @@ from gnssfix.estimator.network import (
 )
 from gnssfix.types import EpochBatch
 
-from util import bn_act_backward_reference, bn_act_reference, dense_aggregate, make_epoch
+from util import bn_act_backward_reference, bn_act_reference, dense_aggregate, graph_blocks, make_epoch
 
 
 def _random_graph(rng, n, in_dim=13):
@@ -256,7 +255,7 @@ def test_load_model_missing_file(tmp_path):
         load_model(str(tmp_path / "nope.json"))
 
 
-def test_load_model_malformed(tmp_path):
+def test_load_model_malformed(rng, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(IoFailure):
@@ -265,6 +264,23 @@ def test_load_model_malformed(tmp_path):
     wrong.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(IoFailure):
         load_model(str(wrong))
+    # fields of the wrong JSON type; 1e400 loads as inf
+    path = str(tmp_path / "model.json")
+    save_model(init_params(rng, hidden=4), path)
+    payload = json.loads(open(path).read())
+    edits = [
+        json.dumps({**payload, "tensors": list(payload["tensors"].values())}),
+        json.dumps({**payload, "bn_stats": list(payload["bn_stats"].values())}),
+        json.dumps({**payload, "hidden": "HIDDEN"}).replace('"HIDDEN"', "1e400"),
+        json.dumps({**payload, "hidden": 4.0}),
+        json.dumps({**payload, "in_dim": True}),
+        json.dumps({**payload, "train_regions": [None]}),
+    ]
+    for text in edits:
+        open(path, "w").write(text)
+        with pytest.raises(IoFailure, match="malformed") as info:
+            load_model(path)
+        assert path in str(info.value)
 
 
 @pytest.mark.parametrize("version", [1, 2])
@@ -343,8 +359,15 @@ def test_load_model_rejects_dimension_lie(rng, tmp_path):
     payload = json.loads(open(path).read())
     payload["hidden"] = 8  # dims no longer match the stored tensors
     open(path, "w").write(json.dumps(payload))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(IoFailure, match="architecture") as info:
         load_model(path)
+    assert path in str(info.value)
+    payload["hidden"] = 4
+    del payload["tensors"]["head2.w"]
+    open(path, "w").write(json.dumps(payload))
+    with pytest.raises(IoFailure, match="architecture") as info:
+        load_model(path)
+    assert path in str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -544,7 +567,7 @@ def test_kernels_write_nothing_they_are_given(rng):
         for arr in given:
             arr.setflags(write=False)
         for batch in (graphs, graphs[:1]):
-            blocks, rows = network.aggregation_blocks(batch)
+            blocks, rows = graph_blocks(batch)
             blocks = blocks.astype(dtype)
             X = np.vstack([g.node_features for g in batch]).astype(dtype)
             inputs = [(X, X.copy()), (blocks, blocks.copy())]
@@ -604,24 +627,17 @@ def test_row_normalise_equals_per_graph_blocks_bits(rng):
     az = rng.uniform(0.0, 2.0 * np.pi, 3)
     units[b, :6] = [[0, 0, 1], [0, 0, 1], [0, 0, -1]] + [[np.cos(a), np.sin(a), 0.2] for a in az]
     units[b] /= np.linalg.norm(units[b], axis=1, keepdims=True)
-    n = int(counts.sum())
-    batch = EpochBatch(
-        counts=counts,
-        initial_guess=np.zeros((counts.size, 3)),
-        constellation=np.zeros(n, dtype=int),
-        band=np.zeros(n, dtype=int),
-        sat_pos=np.zeros((n, 3)),
-        pseudorange=np.zeros(n),
-        cn0=np.zeros(n),
-        avg_power=np.zeros(n),
-    )
-    adjacency = proximity_blocks(units, batch.mask)
+    adjacency = proximity_blocks(units, np.arange(width) < counts[:, None])
     assert adjacency[b, 0, 1] == 1.0
     assert adjacency[b, 2].sum() < AGG_FLOOR
     got = network.row_normalise(adjacency, counts)
-    want, rows = network.aggregation_blocks(batch_graphs(batch, rng.standard_normal((n, 13)), units))
+    want = np.zeros_like(adjacency)
+    for g, k in enumerate(counts.tolist()):
+        own = adjacency[g, :k, :k]
+        want[g, :k, :k] = own / np.maximum(own.sum(axis=1), AGG_FLOOR)[:, None]
     assert _same_bits(got, want)
-    assert np.array_equal(rows, network.padded_rows(counts, width))
+    rows = [g * width + i for g, k in enumerate(counts.tolist()) for i in range(k)]
+    assert np.array_equal(network.padded_rows(counts, width), rows)
     assert not got[b, 2].any()
 
 

@@ -1,9 +1,13 @@
-"""The package still serves every name the benchmark imports or traces."""
+"""The package still serves every name the benchmark imports or traces, and
+its top level exports the pipeline API and nothing else."""
 
 import ast
 import glob
 import importlib
 import os
+import types
+
+import gnssfix
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -36,3 +40,20 @@ def test_traced_functions_exist():
     assert ("evaluation", "score_epoch") in pairs
     missing = [(m, f) for m, f in pairs if not callable(getattr(importlib.import_module(f"gnssfix.{m}"), f, None))]
     assert missing == []
+
+
+def test_top_level_exports_exactly_the_pipeline_api():
+    # the kernels and their one-epoch views are imported from their modules;
+    # submodules bound by the package's own imports are not exports
+    exported = {name for name in vars(gnssfix) if not name.startswith("_")}
+    exported -= {name for name, value in vars(gnssfix).items() if isinstance(value, types.ModuleType)}
+    errors = {
+        "GnssFixError", "DegenerateGeometry", "DegenerateProjection", "EmptyInput", "InsufficientMeasurements",
+        "InsufficientRedundancy", "IoFailure", "LengthMismatch", "MissingFit", "ModelMissing", "NoLabels",
+        "NonFiniteInput", "ShapeMismatch", "SingularNormalMatrix",
+    }
+    pipeline = {
+        "Epoch", "generate_dataset", "default_scenes", "generate_epoch", "load_dataset", "train", "TrainConfig",
+        "save_model", "load_model", "PipelineSpec", "run_pipeline", "fit_elevation_baseline",
+    }
+    assert exported == errors | pipeline

@@ -1,11 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gnssfix.errors import DegenerateProjection, InsufficientRedundancy, LengthMismatch, NonFiniteInput
-from gnssfix.regulator import build_scaled_geometry, regulate_measurements, regulate_weights
+from gnssfix.errors import (
+    DegenerateProjection,
+    GnssFixError,
+    InsufficientRedundancy,
+    LengthMismatch,
+    NonFiniteInput,
+    failure_code,
+)
+from gnssfix.regulator import regulate_batch, regulate_measurements, regulate_weights
 from gnssfix.solver import WlsConfig, geometry_matrix, wls_solve
+from gnssfix.types import EpochBatch
 
-from util import cost, kernel_basis, make_epoch, residuals
+from util import cost, kernel_basis, make_epoch, residuals, scaled_geometry
 
 
 def _epoch_geometry(rng, n=8, sigma=5.0):
@@ -15,30 +25,17 @@ def _epoch_geometry(rng, n=8, sigma=5.0):
     return ep, H, e
 
 
-def test_scaled_geometry_zero_errors(rng):
-    _, H, _ = _epoch_geometry(rng)
-    He = build_scaled_geometry(H, np.zeros(8))
-    assert He.shape == (4, 8)
-    assert np.all(He == 0.0)
+def _corrected(ep, e):
+    """ep with its pseudo-ranges corrected through regulate_measurements."""
+    return replace(ep, pseudorange=regulate_measurements(EpochBatch.of([ep]), e).pseudorange)
 
 
-def test_scaled_geometry_unit_errors(rng):
-    _, H, _ = _epoch_geometry(rng)
-    He = build_scaled_geometry(H, np.ones(8))
-    assert np.array_equal(He, H.T)
-
-
-def test_scaled_geometry_entrywise_product(rng):
+def test_regulate_weights_length_mismatch(rng):
     _, H, e = _epoch_geometry(rng)
-    He = build_scaled_geometry(H, e)
-    for i in range(H.shape[0]):
-        assert np.array_equal(He[:, i], e[i] * H[i, :])
-
-
-def test_scaled_geometry_length_mismatch(rng):
-    _, H, _ = _epoch_geometry(rng)
     with pytest.raises(LengthMismatch):
-        build_scaled_geometry(H, np.ones(5))
+        regulate_weights(H, np.ones(5))
+    with pytest.raises(LengthMismatch):
+        regulate_weights(H, e, probe=np.ones(9))
 
 
 def test_regulate_weights_zero_errors(rng):
@@ -51,7 +48,7 @@ def test_regulate_weights_multiply_and_check(rng):
     for _ in range(25):
         _, H, e = _epoch_geometry(rng)
         w = regulate_weights(H, e)
-        He = build_scaled_geometry(H, e)
+        He = scaled_geometry(H, e)
         bound = 1e-9 * max(1.0, np.linalg.norm(He)) * np.linalg.norm(w)
         assert np.linalg.norm(He @ w) <= bound
         assert np.linalg.norm(w) == pytest.approx(np.sqrt(8), rel=1e-12)
@@ -66,7 +63,7 @@ def test_regulate_weights_stationarity(rng):
 def test_kernel_dimension_is_n_minus_4(rng):
     for n in (5, 6, 8, 12, 20):
         _, H, e = _epoch_geometry(rng, n=n)
-        basis = kernel_basis(build_scaled_geometry(H, e))
+        basis = kernel_basis(scaled_geometry(H, e))
         assert basis.shape == (n, n - 4)
         # orthonormal columns
         assert np.allclose(basis.T @ basis, np.eye(n - 4), atol=1e-10)
@@ -76,7 +73,7 @@ def test_zero_error_column_freedom(rng):
     _, H, e = _epoch_geometry(rng, n=8)
     e = e.copy()
     e[3] = 0.0
-    He = build_scaled_geometry(H, e)
+    He = scaled_geometry(H, e)
     unit = np.zeros(8)
     unit[3] = 1.0
     assert np.linalg.norm(He @ unit) <= 1e-12
@@ -101,7 +98,7 @@ def test_regulate_weights_degenerate_projection(rng):
     v = null[:, 0]
     assert np.all(np.abs(v) > 1e-12)  # generic geometry: no zero entries
     e = v / w0
-    He = build_scaled_geometry(H, e)
+    He = scaled_geometry(H, e)
     assert np.linalg.norm(He @ w0) <= 1e-9  # w0 really spans the kernel
     with pytest.raises(DegenerateProjection):
         regulate_weights(H, e)
@@ -124,25 +121,23 @@ def test_two_kernel_points_both_recover_truth(rng):
 
 
 def test_regulate_measurements_zero_estimate(rng):
-    ep = make_epoch(rng, n=6)
-    out = regulate_measurements(ep, np.zeros(6))
-    assert np.array_equal(out.pseudorange, ep.pseudorange)
-    assert np.array_equal(out.truth, ep.truth)
+    batch = EpochBatch.of([make_epoch(rng, n=6)])
+    out = regulate_measurements(batch, np.zeros(6))
+    assert np.array_equal(out.pseudorange, batch.pseudorange)
+    assert out.sat_pos is batch.sat_pos
 
 
 def test_regulate_measurements_exact_errors(rng):
     e = rng.normal(0.0, 6.0, 8)
     ep = make_epoch(rng, n=8, errors=e)
-    fixed = regulate_measurements(ep, e)
+    fixed = regulate_measurements(EpochBatch.of([ep]), e)
     assert np.allclose(residuals(fixed, ep.truth), 0.0, atol=1e-9)
-    # truth_error fields carried over unmodified
-    assert np.array_equal(fixed.truth_error, ep.truth_error)
 
 
 def test_regulate_measurements_pipeline(rng):
     e = rng.normal(0.0, 6.0, 8)
     ep = make_epoch(rng, n=8, errors=e, guess_offset=(700.0, -700.0))
-    fixed = regulate_measurements(ep, e)
+    fixed = _corrected(ep, e)
     res = wls_solve(fixed, np.ones(8), np.append(ep.initial_guess, 0.0), WlsConfig())
     err = np.linalg.norm(res.state[:3] - ep.truth[:3])
     assert err <= 1e-3
@@ -151,7 +146,7 @@ def test_regulate_measurements_pipeline(rng):
 def test_regulate_measurements_zero_cost_at_truth(rng):
     e = rng.normal(0.0, 6.0, 8)
     ep = make_epoch(rng, n=8, errors=e)
-    fixed = regulate_measurements(ep, e)
+    fixed = _corrected(ep, e)
     w = rng.uniform(0.1, 5.0, 8)
     assert cost(fixed, ep.truth, w) == pytest.approx(0.0, abs=1e-9)
 
@@ -159,7 +154,7 @@ def test_regulate_measurements_zero_cost_at_truth(rng):
 def test_regulate_measurements_length_mismatch(rng):
     ep = make_epoch(rng, n=6)
     with pytest.raises(LengthMismatch):
-        regulate_measurements(ep, np.zeros(5))
+        regulate_measurements(EpochBatch.of([ep]), np.zeros(5))
 
 
 def test_regulate_weights_rejects_non_finite_estimates(rng):
@@ -179,7 +174,7 @@ def test_regulate_measurements_rejects_non_finite_estimates(rng):
         e_bad = np.zeros(6)
         e_bad[2] = bad
         with pytest.raises(NonFiniteInput):
-            regulate_measurements(ep, e_bad)
+            regulate_measurements(EpochBatch.of([ep]), e_bad)
 
 
 def test_weight_regulation_moves_stationary_point(rng):
@@ -202,3 +197,30 @@ def test_regulated_weights_vary_with_geometry(rng):
     _, H, e = _epoch_geometry(rng, n=8, sigma=10.0)
     w = regulate_weights(H, e)
     assert np.std(w) > 1e-3
+
+
+def test_regulate_batch_probes_equal_one_epoch_calls_bits(rng):
+    # mixed counts, among them 4-measurement epochs (a trivial kernel unless an
+    # error is zero) and an all-zero-error epoch: with a (B, K) probe each
+    # epoch gets the bits, or the failure, regulate_weights gives it alone
+    counts = np.array([4, 6, 4, 9, 5, 12, 8, 4, 5, 20])
+    width = int(counts.max())
+    H = rng.standard_normal((counts.size, width, 4))  # padding that must not matter
+    e = rng.standard_normal((counts.size, width))
+    probe = rng.standard_normal((counts.size, width))
+    for b, n in enumerate(counts.tolist()):
+        _, H[b, :n], e[b, :n] = _epoch_geometry(rng, n=n)
+    e[2, 1] = 0.0
+    e[6, :8] = 0.0
+    w, status = regulate_batch(H, e, counts, np.zeros(counts.size, dtype=int), probe)
+    assert (status == 0).sum() == 8
+    for b, n in enumerate(counts.tolist()):
+        try:
+            want = regulate_weights(H[b, :n], e[b, :n], probe[b, :n])
+        except GnssFixError as exc:
+            assert status[b] == failure_code(type(exc))
+            assert not w[b].any()
+            continue
+        assert status[b] == 0
+        assert w[b, :n].tobytes() == want.tobytes()
+        assert not w[b, n:].any()

@@ -3,10 +3,10 @@ import pytest
 
 from gnssfix.errors import InsufficientMeasurements, SingularNormalMatrix, failure_code
 from gnssfix.geometry import enu_basis
-from gnssfix.solver import WlsConfig, geometry_matrix, horizontal_error, solve_batch, wls_solve
+from gnssfix.solver import WlsConfig, geometry_matrix, solve_batch, wls_solve
 from gnssfix.types import EpochBatch
 
-from util import ORIGIN, computed_pseudorange, cost, epoch_of, make_epoch, residuals
+from util import ORIGIN, computed_pseudorange, cost, epoch_of, horizontal_error, make_epoch, residuals
 
 TRUTH = np.append(ORIGIN, 37.5)
 

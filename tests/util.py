@@ -15,25 +15,27 @@ from gnssfix import simulator as sim
 from gnssfix.errors import DegenerateGeometry, LengthMismatch
 from gnssfix.estimator import training
 from gnssfix.estimator.features import (
+    EpochGraph,
     apply_feature_scaler,
     apply_label_scaler,
     batch_features,
-    batch_graphs,
     fit_scaler,
     guess_state,
+    proximity_blocks,
 )
 from gnssfix.estimator.network import (
     BN_EPS,
     LEAKY_SLOPE,
-    aggregation_blocks,
     batch_backward,
-    batch_forward,
     forward,
     init_params,
+    padded_rows,
+    row_normalise,
     update_running_stats,
 )
 from gnssfix.geometry import MIN_LOS_DISTANCE, distances, enu_basis
 from gnssfix.regulator import _ranks
+from gnssfix.solver import horizontal_errors
 from gnssfix.types import BANDS, CONSTELLATIONS, Epoch, EpochBatch
 
 EARTH_R = 6_371_000.0
@@ -156,6 +158,17 @@ def initial_clock_bias(epoch: Epoch) -> float:
     return float(guess_state(epoch)[3])
 
 
+def horizontal_error(predicted: np.ndarray, truth: np.ndarray) -> float:
+    """East-north distance between the positions of two (4,) states, metres."""
+    return float(horizontal_errors(np.asarray(predicted)[None], np.asarray(truth)[None])[0])
+
+
+def scaled_geometry(H: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """4 x n matrix whose column i is e_i times the i-th geometry row; the
+    regulated weights span its kernel."""
+    return (np.asarray(H, dtype=float) * np.asarray(e, dtype=float)[:, None]).T
+
+
 def kernel_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the kernel of M, as columns.
 
@@ -225,6 +238,17 @@ def dense_aggregate(blocks: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.n
     return full[np.ix_(rows, rows)] @ h
 
 
+def graph_blocks(graphs) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 (B, K, K) row-normalised aggregation blocks of a list of
+    graphs, zero-padded to the largest, and the padded rows of their nodes."""
+    counts = np.array([g.adjacency.shape[0] for g in graphs])
+    k = int(counts.max())
+    adjacency = np.zeros((len(graphs), k, k))
+    for b, (g, n) in enumerate(zip(graphs, counts.tolist())):
+        adjacency[b, :n, :n] = g.adjacency
+    return row_normalise(adjacency, counts), padded_rows(counts, k)
+
+
 def batch_loss(params, graphs, labels_scaled):
     """Train-mode squared error of one batch of graphs, summed over each
     epoch's nodes and averaged over epochs, as training.train computes it on
@@ -238,7 +262,9 @@ def batch_loss(params, graphs, labels_scaled):
     for g, y in zip(graphs, labels_scaled):
         if g.node_features.shape[0] != len(y):
             raise LengthMismatch(f"{g.node_features.shape[0]} nodes vs {len(y)} labels in one epoch")
-    out, cache = batch_forward(params, list(graphs), train=True)
+    blocks, rows = graph_blocks(graphs)
+    X = np.vstack([g.node_features for g in graphs])
+    out, cache = forward(params, X, blocks.astype(X.dtype, copy=False), rows, train=True)
     y_cat = np.concatenate([np.asarray(y, dtype=float) for y in labels_scaled])
     loss, d_out = training._squared_error(out, y_cat, len(graphs))
     return loss, d_out, cache
@@ -263,7 +289,12 @@ def train_reference(dataset, config, hidden: int, loss_sink: list | None = None)
     feats_raw, units, _ = batch_features(batch)
     labels_raw = [ep.truth_error for ep in labelled]
     scaler = fit_scaler(feats_raw, np.concatenate(labels_raw))
-    graphs = batch_graphs(batch, apply_feature_scaler(scaler, feats_raw), units)
+    feats = apply_feature_scaler(scaler, feats_raw)
+    adjacency, bounds = proximity_blocks(units, batch.mask), batch.offsets
+    graphs = [
+        EpochGraph(node_features=feats[bounds[b] : bounds[b + 1]], adjacency=adjacency[b, :n, :n])
+        for b, n in enumerate(batch.counts.tolist())
+    ]
     labels = [apply_label_scaler(scaler, y) for y in labels_raw]
 
     rng = np.random.default_rng(config.seed)
@@ -282,7 +313,7 @@ def train_reference(dataset, config, hidden: int, loss_sink: list | None = None)
 
         compute = replace(params, tensors={k: t.astype(dtype) for k, t in params.tensors.items()})
         chosen = [graphs[i] for i in idx]
-        blocks, rows = aggregation_blocks(chosen)
+        blocks, rows = graph_blocks(chosen)
         X = np.vstack([g.node_features for g in chosen]).astype(dtype)
         out, cache = forward(compute, X, blocks.astype(dtype), rows, train=True)
         y = np.concatenate([labels[i] for i in idx]).astype(dtype)
