@@ -45,12 +45,11 @@ def _load_scenes_config(path: str, global_seed: int) -> tuple[list[SceneConfig],
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("regions"), list):
         raise ValueError(f"config {path} must be an object with a 'regions' list")
-    scenes, counts = [], []
-    for entry in payload["regions"]:
-        scene, count = scene_from_entry(entry, global_seed)
-        scenes.append(scene)
-        counts.append(count)
-    return scenes, counts
+    try:
+        pairs = [scene_from_entry(entry, global_seed) for entry in payload["regions"]]
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from exc
+    return [scene for scene, _ in pairs], [count for _, count in pairs]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

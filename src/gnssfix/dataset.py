@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +38,21 @@ def json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {type(value).__name__} {value!r}")
     return value
+
+
+def json_float(value, what: str) -> float:
+    """A JSON number field; float() would read "1.5" as 1.5 and true as 1.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {type(value).__name__} {value!r}")
+    return float(value)
+
+
+def json_floats(column: list, what: str) -> list:
+    """A column of JSON numbers, its types checked once rather than per value."""
+    if not set(map(type, column)) <= {int, float}:
+        for value in column:
+            json_float(value, what)
+    return column
 
 
 def json_str(value, what: str) -> str:
@@ -73,9 +89,11 @@ def record_to_epoch(rec: dict) -> Epoch:
     A record labels every measurement with truth_err or none of them.
     """
     try:
-        truth = [float(rec["truth"][k]) for k in _TRUTH_KEYS] if "truth" in rec else None
-        guess = [float(rec["guess"][k]) for k in _TRUTH_KEYS[:3]]
+        truth = [json_float(rec["truth"][k], "truth") for k in _TRUTH_KEYS] if "truth" in rec else None
+        guess = [json_float(rec["guess"][k], "guess") for k in _TRUTH_KEYS[:3]]
         obs = rec["obs"]
+        sat_pos = [d["sat_pos"] for d in obs]
+        json_floats(list(chain.from_iterable(sat_pos)), "sat_pos")
         labelled = sum("truth_err" in d for d in obs)
         if 0 < labelled < len(obs):
             raise ValueError(f"{labelled} of {len(obs)} measurements carry truth_err; label all or none")
@@ -86,14 +104,14 @@ def record_to_epoch(rec: dict) -> Epoch:
             sat_id=[json_int(d["sat_id"], "sat_id") for d in obs],
             constellation=[_CONSTELLATION_CODES[d["const"]] for d in obs],
             band=[_BAND_CODES[d["band"]] for d in obs],
-            sat_pos=[d["sat_pos"] for d in obs],
-            pseudorange=[d["pr"] for d in obs],
-            cn0=[d["cn0"] for d in obs],
-            avg_power=[d["avg_pow"] for d in obs],
-            truth_error=[d["truth_err"] for d in obs] if labelled else None,
+            sat_pos=sat_pos,
+            pseudorange=json_floats([d["pr"] for d in obs], "pr"),
+            cn0=json_floats([d["cn0"] for d in obs], "cn0"),
+            avg_power=json_floats([d["avg_pow"] for d in obs], "avg_pow"),
+            truth_error=json_floats([d["truth_err"] for d in obs], "truth_err") if labelled else None,
             truth=truth,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IoFailure(f"malformed epoch record: {exc}") from exc
 
 

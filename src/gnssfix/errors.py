@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and how one epoch ends."""
+
+from enum import IntEnum
 
 
 class GnssFixError(Exception):
@@ -57,25 +59,31 @@ class IoFailure(GnssFixError):
     """Dataset or report file could not be read or written."""
 
 
-# Failures that end one epoch without a fix. The batch kernels record them per
-# epoch as a status code, the failure's index here plus one (0: no failure);
-# the one-epoch views raise them, and evaluation skips the epoch by name.
-EPOCH_FAILURES = (
-    InsufficientMeasurements,
-    DegenerateGeometry,
-    DegenerateProjection,
-    InsufficientRedundancy,
-    SingularNormalMatrix,
-)
+class Outcome(IntEnum):
+    """How one epoch ends: a fix, converged or at the iteration cap, or a skip
+    that the one-epoch views raise as its failure. Kernels carry it as a (B,)
+    int array; a skip is spelled ``outcome.name.lower()``."""
+
+    CONVERGED = 0
+    ITERATION_CAP = 1
+    TOO_FEW_MEASUREMENTS = 2
+    DEGENERATE_GEOMETRY = 3
+    DEGENERATE_PROJECTION = 4
+    INSUFFICIENT_REDUNDANCY = 5
+    SINGULAR_NORMAL_MATRIX = 6
 
 
-def failure_code(failure: type[GnssFixError]) -> int:
-    """Status code of one of EPOCH_FAILURES."""
-    return EPOCH_FAILURES.index(failure) + 1
+_SKIP_FAILURES = {
+    Outcome.TOO_FEW_MEASUREMENTS: InsufficientMeasurements,
+    Outcome.DEGENERATE_GEOMETRY: DegenerateGeometry,
+    Outcome.DEGENERATE_PROJECTION: DegenerateProjection,
+    Outcome.INSUFFICIENT_REDUNDANCY: InsufficientRedundancy,
+    Outcome.SINGULAR_NORMAL_MATRIX: SingularNormalMatrix,
+}
 
 
-def raise_failure(code: int, what: str) -> None:
-    """Raise the failure a nonzero status code stands for; do nothing for 0."""
-    if code:
-        failure = EPOCH_FAILURES[code - 1]
+def raise_failure(outcome: int, what: str) -> None:
+    """Raise the failure a skip outcome stands for; do nothing for a fix."""
+    if outcome > Outcome.ITERATION_CAP:
+        failure = _SKIP_FAILURES[outcome]
         raise failure(f"{what}: {failure.__doc__}")

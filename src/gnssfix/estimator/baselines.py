@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DegenerateGeometry, EmptyInput, LengthMismatch, MissingFit, failure_code, raise_failure
+from ..errors import DegenerateGeometry, EmptyInput, LengthMismatch, MissingFit, Outcome, raise_failure
 from ..geometry import directions, local_angles
 from ..types import Epoch, EpochBatch
 
@@ -105,5 +105,6 @@ def batch_heuristic_weights(
 def heuristic_weights(method: str, epoch: Epoch, fit: ElevationWeightFit | None = None) -> np.ndarray:
     """batch_heuristic_weights on one epoch, raising its degenerate geometry."""
     w, degenerate = batch_heuristic_weights(method, EpochBatch.of([epoch]), fit)
-    raise_failure(failure_code(DegenerateGeometry) * int(degenerate[0]), f"epoch {epoch.epoch_id}")
+    if degenerate[0]:
+        raise_failure(Outcome.DEGENERATE_GEOMETRY, f"epoch {epoch.epoch_id}")
     return w

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateGeometry, failure_code, raise_failure
+from ..errors import Outcome, raise_failure
 from ..geometry import directions, distances, local_angles
 from ..types import CONSTELLATIONS, Epoch, EpochBatch
 
@@ -18,8 +18,6 @@ FEATURE_DIM = 13
 ONE_HOT_DIMS = 6
 
 STD_FLOOR = 1e-8
-
-_DEGENERATE = failure_code(DegenerateGeometry)
 
 
 class DegenerateStdWarning(UserWarning):
@@ -92,7 +90,8 @@ def batch_features(batch: EpochBatch) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def extract_features(epoch: Epoch) -> np.ndarray:
     """(n, 13) raw feature matrix, one row per observation."""
     features, _, degenerate = batch_features(EpochBatch.of([epoch]))
-    raise_failure(_DEGENERATE * int(degenerate[0]), f"epoch {epoch.epoch_id}")
+    if degenerate[0]:
+        raise_failure(Outcome.DEGENERATE_GEOMETRY, f"epoch {epoch.epoch_id}")
     return features
 
 
@@ -181,5 +180,6 @@ def build_graph(epoch: Epoch, features: np.ndarray) -> EpochGraph:
         raise ValueError(f"{features.shape[0]} feature rows for {n} observations")
     batch = EpochBatch.of([epoch])
     units, _, too_close = directions(batch.pad(batch.sat_pos), batch.initial_guess)
-    raise_failure(_DEGENERATE * int(too_close[0]), f"epoch {epoch.epoch_id}")
+    if too_close[0]:
+        raise_failure(Outcome.DEGENERATE_GEOMETRY, f"epoch {epoch.epoch_id}")
     return EpochGraph(node_features=features, adjacency=proximity_blocks(units, batch.mask)[0])

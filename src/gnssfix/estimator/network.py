@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import json_int, json_str
-from ..errors import DegenerateGeometry, IoFailure, MissingFit, ModelMissing, ShapeMismatch, failure_code, raise_failure
+from ..dataset import json_float, json_int, json_str
+from ..errors import IoFailure, MissingFit, ModelMissing, Outcome, ShapeMismatch, raise_failure
 from ..types import EpochBatch
 from .features import (
     FEATURE_DIM,
@@ -353,7 +353,8 @@ def predict_batch(params: ModelParams, batch: EpochBatch) -> tuple[np.ndarray, n
 def predict_errors(params: ModelParams, epoch) -> np.ndarray:
     """Estimated pseudo-range error, in metres, for every measurement."""
     e_hat, degenerate = predict_batch(params, EpochBatch.of([epoch]))
-    raise_failure(failure_code(DegenerateGeometry) * int(degenerate[0]), f"epoch {epoch.epoch_id}")
+    if degenerate[0]:
+        raise_failure(Outcome.DEGENERATE_GEOMETRY, f"epoch {epoch.epoch_id}")
     return e_hat
 
 
@@ -410,10 +411,10 @@ def load_model(path: str) -> ModelParams:
             scaler = ScalerParams(
                 feature_mean=np.asarray(raw["feature_mean"], dtype=float),
                 feature_std=np.asarray(raw["feature_std"], dtype=float),
-                label_mean=float(raw["label_mean"]),
-                label_std=float(raw["label_std"]),
+                label_mean=json_float(raw["label_mean"], "label_mean"),
+                label_std=json_float(raw["label_std"], "label_std"),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IoFailure(f"malformed model file {path}: {exc}") from exc
     if in_dim != FEATURE_DIM:
         raise IoFailure(f"model file {path} takes {in_dim} features, not the {FEATURE_DIM} extracted")

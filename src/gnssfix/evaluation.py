@@ -9,17 +9,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    EPOCH_FAILURES,
-    DegenerateGeometry,
-    EmptyInput,
-    InsufficientMeasurements,
-    IoFailure,
-    ModelMissing,
-    NoLabels,
-    NonFiniteInput,
-    failure_code,
-)
+from .errors import DegenerateGeometry, EmptyInput, IoFailure, ModelMissing, NoLabels, NonFiniteInput, Outcome
 from .estimator.baselines import ElevationWeightFit, batch_heuristic_weights
 from .estimator.features import guess_states
 from .estimator.network import ModelParams, load_model, predict_batch, predict_errors
@@ -36,8 +26,7 @@ METHODS = (
     "regulate_measurements",
 )
 _REGULATED = ("regulate_weights", "regulate_measurements")
-_TOO_FEW = failure_code(InsufficientMeasurements)
-_DEGENERATE = failure_code(DegenerateGeometry)
+_OUTCOMES = tuple(Outcome)  # indexed by value, cheaper than Outcome(code)
 # Epochs per chunk of every pipeline run. It bounds the memory of the padded
 # layouts and the network activations; the kernels give each epoch the same
 # bits in any batch, so the scores do not depend on it.
@@ -63,7 +52,8 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class EpochScore:
-    """Outcome of one epoch: either a scored fix or a skip reason."""
+    """One epoch's outcome, with its scored fix unless the outcome is a skip;
+    a skipped epoch has n_used and iterations 0 and NaN errors."""
 
     epoch_id: int
     region_id: str
@@ -71,10 +61,18 @@ class EpochScore:
     n_used: int
     horizontal_error: float
     iterations: int
-    converged: bool
-    skipped: str | None
+    outcome: Outcome
     mean_abs_err_before: float
     mean_abs_err_after: float
+
+    @property
+    def skipped(self) -> str | None:
+        """The skip reason, None for a fix."""
+        return None if self.outcome <= Outcome.ITERATION_CAP else self.outcome.name.lower()
+
+    @property
+    def converged(self) -> bool:
+        return self.outcome == Outcome.CONVERGED
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class EvalReport:
 
     @property
     def horizontal_errors(self) -> np.ndarray:
-        return np.array([s.horizontal_error for s in self.scores if s.skipped is None])
+        return np.array([s.horizontal_error for s in self.scores if s.outcome <= Outcome.ITERATION_CAP])
 
     @property
     def p50(self) -> float:
@@ -107,15 +105,15 @@ class EvalReport:
 
     @property
     def nonconverged_count(self) -> int:
-        return sum(1 for s in self.scores if s.skipped is None and not s.converged)
+        return sum(1 for s in self.scores if s.outcome == Outcome.ITERATION_CAP)
 
     @property
     def skipped_count(self) -> int:
-        return sum(1 for s in self.scores if s.skipped is not None)
+        return sum(1 for s in self.scores if s.outcome > Outcome.ITERATION_CAP)
 
     def _measurement_stats(self, attr: str) -> np.ndarray:
-        vals = [getattr(s, attr) for s in self.scores if s.skipped is None and np.isfinite(getattr(s, attr))]
-        return np.asarray(vals)
+        fixed = (getattr(s, attr) for s in self.scores if s.outcome <= Outcome.ITERATION_CAP)
+        return np.asarray([v for v in fixed if np.isfinite(v)])
 
     @property
     def err_before_mean(self) -> float:
@@ -148,27 +146,6 @@ def percentile(values: Sequence[float], p: float) -> float:
     return float(np.percentile(vals, p))
 
 
-def _skip(epoch: Epoch, reason: str) -> EpochScore:
-    return EpochScore(
-        epoch_id=epoch.epoch_id,
-        region_id=epoch.region_id,
-        n_all=len(epoch),
-        n_used=0,
-        horizontal_error=float("nan"),
-        iterations=0,
-        converged=False,
-        skipped=reason,
-        mean_abs_err_before=float("nan"),
-        mean_abs_err_after=float("nan"),
-    )
-
-
-def _failure_name(code: int) -> str:
-    """Name under which an epoch with a nonzero status code is skipped."""
-    failure = EPOCH_FAILURES[code - 1]
-    return "too_few_measurements" if failure is InsufficientMeasurements else failure.__name__
-
-
 def load_estimator(spec: PipelineSpec, oracle_errors: bool) -> ModelParams | None:
     """The model whose predictions the spec needs, or None when it needs none."""
     needs_estimates = spec.method in _REGULATED or spec.use_selector
@@ -190,26 +167,25 @@ def _batch_estimates(
     epochs: Sequence[Epoch], batch: EpochBatch, model: ModelParams | None, oracle_errors: bool
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Per-measurement error estimates of a batch: the truth errors, the
-    model's, or None; and the (B,) status with the epochs whose features are
+    model's, or None; and the (B,) outcome with the epochs whose features are
     degenerate."""
-    status = np.zeros(batch.size, dtype=int)
+    outcome = np.zeros(batch.size, dtype=int)
     if oracle_errors:
         for ep in epochs:
             if ep.truth_error is None:
                 raise NoLabels(f"epoch {ep.epoch_id} lacks per-measurement truth errors")
-        return np.concatenate([ep.truth_error for ep in epochs]), status
+        return np.concatenate([ep.truth_error for ep in epochs]), outcome
     if model is not None:
         e_hat, degenerate = predict_batch(model, batch)
-        status[degenerate] = _DEGENERATE
-        return e_hat, status
-    return None, status
+        outcome[degenerate] = Outcome.DEGENERATE_GEOMETRY.value
+        return e_hat, outcome
+    return None, outcome
 
 
 class _Fixes(NamedTuple):
-    result: WlsResult  # array-valued, one entry per epoch
+    result: WlsResult  # array-valued, one entry per epoch, with the outcome
     used: np.ndarray  # (N,) keep-mask of the measurements used
     batch: EpochBatch  # the measurements used, as solved
-    status: np.ndarray  # (B,) failure codes, 0 for a fix
 
 
 def _fix_batch(
@@ -217,11 +193,11 @@ def _fix_batch(
     batch: EpochBatch,
     e_hat: np.ndarray | None,
     elevation_fit: ElevationWeightFit | None,
-    status: np.ndarray,
+    outcome: np.ndarray,
 ) -> _Fixes:
     """Select, regulate or weight, then solve, every epoch of the batch.
 
-    An epoch keeps the first failure a stage records for it: degenerate
+    An epoch keeps the first skip a stage records in its outcome: degenerate
     features, too few measurements left after selection, then the weighting
     and the solver; later stages leave it alone. Truth is never read.
     """
@@ -233,23 +209,22 @@ def _fix_batch(
         used = batch.unpad(select_batch(batch.pad(e_hat), batch.counts, SELECTOR_CONFIG))
         sub = batch.subset(used)
         e_hat = e_hat[used]
-    status = np.where((status == 0) & (sub.counts < 4), _TOO_FEW, status)
+    outcome = np.where((outcome == 0) & (sub.counts < 4), Outcome.TOO_FEW_MEASUREMENTS.value, outcome)
 
     if spec.method == "regulate_measurements":
         sub = regulate_measurements(sub, e_hat)
     start = guess_states(sub)
     if spec.method == "regulate_weights":
         H, degenerate = geometry_matrices(sub, start)
-        status[(status == 0) & degenerate] = _DEGENERATE
-        weights, status = regulate_batch(H, sub.pad(e_hat), sub.counts, status)
+        outcome[(outcome == 0) & degenerate] = Outcome.DEGENERATE_GEOMETRY.value
+        weights, outcome = regulate_batch(H, sub.pad(e_hat), sub.counts, outcome)
         weights = sub.unpad(weights)
     elif spec.method in ("wls_unit", "regulate_measurements"):
         weights = np.ones(sub.offsets[-1])
     else:  # wls_cn0, wls_elevation; membership checked at construction
         weights, degenerate = batch_heuristic_weights(spec.method.removeprefix("wls_"), sub, elevation_fit)
-        status[(status == 0) & degenerate] = _DEGENERATE
-    result, status = solve_batch(sub, weights, start, WLS_CONFIG, status)
-    return _Fixes(result, used, sub, status)
+        outcome[(outcome == 0) & degenerate] = Outcome.DEGENERATE_GEOMETRY.value
+    return _Fixes(solve_batch(sub, weights, start, WLS_CONFIG, outcome), used, sub)
 
 
 def _chunks(epochs: Sequence[Epoch]) -> Iterator[tuple[Sequence[Epoch], EpochBatch]]:
@@ -269,8 +244,8 @@ def _fixed_chunks(
     """Each chunk of the epochs with its estimates and its fixes, each stage
     run once per chunk."""
     for chunk, batch in _chunks(epochs):
-        e_hat, status = _batch_estimates(chunk, batch, model, oracle_errors)
-        yield chunk, e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, status)
+        e_hat, outcome = _batch_estimates(chunk, batch, model, oracle_errors)
+        yield chunk, e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, outcome)
 
 
 def _mean_abs_errors(batch: EpochBatch, labels: np.ndarray, e_hat: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -288,28 +263,22 @@ def _require_truth(epochs: Iterable[Epoch]) -> None:
 
 def _score_chunk(epochs: Sequence[Epoch], e_hat: np.ndarray | None, fixes: _Fixes) -> list[EpochScore]:
     """Score every fix of a chunk against truth; every epoch must carry truth."""
-    fixed = fixes.status == 0
-    errors = np.full(fixes.status.size, np.nan)
+    outcome = fixes.result.outcome
+    cap = Outcome.ITERATION_CAP.value  # a plain int, in numpy calls and per epoch
+    fixed = outcome <= cap
+    errors = np.full(outcome.size, np.nan)
     truth = np.array([ep.truth for ep in epochs])
     errors[fixed] = horizontal_errors(fixes.result.state[fixed], truth[fixed])
     labels = np.concatenate([np.full(len(ep), np.nan) if ep.truth_error is None else ep.truth_error for ep in epochs])
     labels = labels[fixes.used]
     before, after = _mean_abs_errors(fixes.batch, labels, 0.0 if e_hat is None else e_hat[fixes.used])
-    columns = zip(
-        epochs,
-        fixes.status.tolist(),
-        fixes.batch.counts.tolist(),
-        errors.tolist(),
-        fixes.result.iterations.tolist(),
-        fixes.result.converged.tolist(),
-        before.tolist(),
-        after.tolist(),
-    )
+    counts, iterations = fixes.batch.counts.tolist(), fixes.result.iterations.tolist()
+    columns = zip(epochs, outcome.tolist(), counts, errors.tolist(), iterations, before.tolist(), after.tolist())
     return [
-        _skip(ep, _failure_name(code))
-        if code
-        else EpochScore(ep.epoch_id, ep.region_id, len(ep), n_used, he, it, conv, None, b, a)
-        for ep, code, n_used, he, it, conv, b, a in columns
+        EpochScore(ep.epoch_id, ep.region_id, len(ep), n_used, he, it, _OUTCOMES[code], b, a)
+        if code <= cap
+        else EpochScore(ep.epoch_id, ep.region_id, len(ep), 0, np.nan, 0, _OUTCOMES[code], np.nan, np.nan)
+        for ep, code, n_used, he, it, b, a in columns
     ]
 
 
@@ -329,13 +298,13 @@ def score_epoch(
     _require_truth([epoch])
     batch = EpochBatch.of([epoch])
     if model is None or oracle_errors:
-        e_hat, status = _batch_estimates([epoch], batch, model, oracle_errors)
+        e_hat, outcome = _batch_estimates([epoch], batch, model, oracle_errors)
     else:
         try:
-            e_hat, status = predict_errors(model, epoch), np.zeros(1, dtype=int)
+            e_hat, outcome = predict_errors(model, epoch), np.zeros(1, dtype=int)
         except DegenerateGeometry:
-            e_hat, status = np.zeros(len(epoch)), np.full(1, _DEGENERATE)
-    return _score_chunk([epoch], e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, status))[0]
+            e_hat, outcome = np.zeros(len(epoch)), np.full(1, Outcome.DEGENERATE_GEOMETRY.value)
+    return _score_chunk([epoch], e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, outcome))[0]
 
 
 def run_pipeline(
@@ -348,11 +317,11 @@ def run_pipeline(
 
     The dataset runs in chunks of up to FOLD_BATCH epochs, each stage once
     per chunk, and every epoch gets the score score_epoch gives it alone.
-    Epochs whose solver hit the iteration cap are scored on the last iterate
-    and reported in nonconverged_count; epochs the method cannot handle
-    (degenerate weight projection, too few measurements, singular normal
-    matrix) are skipped with the reason recorded. A model trained on any of
-    the dataset's regions is refused.
+    Every score carries its epoch's Outcome: a fix at the iteration cap is
+    scored on the last iterate and counted in nonconverged_count, and an
+    epoch the method cannot handle (too few measurements, degenerate geometry
+    or projection, singular normal matrix) is skipped with its reason. A
+    model trained on any of the dataset's regions is refused.
     """
     if len(dataset) == 0:
         raise EmptyInput("empty dataset")
@@ -380,18 +349,18 @@ def localize(spec: PipelineSpec, epochs: Sequence[Epoch]) -> Iterator[dict]:
     """The fix of every epoch, in order, as a JSON-ready record.
 
     A record holds epoch_id and region, then x, y, z, clk, converged and
-    iterations, or the skip reason under skipped. Truth is never read.
+    iterations, or the skip reason under skipped, as EpochScore spells them.
+    Truth is never read.
     """
     model = load_estimator(spec, oracle_errors=False)
     for chunk, _, fixes in _fixed_chunks(spec, epochs, model, False, None):
         r = fixes.result
-        columns = zip(chunk, fixes.status.tolist(), r.state.tolist(), r.converged.tolist(), r.iterations.tolist())
-        for ep, code, state, converged, iterations in columns:
+        for ep, code, state, iterations in zip(chunk, r.outcome.tolist(), r.state.tolist(), r.iterations.tolist()):
             record = {"epoch_id": ep.epoch_id, "region": ep.region_id}
-            if code:
-                record["skipped"] = _failure_name(code)
+            if code > Outcome.ITERATION_CAP:
+                record["skipped"] = _OUTCOMES[code].name.lower()
             else:
-                record.update(zip(("x", "y", "z", "clk"), state), converged=converged, iterations=iterations)
+                record.update(zip(("x", "y", "z", "clk"), state), converged=code == 0, iterations=iterations)
             yield record
 
 
@@ -404,22 +373,22 @@ def trace_rows(model: ModelParams, epochs: Sequence[Epoch]) -> list[tuple[int, s
     require_held_out(model, {ep.region_id for ep in epochs})
     rows = []
     for chunk, batch in _chunks([ep for ep in epochs if ep.truth_error is not None]):
-        e_hat, status = _batch_estimates(chunk, batch, model, False)
+        e_hat, outcome = _batch_estimates(chunk, batch, model, False)
         before, after = _mean_abs_errors(batch, np.concatenate([ep.truth_error for ep in chunk]), e_hat)
-        columns = zip(chunk, status.tolist(), before.tolist(), after.tolist())
+        columns = zip(chunk, outcome.tolist(), before.tolist(), after.tolist())
         rows += [(ep.epoch_id, ep.region_id, b, a) for ep, code, b, a in columns if not code]
     return rows
 
 
 def emit_reports(report: EvalReport, out_dir: str) -> dict[str, str]:
     """Write cdf.csv, summary.csv and trace.csv; returns their paths."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = {
         "cdf": os.path.join(out_dir, "cdf.csv"),
         "summary": os.path.join(out_dir, "summary.csv"),
         "trace": os.path.join(out_dir, "trace.csv"),
     }
     try:
+        os.makedirs(out_dir, exist_ok=True)
         errors = np.sort(report.horizontal_errors)
         with open(paths["cdf"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -427,50 +396,26 @@ def emit_reports(report: EvalReport, out_dir: str) -> dict[str, str]:
             for i, err in enumerate(errors, start=1):
                 writer.writerow([repr(float(err)), repr(i / errors.size)])
 
+        summary = {
+            "method": report.method,
+            "oracle_errors": int(report.oracle_errors),
+            "use_selector": int(report.use_selector),
+            "epochs": len(report.scores),
+            "p50": repr(report.p50),
+            "p95": repr(report.p95),
+            "mean_abs_err_before": repr(report.err_before_mean),
+            "median_abs_err_before": repr(report.err_before_median),
+            "mean_abs_err_after": repr(report.err_after_mean),
+            "median_abs_err_after": repr(report.err_after_median),
+            "nonconverged": report.nonconverged_count,
+            "skipped": report.skipped_count,
+        }
         with open(paths["summary"], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "method",
-                    "oracle_errors",
-                    "use_selector",
-                    "epochs",
-                    "p50",
-                    "p95",
-                    "mean_abs_err_before",
-                    "median_abs_err_before",
-                    "mean_abs_err_after",
-                    "median_abs_err_after",
-                    "nonconverged",
-                    "skipped",
-                ]
-            )
-            writer.writerow(
-                [
-                    report.method,
-                    int(report.oracle_errors),
-                    int(report.use_selector),
-                    len(report.scores),
-                    repr(report.p50),
-                    repr(report.p95),
-                    repr(report.err_before_mean),
-                    repr(report.err_before_median),
-                    repr(report.err_after_mean),
-                    repr(report.err_after_median),
-                    report.nonconverged_count,
-                    report.skipped_count,
-                ]
-            )
+            csv.writer(fh).writerows([summary.keys(), summary.values()])
     except OSError as exc:
         raise IoFailure(f"cannot write reports under {out_dir}: {exc}") from exc
-    write_trace(
-        paths["trace"],
-        [
-            (s.epoch_id, s.region_id, s.mean_abs_err_before, s.mean_abs_err_after)
-            for s in report.scores
-            if s.skipped is None
-        ],
-    )
+    fixed = [s for s in report.scores if s.outcome <= Outcome.ITERATION_CAP]
+    write_trace(paths["trace"], [(s.epoch_id, s.region_id, s.mean_abs_err_before, s.mean_abs_err_after) for s in fixed])
     return paths
 
 

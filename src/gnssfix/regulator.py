@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import DegenerateProjection, InsufficientRedundancy, LengthMismatch, NonFiniteInput, failure_code, raise_failure
+from .errors import LengthMismatch, NonFiniteInput, Outcome, raise_failure
 from .types import EpochBatch
 
 # Singular values below this fraction of the largest are treated as zero
@@ -47,7 +47,7 @@ def _kernel_points(he_t: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def regulate_batch(
-    H: np.ndarray, e: np.ndarray, counts: np.ndarray, status: np.ndarray, probe: np.ndarray | None = None
+    H: np.ndarray, e: np.ndarray, counts: np.ndarray, outcome: np.ndarray, probe: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weights w with (He)^T w = 0 for every epoch of a batch, so each truth
     location is a stationary point of its weighted cost.
@@ -59,25 +59,25 @@ def regulate_batch(
     the optimal weights are not unique; distinct probes give distinct valid
     weights. With n <= 4 and no zero error the kernel is trivial.
 
-    Epochs with a nonzero status are left alone; the SVDs of the others are
-    stacked by measurement count. Returns the (B, K) weights, zero on
-    padding, and the status with InsufficientRedundancy and
-    DegenerateProjection added.
+    Epochs whose (B,) outcome is already a skip are left alone; the SVDs of
+    the others are stacked by measurement count. Returns the (B, K) weights,
+    zero on padding, and the outcome with INSUFFICIENT_REDUNDANCY and
+    DEGENERATE_PROJECTION added.
     """
     weights = np.zeros(e.shape)
     probe = np.ones(e.shape) if probe is None else probe
-    status = status.copy()
-    small = np.flatnonzero((counts <= 4) & (status == 0))
+    outcome = outcome.copy()
+    small = np.flatnonzero((counts <= 4) & (outcome == 0))
     if small.size:  # all errors nonzero leaves a trivial kernel
         trivial = ((e[small] != 0.0) | (np.arange(e.shape[1]) >= counts[small, None])).all(axis=1)
-        status[small[trivial]] = failure_code(InsufficientRedundancy)
-    for n in sorted(set(counts[status == 0].tolist())):
-        group = np.flatnonzero((counts == n) & (status == 0))
+        outcome[small[trivial]] = Outcome.INSUFFICIENT_REDUNDANCY.value
+    for n in sorted(set(counts[outcome == 0].tolist())):
+        group = np.flatnonzero((counts == n) & (outcome == 0))
         he_t = np.swapaxes(H[group, :n] * e[group, :n, None], 1, 2)
         w, short = _kernel_points(he_t, probe[group, :n])
         weights[group, :n] = w
-        status[group[short]] = failure_code(DegenerateProjection)
-    return weights, status
+        outcome[group[short]] = Outcome.DEGENERATE_PROJECTION.value
+    return weights, outcome
 
 
 def regulate_weights(H: np.ndarray, e: np.ndarray, probe: np.ndarray | None = None) -> np.ndarray:
@@ -91,8 +91,8 @@ def regulate_weights(H: np.ndarray, e: np.ndarray, probe: np.ndarray | None = No
         raise LengthMismatch(f"{e.shape} errors and {probe.shape} probe entries for {n} geometry rows")
     if not np.isfinite(e).all():
         raise NonFiniteInput("error estimates must be finite")
-    w, status = regulate_batch(H[None], e[None], np.array([n]), np.zeros(1, dtype=int), probe[None])
-    raise_failure(int(status[0]), "weight regulation")
+    w, outcome = regulate_batch(H[None], e[None], np.array([n]), np.zeros(1, dtype=int), probe[None])
+    raise_failure(int(outcome[0]), "weight regulation")
     return w[0]
 
 

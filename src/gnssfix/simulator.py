@@ -33,7 +33,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .dataset import DatasetManifest, ManifestEntry, json_int, json_str, shard_path, write_manifest, write_shard
+from .dataset import DatasetManifest, ManifestEntry, json_float, json_int, json_str, shard_path, write_manifest, write_shard
+from .errors import IoFailure
 from .geometry import enu_basis
 from .types import BANDS, CONSTELLATIONS, Epoch
 
@@ -276,13 +277,13 @@ def scene_to_dict(scene: SceneConfig) -> dict:
     return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
-# How a scene field is read from JSON; every field not listed is a float.
+# How a scene field is read from JSON, given value and name; any other field is a number.
 _SCENE_FIELD_TYPES = {
-    "region_id": lambda v: json_str(v, "region_id"),
-    "receiver_origin": tuple,
-    "sky_mask_bins": lambda v: tuple(float(c) for c in v),
-    "n_sats_range": lambda v: tuple(json_int(c, "n_sats_range entry") for c in v),
-    "seed": lambda v: json_int(v, "seed"),
+    "region_id": json_str,
+    "receiver_origin": lambda v, what: tuple(json_float(c, what) for c in v),
+    "sky_mask_bins": lambda v, what: tuple(json_float(c, what) for c in v),
+    "n_sats_range": lambda v, what: tuple(json_int(c, what) for c in v),
+    "seed": json_int,
 }
 
 
@@ -296,8 +297,8 @@ def scene_from_dict(payload: dict) -> SceneConfig:
     if unknown:
         raise ValueError(f"unknown scene keys {unknown}")
     try:
-        return SceneConfig(**{k: _SCENE_FIELD_TYPES.get(k, float)(v) for k, v in payload.items()})
-    except (TypeError, ValueError) as exc:
+        return SceneConfig(**{k: _SCENE_FIELD_TYPES.get(k, json_float)(v, k) for k, v in payload.items()})
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"scene {payload.get('region_id')!r}: {exc}") from exc
 
 
@@ -315,9 +316,9 @@ def scene_from_entry(entry: dict, global_seed: int) -> tuple[SceneConfig, int]:
     try:
         style = json_str(payload.pop("style", "urban"), "style")
         count = json_int(payload.pop("epochs", DEFAULT_EPOCHS_PER_REGION), "epochs")
-        lat = float(payload.pop("lat", 0.0))
-        lon = float(payload.pop("lon", 0.0))
-    except (TypeError, ValueError) as exc:
+        lat = json_float(payload.pop("lat", 0.0), "lat")
+        lon = json_float(payload.pop("lon", 0.0), "lon")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"region {entry['region_id']!r}: {exc}") from exc
     mask_seed = stable_seed(global_seed, entry["region_id"], "mask")
     payload.setdefault("seed", mask_seed)
@@ -358,7 +359,10 @@ def generate_dataset(
     if any(c < 1 for c in counts):
         raise ValueError("every region needs at least one epoch")
 
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create dataset directory {out_dir}: {exc}") from exc
     entries = []
     for scene, count in zip(scenes, counts):
         epochs = [

@@ -11,23 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometry,
-    InsufficientMeasurements,
-    LengthMismatch,
-    SingularNormalMatrix,
-    failure_code,
-    raise_failure,
-)
+from .errors import DegenerateGeometry, LengthMismatch, Outcome, raise_failure
 from .geometry import directions, enu_bases
 from .types import Epoch, EpochBatch
 
 # Condition number above which the 4x4 normal matrix is treated as singular.
 NORMAL_COND_LIMIT = 1e12
-
-_TOO_FEW = failure_code(InsufficientMeasurements)
-_DEGENERATE = failure_code(DegenerateGeometry)
-_SINGULAR = failure_code(SingularNormalMatrix)
 
 
 @dataclass(frozen=True)
@@ -44,18 +33,23 @@ class WlsConfig:
 
 @dataclass(frozen=True)
 class WlsResult:
-    """Outcome of the iterative solve.
+    """Result of the iterative solve.
 
-    converged: the last update norm fell below the tolerance. Otherwise the
-    iteration cap was hit and the state carries the last iterate, so hard
-    epochs can still be scored. From the batch kernel every field has a
-    leading epoch axis.
+    outcome is CONVERGED when the last update norm fell below the tolerance
+    and ITERATION_CAP when the cap was hit; the state then carries the last
+    iterate, so hard epochs can still be scored. Any other outcome is a skip
+    and the state is the initial one. From the batch kernel every field has
+    a leading epoch axis.
     """
 
     state: np.ndarray  # (4,)
     iterations: int
     step_norm: float
-    converged: bool
+    outcome: Outcome
+
+    @property
+    def converged(self) -> bool:
+        return self.outcome == Outcome.CONVERGED.value
 
 
 def geometry_matrices(batch: EpochBatch, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +64,8 @@ def geometry_matrices(batch: EpochBatch, states: np.ndarray) -> tuple[np.ndarray
 def geometry_matrix(epoch: Epoch, state: np.ndarray) -> np.ndarray:
     """n x 4 Jacobian of computed pseudo-ranges; row i is (-los_i, 1)."""
     H, too_close = geometry_matrices(EpochBatch.of([epoch]), np.asarray(state, dtype=float)[None])
-    raise_failure(_DEGENERATE * int(too_close[0]), f"epoch {epoch.epoch_id}")
+    if too_close[0]:
+        raise_failure(Outcome.DEGENERATE_GEOMETRY, f"epoch {epoch.epoch_id}")
     return H[0]
 
 
@@ -96,28 +91,29 @@ def solve_batch(
     weights: np.ndarray,
     initial: np.ndarray,
     config: WlsConfig = WlsConfig(),
-    status: np.ndarray | None = None,
-) -> tuple[WlsResult, np.ndarray]:
+    outcome: np.ndarray | None = None,
+) -> WlsResult:
     """Gauss-Newton weighted least squares for every epoch of the batch at once.
 
     weights is an (N,) column and initial a (B, 4) array of states. Epochs
-    with a nonzero entry in ``status`` are not solved. Each iteration stacks
+    whose ``outcome`` is already a skip are not solved. Each iteration stacks
     the active epochs' padded (K, 4) geometry matrices, with zero weight on
     padding, into one normal-matrix product and one solve; an epoch leaves
     the loop when its update norm falls below the tolerance or it fails.
-    Returns the array-valued result and the status with each epoch's failure
-    (too few measurements, degenerate geometry, singular normal matrix)
-    added. A non-finite initial state or iterate raises ValueError.
+    Returns the array-valued result, whose outcome adds each epoch's failure
+    (too few measurements, degenerate geometry, singular normal matrix) or
+    iteration cap. A non-finite initial state or iterate raises ValueError.
     """
     x = np.array(initial, dtype=float)
     if x.shape != (batch.size, 4) or not np.isfinite(x).all():
         raise ValueError(f"initial states must be a finite ({batch.size}, 4) array")
-    too_few = batch.counts < 4
-    status = np.where(too_few, _TOO_FEW, 0) if status is None else np.where((status == 0) & too_few, _TOO_FEW, status)
+    if outcome is None:
+        outcome = np.zeros(batch.size, dtype=int)
+    outcome = np.where((outcome == 0) & (batch.counts < 4), Outcome.TOO_FEW_MEASUREMENTS.value, outcome)
     iterations = np.zeros(batch.size, dtype=int)
     step_norm = np.full(batch.size, np.inf)
     # the active epochs and their rows, pruned as epochs converge or fail
-    active = np.flatnonzero(status == 0)
+    active = np.flatnonzero(outcome == 0)
     rows = (batch.pad(batch.sat_pos), batch.pad(batch.pseudorange), batch.pad(weights, fill=0.0)[..., None], x)
     if active.size < batch.size:
         rows = tuple(a[active] for a in rows)
@@ -135,7 +131,8 @@ def solve_batch(
         normal_rhs = np.swapaxes(J[..., :4] * w, 1, 2) @ J
         failed = too_close | _normal_singular(normal_rhs[:, :, :4])
         if failed.any():
-            status[active[failed]] = np.where(too_close[failed], _DEGENERATE, _SINGULAR)
+            codes = (Outcome.DEGENERATE_GEOMETRY.value, Outcome.SINGULAR_NORMAL_MATRIX.value)
+            outcome[active[failed]] = np.where(too_close[failed], *codes)
             ok = ~failed
             active, sat, pr, w, xa, J, normal_rhs = (a[ok] for a in (active, sat, pr, w, xa, J, normal_rhs))
         # the update is minus the solution of the normal equations
@@ -147,14 +144,15 @@ def solve_batch(
         leave = step < config.convergence_tol
         if it == config.max_iterations or leave.all():
             x[active], iterations[active], step_norm[active] = xa, it, step
+            if it == config.max_iterations:
+                outcome[active[~leave]] = Outcome.ITERATION_CAP.value
             break
         if leave.any():
             done = active[leave]
             x[done], iterations[done], step_norm[done] = xa[leave], it, step[leave]
             stay = ~leave
             active, sat, pr, w, xa, J = (a[stay] for a in (active, sat, pr, w, xa, J))
-    result = WlsResult(state=x, iterations=iterations, step_norm=step_norm, converged=step_norm < config.convergence_tol)
-    return result, status
+    return WlsResult(state=x, iterations=iterations, step_norm=step_norm, outcome=outcome)
 
 
 def wls_solve(
@@ -169,14 +167,10 @@ def wls_solve(
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(epoch),):
         raise LengthMismatch(f"{w.shape} weights for {len(epoch)} observations")
-    result, status = solve_batch(EpochBatch.of([epoch]), w, np.asarray(initial, dtype=float)[None], config)
-    raise_failure(int(status[0]), f"epoch {epoch.epoch_id}")
-    return WlsResult(
-        state=result.state[0],
-        iterations=int(result.iterations[0]),
-        step_norm=float(result.step_norm[0]),
-        converged=bool(result.converged[0]),
-    )
+    result = solve_batch(EpochBatch.of([epoch]), w, np.asarray(initial, dtype=float)[None], config)
+    outcome = Outcome(int(result.outcome[0]))
+    raise_failure(outcome, f"epoch {epoch.epoch_id}")
+    return WlsResult(result.state[0], int(result.iterations[0]), float(result.step_norm[0]), outcome)
 
 
 def horizontal_errors(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:

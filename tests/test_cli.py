@@ -339,7 +339,7 @@ def test_localize_skips_singular_geometry(tmp_path, rng, capsys):
     records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
     assert [r["epoch_id"] for r in records] == [0, 1, 2]
     reason = run_pipeline(PipelineSpec("wls_unit"), [epochs[1]]).scores[0].skipped
-    assert reason == "SingularNormalMatrix"
+    assert reason == "singular_normal_matrix"
     assert records[1] == {"epoch_id": 1, "region": "sing", "skipped": reason}
     assert "skipped" not in records[0] and "skipped" not in records[2]
 
@@ -360,7 +360,7 @@ def test_localize_skips_degenerate_geometry(tiny_data, tmp_path, rng, method, ca
     assert rc == 0
     records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
     assert [r["epoch_id"] for r in records] == [0, 1, 2]
-    assert records[1] == {"epoch_id": 1, "region": "testville", "skipped": "DegenerateGeometry"}
+    assert records[1] == {"epoch_id": 1, "region": "testville", "skipped": "degenerate_geometry"}
     assert "skipped" not in records[0] and "skipped" not in records[2]
 
 
@@ -415,6 +415,10 @@ def test_config_explicit_fields_take_defaults(tmp_path):
     assert scene_from_dict(stored) == defaults
 
 
+# an integer JSON token beyond the float64 and int64 ranges
+HUGE_INT = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
     "entry, named",
     [
@@ -424,13 +428,21 @@ def test_config_explicit_fields_take_defaults(tmp_path):
         ({"epochs": None}, "NoneType"),
         ({"receiver_origin": [6_371_000.0, 0.0]}, "receiver_origin"),
         ({"receiver_origin": [float("nan"), 0.0, 0.0]}, "receiver_origin"),
+        # float() would read "1.5" as 1.5 and true as 1.0
+        ({"los_sigma_base": "1.5"}, "los_sigma_base must be a number"),
+        ({"nlos_sigma": True}, "nlos_sigma must be a number"),
+        ({"lat": "10.0"}, "lat must be a number"),
+        ({"sky_mask_bins": [0.1] * 35 + [False]}, "sky_mask_bins must be a number"),
+        ({"receiver_origin": [6_371_000.0, "0", 0.0]}, "receiver_origin must be a number"),
+        pytest.param({"los_sigma_base": int(HUGE_INT)}, "too large", id="huge-los_sigma_base"),
+        pytest.param({"lat": int(HUGE_INT)}, "too large", id="huge-lat"),
     ],
 )
 def test_exit_code_2_for_bad_scene_entry(tmp_path, capsys, entry, named):
     regions = [dict({"region_id": "a", "epochs": 2}, **entry), {"region_id": "b", "epochs": 2}]
     assert _generate_from(tmp_path, {"regions": regions}) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and named in err
+    assert "config error" in err and str(tmp_path / "scenes.json") in err and named in err
     assert "Traceback" not in err
 
 
@@ -476,6 +488,17 @@ def test_exit_code_2_for_non_integer_or_non_string_scene_field(tmp_path, capsys,
         (lambda r: r.update(epoch_id=RAW), "false", "epoch_id"),
         (lambda r: r["obs"][0].update(sat_id=RAW), '"1000"', "sat_id"),
         (lambda r: r.update(region=RAW), "null", "region"),
+        # np.array(dtype=float) and float() would read "1.5" as 1.5 and true as 1.0
+        (lambda r: r["obs"][1].update(pr=RAW), '"25573590.1"', "pr must be a number"),
+        (lambda r: r["obs"][0].update(cn0=RAW), "true", "cn0 must be a number"),
+        (lambda r: r["obs"][2].update(avg_pow=RAW), '"-3.0"', "avg_pow must be a number"),
+        (lambda r: r["obs"][0].update(sat_pos=[1.0, RAW, 3.0]), '"2.0"', "sat_pos must be a number"),
+        (lambda r: r["obs"][3].update(truth_err=RAW), "false", "truth_err must be a number"),
+        (lambda r: r["guess"].update(x=RAW), '"1331351.8"', "guess must be a number"),
+        (lambda r: r["truth"].update(clk=RAW), "true", "truth must be a number"),
+        # float() and np.array raise OverflowError on HUGE_INT
+        pytest.param(lambda r: r["obs"][1].update(pr=RAW), HUGE_INT, "too large", id="huge-pr"),
+        pytest.param(lambda r: r["obs"][1].update(sat_id=RAW), HUGE_INT, "too large", id="huge-sat_id"),
     ],
 )
 def test_exit_code_3_for_non_integer_or_non_string_shard_field(tiny_data, tmp_path, capsys, edit, token, named):
@@ -513,6 +536,23 @@ def test_exit_code_3_for_non_integer_or_non_string_manifest_field(tiny_data, tmp
     assert main(["train", "--data", data, "--holdout", "canyon", "--out", str(tmp_path / "m.json")]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and path in err and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+@pytest.mark.parametrize("below", [False, True])
+def test_exit_code_3_for_output_path_through_a_file(tiny_data, tmp_path, capsys, command, below):
+    # makedirs raises FileExistsError on a file and NotADirectoryError below one
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    out = str(blocker / "sub") if below else str(blocker)
+    if command == "generate":
+        args = ["generate", "--out", out, "--epochs", "1"]
+    else:
+        args = ["evaluate", "--data", tiny_data["data"], "--holdout", "canyon", "--method", "wls_unit", "--out", out]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and out in err
     assert "Traceback" not in err
 
 

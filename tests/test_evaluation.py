@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gnssfix import evaluation
-from gnssfix.errors import DegenerateGeometry, EmptyInput, ModelMissing, NoLabels
+from gnssfix.errors import DegenerateGeometry, EmptyInput, ModelMissing, NoLabels, Outcome
 from gnssfix.estimator.baselines import ElevationWeightFit
 from gnssfix.estimator.network import load_model, predict_errors, save_model
 from gnssfix.estimator.training import TrainConfig, train
@@ -60,7 +60,7 @@ def _urban_dataset(count=150, region="urb"):
     ]
 
 
-def _score(epoch_id=0, he=1.0, skipped=None, converged=True, before=5.0, after=1.0):
+def _score(epoch_id=0, he=1.0, outcome=Outcome.CONVERGED, before=5.0, after=1.0):
     return EpochScore(
         epoch_id=epoch_id,
         region_id="r",
@@ -68,8 +68,7 @@ def _score(epoch_id=0, he=1.0, skipped=None, converged=True, before=5.0, after=1
         n_used=8,
         horizontal_error=he,
         iterations=3,
-        converged=converged,
-        skipped=skipped,
+        outcome=outcome,
         mean_abs_err_before=before,
         mean_abs_err_after=after,
     )
@@ -253,7 +252,7 @@ def test_emit_summary_matches_percentile_oracle(tmp_path, rng):
 
 
 def test_emit_reports_skips_skipped_epochs(tmp_path):
-    scores = (_score(epoch_id=0, he=2.0), _score(epoch_id=1, he=float("nan"), skipped="too_few_measurements"))
+    scores = (_score(epoch_id=0, he=2.0), _score(epoch_id=1, he=float("nan"), outcome=Outcome.TOO_FEW_MEASUREMENTS))
     report = EvalReport(method="wls_unit", oracle_errors=False, use_selector=False, scores=scores)
     paths = emit_reports(report, str(tmp_path))
     assert len(list(csv.reader(open(paths["cdf"])))) == 2  # header + 1
@@ -337,10 +336,10 @@ def test_fold_scores_equal_one_epoch_scores(learned_models, method, use_selector
     assert all(map(_same_score, report.scores, alone))
     skips = {s.epoch_id: s.skipped for s in report.scores if s.skipped is not None}
     assert skips.get(103) == "too_few_measurements"
-    assert skips.get(102) == "DegenerateGeometry"
+    assert skips.get(102) == "degenerate_geometry"
     assert 101 in skips
     # padding repeats real satellites, so it never trips the line-of-sight guard
-    assert [k for k, reason in skips.items() if reason == "DegenerateGeometry"] == [102]
+    assert [k for k, reason in skips.items() if reason == "degenerate_geometry"] == [102]
 
 
 def test_fold_batch_size_does_not_change_scores(learned_models, monkeypatch):

@@ -268,6 +268,8 @@ def test_load_model_malformed(rng, tmp_path):
     path = str(tmp_path / "model.json")
     save_model(init_params(rng, hidden=4), path)
     payload = json.loads(open(path).read())
+    dim = payload["in_dim"]
+    scaler = {"feature_mean": [0.0] * dim, "feature_std": [1.0] * dim, "label_mean": 0.0, "label_std": 1.0}
     edits = [
         json.dumps({**payload, "tensors": list(payload["tensors"].values())}),
         json.dumps({**payload, "bn_stats": list(payload["bn_stats"].values())}),
@@ -275,6 +277,10 @@ def test_load_model_malformed(rng, tmp_path):
         json.dumps({**payload, "hidden": 4.0}),
         json.dumps({**payload, "in_dim": True}),
         json.dumps({**payload, "train_regions": [None]}),
+        # float() would read "0.5" as 0.5 and true as 1.0
+        json.dumps({**payload, "scaler": {**scaler, "label_mean": "0.5"}}),
+        json.dumps({**payload, "scaler": {**scaler, "label_std": True}}),
+        json.dumps({**payload, "scaler": {**scaler, "label_mean": 10**400}}),  # beyond float range
     ]
     for text in edits:
         open(path, "w").write(text)

@@ -7,7 +7,13 @@ import importlib
 import os
 import types
 
+import numpy as np
+
 import gnssfix
+from gnssfix.evaluation import PipelineSpec, run_pipeline
+from gnssfix.solver import wls_solve
+
+from util import make_epoch
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -40,6 +46,23 @@ def test_traced_functions_exist():
     assert ("evaluation", "score_epoch") in pairs
     missing = [(m, f) for m, f in pairs if not callable(getattr(importlib.import_module(f"gnssfix.{m}"), f, None))]
     assert missing == []
+
+
+def test_benchmark_attributes_exist_on_real_results(rng):
+    # the names perfbench/workloads.py and the wls_solve trace hook read off a
+    # report, its scores and a solve; a refactor that drops one fails here
+    epochs = [make_epoch(rng, n=n, errors=rng.normal(0, 3, n), epoch_id=k) for k, n in enumerate([3, 8])]
+    report = run_pipeline(PipelineSpec("wls_unit"), epochs)
+    for name in ("scores", "p50", "p95", "skipped_count", "nonconverged_count"):
+        assert hasattr(report, name), name
+    assert (report.skipped_count, report.nonconverged_count) == (1, 0)
+    skipped, fixed = report.scores
+    assert (skipped.skipped, skipped.converged) == ("too_few_measurements", False)
+    assert (fixed.skipped, fixed.converged) == (None, True)
+    for name in ("epoch_id", "horizontal_error"):
+        assert hasattr(fixed, name), name
+    result = wls_solve(epochs[1], np.ones(8), np.append(epochs[1].initial_guess, 0.0))
+    assert result.converged is True and isinstance(result.iterations, int)
 
 
 def test_top_level_exports_exactly_the_pipeline_api():

@@ -9,7 +9,7 @@ from gnssfix.errors import (
     InsufficientRedundancy,
     LengthMismatch,
     NonFiniteInput,
-    failure_code,
+    Outcome,
 )
 from gnssfix.regulator import regulate_batch, regulate_measurements, regulate_weights
 from gnssfix.solver import WlsConfig, geometry_matrix, wls_solve
@@ -212,15 +212,18 @@ def test_regulate_batch_probes_equal_one_epoch_calls_bits(rng):
         _, H[b, :n], e[b, :n] = _epoch_geometry(rng, n=n)
     e[2, 1] = 0.0
     e[6, :8] = 0.0
-    w, status = regulate_batch(H, e, counts, np.zeros(counts.size, dtype=int), probe)
-    assert (status == 0).sum() == 8
+    w, outcome = regulate_batch(H, e, counts, np.zeros(counts.size, dtype=int), probe)
+    assert (outcome == Outcome.CONVERGED).sum() == 8
     for b, n in enumerate(counts.tolist()):
         try:
             want = regulate_weights(H[b, :n], e[b, :n], probe[b, :n])
         except GnssFixError as exc:
-            assert status[b] == failure_code(type(exc))
+            assert type(exc) is {
+                Outcome.INSUFFICIENT_REDUNDANCY: InsufficientRedundancy,
+                Outcome.DEGENERATE_PROJECTION: DegenerateProjection,
+            }[outcome[b]]
             assert not w[b].any()
             continue
-        assert status[b] == 0
+        assert outcome[b] == Outcome.CONVERGED
         assert w[b, :n].tobytes() == want.tobytes()
         assert not w[b, n:].any()

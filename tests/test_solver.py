@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnssfix.errors import InsufficientMeasurements, SingularNormalMatrix, failure_code
+from gnssfix.errors import InsufficientMeasurements, Outcome, SingularNormalMatrix
 from gnssfix.geometry import enu_basis
 from gnssfix.solver import WlsConfig, geometry_matrix, solve_batch, wls_solve
 from gnssfix.types import EpochBatch
@@ -226,15 +226,16 @@ def test_batched_solve_keeps_neighbours_unchanged(rng, cap):
     starts = np.array([np.append(ep.initial_guess, 0.0) for ep in epochs])
     weights = [rng.uniform(0.5, 2.0, len(ep)) for ep in epochs]
     config = WlsConfig(max_iterations=cap)
-    result, status = solve_batch(EpochBatch.of(epochs), np.concatenate(weights), starts, config)
-    assert status.tolist() == [0, 0, failure_code(SingularNormalMatrix), 0, 0, 0]
+    result = solve_batch(EpochBatch.of(epochs), np.concatenate(weights), starts, config)
     # the far epoch hits the cap of 3 and needs more than 3 iterations without it
+    far_outcome = Outcome.ITERATION_CAP if cap == 3 else Outcome.CONVERGED
+    assert result.outcome.tolist() == [0, 0, Outcome.SINGULAR_NORMAL_MATRIX, far_outcome, 0, 0]
     assert (result.iterations[3] == 3 and not result.converged[3]) if cap == 3 else result.iterations[3] > 3
     for k, (ep, w, x0) in enumerate(zip(epochs, weights, starts)):
-        if status[k]:
+        if result.outcome[k] > Outcome.ITERATION_CAP:
             with pytest.raises(SingularNormalMatrix):
                 wls_solve(ep, w, x0, config)
             continue
         alone = wls_solve(ep, w, x0, config)
         assert np.array_equal(result.state[k], alone.state)
-        assert (result.iterations[k], result.converged[k]) == (alone.iterations, alone.converged)
+        assert (result.iterations[k], result.outcome[k]) == (alone.iterations, alone.outcome)
