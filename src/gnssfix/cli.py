@@ -41,7 +41,7 @@ def _load_scenes_config(path: str, global_seed: int) -> tuple[list[SceneConfig],
             payload = json.load(fh)
     except OSError as exc:
         raise IoFailure(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("regions"), list):
         raise ValueError(f"config {path} must be an object with a 'regions' list")

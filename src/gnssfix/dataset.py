@@ -137,7 +137,7 @@ def read_shard(path: str) -> list[Epoch]:
                     continue
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
                     raise IoFailure(f"{path}:{lineno}: invalid JSON: {exc}") from exc
                 try:
                     epochs.append(record_to_epoch(rec))

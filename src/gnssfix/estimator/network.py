@@ -385,14 +385,15 @@ def save_model(params: ModelParams, path: str) -> None:
 
 
 def load_model(path: str) -> ModelParams:
-    """Read a model file back; a file whose dims differ from the extracted
-    features, or whose tensors differ from its declared dims, is refused."""
+    """Read a model file back; a file with no feature scaler, whose dims
+    differ from the extracted features, or whose tensors differ from its
+    declared dims, is refused."""
     if not os.path.exists(path):
         raise ModelMissing(f"no model file at {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, or an integer too long for int()
         raise IoFailure(f"unreadable model file {path}: {exc}") from exc
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != MODEL_FORMAT:
@@ -406,32 +407,30 @@ def load_model(path: str) -> ModelParams:
         bn_stats = {k: np.asarray(v, dtype=float) for k, v in payload["bn_stats"].items()}
         regions = tuple(json_str(r, "train_regions entry") for r in payload.get("train_regions", []))
         raw = payload.get("scaler")
-        scaler = None
-        if raw is not None:
-            scaler = ScalerParams(
-                feature_mean=np.asarray(raw["feature_mean"], dtype=float),
-                feature_std=np.asarray(raw["feature_std"], dtype=float),
-                label_mean=json_float(raw["label_mean"], "label_mean"),
-                label_std=json_float(raw["label_std"], "label_std"),
-            )
+        if not isinstance(raw, dict):
+            raise TypeError(f"no feature scaler: scaler is {type(raw).__name__}, not an object")
+        scaler = ScalerParams(
+            feature_mean=np.asarray(raw["feature_mean"], dtype=float),
+            feature_std=np.asarray(raw["feature_std"], dtype=float),
+            label_mean=json_float(raw["label_mean"], "label_mean"),
+            label_std=json_float(raw["label_std"], "label_std"),
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IoFailure(f"malformed model file {path}: {exc}") from exc
     if in_dim != FEATURE_DIM:
         raise IoFailure(f"model file {path} takes {in_dim} features, not the {FEATURE_DIM} extracted")
-    if scaler is not None and not scaler.feature_mean.shape == scaler.feature_std.shape == (in_dim,):
+    if not scaler.feature_mean.shape == scaler.feature_std.shape == (in_dim,):
         shapes = f"{scaler.feature_mean.shape} and {scaler.feature_std.shape}"
         raise IoFailure(f"model file {path} has feature scaler shapes {shapes}, not ({in_dim},)")
     values = {f"tensors.{k}": v for k, v in tensors.items()}
     values.update({f"bn_stats.{k}": v for k, v in bn_stats.items()})
-    if scaler is not None:
-        values.update({f"scaler.{k}": v for k, v in vars(scaler).items()})
+    values.update({f"scaler.{k}": v for k, v in vars(scaler).items()})
     non_finite = [name for name, v in values.items() if not np.all(np.isfinite(v))]
     if non_finite:
         raise IoFailure(f"model file {path} has non-finite values in {non_finite}")
     # a negative variance or a zero or negative std turns every estimate NaN
     bad_scale = [f"bn_stats.{k}" for k, v in bn_stats.items() if k.endswith(".var") and np.any(v < 0.0)]
-    if scaler is not None:
-        bad_scale += [f"scaler.{k}" for k in ("feature_std", "label_std") if np.any(getattr(scaler, k) <= 0.0)]
+    bad_scale += [f"scaler.{k}" for k in ("feature_std", "label_std") if np.any(getattr(scaler, k) <= 0.0)]
     if bad_scale:
         raise IoFailure(f"model file {path} has negative variances or non-positive stds in {bad_scale}")
     try:

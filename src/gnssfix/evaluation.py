@@ -14,8 +14,8 @@ from .estimator.baselines import ElevationWeightFit, batch_heuristic_weights
 from .estimator.features import guess_states
 from .estimator.network import ModelParams, load_model, predict_batch, predict_errors
 from .regulator import regulate_batch, regulate_measurements
-from .selector import SelectorConfig, select_batch
-from .solver import WlsConfig, WlsResult, geometry_matrices, horizontal_errors, solve_batch
+from .selector import select_batch
+from .solver import WlsResult, geometry_matrices, horizontal_errors, solve_batch
 from .types import Epoch, EpochBatch
 
 METHODS = (
@@ -31,9 +31,6 @@ _OUTCOMES = tuple(Outcome)  # indexed by value, cheaper than Outcome(code)
 # layouts and the network activations; the kernels give each epoch the same
 # bits in any batch, so the scores do not depend on it.
 FOLD_BATCH = 256
-# the one selection and solver setting every pipeline runs at
-SELECTOR_CONFIG = SelectorConfig()
-WLS_CONFIG = WlsConfig()
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,7 @@ def _fix_batch(
     used = np.ones(batch.offsets[-1], dtype=bool)
     sub = batch
     if spec.use_selector:
-        used = batch.unpad(select_batch(batch.pad(e_hat), batch.counts, SELECTOR_CONFIG))
+        used = batch.unpad(select_batch(batch.pad(e_hat), batch.counts))
         sub = batch.subset(used)
         e_hat = e_hat[used]
     outcome = np.where((outcome == 0) & (sub.counts < 4), Outcome.TOO_FEW_MEASUREMENTS.value, outcome)
@@ -224,7 +221,7 @@ def _fix_batch(
     else:  # wls_cn0, wls_elevation; membership checked at construction
         weights, degenerate = batch_heuristic_weights(spec.method.removeprefix("wls_"), sub, elevation_fit)
         outcome[(outcome == 0) & degenerate] = Outcome.DEGENERATE_GEOMETRY.value
-    return _Fixes(solve_batch(sub, weights, start, WLS_CONFIG, outcome), used, sub)
+    return _Fixes(solve_batch(sub, weights, start, outcome), used, sub)
 
 
 def _chunks(epochs: Sequence[Epoch]) -> Iterator[tuple[Sequence[Epoch], EpochBatch]]:

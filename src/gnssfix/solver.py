@@ -17,18 +17,9 @@ from .types import Epoch, EpochBatch
 
 # Condition number above which the 4x4 normal matrix is treated as singular.
 NORMAL_COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class WlsConfig:
-    max_iterations: int = 20
-    convergence_tol: float = 1e-4  # on the update norm, meters
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive")
+# the Gauss-Newton stopping rule every pipeline runs at
+MAX_ITERATIONS = 20
+CONVERGENCE_TOL = 1e-4  # on the update norm, meters
 
 
 @dataclass(frozen=True)
@@ -86,13 +77,7 @@ def _normal_singular(normal: np.ndarray) -> np.ndarray:
     return (largest > NORMAL_COND_LIMIT * magnitudes.min(axis=1)) | (largest == 0.0)
 
 
-def solve_batch(
-    batch: EpochBatch,
-    weights: np.ndarray,
-    initial: np.ndarray,
-    config: WlsConfig = WlsConfig(),
-    outcome: np.ndarray | None = None,
-) -> WlsResult:
+def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, outcome: np.ndarray) -> WlsResult:
     """Gauss-Newton weighted least squares for every epoch of the batch at once.
 
     weights is an (N,) column and initial a (B, 4) array of states. Epochs
@@ -107,21 +92,21 @@ def solve_batch(
     x = np.array(initial, dtype=float)
     if x.shape != (batch.size, 4) or not np.isfinite(x).all():
         raise ValueError(f"initial states must be a finite ({batch.size}, 4) array")
-    if outcome is None:
-        outcome = np.zeros(batch.size, dtype=int)
     outcome = np.where((outcome == 0) & (batch.counts < 4), Outcome.TOO_FEW_MEASUREMENTS.value, outcome)
     iterations = np.zeros(batch.size, dtype=int)
     step_norm = np.full(batch.size, np.inf)
     # the active epochs and their rows, pruned as epochs converge or fail
     active = np.flatnonzero(outcome == 0)
-    rows = (batch.pad(batch.sat_pos), batch.pad(batch.pseudorange), batch.pad(weights, fill=0.0)[..., None], x)
+    # zero weight on padding; a uniform batch has none, and skips the copy
+    w = (batch.pad(weights) if batch.uniform else np.where(batch.mask, batch.pad(weights), 0.0))[..., None]
+    rows = (batch.pad(batch.sat_pos), batch.pad(batch.pseudorange), w, x)
     if active.size < batch.size:
         rows = tuple(a[active] for a in rows)
     sat, pr, w, xa = rows
     # columns of J: the geometry matrix H, then the residuals r
     J = np.empty(pr.shape + (5,))
     J[..., 3] = 1.0
-    for it in range(1, config.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         if not active.size:
             break
         units, dist, too_close = directions(sat, xa[:, :3])
@@ -141,10 +126,10 @@ def solve_batch(
         if not np.isfinite(xa).all():
             raise ValueError(f"iterate {it} is not finite")
         step = np.sqrt((solution * solution).sum(axis=1))
-        leave = step < config.convergence_tol
-        if it == config.max_iterations or leave.all():
+        leave = step < CONVERGENCE_TOL
+        if it == MAX_ITERATIONS or leave.all():
             x[active], iterations[active], step_norm[active] = xa, it, step
-            if it == config.max_iterations:
+            if it == MAX_ITERATIONS:
                 outcome[active[~leave]] = Outcome.ITERATION_CAP.value
             break
         if leave.any():
@@ -155,19 +140,14 @@ def solve_batch(
     return WlsResult(state=x, iterations=iterations, step_norm=step_norm, outcome=outcome)
 
 
-def wls_solve(
-    epoch: Epoch,
-    weights: np.ndarray,
-    initial: np.ndarray,
-    config: WlsConfig = WlsConfig(),
-) -> WlsResult:
+def wls_solve(epoch: Epoch, weights: np.ndarray, initial: np.ndarray) -> WlsResult:
     """solve_batch on one epoch, its (n,) weights and (4,) initial state,
     raising the failure it records. Weights may be negative (weight
     regulation can produce them)."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(epoch),):
         raise LengthMismatch(f"{w.shape} weights for {len(epoch)} observations")
-    result = solve_batch(EpochBatch.of([epoch]), w, np.asarray(initial, dtype=float)[None], config)
+    result = solve_batch(EpochBatch.of([epoch]), w, np.asarray(initial, dtype=float)[None], np.zeros(1, dtype=int))
     outcome = Outcome(int(result.outcome[0]))
     raise_failure(outcome, f"epoch {epoch.epoch_id}")
     return WlsResult(result.state[0], int(result.iterations[0]), float(result.step_norm[0]), outcome)

@@ -236,15 +236,12 @@ class EpochBatch:
         slots = np.minimum(np.arange(self.width), self.counts[:, None] - 1)
         return self.offsets[:-1, None] + slots
 
-    def pad(self, values: np.ndarray, fill: float | None = None) -> np.ndarray:
-        """(B, K, ...) layout of an (N, ...) column; padding repeats real values or holds ``fill``."""
+    def pad(self, values: np.ndarray) -> np.ndarray:
+        """(B, K, ...) layout of an (N, ...) column; padding repeats real values."""
         values = np.asarray(values)
         if self.uniform:
             return values.reshape((self.size, self.width) + values.shape[1:])
-        padded = values[self._index]
-        if fill is None:
-            return padded
-        return np.where(self.mask.reshape(self.mask.shape + (1,) * (padded.ndim - 2)), padded, fill)
+        return values[self._index]
 
     def unpad(self, padded: np.ndarray) -> np.ndarray:
         """(N, ...) column of the real entries of a (B, K, ...) layout."""

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from gnssfix import solver
 from gnssfix.dataset import load_dataset, shard_path
 from gnssfix.estimator.features import EpochGraph, extract_features, fit_scaler, guess_state
 from gnssfix.estimator.network import init_params, load_model, predict_errors, save_model
@@ -23,11 +24,11 @@ from gnssfix.estimator.training import TrainConfig, train
 from gnssfix.evaluation import PipelineSpec, run_pipeline
 from gnssfix.geometry import enu_basis
 from gnssfix.regulator import regulate_weights
-from gnssfix.selector import SelectorConfig, select_measurements
+from gnssfix.selector import select_measurements
 from gnssfix.simulator import default_scenes, generate_dataset
-from gnssfix.solver import WlsConfig, geometry_matrix, wls_solve
+from gnssfix.solver import geometry_matrix, wls_solve
 
-from test_selector import loop_select
+from test_selector import loop_select, selector_at
 from test_training import check_gradients_fd
 from util import ORIGIN, cost, enu_direction, epoch_of, kernel_basis, make_epoch, scaled_geometry
 
@@ -124,9 +125,10 @@ def test_criterion_02_weight_stationarity_identity(rng):
 
 # ------------------------------------------------------------- criterion 3
 
-def test_criterion_03_optimal_weights_not_unique(dataset, rng):
+def test_criterion_03_optimal_weights_not_unique(dataset, rng, monkeypatch):
     epochs = dataset["by_region"]["urban-1"][:200]
-    config = WlsConfig(max_iterations=40, convergence_tol=1e-7)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 40)
+    monkeypatch.setattr(solver, "CONVERGENCE_TOL", 1e-7)
     worst = 0.0
     for ep in epochs:
         e = ep.truth_error
@@ -139,7 +141,7 @@ def test_criterion_03_optimal_weights_not_unique(dataset, rng):
         w2 = regulate_weights(H, e, probe=rng.standard_normal(len(ep)))
         assert np.linalg.norm(w1 - w2) > 1e-6 * np.sqrt(len(ep))
         for w in (w1, w2):
-            fix = wls_solve(ep, w, state0, config)
+            fix = wls_solve(ep, w, state0)
             err = float(np.linalg.norm(fix.state[:3] - ep.truth[:3]))
             worst = max(worst, err)
             assert err <= 1e-3
@@ -272,8 +274,9 @@ def _braced_epoch(rng, case, sigma, n=8):
     )
 
 
-def test_criterion_06_wls_matches_brute_force_lattice(rng):
-    config = WlsConfig(max_iterations=50, convergence_tol=1e-8)
+def test_criterion_06_wls_matches_brute_force_lattice(rng, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 50)
+    monkeypatch.setattr(solver, "CONVERGENCE_TOL", 1e-8)
     worst = 0.0
     for case in range(20):
         n = 8
@@ -282,7 +285,7 @@ def test_criterion_06_wls_matches_brute_force_lattice(rng):
         sigma = 0.0 if case < 10 else 0.05
         ep = _braced_epoch(rng, case, sigma)
         weights = np.ones(n) if case % 2 == 0 else rng.uniform(0.5, 2.0, n)
-        fix = wls_solve(ep, weights, guess_state(ep), config)
+        fix = wls_solve(ep, weights, guess_state(ep))
         pos = fix.state[:3]
         grid_cost, grid_pos, grid_dt = _lattice_minimum(ep, weights)
         # no lattice point in the +-50 m cube beats the WLS solution
@@ -299,27 +302,30 @@ def test_criterion_06_wls_matches_brute_force_lattice(rng):
 
 def test_criterion_07_selection_traces_and_floor(rng):
     cases = [
-        ((1.0, 2.0, 100.0), SelectorConfig(n_req=3, l_b=-10, u_b=10, s=5), [True, True, True]),
-        ((1.0, 2.0, 100.0, -1.0, 3.0), SelectorConfig(n_req=4, l_b=-10, u_b=10, s=5), [True, True, False, True, True]),
-        ((20.0, 25.0, 30.0, 100.0), SelectorConfig(n_req=3, l_b=-10, u_b=10, s=5), [True, True, True, False]),
+        ((1.0, 2.0, 100.0), (3, -10, 10, 5), [True, True, True]),
+        ((1.0, 2.0, 100.0, -1.0, 3.0), (4, -10, 10, 5), [True, True, False, True, True]),
+        ((20.0, 25.0, 30.0, 100.0), (3, -10, 10, 5), [True, True, True, False]),
     ]
-    for e_hat, config, expected in cases:
-        assert select_measurements(np.array(e_hat), config).tolist() == expected
+    for e_hat, setting, expected in cases:
+        with selector_at(setting):
+            assert select_measurements(np.array(e_hat)).tolist() == expected
 
     for _ in range(10_000):
         n = int(rng.integers(1, 26))
         e_hat = rng.normal(0, 30, n)
         if rng.random() < 0.3:
             e_hat[rng.integers(0, n)] += rng.choice([-1.0, 1.0]) * rng.uniform(100, 1000)
-        config = SelectorConfig(
-            n_req=int(rng.integers(1, 13)),
-            l_b=-float(rng.uniform(0, 20)),
-            u_b=float(rng.uniform(0, 20)),
-            s=float(rng.uniform(0.5, 10)),
+        # (n_req, l_b, u_b, step), drawn in that order
+        setting = (
+            int(rng.integers(1, 13)),
+            -float(rng.uniform(0, 20)),
+            float(rng.uniform(0, 20)),
+            float(rng.uniform(0.5, 10)),
         )
-        mask = select_measurements(e_hat, config)
-        assert int(mask.sum()) >= min(n, config.n_req)
-        assert np.array_equal(mask, loop_select(e_hat, config))
+        with selector_at(setting):
+            mask = select_measurements(e_hat)
+        assert int(mask.sum()) >= min(n, setting[0])
+        assert np.array_equal(mask, loop_select(e_hat, setting))
     print("criterion 07: 3 hand-traced masks exact, 10000 fuzzed inputs respect the size floor and match the step loop")
 
 

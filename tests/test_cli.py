@@ -417,6 +417,8 @@ def test_config_explicit_fields_take_defaults(tmp_path):
 
 # an integer JSON token beyond the float64 and int64 ranges
 HUGE_INT = "1" + "0" * 400
+# an integer JSON token beyond int()'s 4300-digit limit, so json.load itself fails
+OVERLONG_INT = "1" * 5000
 
 
 @pytest.mark.parametrize(
@@ -465,6 +467,7 @@ def _dumps_raw(payload, token):
         (lambda e: e.update(seed=RAW), "true", "seed"),
         (lambda e: e.update(region_id=RAW), "null", "region_id"),
         (lambda e: e.update(style=RAW), '["urban"]', "style"),
+        pytest.param(lambda e: e.update(epochs=RAW), OVERLONG_INT, "not valid JSON", id="overlong-epochs"),
     ],
 )
 def test_exit_code_2_for_non_integer_or_non_string_scene_field(tmp_path, capsys, edit, token, named):
@@ -475,7 +478,7 @@ def test_exit_code_2_for_non_integer_or_non_string_scene_field(tmp_path, capsys,
     cfg.write_text(_dumps_raw({"regions": [entry, {"region_id": "b", "epochs": 2}]}, token))
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d"), "--seed", "0"]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and named in err
+    assert "config error" in err and str(cfg) in err and named in err
     assert "Traceback" not in err
 
 
@@ -499,6 +502,7 @@ def test_exit_code_2_for_non_integer_or_non_string_scene_field(tmp_path, capsys,
         # float() and np.array raise OverflowError on HUGE_INT
         pytest.param(lambda r: r["obs"][1].update(pr=RAW), HUGE_INT, "too large", id="huge-pr"),
         pytest.param(lambda r: r["obs"][1].update(sat_id=RAW), HUGE_INT, "too large", id="huge-sat_id"),
+        pytest.param(lambda r: r.update(epoch_id=RAW), OVERLONG_INT, "invalid JSON", id="overlong-epoch_id"),
     ],
 )
 def test_exit_code_3_for_non_integer_or_non_string_shard_field(tiny_data, tmp_path, capsys, edit, token, named):
@@ -587,6 +591,34 @@ def test_exit_code_3_for_negative_model_variance(tiny_data, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "data error" in err and bad in err and "bn_stats.head0.var" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "localize", "trace"])
+@pytest.mark.parametrize(
+    "edit, token, named",
+    [
+        pytest.param(lambda m: m.update(hidden=RAW), OVERLONG_INT, "unreadable model file", id="overlong-hidden"),
+        # save_model writes an untrained model's scaler as null
+        pytest.param(lambda m: m.update(scaler=RAW), "null", "no feature scaler", id="null-scaler"),
+        pytest.param(lambda m: m.pop("scaler"), "", "no feature scaler", id="no-scaler"),
+    ],
+)
+def test_exit_code_3_for_unloadable_model(tiny_data, tmp_path, capsys, command, edit, token, named):
+    payload = json.load(open(tiny_data["model"]))
+    edit(payload)
+    bad = str(tmp_path / "bad-model.json")
+    with open(bad, "w") as fh:
+        fh.write(_dumps_raw(payload, token))
+    out = str(tmp_path / "out")
+    args = {
+        "evaluate": ["--data", tiny_data["data"], "--holdout", "canyon", "--method", "regulate_measurements"],
+        "localize": ["--epoch-file", shard_path(tiny_data["data"], "canyon"), "--method", "regulate_measurements"],
+        "trace": ["--data", tiny_data["data"], "--holdout", "canyon"],
+    }[command]
+    assert main([command, *args, "--model", bad] + (["--out", out] if command != "localize" else [])) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and bad in err and named in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_3_for_model_of_other_feature_dim(tiny_data, tmp_path, capsys):

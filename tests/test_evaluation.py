@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gnssfix import evaluation
+from gnssfix import evaluation, solver
 from gnssfix.errors import DegenerateGeometry, EmptyInput, ModelMissing, NoLabels, Outcome
 from gnssfix.estimator.baselines import ElevationWeightFit
 from gnssfix.estimator.network import load_model, predict_errors, save_model
@@ -24,7 +24,6 @@ from gnssfix.evaluation import (
 )
 from gnssfix.geometry import enu_basis
 from gnssfix.simulator import N_MASK_BINS, SceneConfig, epoch_seed, generate_epoch, sample_sky_mask
-from gnssfix.solver import WlsConfig
 
 from util import ORIGIN, abs_error_means, epoch_of, make_epoch
 
@@ -155,7 +154,8 @@ def test_regulated_method_requires_model_or_oracle():
 
 def test_pipeline_counts_nonconverged(monkeypatch):
     data = _urban_dataset(40)
-    monkeypatch.setattr(evaluation, "WLS_CONFIG", WlsConfig(max_iterations=1, convergence_tol=1e-10))
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+    monkeypatch.setattr(solver, "CONVERGENCE_TOL", 1e-10)
     report = run_pipeline(PipelineSpec(method="wls_unit"), data)
     assert report.nonconverged_count == len(data)
     # still scored: horizontal errors exist for every epoch

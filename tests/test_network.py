@@ -31,6 +31,9 @@ from gnssfix.types import EpochBatch
 
 from util import bn_act_backward_reference, bn_act_reference, dense_aggregate, graph_blocks, make_epoch
 
+# a valid feature scaler, so that a model file's only fault is the one a test puts in
+UNIT_SCALER = ScalerParams(np.zeros(13), np.ones(13), 0.0, 1.0)
+
 
 def _random_graph(rng, n, in_dim=13):
     feats = rng.standard_normal((n, in_dim))
@@ -266,10 +269,9 @@ def test_load_model_malformed(rng, tmp_path):
         load_model(str(wrong))
     # fields of the wrong JSON type; 1e400 loads as inf
     path = str(tmp_path / "model.json")
-    save_model(init_params(rng, hidden=4), path)
+    save_model(replace(init_params(rng, hidden=4), scaler=UNIT_SCALER), path)
     payload = json.loads(open(path).read())
-    dim = payload["in_dim"]
-    scaler = {"feature_mean": [0.0] * dim, "feature_std": [1.0] * dim, "label_mean": 0.0, "label_std": 1.0}
+    scaler = payload["scaler"]
     edits = [
         json.dumps({**payload, "tensors": list(payload["tensors"].values())}),
         json.dumps({**payload, "bn_stats": list(payload["bn_stats"].values())}),
@@ -281,6 +283,9 @@ def test_load_model_malformed(rng, tmp_path):
         json.dumps({**payload, "scaler": {**scaler, "label_mean": "0.5"}}),
         json.dumps({**payload, "scaler": {**scaler, "label_std": True}}),
         json.dumps({**payload, "scaler": {**scaler, "label_mean": 10**400}}),  # beyond float range
+        # an untrained model: save_model writes its scaler as null
+        json.dumps({**payload, "scaler": None}),
+        json.dumps({key: value for key, value in payload.items() if key != "scaler"}),
     ]
     for text in edits:
         open(path, "w").write(text)
@@ -295,7 +300,7 @@ def test_load_model_refuses_old_formats(rng, tmp_path, version):
     # format 2 a leaky slope that no model varied; such a file is refused
     # outright and the model has to be retrained
     path = str(tmp_path / "model.json")
-    save_model(init_params(rng, hidden=4), path)
+    save_model(replace(init_params(rng, hidden=4), scaler=UNIT_SCALER), path)
     payload = json.loads(open(path).read())
     payload["format"] = f"gnssfix.model/{version}"
     open(path, "w").write(json.dumps(payload))
@@ -308,9 +313,8 @@ def test_load_model_refuses_old_formats(rng, tmp_path, version):
     [("tensors", "out.b", [float("nan")]), ("bn_stats", "enc0.var", None), ("scaler", "label_std", float("inf"))],
 )
 def test_load_model_rejects_non_finite(rng, tmp_path, group, name, value):
-    scaler = ScalerParams(np.zeros(13), np.ones(13), 0.0, 1.0)
     path = str(tmp_path / "model.json")
-    save_model(replace(init_params(rng, hidden=4), scaler=scaler), path)
+    save_model(replace(init_params(rng, hidden=4), scaler=UNIT_SCALER), path)
     payload = json.loads(open(path).read())
     if value is None:  # one bad entry inside an otherwise finite vector
         value = payload[group][name]
@@ -335,9 +339,8 @@ def test_load_model_rejects_non_finite(rng, tmp_path, group, name, value):
 def test_load_model_rejects_bad_scales(rng, tmp_path, group, name, index, value):
     # each of these turns every estimate NaN, so the file is refused when it
     # loads, not in the regulator's finite check
-    scaler = ScalerParams(np.zeros(13), np.ones(13), 0.0, 1.0)
     path = str(tmp_path / "model.json")
-    save_model(replace(init_params(rng, hidden=4), scaler=scaler), path)
+    save_model(replace(init_params(rng, hidden=4), scaler=UNIT_SCALER), path)
     payload = json.loads(open(path).read())
     if index is None:
         payload[group][name] = value
@@ -352,14 +355,14 @@ def test_load_model_rejects_bad_scales(rng, tmp_path, group, name, index, value)
 def test_load_model_accepts_zero_variance(rng, tmp_path):
     # the normalisation adds BN_EPS to the variance, so zero is a usable value
     path = str(tmp_path / "model.json")
-    params = init_params(rng, hidden=4)
+    params = replace(init_params(rng, hidden=4), scaler=UNIT_SCALER)
     params.bn_stats["head0.var"][:] = 0.0
     save_model(params, path)
     assert np.array_equal(load_model(path).bn_stats["head0.var"], np.zeros(4))
 
 
 def test_load_model_rejects_dimension_lie(rng, tmp_path):
-    params = init_params(rng, hidden=4)
+    params = replace(init_params(rng, hidden=4), scaler=UNIT_SCALER)
     path = str(tmp_path / "model.json")
     save_model(params, path)
     payload = json.loads(open(path).read())
@@ -386,9 +389,8 @@ def test_load_model_rejects_dimension_lie(rng, tmp_path):
     ],
 )
 def test_load_model_refuses_other_feature_dims(rng, tmp_path, edit, named):
-    scaler = ScalerParams(np.zeros(13), np.ones(13), 0.0, 1.0)
     path = str(tmp_path / "model.json")
-    save_model(replace(init_params(rng, hidden=4), scaler=scaler), path)
+    save_model(replace(init_params(rng, hidden=4), scaler=UNIT_SCALER), path)
     payload = json.loads(open(path).read())
     edit(payload)
     open(path, "w").write(json.dumps(payload))

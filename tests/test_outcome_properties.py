@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnssfix import evaluation
+from gnssfix import evaluation, solver
 from gnssfix.errors import Outcome
 from gnssfix.estimator.baselines import ElevationWeightFit
 from gnssfix.estimator.network import save_model
 from gnssfix.estimator.training import TrainConfig, train
 from gnssfix.evaluation import METHODS, PipelineSpec, localize, run_pipeline
 from gnssfix.geometry import enu_basis
-from gnssfix.solver import WlsConfig
 
 from util import ORIGIN, epoch_of, make_epoch
 
@@ -66,7 +65,7 @@ def test_every_epoch_ends_in_one_outcome(model_path, specs, method, use_selector
     spec = PipelineSpec(method, use_selector=use_selector, model_path=model_path)
     outcomes = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluation, "WLS_CONFIG", WlsConfig(max_iterations=cap))
+        mp.setattr(solver, "MAX_ITERATIONS", cap)
         for fold_batch in (1, 3, 256):
             mp.setattr(evaluation, "FOLD_BATCH", fold_batch)
             report = run_pipeline(spec, epochs, elevation_fit=FIT)

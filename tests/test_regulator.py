@@ -12,7 +12,7 @@ from gnssfix.errors import (
     Outcome,
 )
 from gnssfix.regulator import regulate_batch, regulate_measurements, regulate_weights
-from gnssfix.solver import WlsConfig, geometry_matrix, wls_solve
+from gnssfix.solver import geometry_matrix, wls_solve
 from gnssfix.types import EpochBatch
 
 from util import cost, kernel_basis, make_epoch, residuals, scaled_geometry
@@ -115,7 +115,7 @@ def test_two_kernel_points_both_recover_truth(rng):
     assert np.linalg.norm(w_ones - w_alt) > 1e-6  # genuinely different points
     start = np.append(ep.initial_guess, 0.0)
     for w in (w_ones, w_alt):
-        res = wls_solve(ep, w, start, WlsConfig())
+        res = wls_solve(ep, w, start)
         err = np.linalg.norm(res.state[:3] - ep.truth[:3])
         assert err <= 1e-3
 
@@ -138,7 +138,7 @@ def test_regulate_measurements_pipeline(rng):
     e = rng.normal(0.0, 6.0, 8)
     ep = make_epoch(rng, n=8, errors=e, guess_offset=(700.0, -700.0))
     fixed = _corrected(ep, e)
-    res = wls_solve(fixed, np.ones(8), np.append(ep.initial_guess, 0.0), WlsConfig())
+    res = wls_solve(fixed, np.ones(8), np.append(ep.initial_guess, 0.0))
     err = np.linalg.norm(res.state[:3] - ep.truth[:3])
     assert err <= 1e-3
 
@@ -184,9 +184,9 @@ def test_weight_regulation_moves_stationary_point(rng):
     ep = make_epoch(rng, n=10, errors=e, guess_offset=(400.0, 300.0))
     H = geometry_matrix(ep, ep.truth)
     w = regulate_weights(H, e)
-    res = wls_solve(ep, w, np.append(ep.initial_guess, 0.0), WlsConfig())
+    res = wls_solve(ep, w, np.append(ep.initial_guess, 0.0))
     err_reg = np.linalg.norm(res.state[:3] - ep.truth[:3])
-    res_unit = wls_solve(ep, np.ones(10), np.append(ep.initial_guess, 0.0), WlsConfig())
+    res_unit = wls_solve(ep, np.ones(10), np.append(ep.initial_guess, 0.0))
     err_unit = np.linalg.norm(res_unit.state[:3] - ep.truth[:3])
     assert err_reg <= 1e-3
     assert err_unit > 1.0

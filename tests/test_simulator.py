@@ -21,7 +21,7 @@ from gnssfix.simulator import (
     scene_to_dict,
     stable_seed,
 )
-from gnssfix.solver import WlsConfig, wls_solve
+from gnssfix.solver import wls_solve
 from gnssfix.types import Epoch
 
 from util import ORIGIN, generate_epoch_reference
@@ -89,7 +89,7 @@ def test_noiseless_epoch_errors_zero_and_wls_recovers(rng):
     for k in range(5):
         ep = generate_epoch(scene, k, np.random.default_rng(k))
         assert np.all(ep.truth_error == 0.0)
-        res = wls_solve(ep, np.ones(len(ep)), np.append(ep.initial_guess, 0.0), WlsConfig())
+        res = wls_solve(ep, np.ones(len(ep)), np.append(ep.initial_guess, 0.0))
         err = np.linalg.norm(res.state[:3] - ep.truth[:3])
         assert err <= 1e-6
 

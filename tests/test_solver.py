@@ -3,7 +3,8 @@ import pytest
 
 from gnssfix.errors import InsufficientMeasurements, Outcome, SingularNormalMatrix
 from gnssfix.geometry import enu_basis
-from gnssfix.solver import WlsConfig, geometry_matrix, solve_batch, wls_solve
+from gnssfix import solver
+from gnssfix.solver import geometry_matrix, solve_batch, wls_solve
 from gnssfix.types import EpochBatch
 
 from util import ORIGIN, computed_pseudorange, cost, epoch_of, horizontal_error, make_epoch, residuals
@@ -119,7 +120,7 @@ def test_wls_noiseless_recovers_truth(rng):
     ep = make_epoch(rng, n=8, errors=np.zeros(8))
     # start a full kilometer out
     far = _offset_guess(np.append(ep.truth[:3], 0.0), east=800.0, north=-600.0)
-    res = wls_solve(ep, np.ones(8), far, WlsConfig())
+    res = wls_solve(ep, np.ones(8), far)
     assert res.converged
     err = np.linalg.norm(res.state[:3] - ep.truth[:3])
     assert err <= 1e-6
@@ -132,21 +133,21 @@ def test_wls_identical_directions_singular(rng):
     dist = np.linspace(2.0e7, 2.4e7, 6)
     ep = epoch_of(truth[:3] + dist[:, None] * u, dist + truth[3], truth[:3], truth=truth)
     with pytest.raises(SingularNormalMatrix):
-        wls_solve(ep, np.ones(6), np.append(truth[:3], 0.0), WlsConfig())
+        wls_solve(ep, np.ones(6), np.append(truth[:3], 0.0))
 
 
 def test_wls_too_few_measurements(rng):
     ep = make_epoch(rng, n=3)
     with pytest.raises(InsufficientMeasurements):
-        wls_solve(ep, np.ones(3), np.append(ep.truth[:3], 0.0), WlsConfig())
+        wls_solve(ep, np.ones(3), np.append(ep.truth[:3], 0.0))
 
 
 def test_wls_weight_scale_invariance(rng):
     ep = make_epoch(rng, n=9, errors=rng.normal(0, 3, 9))
     w = rng.uniform(0.2, 4.0, 9)
     start = np.append(ep.initial_guess, 0.0)
-    a = wls_solve(ep, w, start, WlsConfig())
-    b = wls_solve(ep, 137.0 * w, start, WlsConfig())
+    a = wls_solve(ep, w, start)
+    b = wls_solve(ep, 137.0 * w, start)
     assert np.linalg.norm(a.state[:3] - b.state[:3]) <= 1e-9
     assert abs(a.state[3] - b.state[3]) <= 1e-9
 
@@ -157,15 +158,15 @@ def test_wls_permutation_invariance(rng):
     start = np.append(ep.initial_guess, 0.0)
     perm = rng.permutation(9)
     shuffled = ep.subset(perm)
-    a = wls_solve(ep, w, start, WlsConfig())
-    b = wls_solve(shuffled, w[perm], start, WlsConfig())
+    a = wls_solve(ep, w, start)
+    b = wls_solve(shuffled, w[perm], start)
     assert np.linalg.norm(a.state[:3] - b.state[:3]) <= 1e-9
 
 
 def test_wls_converged_stationarity(rng):
     ep = make_epoch(rng, n=10, errors=rng.normal(0, 4, 10))
     w = rng.uniform(0.5, 2.0, 10)
-    res = wls_solve(ep, w, np.append(ep.initial_guess, 0.0), WlsConfig())
+    res = wls_solve(ep, w, np.append(ep.initial_guess, 0.0))
     assert res.converged
     H = geometry_matrix(ep, res.state)
     r = residuals(ep, res.state)
@@ -174,10 +175,12 @@ def test_wls_converged_stationarity(rng):
     assert np.linalg.norm(grad) <= 1e-3
 
 
-def test_wls_nonconvergence_flag(rng):
+def test_wls_nonconvergence_flag(rng, monkeypatch):
     ep = make_epoch(rng, n=8, errors=rng.normal(0, 3, 8))
     tol = 1e-12
-    res = wls_solve(ep, np.ones(8), np.append(ep.initial_guess, 0.0), WlsConfig(max_iterations=1, convergence_tol=tol))
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+    monkeypatch.setattr(solver, "CONVERGENCE_TOL", tol)
+    res = wls_solve(ep, np.ones(8), np.append(ep.initial_guess, 0.0))
     assert not res.converged
     assert res.step_norm >= 10 * tol
     assert res.iterations == 1
@@ -188,7 +191,7 @@ def test_wls_accepts_negative_weights(rng):
     ep = make_epoch(rng, n=8, errors=np.zeros(8))
     w = np.ones(8)
     w[0] = -0.5
-    res = wls_solve(ep, w, np.append(ep.initial_guess, 0.0), WlsConfig())
+    res = wls_solve(ep, w, np.append(ep.initial_guess, 0.0))
     err = np.linalg.norm(res.state[:3] - ep.truth[:3])
     assert err <= 1e-5  # noiseless data: any nonsingular weighting recovers truth
 
@@ -217,7 +220,7 @@ def _stacked_epoch():
 
 
 @pytest.mark.parametrize("cap", [3, 20])
-def test_batched_solve_keeps_neighbours_unchanged(rng, cap):
+def test_batched_solve_keeps_neighbours_unchanged(rng, monkeypatch, cap):
     # a singular epoch and one that needs many iterations, mid-batch: every
     # epoch gets the iterations, convergence and state it gets alone
     epochs = [make_epoch(rng, n=int(n), errors=rng.normal(0, 3, n), epoch_id=k) for k, n in enumerate([5, 12, 9, 7])]
@@ -225,8 +228,8 @@ def test_batched_solve_keeps_neighbours_unchanged(rng, cap):
     epochs[2:2] = [_stacked_epoch(), far]
     starts = np.array([np.append(ep.initial_guess, 0.0) for ep in epochs])
     weights = [rng.uniform(0.5, 2.0, len(ep)) for ep in epochs]
-    config = WlsConfig(max_iterations=cap)
-    result = solve_batch(EpochBatch.of(epochs), np.concatenate(weights), starts, config)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", cap)
+    result = solve_batch(EpochBatch.of(epochs), np.concatenate(weights), starts, np.zeros(len(epochs), dtype=int))
     # the far epoch hits the cap of 3 and needs more than 3 iterations without it
     far_outcome = Outcome.ITERATION_CAP if cap == 3 else Outcome.CONVERGED
     assert result.outcome.tolist() == [0, 0, Outcome.SINGULAR_NORMAL_MATRIX, far_outcome, 0, 0]
@@ -234,8 +237,8 @@ def test_batched_solve_keeps_neighbours_unchanged(rng, cap):
     for k, (ep, w, x0) in enumerate(zip(epochs, weights, starts)):
         if result.outcome[k] > Outcome.ITERATION_CAP:
             with pytest.raises(SingularNormalMatrix):
-                wls_solve(ep, w, x0, config)
+                wls_solve(ep, w, x0)
             continue
-        alone = wls_solve(ep, w, x0, config)
+        alone = wls_solve(ep, w, x0)
         assert np.array_equal(result.state[k], alone.state)
         assert (result.iterations[k], result.outcome[k]) == (alone.iterations, alone.outcome)
