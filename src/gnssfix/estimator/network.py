@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset import json_float, json_int, json_str
-from ..errors import IoFailure, MissingFit, ModelMissing, Outcome, ShapeMismatch, raise_failure
+from ..errors import IoFailure, ModelMissing, Outcome, ShapeMismatch, raise_failure
 from ..types import EpochBatch
 from .features import (
     FEATURE_DIM,
@@ -32,6 +32,7 @@ from .features import (
 )
 
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
 AGG_FLOOR = 1e-8  # row-sum floor so a node with no neighbours aggregates zero
 DEFAULT_HIDDEN = 64
 LEAKY_SLOPE = 0.01
@@ -81,7 +82,7 @@ class ModelParams:
     hidden: int
     tensors: dict[str, np.ndarray]
     bn_stats: dict[str, np.ndarray]
-    scaler: ScalerParams | None = None
+    scaler: ScalerParams
     train_regions: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -100,8 +101,9 @@ class ModelParams:
                 raise ShapeMismatch(f"{name}: expected shape ({self.hidden},), got {arr.shape}")
 
 
-def init_params(rng: np.random.Generator, hidden: int = DEFAULT_HIDDEN) -> ModelParams:
-    """Fresh parameters: He-normal weight matrices, zero biases, identity norm."""
+def init_params(rng: np.random.Generator, scaler: ScalerParams, hidden: int = DEFAULT_HIDDEN) -> ModelParams:
+    """Fresh parameters around a fitted feature scaler: He-normal weight
+    matrices, zero biases, identity norm."""
     tensors: dict[str, np.ndarray] = {}
     for name, shape in tensor_shapes(FEATURE_DIM, hidden).items():
         if name.endswith("w"):
@@ -114,7 +116,7 @@ def init_params(rng: np.random.Generator, hidden: int = DEFAULT_HIDDEN) -> Model
     for layer in bn_layer_names():
         bn_stats[f"{layer}.mean"] = np.zeros(hidden)
         bn_stats[f"{layer}.var"] = np.ones(hidden)
-    return ModelParams(FEATURE_DIM, hidden, tensors, bn_stats)
+    return ModelParams(FEATURE_DIM, hidden, tensors, bn_stats, scaler)
 
 
 def row_normalise(adjacency: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -323,7 +325,7 @@ def batch_backward(params: ModelParams, cache: dict, d_out: np.ndarray) -> dict[
     return grads
 
 
-def update_running_stats(params: ModelParams, cache: dict, momentum: float) -> None:
+def update_running_stats(params: ModelParams, cache: dict) -> None:
     """Fold one batch's normalisation statistics into the running state, in
     the running state's dtype whatever the dtype of the batch."""
     for name in bn_layer_names():
@@ -331,7 +333,7 @@ def update_running_stats(params: ModelParams, cache: dict, momentum: float) -> N
         for kind in ("mean", "var"):
             key = f"{name}.{kind}"
             stat = params.bn_stats[key]
-            params.bn_stats[key] = (1.0 - momentum) * stat + momentum * entry[kind].astype(stat.dtype, copy=False)
+            params.bn_stats[key] = (1.0 - BN_MOMENTUM) * stat + BN_MOMENTUM * entry[kind].astype(stat.dtype, copy=False)
 
 
 def predict_batch(params: ModelParams, batch: EpochBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -341,8 +343,6 @@ def predict_batch(params: ModelParams, batch: EpochBatch) -> tuple[np.ndarray, n
     blocks. Also returns which epochs have degenerate geometry at their
     initial guess; their estimates are 0.
     """
-    if params.scaler is None:
-        raise MissingFit("model carries no feature scaler; train it first")
     feats, units, degenerate = batch_features(batch)
     blocks = row_normalise(proximity_blocks(units, batch.mask), batch.counts)
     X = apply_feature_scaler(params.scaler, feats)
@@ -368,9 +368,7 @@ def save_model(params: ModelParams, path: str) -> None:
         "train_regions": list(params.train_regions),
         "tensors": {k: v.tolist() for k, v in params.tensors.items()},
         "bn_stats": {k: v.tolist() for k, v in params.bn_stats.items()},
-        "scaler": None
-        if scaler is None
-        else {
+        "scaler": {
             "feature_mean": scaler.feature_mean.tolist(),
             "feature_std": scaler.feature_std.tolist(),
             "label_mean": scaler.label_mean,

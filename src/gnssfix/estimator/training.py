@@ -43,7 +43,6 @@ LR_DECAY_EVERY = 1500
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-BN_MOMENTUM = 0.1
 COMPUTE_DTYPE = np.float32  # forward and backward passes of train()
 
 
@@ -117,7 +116,7 @@ def train(
     counts = batch.counts
 
     rng = np.random.default_rng(config.seed)
-    init = init_params(rng, hidden=hidden)
+    init = init_params(rng, scaler, hidden=hidden)
     theta = np.concatenate([t.ravel() for t in init.tensors.values()])
     params = _flat_views(theta, init)
     # the compute copy shares the running statistics with the master
@@ -147,7 +146,7 @@ def train(
         grads = batch_backward(compute, cache, d_out)
         if loss_sink is not None:
             loss_sink.append(loss)
-        update_running_stats(params, cache, BN_MOMENTUM)
+        update_running_stats(params, cache)
 
         np.concatenate([grads[name].ravel() for name in params.tensors], out=g)
         g += WEIGHT_DECAY * theta
@@ -162,4 +161,4 @@ def train(
         theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
     regions = tuple(sorted({ep.region_id for ep in labelled}))
-    return replace(params, scaler=scaler, train_regions=regions)
+    return replace(params, train_regions=regions)

@@ -80,8 +80,6 @@ class EvalReport:
     oracle_errors: bool
     use_selector: bool
     scores: tuple[EpochScore, ...]
-    train_regions: tuple[str, ...] = ()
-    eval_regions: tuple[str, ...] = ()
 
     @property
     def horizontal_errors(self) -> np.ndarray:
@@ -108,29 +106,14 @@ class EvalReport:
     def skipped_count(self) -> int:
         return sum(1 for s in self.scores if s.outcome > Outcome.ITERATION_CAP)
 
-    def _measurement_stats(self, attr: str) -> np.ndarray:
-        fixed = (getattr(s, attr) for s in self.scores if s.outcome <= Outcome.ITERATION_CAP)
-        return np.asarray([v for v in fixed if np.isfinite(v)])
-
-    @property
-    def err_before_mean(self) -> float:
-        vals = self._measurement_stats("mean_abs_err_before")
-        return float(vals.mean()) if vals.size else float("nan")
-
-    @property
-    def err_before_median(self) -> float:
-        vals = self._measurement_stats("mean_abs_err_before")
-        return float(np.median(vals)) if vals.size else float("nan")
-
-    @property
-    def err_after_mean(self) -> float:
-        vals = self._measurement_stats("mean_abs_err_after")
-        return float(vals.mean()) if vals.size else float("nan")
-
-    @property
-    def err_after_median(self) -> float:
-        vals = self._measurement_stats("mean_abs_err_after")
-        return float(np.median(vals)) if vals.size else float("nan")
+    def mean_and_median(self, field: str) -> tuple[float, float]:
+        """Mean and median of a per-epoch EpochScore field over the fixed
+        epochs where it is finite; NaN twice when there are none."""
+        vals = np.array([getattr(s, field) for s in self.scores if s.outcome <= Outcome.ITERATION_CAP])
+        vals = vals[np.isfinite(vals)]
+        if not vals.size:
+            return float("nan"), float("nan")
+        return float(vals.mean()), float(np.median(vals))
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -143,13 +126,19 @@ def percentile(values: Sequence[float], p: float) -> float:
     return float(np.percentile(vals, p))
 
 
+def _require_estimates(spec: PipelineSpec, given: bool) -> bool:
+    """Whether the spec's method or selector reads error estimates; refuses
+    one that does when none are given."""
+    needed = spec.method in _REGULATED or spec.use_selector
+    if needed and not given:
+        raise ModelMissing(f"method {spec.method!r} needs error estimates; give a model or use oracle errors")
+    return needed
+
+
 def load_estimator(spec: PipelineSpec, oracle_errors: bool) -> ModelParams | None:
     """The model whose predictions the spec needs, or None when it needs none."""
-    needs_estimates = spec.method in _REGULATED or spec.use_selector
-    if not needs_estimates or oracle_errors:
+    if oracle_errors or not _require_estimates(spec, spec.model_path is not None):
         return None
-    if spec.model_path is None:
-        raise ModelMissing(f"method {spec.method!r} needs error estimates; give a model or use oracle errors")
     return load_model(spec.model_path)
 
 
@@ -198,7 +187,9 @@ def _fix_batch(
     features, too few measurements left after selection, then the weighting
     and the solver; later stages leave it alone. Truth is never read.
     """
-    if e_hat is not None and not np.isfinite(e_hat).all():
+    if e_hat is None:
+        _require_estimates(spec, False)
+    elif not np.isfinite(e_hat).all():
         raise NonFiniteInput("error estimates must be finite")
     used = np.ones(batch.offsets[-1], dtype=bool)
     sub = batch
@@ -224,25 +215,15 @@ def _fix_batch(
     return _Fixes(solve_batch(sub, weights, start, outcome), used, sub)
 
 
-def _chunks(epochs: Sequence[Epoch]) -> Iterator[tuple[Sequence[Epoch], EpochBatch]]:
-    """The epochs in runs of up to FOLD_BATCH, each with its batch."""
+def _chunks(
+    epochs: Sequence[Epoch], model: ModelParams | None, oracle_errors: bool
+) -> Iterator[tuple[Sequence[Epoch], EpochBatch, np.ndarray | None, np.ndarray]]:
+    """The epochs in runs of up to FOLD_BATCH, each with its batch and its
+    estimates and outcome from _batch_estimates."""
     for start in range(0, len(epochs), FOLD_BATCH):
         chunk = epochs[start : start + FOLD_BATCH]
-        yield chunk, EpochBatch.of(chunk)
-
-
-def _fixed_chunks(
-    spec: PipelineSpec,
-    epochs: Sequence[Epoch],
-    model: ModelParams | None,
-    oracle_errors: bool,
-    elevation_fit: ElevationWeightFit | None,
-) -> Iterator[tuple[Sequence[Epoch], np.ndarray | None, _Fixes]]:
-    """Each chunk of the epochs with its estimates and its fixes, each stage
-    run once per chunk."""
-    for chunk, batch in _chunks(epochs):
-        e_hat, outcome = _batch_estimates(chunk, batch, model, oracle_errors)
-        yield chunk, e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, outcome)
+        batch = EpochBatch.of(chunk)
+        yield chunk, batch, *_batch_estimates(chunk, batch, model, oracle_errors)
 
 
 def _mean_abs_errors(batch: EpochBatch, labels: np.ndarray, e_hat: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -324,21 +305,16 @@ def run_pipeline(
         raise EmptyInput("empty dataset")
     _require_truth(dataset)
     model = load_estimator(spec, oracle_errors)
-    eval_regions = tuple(sorted({ep.region_id for ep in dataset}))
     if model is not None:
-        require_held_out(model, eval_regions)
-    scores = [
-        score
-        for chunk in _fixed_chunks(spec, dataset, model, oracle_errors, elevation_fit)
-        for score in _score_chunk(*chunk)
-    ]
+        require_held_out(model, {ep.region_id for ep in dataset})
+    scores = []
+    for chunk, batch, e_hat, outcome in _chunks(dataset, model, oracle_errors):
+        scores += _score_chunk(chunk, e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, outcome))
     return EvalReport(
         method=spec.method,
         oracle_errors=oracle_errors,
         use_selector=spec.use_selector,
         scores=tuple(scores),
-        train_regions=model.train_regions if model is not None else (),
-        eval_regions=eval_regions,
     )
 
 
@@ -350,8 +326,8 @@ def localize(spec: PipelineSpec, epochs: Sequence[Epoch]) -> Iterator[dict]:
     Truth is never read.
     """
     model = load_estimator(spec, oracle_errors=False)
-    for chunk, _, fixes in _fixed_chunks(spec, epochs, model, False, None):
-        r = fixes.result
+    for chunk, batch, e_hat, outcome in _chunks(epochs, model, False):
+        r = _fix_batch(spec, batch, e_hat, None, outcome).result
         for ep, code, state, iterations in zip(chunk, r.outcome.tolist(), r.state.tolist(), r.iterations.tolist()):
             record = {"epoch_id": ep.epoch_id, "region": ep.region_id}
             if code > Outcome.ITERATION_CAP:
@@ -369,8 +345,7 @@ def trace_rows(model: ModelParams, epochs: Sequence[Epoch]) -> list[tuple[int, s
     """
     require_held_out(model, {ep.region_id for ep in epochs})
     rows = []
-    for chunk, batch in _chunks([ep for ep in epochs if ep.truth_error is not None]):
-        e_hat, outcome = _batch_estimates(chunk, batch, model, False)
+    for chunk, batch, e_hat, outcome in _chunks([ep for ep in epochs if ep.truth_error is not None], model, False):
         before, after = _mean_abs_errors(batch, np.concatenate([ep.truth_error for ep in chunk]), e_hat)
         columns = zip(chunk, outcome.tolist(), before.tolist(), after.tolist())
         rows += [(ep.epoch_id, ep.region_id, b, a) for ep, code, b, a in columns if not code]
@@ -393,6 +368,8 @@ def emit_reports(report: EvalReport, out_dir: str) -> dict[str, str]:
             for i, err in enumerate(errors, start=1):
                 writer.writerow([repr(float(err)), repr(i / errors.size)])
 
+        before = report.mean_and_median("mean_abs_err_before")
+        after = report.mean_and_median("mean_abs_err_after")
         summary = {
             "method": report.method,
             "oracle_errors": int(report.oracle_errors),
@@ -400,10 +377,10 @@ def emit_reports(report: EvalReport, out_dir: str) -> dict[str, str]:
             "epochs": len(report.scores),
             "p50": repr(report.p50),
             "p95": repr(report.p95),
-            "mean_abs_err_before": repr(report.err_before_mean),
-            "median_abs_err_before": repr(report.err_before_median),
-            "mean_abs_err_after": repr(report.err_after_mean),
-            "median_abs_err_after": repr(report.err_after_median),
+            "mean_abs_err_before": repr(before[0]),
+            "median_abs_err_before": repr(before[1]),
+            "mean_abs_err_after": repr(after[0]),
+            "median_abs_err_after": repr(after[1]),
             "nonconverged": report.nonconverged_count,
             "skipped": report.skipped_count,
         }

@@ -8,7 +8,6 @@ deterministic. The three criteria that need the trained models are marked
 ``slow``; `pytest -m "not slow"` skips them and the trainings.
 """
 
-import dataclasses
 import hashlib
 import os
 import time
@@ -30,7 +29,7 @@ from gnssfix.solver import geometry_matrix, wls_solve
 
 from test_selector import loop_select, selector_at
 from test_training import check_gradients_fd
-from util import ORIGIN, cost, enu_direction, epoch_of, kernel_basis, make_epoch, scaled_geometry
+from util import ORIGIN, UNIT_SCALER, cost, enu_direction, epoch_of, kernel_basis, make_epoch, scaled_geometry
 
 DATA_SEED = 20250816
 HOLDOUT = "dense-1"          # evaluation fold; the other four regions train
@@ -154,7 +153,7 @@ def test_criterion_04_gradients_match_finite_differences(rng):
     bad = []
     checked = 0
     for _ in range(10):
-        params = init_params(rng, hidden=8)
+        params = init_params(rng, UNIT_SCALER, hidden=8)
         graphs = []
         labels = []
         for _ in range(int(rng.integers(2, 4))):
@@ -190,7 +189,7 @@ def test_criterion_05_predict_path_permutation_equivariance(rng):
     feats = np.vstack([extract_features(ep) for ep in pool])
     labels = np.concatenate([ep.truth_error for ep in pool])
     scaler = fit_scaler(feats, labels)
-    params = dataclasses.replace(init_params(rng, hidden=16), scaler=scaler)
+    params = init_params(rng, scaler, hidden=16)
 
     worst = 0.0
     for ep in pool:

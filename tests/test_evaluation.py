@@ -115,8 +115,8 @@ def test_oracle_measurement_regulation_on_noisy_data():
     report = run_pipeline(spec, data, oracle_errors=True)
     assert report.p95 < 1e-2
     # oracle corrections null out the measurement error entirely
-    assert report.err_after_mean == pytest.approx(0.0, abs=1e-12)
-    assert report.err_before_mean > 1.0
+    assert report.mean_and_median("mean_abs_err_after")[0] == pytest.approx(0.0, abs=1e-12)
+    assert report.mean_and_median("mean_abs_err_before")[0] > 1.0
 
 
 def test_oracle_weight_regulation_on_noisy_data():
@@ -150,6 +150,22 @@ def test_regulated_method_requires_model_or_oracle():
     data = _urban_dataset(5)
     with pytest.raises(ModelMissing):
         run_pipeline(PipelineSpec(method="regulate_measurements"), data)
+
+
+@pytest.mark.parametrize(
+    "method, use_selector", [("wls_unit", True), ("regulate_weights", False), ("regulate_measurements", False)]
+)
+def test_estimates_missing_is_refused_by_name(rng, method, use_selector):
+    # one epoch is refused as the whole pipeline refuses it, not by a numpy
+    # error deep in the selector or the regulator
+    spec = PipelineSpec(method=method, use_selector=use_selector)
+    ep = make_epoch(rng, n=8, errors=rng.normal(0, 3, 8))
+    with pytest.raises(ModelMissing, match=repr(method)):
+        score_epoch(spec, ep, None, False, None)
+    with pytest.raises(ModelMissing, match=repr(method)):
+        run_pipeline(spec, [ep])
+    with pytest.raises(ModelMissing, match=repr(method)):
+        next(localize(spec, [ep]))
 
 
 def test_pipeline_counts_nonconverged(monkeypatch):
@@ -198,9 +214,7 @@ def test_provenance_guard_blocks_train_eval_overlap(rng, tmp_path):
         run_pipeline(spec, trained_on)
     with pytest.raises(ValueError):
         run_pipeline(spec, held_out + trained_on[:1])
-    report = run_pipeline(spec, held_out)
-    assert report.train_regions == ("overlap-zone",)
-    assert report.eval_regions == ("elsewhere",)
+    assert len(run_pipeline(spec, held_out).scores) == len(held_out)
 
 
 def test_emit_cdf_rows(tmp_path):
@@ -233,20 +247,30 @@ def test_emit_trace_zeros_for_perfect_predictions(tmp_path):
 
 def test_emit_summary_matches_percentile_oracle(tmp_path, rng):
     hes = rng.uniform(0.5, 80.0, 37)
-    report = EvalReport(
-        method="wls_cn0",
-        oracle_errors=False,
-        use_selector=False,
-        scores=tuple(_score(epoch_id=i, he=float(v)) for i, v in enumerate(hes)),
-    )
+    before, after = rng.uniform(1.0, 30.0, 37), rng.uniform(0.0, 10.0, 37)
+    before[5] = np.nan  # an epoch without labels
+    scores = [
+        _score(epoch_id=i, he=float(v), before=float(b), after=float(a))
+        for i, (v, b, a) in enumerate(zip(hes, before, after))
+    ]
+    scores[9] = dataclasses.replace(scores[9], outcome=Outcome.ITERATION_CAP)
+    # a skip counts as an epoch but none of its values enter the statistics
+    skipped = EpochScore(37, "r", 3, 0, np.nan, 0, Outcome.TOO_FEW_MEASUREMENTS, 99.0, 99.0)
+    report = EvalReport(method="wls_cn0", oracle_errors=False, use_selector=False, scores=(*scores, skipped))
     paths = emit_reports(report, str(tmp_path))
     rows = list(csv.reader(open(paths["summary"])))
     header, values = rows
     by_name = dict(zip(header, values))
     assert float(by_name["p50"]) == percentile(hes, 50.0)
     assert float(by_name["p95"]) == percentile(hes, 95.0)
-    assert int(by_name["epochs"]) == 37
-    # trace skips nothing here, cdf has one row per epoch
+    assert int(by_name["epochs"]) == 38
+    assert int(by_name["nonconverged"]) == 1 and int(by_name["skipped"]) == 1
+    finite_before = before[np.isfinite(before)]
+    assert float(by_name["mean_abs_err_before"]) == float(np.mean(finite_before))
+    assert float(by_name["median_abs_err_before"]) == float(np.median(finite_before))
+    assert float(by_name["mean_abs_err_after"]) == float(np.mean(after))
+    assert float(by_name["median_abs_err_after"]) == float(np.median(after))
+    # cdf has one row per fixed epoch
     cdf_rows = list(csv.reader(open(paths["cdf"])))
     assert len(cdf_rows) == 38
 

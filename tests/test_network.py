@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gnssfix.errors import IoFailure, MissingFit, ModelMissing, ShapeMismatch
+from gnssfix.errors import IoFailure, ModelMissing, ShapeMismatch
 from gnssfix.estimator import network
 from gnssfix.estimator.features import (
     EpochGraph,
@@ -27,12 +27,10 @@ from gnssfix.estimator.network import (
     predict_errors,
     save_model,
 )
+from gnssfix.estimator.training import TrainConfig, train
 from gnssfix.types import EpochBatch
 
-from util import bn_act_backward_reference, bn_act_reference, dense_aggregate, graph_blocks, make_epoch
-
-# a valid feature scaler, so that a model file's only fault is the one a test puts in
-UNIT_SCALER = ScalerParams(np.zeros(13), np.ones(13), 0.0, 1.0)
+from util import UNIT_SCALER, bn_act_backward_reference, bn_act_reference, dense_aggregate, graph_blocks, make_epoch
 
 
 def _random_graph(rng, n, in_dim=13):
@@ -46,7 +44,7 @@ def _random_graph(rng, n, in_dim=13):
 def _randomized_params(rng, hidden=6):
     # perturb every tensor and the running stats so no layer is at its
     # freshly-initialized identity
-    params = init_params(rng, hidden=hidden)
+    params = init_params(rng, UNIT_SCALER, hidden=hidden)
     for name, arr in params.tensors.items():
         arr += 0.3 * rng.standard_normal(arr.shape)
     for name, arr in params.bn_stats.items():
@@ -180,7 +178,7 @@ def test_train_mode_uses_batch_statistics(rng):
 
 
 def test_forward_rejects_wrong_feature_dim(rng):
-    params = init_params(rng, hidden=4)
+    params = init_params(rng, UNIT_SCALER, hidden=4)
     bad = _random_graph(rng, 3, in_dim=12)
     with pytest.raises(ShapeMismatch):
         batch_forward(params, [bad])
@@ -189,17 +187,17 @@ def test_forward_rejects_wrong_feature_dim(rng):
 
 
 def test_model_params_shape_validation(rng):
-    params = init_params(rng, hidden=4)
+    params = init_params(rng, UNIT_SCALER, hidden=4)
     tensors = dict(params.tensors)
     tensors["enc0.w"] = np.zeros((13, 5))  # wrong width
     from gnssfix.estimator.network import ModelParams
 
     with pytest.raises(ShapeMismatch):
-        ModelParams(13, 4, tensors, dict(params.bn_stats))
+        ModelParams(13, 4, tensors, dict(params.bn_stats), UNIT_SCALER)
     missing = dict(params.tensors)
     del missing["out.b"]
     with pytest.raises(ShapeMismatch):
-        ModelParams(13, 4, missing, dict(params.bn_stats))
+        ModelParams(13, 4, missing, dict(params.bn_stats), UNIT_SCALER)
 
 
 class _ReadKeys(dict):
@@ -253,6 +251,30 @@ def test_save_load_roundtrip(rng, tmp_path, monkeypatch):
     assert np.array_equal(batch_forward(back, [graph])[0], batch_forward(params, [graph])[0])
 
 
+@pytest.mark.parametrize("build", ["init_params", "train"])
+def test_built_model_saves_and_loads_back(rng, tmp_path, build):
+    # a model carries its feature scaler from the start, so every model the
+    # program builds, trained or not, loads back from the file it saves
+    if build == "init_params":
+        params = init_params(rng, UNIT_SCALER, hidden=4)
+    else:
+        data = [
+            make_epoch(rng, n=6, errors=rng.normal(0, 4, 6), cn0=rng.uniform(25, 50, 6), epoch_id=k) for k in range(12)
+        ]
+        params = train(data, TrainConfig(batch_size=4, iterations=5, seed=0), hidden=4)
+    path = str(tmp_path / "model.json")
+    save_model(params, path)
+    back = load_model(path)
+    for group in ("tensors", "bn_stats"):
+        for name, value in getattr(params, group).items():
+            assert getattr(back, group)[name].tobytes() == value.tobytes(), name
+    for name, value in vars(params.scaler).items():
+        assert np.asarray(getattr(back.scaler, name)).tobytes() == np.asarray(value).tobytes(), name
+    assert back.train_regions == params.train_regions
+    ep = make_epoch(rng, n=7)
+    assert np.array_equal(predict_errors(back, ep), predict_errors(params, ep))
+
+
 def test_load_model_missing_file(tmp_path):
     with pytest.raises(ModelMissing):
         load_model(str(tmp_path / "nope.json"))
@@ -269,7 +291,7 @@ def test_load_model_malformed(rng, tmp_path):
         load_model(str(wrong))
     # fields of the wrong JSON type; 1e400 loads as inf
     path = str(tmp_path / "model.json")
-    save_model(replace(init_params(rng, hidden=4), scaler=UNIT_SCALER), path)
+    save_model(init_params(rng, UNIT_SCALER, hidden=4), path)
     payload = json.loads(open(path).read())
     scaler = payload["scaler"]
     edits = [
@@ -283,7 +305,6 @@ def test_load_model_malformed(rng, tmp_path):
         json.dumps({**payload, "scaler": {**scaler, "label_mean": "0.5"}}),
         json.dumps({**payload, "scaler": {**scaler, "label_std": True}}),
         json.dumps({**payload, "scaler": {**scaler, "label_mean": 10**400}}),  # beyond float range
-        # an untrained model: save_model writes its scaler as null
         json.dumps({**payload, "scaler": None}),
         json.dumps({key: value for key, value in payload.items() if key != "scaler"}),
     ]
@@ -300,7 +321,7 @@ def test_load_model_refuses_old_formats(rng, tmp_path, version):
     # format 2 a leaky slope that no model varied; such a file is refused
     # outright and the model has to be retrained
     path = str(tmp_path / "model.json")
-    save_model(replace(init_params(rng, hidden=4), scaler=UNIT_SCALER), path)
+    save_model(init_params(rng, UNIT_SCALER, hidden=4), path)
     payload = json.loads(open(path).read())
     payload["format"] = f"gnssfix.model/{version}"
     open(path, "w").write(json.dumps(payload))
@@ -314,7 +335,7 @@ def test_load_model_refuses_old_formats(rng, tmp_path, version):
 )
 def test_load_model_rejects_non_finite(rng, tmp_path, group, name, value):
     path = str(tmp_path / "model.json")
-    save_model(replace(init_params(rng, hidden=4), scaler=UNIT_SCALER), path)
+    save_model(init_params(rng, UNIT_SCALER, hidden=4), path)
     payload = json.loads(open(path).read())
     if value is None:  # one bad entry inside an otherwise finite vector
         value = payload[group][name]
@@ -340,7 +361,7 @@ def test_load_model_rejects_bad_scales(rng, tmp_path, group, name, index, value)
     # each of these turns every estimate NaN, so the file is refused when it
     # loads, not in the regulator's finite check
     path = str(tmp_path / "model.json")
-    save_model(replace(init_params(rng, hidden=4), scaler=UNIT_SCALER), path)
+    save_model(init_params(rng, UNIT_SCALER, hidden=4), path)
     payload = json.loads(open(path).read())
     if index is None:
         payload[group][name] = value
@@ -355,14 +376,14 @@ def test_load_model_rejects_bad_scales(rng, tmp_path, group, name, index, value)
 def test_load_model_accepts_zero_variance(rng, tmp_path):
     # the normalisation adds BN_EPS to the variance, so zero is a usable value
     path = str(tmp_path / "model.json")
-    params = replace(init_params(rng, hidden=4), scaler=UNIT_SCALER)
+    params = init_params(rng, UNIT_SCALER, hidden=4)
     params.bn_stats["head0.var"][:] = 0.0
     save_model(params, path)
     assert np.array_equal(load_model(path).bn_stats["head0.var"], np.zeros(4))
 
 
 def test_load_model_rejects_dimension_lie(rng, tmp_path):
-    params = replace(init_params(rng, hidden=4), scaler=UNIT_SCALER)
+    params = init_params(rng, UNIT_SCALER, hidden=4)
     path = str(tmp_path / "model.json")
     save_model(params, path)
     payload = json.loads(open(path).read())
@@ -390,20 +411,13 @@ def test_load_model_rejects_dimension_lie(rng, tmp_path):
 )
 def test_load_model_refuses_other_feature_dims(rng, tmp_path, edit, named):
     path = str(tmp_path / "model.json")
-    save_model(replace(init_params(rng, hidden=4), scaler=UNIT_SCALER), path)
+    save_model(init_params(rng, UNIT_SCALER, hidden=4), path)
     payload = json.loads(open(path).read())
     edit(payload)
     open(path, "w").write(json.dumps(payload))
     with pytest.raises(IoFailure, match=named) as info:
         load_model(path)
     assert path in str(info.value)
-
-
-def test_predict_errors_requires_scaler(rng):
-    params = init_params(rng, hidden=4)
-    ep = make_epoch(rng, n=5)
-    with pytest.raises(MissingFit):
-        predict_errors(params, ep)
 
 
 def test_predict_errors_shape_and_determinism(rng):

@@ -8,7 +8,7 @@ from gnssfix.estimator import training
 from gnssfix.estimator.network import batch_forward, bn_layer_names, init_params, save_model
 from gnssfix.estimator.training import TrainConfig, train
 
-from util import batch_loss, loss_and_grads, make_epoch, train_reference
+from util import UNIT_SCALER, batch_loss, loss_and_grads, make_epoch, train_reference
 from test_network import _random_graph, _randomized_params
 
 
@@ -58,7 +58,7 @@ def test_batch_loss_matches_double_loop_oracle(rng):
 
 
 def test_batch_loss_length_mismatch(rng):
-    params = init_params(rng, hidden=3)
+    params = init_params(rng, UNIT_SCALER, hidden=3)
     graphs = [_random_graph(rng, 3)]
     with pytest.raises(LengthMismatch):
         batch_loss(params, graphs, [np.zeros(3), np.zeros(3)])
@@ -123,7 +123,7 @@ def check_gradients_fd(params, graphs, labels, steps=(1e-4, 1e-5, 1e-6)):
 
 
 def test_gradients_match_finite_differences(rng):
-    params = init_params(rng, hidden=3)
+    params = init_params(rng, UNIT_SCALER, hidden=3)
     graphs = [_random_graph(rng, 3), _random_graph(rng, 5)]
     labels = [rng.standard_normal(3), rng.standard_normal(5)]
     bad = check_gradients_fd(params, graphs, labels)

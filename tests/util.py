@@ -16,6 +16,7 @@ from gnssfix.errors import DegenerateGeometry, LengthMismatch
 from gnssfix.estimator import training
 from gnssfix.estimator.features import (
     EpochGraph,
+    ScalerParams,
     apply_feature_scaler,
     apply_label_scaler,
     batch_features,
@@ -41,6 +42,9 @@ from gnssfix.types import BANDS, CONSTELLATIONS, Epoch, EpochBatch
 EARTH_R = 6_371_000.0
 ORIGIN = np.array([EARTH_R, 0.0, 0.0])
 ORIGIN.setflags(write=False)
+# a valid feature scaler for a model built in a test; a model file saved with it
+# has no fault but the one a test puts in
+UNIT_SCALER = ScalerParams(np.zeros(13), np.ones(13), 0.0, 1.0)
 
 
 def enu_direction(origin: np.ndarray, az: float, el: float) -> np.ndarray:
@@ -298,7 +302,7 @@ def train_reference(dataset, config, hidden: int, loss_sink: list | None = None)
     labels = [apply_label_scaler(scaler, y) for y in labels_raw]
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(rng, hidden=hidden)
+    params = init_params(rng, scaler, hidden=hidden)
     m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     v = {k: np.zeros_like(val) for k, val in params.tensors.items()}
     dtype = training.COMPUTE_DTYPE
@@ -321,7 +325,7 @@ def train_reference(dataset, config, hidden: int, loss_sink: list | None = None)
         grads = batch_backward(compute, cache, d_out)
         if loss_sink is not None:
             loss_sink.append(loss)
-        update_running_stats(params, cache, training.BN_MOMENTUM)
+        update_running_stats(params, cache)
 
         lr = training.LEARNING_RATE * training.LR_DECAY ** (it // training.LR_DECAY_EVERY)
         bias1 = 1.0 - training.ADAM_BETA1 ** (it + 1)
@@ -333,7 +337,7 @@ def train_reference(dataset, config, hidden: int, loss_sink: list | None = None)
             m_hat = m[name] / bias1
             v_hat = v[name] / bias2
             params.tensors[name] = params.tensors[name] - lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
-    return replace(params, scaler=scaler, train_regions=tuple(sorted({ep.region_id for ep in labelled})))
+    return replace(params, train_regions=tuple(sorted({ep.region_id for ep in labelled})))
 
 
 def bn_act_reference(params, name, x_in, z, cache):
