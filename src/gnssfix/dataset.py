@@ -1,8 +1,10 @@
 """JSONL epoch serialization and dataset manifest handling.
 
-One epoch per line.  Truth fields are written only when the epoch carries
-them, so the same schema serves labelled training data and unlabelled
-epochs.
+One epoch per line, in the Epoch's own layout: epoch_id, region, truth when
+the epoch carries it, guess, then one list per measurement column under the
+keys sat_id, const, band, sat_pos, pr, cn0, avg_pow and, for a labelled
+epoch only, truth_err. The same schema serves labelled training data and
+unlabelled epochs.
 """
 
 from __future__ import annotations
@@ -12,24 +14,17 @@ import os
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
 from .errors import IoFailure
 from .types import BANDS, CONSTELLATIONS, Epoch
 
-DATASET_FORMAT = "gnssfix.dataset/1"
+DATASET_FORMAT = "gnssfix.dataset/2"
 MANIFEST_NAME = "manifest.json"
 
-# Keys of one measurement in a record, in on-disk order; truth_err is
-# written for every measurement of an epoch or for none.
-_OBS_KEYS = ("sat_id", "const", "band", "sat_pos", "pr", "cn0", "avg_pow", "truth_err")
 # Keys of the truth state; the guess position has the first three.
 _TRUTH_KEYS = ("x", "y", "z", "clk")
-_CONSTELLATION_NAMES = np.array([c.value for c in CONSTELLATIONS])
-_BAND_NAMES = np.array([b.value for b in BANDS])
 # On-disk name -> code; an unknown name is a KeyError, reported as malformed
-_CONSTELLATION_CODES = {c.value: i for i, c in enumerate(CONSTELLATIONS)}
-_BAND_CODES = {b.value: i for i, b in enumerate(BANDS)}
+_CONSTELLATION_CODES = {name: code for code, name in enumerate(CONSTELLATIONS)}
+_BAND_CODES = {name: code for code, name in enumerate(BANDS)}
 
 
 def json_int(value, what: str) -> int:
@@ -68,47 +63,39 @@ def epoch_to_record(epoch: Epoch) -> dict:
     if epoch.truth is not None:
         rec["truth"] = dict(zip(_TRUTH_KEYS, epoch.truth.tolist()))
     rec["guess"] = dict(zip(_TRUTH_KEYS[:3], epoch.initial_guess.tolist()))
-    columns = [
-        epoch.sat_id,
-        _CONSTELLATION_NAMES[epoch.constellation],
-        _BAND_NAMES[epoch.band],
-        epoch.sat_pos,
-        epoch.pseudorange,
-        epoch.cn0,
-        epoch.avg_power,
-    ]
+    rec["sat_id"] = epoch.sat_id.tolist()
+    rec["const"] = [CONSTELLATIONS[c] for c in epoch.constellation.tolist()]
+    rec["band"] = [BANDS[b] for b in epoch.band.tolist()]
+    rec["sat_pos"] = epoch.sat_pos.tolist()
+    rec["pr"] = epoch.pseudorange.tolist()
+    rec["cn0"] = epoch.cn0.tolist()
+    rec["avg_pow"] = epoch.avg_power.tolist()
     if epoch.truth_error is not None:
-        columns.append(epoch.truth_error)
-    rec["obs"] = [dict(zip(_OBS_KEYS, row)) for row in zip(*(c.tolist() for c in columns))]
+        rec["truth_err"] = epoch.truth_error.tolist()
     return rec
 
 
 def record_to_epoch(rec: dict) -> Epoch:
     """Inverse of epoch_to_record; raises IoFailure on malformed records.
 
-    A record labels every measurement with truth_err or none of them.
+    A truth_err list labels every measurement, as Epoch's shape check holds it to.
     """
     try:
         truth = [json_float(rec["truth"][k], "truth") for k in _TRUTH_KEYS] if "truth" in rec else None
         guess = [json_float(rec["guess"][k], "guess") for k in _TRUTH_KEYS[:3]]
-        obs = rec["obs"]
-        sat_pos = [d["sat_pos"] for d in obs]
-        json_floats(list(chain.from_iterable(sat_pos)), "sat_pos")
-        labelled = sum("truth_err" in d for d in obs)
-        if 0 < labelled < len(obs):
-            raise ValueError(f"{labelled} of {len(obs)} measurements carry truth_err; label all or none")
+        json_floats(list(chain.from_iterable(rec["sat_pos"])), "sat_pos")
         return Epoch(
             epoch_id=json_int(rec["epoch_id"], "epoch_id"),
             region_id=json_str(rec["region"], "region"),
             initial_guess=guess,
-            sat_id=[json_int(d["sat_id"], "sat_id") for d in obs],
-            constellation=[_CONSTELLATION_CODES[d["const"]] for d in obs],
-            band=[_BAND_CODES[d["band"]] for d in obs],
-            sat_pos=sat_pos,
-            pseudorange=json_floats([d["pr"] for d in obs], "pr"),
-            cn0=json_floats([d["cn0"] for d in obs], "cn0"),
-            avg_power=json_floats([d["avg_pow"] for d in obs], "avg_pow"),
-            truth_error=json_floats([d["truth_err"] for d in obs], "truth_err") if labelled else None,
+            sat_id=[json_int(i, "sat_id") for i in rec["sat_id"]],
+            constellation=[_CONSTELLATION_CODES[c] for c in rec["const"]],
+            band=[_BAND_CODES[b] for b in rec["band"]],
+            sat_pos=rec["sat_pos"],
+            pseudorange=json_floats(rec["pr"], "pr"),
+            cn0=json_floats(rec["cn0"], "cn0"),
+            avg_power=json_floats(rec["avg_pow"], "avg_pow"),
+            truth_error=json_floats(rec["truth_err"], "truth_err") if "truth_err" in rec else None,
             truth=truth,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

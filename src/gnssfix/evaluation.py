@@ -271,9 +271,12 @@ def score_epoch(
 
     The epoch is a chunk of one through the stages run_pipeline uses, so it
     gets the score run_pipeline gives it. A learned estimate goes through
-    predict_errors, the one-epoch estimator entry that perfbench traces.
+    predict_errors, the one-epoch estimator entry that perfbench traces; as
+    in load_estimator, a spec that reads no estimates runs without the model.
     """
     _require_truth([epoch])
+    if model is not None and not _require_estimates(spec, True):
+        model = None
     batch = EpochBatch.of([epoch])
     if model is None or oracle_errors:
         e_hat, outcome = _batch_estimates([epoch], batch, model, oracle_errors)

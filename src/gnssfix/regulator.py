@@ -20,9 +20,7 @@ PROJECTION_EPS = 1e-8
 
 
 def _ranks(s: np.ndarray) -> np.ndarray:
-    """Rank of each matrix from its (g, m) singular values, largest first."""
-    if s.shape[1] == 0:
-        return np.zeros(s.shape[0], dtype=int)
+    """Rank of each matrix from its (g, m) singular values, largest first, m >= 1."""
     smax = s[:, :1]
     return np.where(smax[:, 0] > 0, np.sum(s > RANK_EPS * smax, axis=1), 0)
 

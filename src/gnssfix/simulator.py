@@ -90,7 +90,6 @@ class SceneConfig:
     cn0_nlos_mean: float = 28.0
     cn0_nlos_std: float = 5.0
     guess_offset_sigma: float = 25.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.region_id:
@@ -283,7 +282,6 @@ _SCENE_FIELD_TYPES = {
     "receiver_origin": lambda v, what: tuple(json_float(c, what) for c in v),
     "sky_mask_bins": lambda v, what: tuple(json_float(c, what) for c in v),
     "n_sats_range": lambda v, what: tuple(json_int(c, what) for c in v),
-    "seed": json_int,
 }
 
 
@@ -306,12 +304,17 @@ def scene_from_entry(entry: dict, global_seed: int) -> tuple[SceneConfig, int]:
     """One region of a scenes config and its epoch count: SceneConfig fields
     by name plus `epochs`.
 
-    An entry without `seed` takes the region's mask seed, one without
-    `receiver_origin` takes it from `lat`/`lon`, and one without
-    `sky_mask_bins` draws the mask of its `style` from the mask seed.
+    An entry without `receiver_origin` takes it from `lat`/`lon`, and one
+    without `sky_mask_bins` draws the mask of its `style` from a mask seed
+    hashed from the global seed and the region id. `lat`, `lon` or `style`
+    beside the field they would set has no effect, so it is refused.
     """
     if not isinstance(entry, dict) or "region_id" not in entry:
         raise ValueError(f"region entry {entry!r} is not an object with a region_id")
+    for field, shorthands in (("receiver_origin", ("lat", "lon")), ("sky_mask_bins", ("style",))):
+        unused = [k for k in shorthands if k in entry]
+        if field in entry and unused:
+            raise ValueError(f"region {entry['region_id']!r}: {unused} have no effect beside {field!r}")
     payload = dict(entry)
     try:
         style = json_str(payload.pop("style", "urban"), "style")
@@ -320,11 +323,10 @@ def scene_from_entry(entry: dict, global_seed: int) -> tuple[SceneConfig, int]:
         lon = json_float(payload.pop("lon", 0.0), "lon")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"region {entry['region_id']!r}: {exc}") from exc
-    mask_seed = stable_seed(global_seed, entry["region_id"], "mask")
-    payload.setdefault("seed", mask_seed)
     if "receiver_origin" not in payload:
         payload["receiver_origin"] = origin_from_lat_lon(lat, lon)
     if "sky_mask_bins" not in payload:
+        mask_seed = stable_seed(global_seed, entry["region_id"], "mask")
         payload["sky_mask_bins"] = sample_sky_mask(style, np.random.default_rng(mask_seed))
     return scene_from_dict(payload), count
 

@@ -86,13 +86,20 @@ def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, out
     padding, into one normal-matrix product and one solve; an epoch leaves
     the loop when its update norm falls below the tolerance or it fails.
     Returns the array-valued result, whose outcome adds each epoch's failure
-    (too few measurements, degenerate geometry, singular normal matrix) or
-    iteration cap. A non-finite initial state or iterate raises ValueError.
+    (too few measurements, degenerate geometry, singular normal matrix,
+    which a non-finite weight also records) or iteration cap. A non-finite
+    initial state or iterate raises ValueError.
     """
     x = np.array(initial, dtype=float)
     if x.shape != (batch.size, 4) or not np.isfinite(x).all():
         raise ValueError(f"initial states must be a finite ({batch.size}, 4) array")
     outcome = np.where((outcome == 0) & (batch.counts < 4), Outcome.TOO_FEW_MEASUREMENTS.value, outcome)
+    # a non-finite weight would make the normal matrix non-finite, and numpy warn;
+    # count_nonzero is the cheapest test of a finite batch, the usual case
+    finite = np.isfinite(weights)
+    if np.count_nonzero(finite) < finite.size:
+        finite = np.logical_and.reduceat(finite, batch.offsets[:-1])
+        outcome = np.where((outcome == 0) & ~finite, Outcome.SINGULAR_NORMAL_MATRIX.value, outcome)
     iterations = np.zeros(batch.size, dtype=int)
     step_norm = np.full(batch.size, np.inf)
     # the active epochs and their rows, pruned as epochs converge or fail

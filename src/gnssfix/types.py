@@ -1,4 +1,4 @@
-"""Domain types shared by every module: measurement enums, columnar epochs and
+"""Domain types shared by every module: measurement names, columnar epochs and
 the ragged epoch batch the pipeline kernels run on.
 
 A receiver position is a (3,) ECEF array and a receiver state a (4,) array
@@ -7,7 +7,6 @@ A receiver position is a (3,) ECEF array and a receiver state a (4,) array
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -21,21 +20,9 @@ from .geometry import MIN_LOS_DISTANCE
 MIN_SAT_RADIUS = 6_400_000.0
 
 
-class Constellation(enum.Enum):
-    GPS = "GPS"
-    GLONASS = "GLO"
-    GALILEO = "GAL"
-    BEIDOU = "BDS"
-
-
-class Band(enum.Enum):
-    L1 = "L1"
-    L5 = "L5"
-
-
-# Column codes index these tuples; the enum values are the on-disk names.
-CONSTELLATIONS = tuple(Constellation)
-BANDS = tuple(Band)
+# Column codes index these tuples of the on-disk names.
+CONSTELLATIONS = ("GPS", "GLO", "GAL", "BDS")
+BANDS = ("L1", "L5")
 _CONSTELLATION_CODES = set(range(len(CONSTELLATIONS)))
 _BAND_CODES = set(range(len(BANDS)))
 
@@ -44,8 +31,8 @@ class Observation(NamedTuple):
     """One measurement row of an epoch, for display and tests; not validated."""
 
     sat_id: int
-    constellation: Constellation
-    band: Band
+    constellation: str
+    band: str
     sat_pos: tuple[float, float, float]
     pseudorange: float
     cn0: float

@@ -410,7 +410,7 @@ def test_config_explicit_fields_take_defaults(tmp_path):
     other = dict(explicit, region_id="y")
     assert _generate_from(tmp_path, {"regions": [explicit, other]}) == 0
     stored = read_manifest(str(tmp_path / "d")).entries[0].scene
-    defaults = SceneConfig("x", ORIGIN, (0.1,) * 36, seed=stored["seed"])
+    defaults = SceneConfig("x", ORIGIN, (0.1,) * 36)
     assert stored == scene_to_dict(defaults)
     assert scene_from_dict(stored) == defaults
 
@@ -438,6 +438,18 @@ OVERLONG_INT = "1" * 5000
         ({"receiver_origin": [6_371_000.0, "0", 0.0]}, "receiver_origin must be a number"),
         pytest.param({"los_sigma_base": int(HUGE_INT)}, "too large", id="huge-los_sigma_base"),
         pytest.param({"lat": int(HUGE_INT)}, "too large", id="huge-lat"),
+        # a scene key with no effect is refused rather than dropped
+        pytest.param({"seed": 1}, "unknown scene keys ['seed']", id="seed"),
+        pytest.param(
+            {"receiver_origin": list(ORIGIN), "lat": 1.0},
+            "region 'a': ['lat'] have no effect beside 'receiver_origin'",
+            id="lat-beside-receiver_origin",
+        ),
+        pytest.param(
+            {"sky_mask_bins": [0.1] * 36, "style": "urban"},
+            "region 'a': ['style'] have no effect beside 'sky_mask_bins'",
+            id="style-beside-sky_mask_bins",
+        ),
     ],
 )
 def test_exit_code_2_for_bad_scene_entry(tmp_path, capsys, entry, named):
@@ -457,10 +469,16 @@ def _dumps_raw(payload, token):
     return json.dumps(payload).replace(json.dumps(RAW), token)
 
 
+def _set_row(key, row, value):
+    """An edit of a shard record that puts value in one row of the column under key."""
+    return lambda r: r[key].__setitem__(row, value)
+
+
 @pytest.mark.parametrize(
     "edit, token, named",
     [
         (lambda e: e.update(epochs=RAW), "1e400", "epochs"),
+        # seed is no scene field, so any value of it is refused as an unknown key
         (lambda e: e.update(seed=RAW), "1e400", "seed"),
         (lambda e: e.update(n_sats_range=[5, RAW]), "1e400", "n_sats_range"),
         (lambda e: e.update(epochs=RAW), "2.5", "epochs"),
@@ -486,22 +504,22 @@ def test_exit_code_2_for_non_integer_or_non_string_scene_field(tmp_path, capsys,
     "edit, token, named",
     [
         (lambda r: r.update(epoch_id=RAW), "1e400", "epoch_id"),
-        (lambda r: r["obs"][2].update(sat_id=RAW), "1e400", "sat_id"),
+        (_set_row("sat_id", 2, RAW), "1e400", "sat_id"),
         (lambda r: r.update(epoch_id=RAW), "0.7", "epoch_id"),
         (lambda r: r.update(epoch_id=RAW), "false", "epoch_id"),
-        (lambda r: r["obs"][0].update(sat_id=RAW), '"1000"', "sat_id"),
+        (_set_row("sat_id", 0, RAW), '"1000"', "sat_id"),
         (lambda r: r.update(region=RAW), "null", "region"),
         # np.array(dtype=float) and float() would read "1.5" as 1.5 and true as 1.0
-        (lambda r: r["obs"][1].update(pr=RAW), '"25573590.1"', "pr must be a number"),
-        (lambda r: r["obs"][0].update(cn0=RAW), "true", "cn0 must be a number"),
-        (lambda r: r["obs"][2].update(avg_pow=RAW), '"-3.0"', "avg_pow must be a number"),
-        (lambda r: r["obs"][0].update(sat_pos=[1.0, RAW, 3.0]), '"2.0"', "sat_pos must be a number"),
-        (lambda r: r["obs"][3].update(truth_err=RAW), "false", "truth_err must be a number"),
+        (_set_row("pr", 1, RAW), '"25573590.1"', "pr must be a number"),
+        (_set_row("cn0", 0, RAW), "true", "cn0 must be a number"),
+        (_set_row("avg_pow", 2, RAW), '"-3.0"', "avg_pow must be a number"),
+        (_set_row("sat_pos", 0, [1.0, RAW, 3.0]), '"2.0"', "sat_pos must be a number"),
+        (_set_row("truth_err", 3, RAW), "false", "truth_err must be a number"),
         (lambda r: r["guess"].update(x=RAW), '"1331351.8"', "guess must be a number"),
         (lambda r: r["truth"].update(clk=RAW), "true", "truth must be a number"),
         # float() and np.array raise OverflowError on HUGE_INT
-        pytest.param(lambda r: r["obs"][1].update(pr=RAW), HUGE_INT, "too large", id="huge-pr"),
-        pytest.param(lambda r: r["obs"][1].update(sat_id=RAW), HUGE_INT, "too large", id="huge-sat_id"),
+        pytest.param(_set_row("pr", 1, RAW), HUGE_INT, "too large", id="huge-pr"),
+        pytest.param(_set_row("sat_id", 1, RAW), HUGE_INT, "too large", id="huge-sat_id"),
         pytest.param(lambda r: r.update(epoch_id=RAW), OVERLONG_INT, "invalid JSON", id="overlong-epoch_id"),
     ],
 )

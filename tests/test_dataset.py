@@ -53,7 +53,7 @@ def test_record_without_truth(rng):
     ep = dataclasses.replace(make_epoch(rng, n=5, labelled=False), truth=None)
     rec = epoch_to_record(ep)
     assert "truth" not in rec
-    assert all("truth_err" not in d for d in rec["obs"])
+    assert "truth_err" not in rec
     back = record_to_epoch(rec)
     assert back.truth is None
     assert back.truth_error is None
@@ -75,7 +75,7 @@ def test_read_shard_reports_bad_line(rng, tmp_path):
     with pytest.raises(IoFailure):
         read_shard(path)
     rec = epoch_to_record(make_epoch(rng, n=5))
-    rec["obs"][0]["truth_err"] = float("nan")  # json writes it as a bare NaN token
+    rec["truth_err"][0] = float("nan")  # json writes it as a bare NaN token
     with open(path, "w") as fh:
         fh.write(json.dumps(rec) + "\n")
     with pytest.raises(IoFailure) as err:
@@ -94,7 +94,7 @@ def test_read_shard_reports_bad_line(rng, tmp_path):
 def test_read_shard_rejects_unknown_codes(rng, tmp_path, key, value):
     good = epoch_to_record(make_epoch(rng, n=5))
     bad = epoch_to_record(make_epoch(rng, n=5, epoch_id=1))
-    bad["obs"][3][key] = value
+    bad[key][3] = value
     path = str(tmp_path / "codes.jsonl")
     with open(path, "w") as fh:
         fh.write(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
@@ -118,12 +118,13 @@ def test_read_shard_rejects_partial_labels(rng, tmp_path):
     path = str(tmp_path / "partial.jsonl")
     good = epoch_to_record(make_epoch(rng, n=5, errors=rng.normal(0, 2, 5)))
     bad = epoch_to_record(make_epoch(rng, n=5, errors=rng.normal(0, 2, 5), epoch_id=1))
-    del bad["obs"][2]["truth_err"]
+    # labels are one list, so labelling only some measurements leaves it short
+    del bad["truth_err"][2]
     with open(path, "w") as fh:
         fh.write(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(IoFailure) as err:
         read_shard(path)
-    assert ":2:" in str(err.value) and "label all or none" in str(err.value)
+    assert ":2:" in str(err.value) and "truth_error has shape (4,), expected (5,)" in str(err.value)
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -194,7 +195,14 @@ def test_generate_dataset_byte_identical_regeneration(tmp_path):
 # sha256 of the five default shards (20 epochs each, global seed 0) in scene
 # order. Pins the simulator's draw order and rounding: regenerating with the
 # same code cannot catch a change to either.
-GOLDEN_DEFAULT_SHARDS_SHA256 = "405a7560ab9997e8d5eae4a65c34083ed5784a73ffe4bbf8dc0619ec9168953f"
+GOLDEN_DEFAULT_SHARDS_SHA256 = "4d566e26dd959cab99ab53441ab78dfae78f5115ead1cdf7790d85eec6675e26"
+# sha256 over the decoded columns of the same 100 epochs. It does not depend
+# on how a shard lays them out, so a change of layout alone leaves it as is.
+GOLDEN_DEFAULT_COLUMNS_SHA256 = "2b855047d7c0d5edb013ea75a38f280ed1d16bd6dfc4d99cab6c857ce89e1327"
+_DIGEST_FIELDS = (
+    "initial_guess", "sat_id", "constellation", "band", "sat_pos", "pseudorange", "cn0", "avg_power",
+    "truth_error", "truth",
+)
 
 
 def test_generate_dataset_golden_bytes(tmp_path):
@@ -206,6 +214,19 @@ def test_generate_dataset_golden_bytes(tmp_path):
         with open(shard_path(out, scene.region_id), "rb") as fh:
             digest.update(fh.read())
     assert digest.hexdigest() == GOLDEN_DEFAULT_SHARDS_SHA256
+
+
+def test_generate_dataset_golden_columns(tmp_path):
+    out = str(tmp_path / "data")
+    generate_dataset(default_scenes(0), 20, out, global_seed=0)
+    manifest, regions = load_dataset(out)
+    digest = hashlib.sha256()
+    for ep in (ep for rid in manifest.region_ids for ep in regions[rid]):
+        digest.update(f"{ep.epoch_id}|{ep.region_id}".encode())
+        for name in _DIGEST_FIELDS:
+            value = getattr(ep, name)
+            digest.update(value.astype(value.dtype.newbyteorder("<")).tobytes())
+    assert digest.hexdigest() == GOLDEN_DEFAULT_COLUMNS_SHA256
 
 
 def test_generate_dataset_seed_changes_content(tmp_path):
@@ -282,12 +303,12 @@ def test_shard_lines_follow_schema(tmp_path, rng):
     path = str(tmp_path / "s.jsonl")
     write_shard(path, [ep])
     rec = json.loads(open(path).read().strip())
-    assert set(rec) == {"epoch_id", "region", "truth", "guess", "obs"}
-    assert set(rec["truth"]) == {"x", "y", "z", "clk"}
-    assert set(rec["guess"]) == {"x", "y", "z"}
-    for d in rec["obs"]:
-        assert set(d) == {"sat_id", "const", "band", "sat_pos", "pr", "cn0", "avg_pow", "truth_err"}
-        assert d["const"] in {"GPS", "GLO", "GAL", "BDS"}
-        assert d["band"] in {"L1", "L5"}
-        assert len(d["sat_pos"]) == 3
-        assert not any(isinstance(v, float) and math.isnan(v) for v in d.values() if not isinstance(v, list))
+    columns = ["sat_id", "const", "band", "sat_pos", "pr", "cn0", "avg_pow", "truth_err"]
+    assert list(rec) == ["epoch_id", "region", "truth", "guess", *columns]
+    assert list(rec["truth"]) == ["x", "y", "z", "clk"]
+    assert list(rec["guess"]) == ["x", "y", "z"]
+    assert all(isinstance(rec[key], list) and len(rec[key]) == 5 for key in columns)
+    assert set(rec["const"]) <= {"GPS", "GLO", "GAL", "BDS"}
+    assert set(rec["band"]) <= {"L1", "L5"}
+    assert all(len(p) == 3 for p in rec["sat_pos"])
+    assert not any(math.isnan(v) for key in ("pr", "cn0", "avg_pow", "truth_err") for v in rec[key])

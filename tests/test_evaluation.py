@@ -198,6 +198,14 @@ def test_missing_truth_is_refused_before_any_work(rng, tmp_path):
         score_epoch(PipelineSpec(method="wls_unit"), data[2], None, False, None)
 
 
+def test_oracle_errors_need_labels(rng):
+    data = [make_epoch(rng, n=6, errors=rng.normal(0, 3, 6), epoch_id=k) for k in range(3)]
+    data[1] = make_epoch(rng, n=6, labelled=False, epoch_id=1)
+    assert data[1].truth is not None
+    with pytest.raises(NoLabels, match="epoch 1 lacks per-measurement truth errors"):
+        run_pipeline(PipelineSpec(method="regulate_weights"), data, oracle_errors=True)
+
+
 def test_provenance_guard_blocks_train_eval_overlap(rng, tmp_path):
     def region(name, first_id):
         return [
@@ -364,6 +372,19 @@ def test_fold_scores_equal_one_epoch_scores(learned_models, method, use_selector
     assert 101 in skips
     # padding repeats real satellites, so it never trips the line-of-sight guard
     assert [k for k, reason in skips.items() if reason == "degenerate_geometry"] == [102]
+
+
+@pytest.mark.parametrize("method", ["wls_unit", "wls_cn0", "wls_elevation"])
+def test_one_epoch_score_ignores_a_model_its_method_does_not_read(learned_models, method):
+    # run_pipeline loads no model for these methods, so score_epoch must not use one it is given
+    fold = _mixed_fold(np.random.default_rng(11))
+    spec = PipelineSpec(method, model_path=learned_models[16])
+    fit = ElevationWeightFit(a=4.0, b=0.5)
+    report = run_pipeline(spec, fold, elevation_fit=fit)
+    model = load_model(learned_models[16])
+    alone = [score_epoch(spec, ep, model, False, fit) for ep in fold]
+    assert all(map(_same_score, report.scores, alone))
+    assert all(s.mean_abs_err_after == s.mean_abs_err_before for s in alone if s.skipped is None)
 
 
 def test_fold_batch_size_does_not_change_scores(learned_models, monkeypatch):

@@ -242,3 +242,21 @@ def test_batched_solve_keeps_neighbours_unchanged(rng, monkeypatch, cap):
         alone = wls_solve(ep, w, x0)
         assert np.array_equal(result.state[k], alone.state)
         assert (result.iterations[k], result.outcome[k]) == (alone.iterations, alone.outcome)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_weight_skips_only_its_epoch(rng, bad):
+    # two infinite weights would put inf - inf into the normal matrix, which numpy warns of;
+    # the skip is recorded before the loop, so no product sees them
+    epochs = [make_epoch(rng, n=n, errors=rng.normal(0, 3, n), epoch_id=k) for k, n in enumerate([6, 9])]
+    starts = np.array([np.append(ep.initial_guess, 0.0) for ep in epochs])
+    weights = [rng.uniform(0.5, 2.0, len(ep)) for ep in epochs]
+    weights[0][1:3] = bad
+    result = solve_batch(EpochBatch.of(epochs), np.concatenate(weights), starts, np.zeros(2, dtype=int))
+    assert result.outcome.tolist() == [Outcome.SINGULAR_NORMAL_MATRIX, Outcome.CONVERGED]
+    assert np.array_equal(result.state[0], starts[0])
+    alone = solve_batch(EpochBatch.of(epochs[1:]), weights[1], starts[1:], np.zeros(1, dtype=int))
+    assert np.array_equal(result.state[1], alone.state[0])
+    assert (result.iterations[1], result.step_norm[1]) == (alone.iterations[0], alone.step_norm[0])
+    with pytest.raises(SingularNormalMatrix):
+        wls_solve(epochs[0], weights[0], starts[0])
