@@ -1,4 +1,4 @@
-"""Command-line entry points: generate, train, evaluate, localize, trace.
+"""Command-line entry points: generate, train, evaluate, localize.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -20,9 +20,9 @@ from .errors import (
     NoLabels,
 )
 from .estimator.baselines import fit_elevation_baseline
-from .estimator.network import load_model, save_model
+from .estimator.network import save_model
 from .estimator.training import TrainConfig, train
-from .evaluation import METHODS, PipelineSpec, emit_reports, localize, run_pipeline, trace_rows, write_trace
+from .evaluation import METHODS, PipelineSpec, emit_reports, localize, run_pipeline
 from .simulator import DEFAULT_EPOCHS_PER_REGION, SceneConfig, default_scenes, generate_dataset, scene_from_entry
 from .types import Epoch
 
@@ -64,13 +64,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _split_dataset(data_dir: str, holdout: str | None) -> tuple[list[Epoch], list[Epoch]]:
-    """Epochs outside and inside the holdout region; with no holdout, all are outside."""
+def _split_dataset(data_dir: str, holdout: str) -> tuple[list[Epoch], list[Epoch]]:
+    """Epochs outside and inside the holdout region."""
     manifest, regions = load_dataset(data_dir)
-    if holdout is not None and holdout not in manifest.region_ids:
+    if holdout not in manifest.region_ids:
         raise ValueError(f"holdout region {holdout!r} not in dataset regions {manifest.region_ids}")
     rest = [ep for rid, eps in regions.items() if rid != holdout for ep in eps]
-    return rest, regions.get(holdout, [])
+    return rest, regions[holdout]
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -120,15 +120,6 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    rest, held = _split_dataset(args.data, args.holdout)
-    epochs = held if args.holdout is not None else rest
-    rows = trace_rows(load_model(args.model), epochs)
-    write_trace(args.out, rows)
-    print(f"wrote {len(rows)} rows to {args.out} ({len(epochs) - len(rows)} skipped)")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gnssfix",
@@ -173,13 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="regulate_measurements", choices=LOCALIZE_METHODS)
     p.add_argument("--selector", action="store_true", help="apply measurement selection")
     p.set_defaults(func=_cmd_localize)
-
-    p = sub.add_parser("trace", help="per-epoch mean error vs prediction deviation CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--holdout", help="limit to one region")
-    p.add_argument("--out", default="trace.csv")
-    p.set_defaults(func=_cmd_trace)
 
     return parser
 

@@ -142,13 +142,6 @@ def load_estimator(spec: PipelineSpec, oracle_errors: bool) -> ModelParams | Non
     return load_model(spec.model_path)
 
 
-def require_held_out(model: ModelParams, eval_regions: Iterable[str]) -> None:
-    """Refuse a model that was trained on any of the regions it would be scored on."""
-    overlap = sorted(set(model.train_regions) & set(eval_regions))
-    if overlap:
-        raise ValueError(f"model was trained on evaluation regions {overlap}; hold these out or evaluate elsewhere")
-
-
 def _batch_estimates(
     epochs: Sequence[Epoch], batch: EpochBatch, model: ModelParams | None, oracle_errors: bool
 ) -> tuple[np.ndarray | None, np.ndarray]:
@@ -226,12 +219,6 @@ def _chunks(
         yield chunk, batch, *_batch_estimates(chunk, batch, model, oracle_errors)
 
 
-def _mean_abs_errors(batch: EpochBatch, labels: np.ndarray, e_hat: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """(B,) mean |error| before and after subtracting the estimates, summed in row order."""
-    counts = batch.counts
-    return batch.segment_sums(np.abs(labels)) / counts, batch.segment_sums(np.abs(labels - e_hat)) / counts
-
-
 def _require_truth(epochs: Iterable[Epoch]) -> None:
     """Refuse epochs that carry no truth state to score against."""
     for ep in epochs:
@@ -249,7 +236,10 @@ def _score_chunk(epochs: Sequence[Epoch], e_hat: np.ndarray | None, fixes: _Fixe
     errors[fixed] = horizontal_errors(fixes.result.state[fixed], truth[fixed])
     labels = np.concatenate([np.full(len(ep), np.nan) if ep.truth_error is None else ep.truth_error for ep in epochs])
     labels = labels[fixes.used]
-    before, after = _mean_abs_errors(fixes.batch, labels, 0.0 if e_hat is None else e_hat[fixes.used])
+    deviations = labels if e_hat is None else labels - e_hat[fixes.used]
+    # mean |error| before and after subtracting the estimates, summed in row order
+    before = fixes.batch.segment_sums(np.abs(labels)) / fixes.batch.counts
+    after = fixes.batch.segment_sums(np.abs(deviations)) / fixes.batch.counts
     counts, iterations = fixes.batch.counts.tolist(), fixes.result.iterations.tolist()
     columns = zip(epochs, outcome.tolist(), counts, errors.tolist(), iterations, before.tolist(), after.tolist())
     return [
@@ -309,7 +299,9 @@ def run_pipeline(
     _require_truth(dataset)
     model = load_estimator(spec, oracle_errors)
     if model is not None:
-        require_held_out(model, {ep.region_id for ep in dataset})
+        overlap = sorted(set(model.train_regions) & {ep.region_id for ep in dataset})
+        if overlap:
+            raise ValueError(f"model was trained on evaluation regions {overlap}; hold these out or evaluate elsewhere")
     scores = []
     for chunk, batch, e_hat, outcome in _chunks(dataset, model, oracle_errors):
         scores += _score_chunk(chunk, e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, outcome))
@@ -338,21 +330,6 @@ def localize(spec: PipelineSpec, epochs: Sequence[Epoch]) -> Iterator[dict]:
             else:
                 record.update(zip(("x", "y", "z", "clk"), state), converged=code == 0, iterations=iterations)
             yield record
-
-
-def trace_rows(model: ModelParams, epochs: Sequence[Epoch]) -> list[tuple[int, str, float, float]]:
-    """Per labelled epoch, mean |error| and mean |error - estimate| under the model.
-
-    The model must be held out from the epochs' regions. An epoch whose
-    geometry is degenerate at its initial guess gets no row.
-    """
-    require_held_out(model, {ep.region_id for ep in epochs})
-    rows = []
-    for chunk, batch, e_hat, outcome in _chunks([ep for ep in epochs if ep.truth_error is not None], model, False):
-        before, after = _mean_abs_errors(batch, np.concatenate([ep.truth_error for ep in chunk]), e_hat)
-        columns = zip(chunk, outcome.tolist(), before.tolist(), after.tolist())
-        rows += [(ep.epoch_id, ep.region_id, b, a) for ep, code, b, a in columns if not code]
-    return rows
 
 
 def emit_reports(report: EvalReport, out_dir: str) -> dict[str, str]:
@@ -389,21 +366,13 @@ def emit_reports(report: EvalReport, out_dir: str) -> dict[str, str]:
         }
         with open(paths["summary"], "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows([summary.keys(), summary.values()])
-    except OSError as exc:
-        raise IoFailure(f"cannot write reports under {out_dir}: {exc}") from exc
-    fixed = [s for s in report.scores if s.outcome <= Outcome.ITERATION_CAP]
-    write_trace(paths["trace"], [(s.epoch_id, s.region_id, s.mean_abs_err_before, s.mean_abs_err_after) for s in fixed])
-    return paths
 
-
-def write_trace(path: str, rows: Sequence[tuple[int, str, float, float]]) -> None:
-    """trace.csv: per epoch, mean |error| and mean |error - estimate|."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(paths["trace"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch_id", "region_id", "mean_abs_err", "mean_abs_prediction_dev"])
-            for epoch_id, region_id, err, dev in rows:
-                writer.writerow([epoch_id, region_id, repr(err), repr(dev)])
+            for s in report.scores:
+                if s.outcome <= Outcome.ITERATION_CAP:
+                    writer.writerow([s.epoch_id, s.region_id, repr(s.mean_abs_err_before), repr(s.mean_abs_err_after)])
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
+        raise IoFailure(f"cannot write reports under {out_dir}: {exc}") from exc
+    return paths

@@ -87,8 +87,9 @@ def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, out
     the loop when its update norm falls below the tolerance or it fails.
     Returns the array-valued result, whose outcome adds each epoch's failure
     (too few measurements, degenerate geometry, singular normal matrix,
-    which a non-finite weight also records) or iteration cap. A non-finite
-    initial state or iterate raises ValueError.
+    which a non-finite weight also records) or iteration cap. Each epoch's
+    weights are scaled by a power of two first, which leaves its fix's bits
+    alone. A non-finite initial state or iterate raises ValueError.
     """
     x = np.array(initial, dtype=float)
     if x.shape != (batch.size, 4) or not np.isfinite(x).all():
@@ -104,8 +105,13 @@ def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, out
     step_norm = np.full(batch.size, np.inf)
     # the active epochs and their rows, pruned as epochs converge or fail
     active = np.flatnonzero(outcome == 0)
-    # zero weight on padding; a uniform batch has none, and skips the copy
-    w = (batch.pad(weights) if batch.uniform else np.where(batch.mask, batch.pad(weights), 0.0))[..., None]
+    # the fix does not depend on an epoch's weight scale; bringing each epoch's
+    # largest |w| into [0.5, 1) by a power of two, which is exact, keeps large
+    # finite weights from overflowing the normal matrix
+    _, exponent = np.frexp(np.maximum.reduceat(np.abs(weights), batch.offsets[:-1]))
+    w = np.ldexp(batch.pad(weights), -exponent[:, None])
+    # zero weight on padding; a uniform batch has none
+    w = (w if batch.uniform else np.where(batch.mask, w, 0.0))[..., None]
     rows = (batch.pad(batch.sat_pos), batch.pad(batch.pseudorange), w, x)
     if active.size < batch.size:
         rows = tuple(a[active] for a in rows)

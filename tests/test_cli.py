@@ -1,7 +1,9 @@
+import argparse
 import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gnssfix.cli import LOCALIZE_METHODS, main
+from gnssfix import cli
+from gnssfix.cli import LOCALIZE_METHODS, build_parser, main
 from gnssfix.dataset import read_manifest, read_shard, shard_path, write_shard
 from gnssfix.evaluation import PipelineSpec, run_pipeline
 
@@ -208,24 +211,14 @@ def test_localize_survives_closed_pipe(tiny_data):
     assert "Traceback" not in proc.stderr
 
 
-def test_trace_writes_csv(tiny_data, tmp_path):
-    out = str(tmp_path / "trace.csv")
-    rc = main(
-        ["trace", "--data", tiny_data["data"], "--model", tiny_data["model"], "--holdout", "canyon", "--out", out]
-    )
-    assert rc == 0
-    rows = list(csv.reader(open(out)))
-    assert rows[0] == ["epoch_id", "region_id", "mean_abs_err", "mean_abs_prediction_dev"]
-    assert len(rows) == 7
-
-
 def test_chunked_localize_and_trace_match_default(tiny_data, tmp_path, monkeypatch, capsys):
-    # localize and trace run the epochs in FOLD_BATCH chunks; any chunk size gives the same output
+    # localize and evaluate run the epochs in FOLD_BATCH chunks; any chunk size
+    # gives the same fixes and the same trace.csv
     from gnssfix import evaluation
 
     shard = shard_path(tiny_data["data"], "canyon")
     assert len(read_shard(shard)) > 4
-    trace = str(tmp_path / "trace.csv")
+    out = str(tmp_path / "rep")
 
     def outputs():
         printed = []
@@ -234,10 +227,10 @@ def test_chunked_localize_and_trace_match_default(tiny_data, tmp_path, monkeypat
                 args = ["localize", "--epoch-file", shard, "--model", tiny_data["model"], "--method", method]
                 assert main(args + selector) == 0
                 printed.append(capsys.readouterr().out)
-        args = ["trace", "--data", tiny_data["data"], "--model", tiny_data["model"], "--holdout", "canyon"]
-        assert main(args + ["--out", trace]) == 0
+        args = ["evaluate", "--data", tiny_data["data"], "--holdout", "canyon", "--method", "regulate_measurements"]
+        assert main(args + ["--model", tiny_data["model"], "--out", out]) == 0
         printed.append(capsys.readouterr().out)
-        with open(trace) as fh:
+        with open(os.path.join(out, "trace.csv"), "rb") as fh:
             printed.append(fh.read())
         return printed
 
@@ -246,31 +239,16 @@ def test_chunked_localize_and_trace_match_default(tiny_data, tmp_path, monkeypat
     assert outputs() == whole
 
 
-def test_trace_skips_degenerate_geometry(tiny_data, tmp_path, capsys):
-    # an initial guess on a satellite costs that epoch its row, not the region's
-    import shutil
-
-    data = str(tmp_path / "data")
-    shutil.copytree(tiny_data["data"], data)
-    shard = shard_path(data, "canyon")
-    epochs = read_shard(shard)
-    epochs[2] = _guess_on_satellite(epochs[2])
-    write_shard(shard, epochs)
-    out = str(tmp_path / "trace.csv")
-    args = ["trace", "--data", data, "--model", tiny_data["model"], "--holdout", "canyon", "--out", out]
-    assert main(args) == 0
-    assert f"wrote {len(epochs) - 1} rows to {out} (1 skipped)" in capsys.readouterr().out
-    rows = list(csv.reader(open(out)))[1:]
-    assert [int(r[0]) for r in rows] == [ep.epoch_id for k, ep in enumerate(epochs) if k != 2]
-
-
-def test_trace_refuses_training_regions(tiny_data, tmp_path, capsys):
-    # without --holdout trace covers every region, flat included, which the model was trained on
-    out = str(tmp_path / "trace.csv")
-    rc = main(["trace", "--data", tiny_data["data"], "--model", tiny_data["model"], "--out", out])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
-    assert not os.path.exists(out)
+def test_docs_list_the_parser_subcommands():
+    # the README's CLI block and the cli docstring name every subcommand, and no other
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = list(subparsers.choices)
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    assert list(dict.fromkeys(re.findall(r"^gnssfix (\w+)", block, re.M))) == commands
+    first_line = cli.__doc__.splitlines()[0]
+    assert first_line.startswith("Command-line entry points: ") and first_line.endswith(".")
+    assert first_line.removeprefix("Command-line entry points: ").removesuffix(".").split(", ") == commands
 
 
 def test_exit_code_2_for_bad_config(tmp_path, capsys):
@@ -380,6 +358,10 @@ def test_evaluate_skips_degenerate_geometry(tiny_data, tmp_path, method):
     header, row = list(csv.reader(open(os.path.join(out, "summary.csv"))))
     summary = dict(zip(header, row))
     assert summary["epochs"] == "6" and summary["skipped"] == "1"
+    # trace.csv has a row for every fixed epoch: all but the degenerate one
+    header, *rows = list(csv.reader(open(os.path.join(out, "trace.csv"))))
+    assert header == ["epoch_id", "region_id", "mean_abs_err", "mean_abs_prediction_dev"]
+    assert [int(r[0]) for r in rows] == [ep.epoch_id for k, ep in enumerate(epochs) if k != 3]
 
 
 def _generate_from(tmp_path, config):
@@ -611,7 +593,7 @@ def test_exit_code_3_for_negative_model_variance(tiny_data, tmp_path, capsys):
     assert "data error" in err and bad in err and "bn_stats.head0.var" in err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "localize", "trace"])
+@pytest.mark.parametrize("command", ["evaluate", "localize"])
 @pytest.mark.parametrize(
     "edit, token, named",
     [
@@ -631,7 +613,6 @@ def test_exit_code_3_for_unloadable_model(tiny_data, tmp_path, capsys, command, 
     args = {
         "evaluate": ["--data", tiny_data["data"], "--holdout", "canyon", "--method", "regulate_measurements"],
         "localize": ["--epoch-file", shard_path(tiny_data["data"], "canyon"), "--method", "regulate_measurements"],
-        "trace": ["--data", tiny_data["data"], "--holdout", "canyon"],
     }[command]
     assert main([command, *args, "--model", bad] + (["--out", out] if command != "localize" else [])) == 3
     err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gnssfix import evaluation, solver
-from gnssfix.errors import DegenerateGeometry, EmptyInput, ModelMissing, NoLabels, Outcome
+from gnssfix.errors import EmptyInput, ModelMissing, NoLabels, Outcome
 from gnssfix.estimator.baselines import ElevationWeightFit
 from gnssfix.estimator.network import load_model, predict_errors, save_model
 from gnssfix.estimator.training import TrainConfig, train
@@ -20,7 +20,6 @@ from gnssfix.evaluation import (
     percentile,
     run_pipeline,
     score_epoch,
-    trace_rows,
 )
 from gnssfix.geometry import enu_basis
 from gnssfix.simulator import N_MASK_BINS, SceneConfig, epoch_seed, generate_epoch, sample_sky_mask
@@ -413,26 +412,17 @@ def _labelled_fold(rng):
 
 @pytest.mark.parametrize("hidden", [16, 64])
 def test_trace_rows_equal_per_epoch_reference(learned_models, hidden):
-    # one forward pass per chunk gives each epoch the bits predict_errors gives it alone
+    # the means trace.csv writes for a fixed, labelled epoch are those of
+    # predict_errors on the epoch alone: one forward pass per chunk gives it the same bits
     fold = _labelled_fold(np.random.default_rng(3))
     model = load_model(learned_models[hidden])
-    want = [
-        (ep.epoch_id, ep.region_id, *abs_error_means(ep.truth_error, predict_errors(model, ep)))
-        for ep in fold
-        if ep.truth_error is not None
-    ]
-    assert len(want) == len(fold) - 1
-    assert trace_rows(model, fold) == want
-
-
-def test_trace_rows_drop_degenerate_epochs(learned_models):
-    fold = _labelled_fold(np.random.default_rng(3))
-    model = load_model(learned_models[16])
-    want = trace_rows(model, fold)
-    fold[6] = dataclasses.replace(fold[6], initial_guess=fold[6].sat_pos[0])
-    with pytest.raises(DegenerateGeometry):
-        predict_errors(model, fold[6])
-    assert trace_rows(model, fold) == [row for row in want if row[0] != fold[6].epoch_id]
+    spec = PipelineSpec("regulate_measurements", model_path=learned_models[hidden])
+    scores = run_pipeline(spec, fold).scores
+    labelled = [(ep, s) for ep, s in zip(fold, scores) if ep.truth_error is not None and s.skipped is None]
+    assert len(labelled) == len(fold) - 1
+    for ep, score in labelled:
+        want = abs_error_means(ep.truth_error, predict_errors(model, ep))
+        assert (score.mean_abs_err_before, score.mean_abs_err_after) == want
 
 
 @pytest.mark.parametrize("method", ["wls_unit", "regulate_weights", "regulate_measurements"])

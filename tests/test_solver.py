@@ -260,3 +260,23 @@ def test_non_finite_weight_skips_only_its_epoch(rng, bad):
     assert (result.iterations[1], result.step_norm[1]) == (alone.iterations[0], alone.step_norm[0])
     with pytest.raises(SingularNormalMatrix):
         wls_solve(epochs[0], weights[0], starts[0])
+
+
+@pytest.mark.parametrize(
+    "scale, exact",
+    [pytest.param(c, False, id=f"{c:g}") for c in (1e-300, 1e300, 1e308)]
+    + [pytest.param(2.0**k, True, id=f"2^{k}") for k in (-900, -37, 37, 900)],
+)
+def test_wls_fix_does_not_depend_on_weight_scale(rng, scale, exact):
+    # each epoch's weights are brought near 1 by a power of two before any
+    # product, so no scale overflows and a power-of-two scale keeps every bit
+    ep = make_epoch(rng, n=8, errors=rng.normal(0, 3, 8))
+    w = rng.uniform(0.5, 1.5, 8)  # 1e308 * w stays finite
+    start = np.append(ep.initial_guess, 0.0)
+    a = wls_solve(ep, w, start)
+    b = wls_solve(ep, scale * w, start)
+    assert (a.iterations, a.outcome) == (b.iterations, b.outcome)
+    if exact:
+        assert np.array_equal(a.state, b.state) and a.step_norm == b.step_norm
+    else:
+        assert np.abs(a.state - b.state).max() <= 1e-9
