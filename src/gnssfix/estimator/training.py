@@ -123,6 +123,7 @@ def train(
     theta_c = np.empty(theta.size, dtype=COMPUTE_DTYPE)
     compute = _flat_views(theta_c, init)
     g = np.empty_like(theta)
+    s = np.empty_like(theta)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     n_epochs = batch.size
@@ -148,17 +149,26 @@ def train(
             loss_sink.append(loss)
         update_running_stats(params, cache)
 
+        # Adam on the flat float64 buffers, in the textbook order of
+        # operations, through the scratch ``s`` and ``g`` once it is read
         np.concatenate([grads[name].ravel() for name in params.tensors], out=g)
-        g += WEIGHT_DECAY * theta
+        g += np.multiply(WEIGHT_DECAY, theta, out=s)
         lr = LEARNING_RATE * LR_DECAY ** (it // LR_DECAY_EVERY)
         step = it + 1
         bias1 = 1.0 - ADAM_BETA1**step
         bias2 = 1.0 - ADAM_BETA2**step
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        g *= g
+        v += np.multiply(1.0 - ADAM_BETA2, g, out=g)
+        np.divide(m, bias1, out=s)
+        s *= lr
+        np.divide(v, bias2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        s /= g
+        theta -= s
 
     regions = tuple(sorted({ep.region_id for ep in labelled}))
     return replace(params, train_regions=regions)

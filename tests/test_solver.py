@@ -142,16 +142,6 @@ def test_wls_too_few_measurements(rng):
         wls_solve(ep, np.ones(3), np.append(ep.truth[:3], 0.0))
 
 
-def test_wls_weight_scale_invariance(rng):
-    ep = make_epoch(rng, n=9, errors=rng.normal(0, 3, 9))
-    w = rng.uniform(0.2, 4.0, 9)
-    start = np.append(ep.initial_guess, 0.0)
-    a = wls_solve(ep, w, start)
-    b = wls_solve(ep, 137.0 * w, start)
-    assert np.linalg.norm(a.state[:3] - b.state[:3]) <= 1e-9
-    assert abs(a.state[3] - b.state[3]) <= 1e-9
-
-
 def test_wls_permutation_invariance(rng):
     ep = make_epoch(rng, n=9, errors=rng.normal(0, 3, 9))
     w = rng.uniform(0.2, 4.0, 9)
@@ -264,7 +254,7 @@ def test_non_finite_weight_skips_only_its_epoch(rng, bad):
 
 @pytest.mark.parametrize(
     "scale, exact",
-    [pytest.param(c, False, id=f"{c:g}") for c in (1e-300, 1e300, 1e308)]
+    [pytest.param(c, False, id=f"{c:g}") for c in (137.0, 1e-300, 1e300, 1e308)]
     + [pytest.param(2.0**k, True, id=f"2^{k}") for k in (-900, -37, 37, 900)],
 )
 def test_wls_fix_does_not_depend_on_weight_scale(rng, scale, exact):

@@ -341,10 +341,12 @@ def train_reference(dataset, config, hidden: int, loss_sink: list | None = None)
 
 
 def bn_act_reference(params, name, x_in, z, cache):
-    """network._bn_act in its textbook form: numpy's mean and var, fresh arrays
-    at every step and ``np.where`` for the leaky slope.  ``z`` is left as it
-    is.  The fused kernel gives the same bits at every width above one; at
-    width one numpy sums a contiguous column pairwise, not row after row."""
+    """network._bn_act in its textbook form: numpy's mean and var, the
+    normalised ``xhat`` scaled by gamma, fresh arrays at every step and
+    ``np.where`` for the leaky slope; the cache holds ``xhat`` and the mask.
+    ``z`` is left as it is.  The package's train-mode kernel sums columns as
+    products with ones and applies one folded scale, so it agrees with this
+    one within a rounding bound, not bit for bit."""
     if cache is not None:
         mean = z.mean(axis=0)
         var = z.var(axis=0)
@@ -363,7 +365,9 @@ def bn_act_reference(params, name, x_in, z, cache):
 
 def bn_act_backward_reference(params, name, cache, d_out, grads):
     """network._bn_act_backward in its textbook form (Ioffe & Szegedy 2015),
-    in the dtype of ``d_out``."""
+    in the dtype of ``d_out``: the gradient of ``xhat`` less its column mean
+    and its projection on ``xhat``.  The package's closed form over the
+    centred cache agrees with it within a rounding bound."""
     entry = cache[name]
     dy = np.where(entry["mask"], d_out, LEAKY_SLOPE * d_out)
     xhat = entry["xhat"]
