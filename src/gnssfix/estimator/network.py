@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -99,6 +101,67 @@ class ModelParams:
         for name, arr in self.bn_stats.items():
             if arr.shape != (self.hidden,):
                 raise ShapeMismatch(f"{name}: expected shape ({self.hidden},), got {arr.shape}")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``arr``, in its dtype."""
+    copy = np.array(arr)
+    copy.setflags(write=False)
+    return copy
+
+
+@dataclass(frozen=True, eq=False)
+class Estimator:
+    """A model frozen for inference, built once by ``Estimator.of``.
+
+    With its running statistics each batch norm is the fixed affine map
+    ``z * k + c``, with ``k = gamma / sqrt(var + eps)`` and ``c = beta - mean
+    * k`` (Ioffe & Szegedy, arXiv 1502.03167).  ``folded`` holds, per hidden
+    block in forward order, its weights with ``k`` folded into their columns
+    (Jacob et al., arXiv 1712.05877), one matrix or a SAGE block's
+    ``self_w`` and ``nbr_w``, and its shift ``c``.  Every array it holds is
+    read-only, so one estimator can be shared by every caller.
+    """
+
+    params: ModelParams  # the read-only copy it was built from
+    folded: Mapping[str, tuple[tuple[np.ndarray, ...], np.ndarray]]
+    out_w: np.ndarray  # (hidden,) readout weights
+    out_b: np.floating  # readout bias
+
+    @property
+    def scaler(self) -> ScalerParams:
+        return self.params.scaler
+
+    @property
+    def train_regions(self) -> tuple[str, ...]:
+        return self.params.train_regions
+
+    @classmethod
+    def of(cls, params: ModelParams) -> Estimator:
+        """Freeze a copy of ``params`` and fold its batch norms, in the
+        tensors' dtype."""
+        scaler = params.scaler
+        frozen = ModelParams(
+            params.in_dim,
+            params.hidden,
+            {k: _read_only(v) for k, v in params.tensors.items()},
+            {k: _read_only(v) for k, v in params.bn_stats.items()},
+            ScalerParams(
+                _read_only(scaler.feature_mean), _read_only(scaler.feature_std), scaler.label_mean, scaler.label_std
+            ),
+            params.train_regions,
+        )
+        t, stats = frozen.tensors, frozen.bn_stats
+        folded = {}
+        for name in bn_layer_names():
+            k = t[f"{name}.gamma"] / np.sqrt(stats[f"{name}.var"] + BN_EPS)
+            keys = ("self_w", "nbr_w") if name.startswith("sage") else ("w",)
+            weights = tuple(t[f"{name}.{key}"] * k for key in keys)
+            shift = t[f"{name}.beta"] - stats[f"{name}.mean"] * k
+            for arr in (*weights, shift):
+                arr.setflags(write=False)
+            folded[name] = (weights, shift)
+        return cls(frozen, MappingProxyType(folded), t["out.w"][:, 0], t["out.b"][0])
 
 
 def init_params(rng: np.random.Generator, scaler: ScalerParams, hidden: int = DEFAULT_HIDDEN) -> ModelParams:
@@ -192,28 +255,44 @@ def _bn_act(params: ModelParams, name: str, x_in: np.ndarray, z: np.ndarray, cac
     return y
 
 
-def _hidden(params: ModelParams, name: str, pairs: list[tuple[np.ndarray, np.ndarray]], cache: dict | None) -> np.ndarray:
-    """One hidden block: the sum of the products ``x @ w`` of ``pairs``, batch
-    normalisation, then leaky ReLU.
-
-    With a cache (train mode) ``_bn_act`` normalises with the batch's
-    statistics.  Without one the running statistics make the normalisation
-    the fixed affine map ``z * k + c``, with ``k = gamma / sqrt(var + eps)``
-    and ``c = beta - mean * k`` (Ioffe & Szegedy, arXiv 1502.03167).  ``k``
-    is folded into the weights' columns (Jacob et al., arXiv 1712.05877), so
-    the block is one product per pair, the shift and the activation.  The
-    folded weights are rebuilt on every call: the tensors are mutable views.
-    """
-    if cache is None:
-        k = params.tensors[f"{name}.gamma"] / np.sqrt(params.bn_stats[f"{name}.var"] + BN_EPS)
-        pairs = [(x, w * k) for x, w in pairs]
+def _product_sum(pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The sum of the products ``x @ w`` of ``pairs``, a fresh array."""
     z = _node_matmul(*pairs[0])
     for x, w in pairs[1:]:
         z += _node_matmul(x, w)
-    if cache is not None:
-        return _bn_act(params, name, pairs[0][0], z, cache)
-    z += params.tensors[f"{name}.beta"] - params.bn_stats[f"{name}.mean"] * k
+    return z
+
+
+def _hidden(params: ModelParams, name: str, pairs: list[tuple[np.ndarray, np.ndarray]], cache: dict) -> np.ndarray:
+    """One train-mode hidden block: the sum of the products ``x @ w`` of
+    ``pairs``, then ``_bn_act`` with the batch's statistics."""
+    return _bn_act(params, name, pairs[0][0], _product_sum(pairs), cache)
+
+
+def _folded_block(pairs: list[tuple[np.ndarray, np.ndarray]], shift: np.ndarray) -> np.ndarray:
+    """One inference hidden block of an ``Estimator``: the sum of the products
+    ``x @ w`` of ``pairs`` with the folded weights, the folded shift, then
+    the leaky ReLU."""
+    z = _product_sum(pairs)
+    z += shift
     return np.maximum(z, LEAKY_SLOPE * z, out=z)
+
+
+def infer(est: Estimator, X: np.ndarray, blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The per-node outputs of the frozen network over the (N, D) stacked node
+    features of a batch of graphs, given their (B, K, K) ``row_normalise``
+    aggregation ``blocks`` and the ``padded_rows`` of their nodes: one product
+    per folded weight matrix, the shift and the activation per block, then
+    the readout."""
+    h = X
+    for weights, shift in est.folded.values():
+        if len(weights) == 1:
+            h = _folded_block([(h, weights[0])], shift)
+        else:  # a SAGE block: self weights, then the neighbour average's
+            h = _folded_block([(h, weights[0]), (_aggregate(blocks, rows, h), weights[1])], shift)
+    # a row-wise reduction, not a matrix-vector product, whose bits would
+    # change with the number of rows
+    return (h * est.out_w).sum(axis=1) + est.out_b
 
 
 def forward(
@@ -223,33 +302,29 @@ def forward(
     graphs, given their (B, K, K) ``row_normalise`` aggregation ``blocks`` and
     the ``padded_rows`` of their nodes.
 
-    Normalisation pools statistics over all nodes of the batch when ``train``
-    is set, and uses the stored running statistics, folded into the weights,
-    otherwise.  Returns the per-node outputs flat over the batch, plus the
-    activation cache in train mode (None otherwise).
+    With ``train`` set, normalisation pools statistics over all nodes of the
+    batch, and the activation cache is returned with the per-node outputs
+    flat over the batch.  Otherwise ``params`` is frozen by ``Estimator.of``
+    for this call alone and run by ``infer``, and the cache is None; a caller
+    that runs one model more than once builds its ``Estimator`` once.
     """
+    if not train:
+        return infer(Estimator.of(params), X, blocks, rows), None
     t = params.tensors
-    cache: dict | None = None
-    if train:  # the ones vector takes every column sum of the batch
-        cache = {"blocks": blocks, "rows": rows, "ones": np.ones(X.shape[0], dtype=X.dtype)}
+    # the ones vector takes every column sum of the batch
+    cache = {"blocks": blocks, "rows": rows, "ones": np.ones(X.shape[0], dtype=X.dtype)}
     h = X
     for i in range(N_ENCODER):
         h = _hidden(params, f"enc{i}", [(h, t[f"enc{i}.w"])], cache)
     for i in range(N_SAGE):
         name = f"sage{i}"
         agg = _aggregate(blocks, rows, h)
-        h_next = _hidden(params, name, [(h, t[f"{name}.self_w"]), (agg, t[f"{name}.nbr_w"])], cache)
-        if cache is not None:
-            cache[name]["agg"] = agg
-        h = h_next
+        h = _hidden(params, name, [(h, t[f"{name}.self_w"]), (agg, t[f"{name}.nbr_w"])], cache)
+        cache[name]["agg"] = agg
     for i in range(N_HEAD):
         h = _hidden(params, f"head{i}", [(h, t[f"head{i}.w"])], cache)
-    # a row-wise reduction, not a matrix-vector product, whose bits would
-    # change with the number of rows
-    out = (h * t["out.w"][:, 0]).sum(axis=1) + t["out.b"][0]
-    if cache is not None:
-        cache["out_x"] = h
-    return out, cache
+    cache["out_x"] = h
+    return (h * t["out.w"][:, 0]).sum(axis=1) + t["out.b"][0], cache
 
 
 def batch_forward(
@@ -342,7 +417,7 @@ def update_running_stats(params: ModelParams, cache: dict) -> None:
             stat += np.multiply(BN_MOMENTUM, entry[kind], dtype=stat.dtype)
 
 
-def predict_batch(params: ModelParams, batch: EpochBatch) -> tuple[np.ndarray, np.ndarray]:
+def predict_batch(est: Estimator, batch: EpochBatch) -> tuple[np.ndarray, np.ndarray]:
     """Estimated pseudo-range error, in metres, of every measurement of the batch.
 
     One forward pass runs over the batch's padded (B, K, K) aggregation
@@ -351,14 +426,14 @@ def predict_batch(params: ModelParams, batch: EpochBatch) -> tuple[np.ndarray, n
     """
     feats, units, degenerate = batch_features(batch)
     blocks = row_normalise(proximity_blocks(units, batch.mask), batch.counts)
-    X = apply_feature_scaler(params.scaler, feats)
-    out, _ = forward(params, X, blocks, padded_rows(batch.counts, batch.width))
-    return np.where(degenerate[batch.epoch_of_row], 0.0, unscale_labels(params.scaler, out)), degenerate
+    X = apply_feature_scaler(est.scaler, feats)
+    out = infer(est, X, blocks, padded_rows(batch.counts, batch.width))
+    return np.where(degenerate[batch.epoch_of_row], 0.0, unscale_labels(est.scaler, out)), degenerate
 
 
-def predict_errors(params: ModelParams, epoch) -> np.ndarray:
+def predict_errors(est: Estimator, epoch) -> np.ndarray:
     """Estimated pseudo-range error, in metres, for every measurement."""
-    e_hat, degenerate = predict_batch(params, EpochBatch.of([epoch]))
+    e_hat, degenerate = predict_batch(est, EpochBatch.of([epoch]))
     if degenerate[0]:
         raise_failure(Outcome.DEGENERATE_GEOMETRY, f"epoch {epoch.epoch_id}")
     return e_hat
@@ -388,16 +463,41 @@ def save_model(params: ModelParams, path: str) -> None:
         raise IoFailure(f"cannot write model file {path}: {exc}") from exc
 
 
-def load_model(path: str) -> ModelParams:
-    """Read a model file back; a file with no feature scaler, whose dims
-    differ from the extracted features, or whose tensors differ from its
-    declared dims, is refused."""
+# the bytes of the last model file loaded and its estimator
+_last_load: tuple[bytes, Estimator] | None = None
+
+
+def load_model(path: str) -> Estimator:
+    """Read a model file back as a frozen ``Estimator``; a file with no
+    feature scaler, whose dims differ from the extracted features, or whose
+    tensors differ from its declared dims, is refused.
+
+    The file is read on every call. When its bytes equal those of the last
+    file loaded, that file's estimator is returned without parsing them
+    again: sharing it is safe, as its arrays are read-only. A refused file
+    is not remembered.
+    """
+    global _last_load
     if not os.path.exists(path):
         raise ModelMissing(f"no model file at {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError) as exc:  # JSONDecodeError, or an integer too long for int()
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise IoFailure(f"unreadable model file {path}: {exc}") from exc
+    last = _last_load
+    if last is not None and last[0] == raw:
+        return last[1]
+    est = Estimator.of(_parse_model(raw, path))
+    _last_load = (raw, est)
+    return est
+
+
+def _parse_model(data: bytes, path: str) -> ModelParams:
+    """The model in the bytes ``data`` of the model file at ``path``, validated."""
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, JSONDecodeError, or an integer too long for int()
         raise IoFailure(f"unreadable model file {path}: {exc}") from exc
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != MODEL_FORMAT:

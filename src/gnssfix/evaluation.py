@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DegenerateGeometry, EmptyInput, IoFailure, ModelMissing, NoLabels, NonFiniteInput, Outcome
 from .estimator.baselines import ElevationWeightFit, batch_heuristic_weights
 from .estimator.features import guess_states
-from .estimator.network import ModelParams, load_model, predict_batch, predict_errors
+from .estimator.network import Estimator, load_model, predict_batch, predict_errors
 from .regulator import regulate_batch, regulate_measurements
 from .selector import select_batch
 from .solver import WlsResult, geometry_matrices, horizontal_errors, solve_batch
@@ -27,6 +27,10 @@ METHODS = (
 )
 _REGULATED = ("regulate_weights", "regulate_measurements")
 _OUTCOMES = tuple(Outcome)  # indexed by value, cheaper than Outcome(code)
+# plain ints: an enum member's value is a class lookup and a property call
+_ITERATION_CAP = Outcome.ITERATION_CAP.value
+_TOO_FEW = Outcome.TOO_FEW_MEASUREMENTS.value
+_DEGENERATE = Outcome.DEGENERATE_GEOMETRY.value
 # Epochs per chunk of every pipeline run. It bounds the memory of the padded
 # layouts and the network activations; the kernels give each epoch the same
 # bits in any batch, so the scores do not depend on it.
@@ -135,7 +139,7 @@ def _require_estimates(spec: PipelineSpec, given: bool) -> bool:
     return needed
 
 
-def load_estimator(spec: PipelineSpec, oracle_errors: bool) -> ModelParams | None:
+def load_estimator(spec: PipelineSpec, oracle_errors: bool) -> Estimator | None:
     """The model whose predictions the spec needs, or None when it needs none."""
     if oracle_errors or not _require_estimates(spec, spec.model_path is not None):
         return None
@@ -143,7 +147,7 @@ def load_estimator(spec: PipelineSpec, oracle_errors: bool) -> ModelParams | Non
 
 
 def _batch_estimates(
-    epochs: Sequence[Epoch], batch: EpochBatch, model: ModelParams | None, oracle_errors: bool
+    epochs: Sequence[Epoch], batch: EpochBatch, model: Estimator | None, oracle_errors: bool
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Per-measurement error estimates of a batch: the truth errors, the
     model's, or None; and the (B,) outcome with the epochs whose features are
@@ -156,7 +160,7 @@ def _batch_estimates(
         return np.concatenate([ep.truth_error for ep in epochs]), outcome
     if model is not None:
         e_hat, degenerate = predict_batch(model, batch)
-        outcome[degenerate] = Outcome.DEGENERATE_GEOMETRY.value
+        outcome[degenerate] = _DEGENERATE
         return e_hat, outcome
     return None, outcome
 
@@ -190,26 +194,26 @@ def _fix_batch(
         used = batch.unpad(select_batch(batch.pad(e_hat), batch.counts))
         sub = batch.subset(used)
         e_hat = e_hat[used]
-    outcome = np.where((outcome == 0) & (sub.counts < 4), Outcome.TOO_FEW_MEASUREMENTS.value, outcome)
+    outcome = np.where((outcome == 0) & (sub.counts < 4), _TOO_FEW, outcome)
 
     if spec.method == "regulate_measurements":
         sub = regulate_measurements(sub, e_hat)
     start = guess_states(sub)
     if spec.method == "regulate_weights":
         H, degenerate = geometry_matrices(sub, start)
-        outcome[(outcome == 0) & degenerate] = Outcome.DEGENERATE_GEOMETRY.value
+        outcome[(outcome == 0) & degenerate] = _DEGENERATE
         weights, outcome = regulate_batch(H, sub.pad(e_hat), sub.counts, outcome)
         weights = sub.unpad(weights)
     elif spec.method in ("wls_unit", "regulate_measurements"):
         weights = np.ones(sub.offsets[-1])
     else:  # wls_cn0, wls_elevation; membership checked at construction
         weights, degenerate = batch_heuristic_weights(spec.method.removeprefix("wls_"), sub, elevation_fit)
-        outcome[(outcome == 0) & degenerate] = Outcome.DEGENERATE_GEOMETRY.value
+        outcome[(outcome == 0) & degenerate] = _DEGENERATE
     return _Fixes(solve_batch(sub, weights, start, outcome), used, sub)
 
 
 def _chunks(
-    epochs: Sequence[Epoch], model: ModelParams | None, oracle_errors: bool
+    epochs: Sequence[Epoch], model: Estimator | None, oracle_errors: bool
 ) -> Iterator[tuple[Sequence[Epoch], EpochBatch, np.ndarray | None, np.ndarray]]:
     """The epochs in runs of up to FOLD_BATCH, each with its batch and its
     estimates and outcome from _batch_estimates."""
@@ -229,8 +233,7 @@ def _require_truth(epochs: Iterable[Epoch]) -> None:
 def _score_chunk(epochs: Sequence[Epoch], e_hat: np.ndarray | None, fixes: _Fixes) -> list[EpochScore]:
     """Score every fix of a chunk against truth; every epoch must carry truth."""
     outcome = fixes.result.outcome
-    cap = Outcome.ITERATION_CAP.value  # a plain int, in numpy calls and per epoch
-    fixed = outcome <= cap
+    fixed = outcome <= _ITERATION_CAP
     errors = np.full(outcome.size, np.nan)
     truth = np.array([ep.truth for ep in epochs])
     errors[fixed] = horizontal_errors(fixes.result.state[fixed], truth[fixed])
@@ -244,7 +247,7 @@ def _score_chunk(epochs: Sequence[Epoch], e_hat: np.ndarray | None, fixes: _Fixe
     columns = zip(epochs, outcome.tolist(), counts, errors.tolist(), iterations, before.tolist(), after.tolist())
     return [
         EpochScore(ep.epoch_id, ep.region_id, len(ep), n_used, he, it, _OUTCOMES[code], b, a)
-        if code <= cap
+        if code <= _ITERATION_CAP
         else EpochScore(ep.epoch_id, ep.region_id, len(ep), 0, np.nan, 0, _OUTCOMES[code], np.nan, np.nan)
         for ep, code, n_used, he, it, b, a in columns
     ]
@@ -253,7 +256,7 @@ def _score_chunk(epochs: Sequence[Epoch], e_hat: np.ndarray | None, fixes: _Fixe
 def score_epoch(
     spec: PipelineSpec,
     epoch: Epoch,
-    model: ModelParams | None,
+    model: Estimator | None,
     oracle_errors: bool,
     elevation_fit: ElevationWeightFit | None,
 ) -> EpochScore:
@@ -274,7 +277,7 @@ def score_epoch(
         try:
             e_hat, outcome = predict_errors(model, epoch), np.zeros(1, dtype=int)
         except DegenerateGeometry:
-            e_hat, outcome = np.zeros(len(epoch)), np.full(1, Outcome.DEGENERATE_GEOMETRY.value)
+            e_hat, outcome = np.zeros(len(epoch)), np.full(1, _DEGENERATE)
     return _score_chunk([epoch], e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, outcome))[0]
 
 
@@ -325,7 +328,7 @@ def localize(spec: PipelineSpec, epochs: Sequence[Epoch]) -> Iterator[dict]:
         r = _fix_batch(spec, batch, e_hat, None, outcome).result
         for ep, code, state, iterations in zip(chunk, r.outcome.tolist(), r.state.tolist(), r.iterations.tolist()):
             record = {"epoch_id": ep.epoch_id, "region": ep.region_id}
-            if code > Outcome.ITERATION_CAP:
+            if code > _ITERATION_CAP:
                 record["skipped"] = _OUTCOMES[code].name.lower()
             else:
                 record.update(zip(("x", "y", "z", "clk"), state), converged=code == 0, iterations=iterations)

@@ -20,6 +20,11 @@ NORMAL_COND_LIMIT = 1e12
 # the Gauss-Newton stopping rule every pipeline runs at
 MAX_ITERATIONS = 20
 CONVERGENCE_TOL = 1e-4  # on the update norm, meters
+# plain ints: an enum member's value is a class lookup and a property call
+_ITERATION_CAP = Outcome.ITERATION_CAP.value
+_TOO_FEW = Outcome.TOO_FEW_MEASUREMENTS.value
+_DEGENERATE = Outcome.DEGENERATE_GEOMETRY.value
+_SINGULAR = Outcome.SINGULAR_NORMAL_MATRIX.value
 
 
 @dataclass(frozen=True)
@@ -94,13 +99,13 @@ def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, out
     x = np.array(initial, dtype=float)
     if x.shape != (batch.size, 4) or not np.isfinite(x).all():
         raise ValueError(f"initial states must be a finite ({batch.size}, 4) array")
-    outcome = np.where((outcome == 0) & (batch.counts < 4), Outcome.TOO_FEW_MEASUREMENTS.value, outcome)
+    outcome = np.where((outcome == 0) & (batch.counts < 4), _TOO_FEW, outcome)
     # a non-finite weight would make the normal matrix non-finite, and numpy warn;
     # count_nonzero is the cheapest test of a finite batch, the usual case
     finite = np.isfinite(weights)
     if np.count_nonzero(finite) < finite.size:
         finite = np.logical_and.reduceat(finite, batch.offsets[:-1])
-        outcome = np.where((outcome == 0) & ~finite, Outcome.SINGULAR_NORMAL_MATRIX.value, outcome)
+        outcome = np.where((outcome == 0) & ~finite, _SINGULAR, outcome)
     iterations = np.zeros(batch.size, dtype=int)
     step_norm = np.full(batch.size, np.inf)
     # the active epochs and their rows, pruned as epochs converge or fail
@@ -129,8 +134,7 @@ def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, out
         normal_rhs = np.swapaxes(J[..., :4] * w, 1, 2) @ J
         failed = too_close | _normal_singular(normal_rhs[:, :, :4])
         if failed.any():
-            codes = (Outcome.DEGENERATE_GEOMETRY.value, Outcome.SINGULAR_NORMAL_MATRIX.value)
-            outcome[active[failed]] = np.where(too_close[failed], *codes)
+            outcome[active[failed]] = np.where(too_close[failed], _DEGENERATE, _SINGULAR)
             ok = ~failed
             active, sat, pr, w, xa, J, normal_rhs = (a[ok] for a in (active, sat, pr, w, xa, J, normal_rhs))
         # the update is minus the solution of the normal equations
@@ -143,7 +147,7 @@ def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, out
         if it == MAX_ITERATIONS or leave.all():
             x[active], iterations[active], step_norm[active] = xa, it, step
             if it == MAX_ITERATIONS:
-                outcome[active[~leave]] = Outcome.ITERATION_CAP.value
+                outcome[active[~leave]] = _ITERATION_CAP
             break
         if leave.any():
             done = active[leave]

@@ -18,7 +18,7 @@ import pytest
 from gnssfix import solver
 from gnssfix.dataset import load_dataset, shard_path
 from gnssfix.estimator.features import EpochGraph, extract_features, fit_scaler, guess_state
-from gnssfix.estimator.network import init_params, load_model, predict_errors, save_model
+from gnssfix.estimator.network import Estimator, init_params, load_model, predict_errors, save_model
 from gnssfix.estimator.training import TrainConfig, train
 from gnssfix.evaluation import PipelineSpec, run_pipeline
 from gnssfix.geometry import enu_basis
@@ -189,14 +189,14 @@ def test_criterion_05_predict_path_permutation_equivariance(rng):
     feats = np.vstack([extract_features(ep) for ep in pool])
     labels = np.concatenate([ep.truth_error for ep in pool])
     scaler = fit_scaler(feats, labels)
-    params = init_params(rng, scaler, hidden=16)
+    est = Estimator.of(init_params(rng, scaler, hidden=16))
 
     worst = 0.0
     for ep in pool:
         perm = rng.permutation(len(ep))
         shuffled = ep.subset(perm)
-        base = predict_errors(params, ep)
-        permuted = predict_errors(params, shuffled)
+        base = predict_errors(est, ep)
+        permuted = predict_errors(est, shuffled)
         worst = max(worst, float(np.max(np.abs(permuted - base[perm]))))
     print(f"criterion 05: 100 epochs, worst permutation deviation {worst:.2e}")
     assert worst <= 1e-9

@@ -620,6 +620,21 @@ def test_exit_code_3_for_unloadable_model(tiny_data, tmp_path, capsys, command, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("encoding", ["utf-16", "latin-1"])
+def test_exit_code_3_for_non_utf8_model(tiny_data, tmp_path, capsys, encoding):
+    # a model file is UTF-8 JSON; json.loads would decode UTF-16 bytes by itself
+    payload = json.load(open(tiny_data["model"]))
+    payload["train_regions"] = ["caf\u00e9"]
+    bad = str(tmp_path / f"{encoding}-model.json")
+    with open(bad, "wb") as fh:
+        fh.write(json.dumps(payload, ensure_ascii=False).encode(encoding))
+    args = ["--holdout", "canyon", "--method", "regulate_measurements", "--model", bad]
+    rc = main(["evaluate", "--data", tiny_data["data"], *args, "--out", str(tmp_path / "rep")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and bad in err and "unreadable model file" in err
+
+
 def test_exit_code_3_for_model_of_other_feature_dim(tiny_data, tmp_path, capsys):
     # a scaler one feature short would fail in the first prediction's
     # broadcast; the file is refused when it loads

@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from gnssfix.estimator.network import (
     N_ENCODER,
     N_HEAD,
     N_SAGE,
+    Estimator,
     batch_backward,
     batch_forward,
     bn_layer_names,
@@ -32,7 +34,15 @@ from gnssfix.estimator.network import (
 from gnssfix.estimator.training import TrainConfig, train
 from gnssfix.types import EpochBatch
 
-from util import UNIT_SCALER, bn_act_backward_reference, bn_act_reference, dense_aggregate, graph_blocks, make_epoch
+from util import (
+    UNIT_SCALER,
+    bn_act_backward_reference,
+    bn_act_reference,
+    dense_aggregate,
+    graph_blocks,
+    make_epoch,
+    predict_batch_reference,
+)
 
 
 def _random_graph(rng, n, in_dim=13):
@@ -235,10 +245,12 @@ def test_save_load_roundtrip(rng, tmp_path, monkeypatch):
         objects.append(_ReadKeys(pairs))
         return objects[-1]
 
-    monkeypatch.setattr(json, "load", lambda fh: json.loads(fh.read(), object_pairs_hook=record))
-    back = load_model(path)
-    # every key written is read back, so no stored field goes unused
     saved = json.loads(open(path).read())
+    loads = json.loads
+    monkeypatch.setattr(network, "_last_load", None)  # parse the file, whatever was loaded before
+    monkeypatch.setattr(json, "loads", lambda text: loads(text, object_pairs_hook=record))
+    back = load_model(path).params
+    # every key written is read back, so no stored field goes unused
     assert objects[-1].read == set(saved)
     assert next(o for o in objects if "label_std" in o).read == set(saved["scaler"])
     assert back.in_dim == params.in_dim and back.hidden == params.hidden
@@ -269,12 +281,12 @@ def test_built_model_saves_and_loads_back(rng, tmp_path, build):
     back = load_model(path)
     for group in ("tensors", "bn_stats"):
         for name, value in getattr(params, group).items():
-            assert getattr(back, group)[name].tobytes() == value.tobytes(), name
+            assert getattr(back.params, group)[name].tobytes() == value.tobytes(), name
     for name, value in vars(params.scaler).items():
         assert np.asarray(getattr(back.scaler, name)).tobytes() == np.asarray(value).tobytes(), name
     assert back.train_regions == params.train_regions
     ep = make_epoch(rng, n=7)
-    assert np.array_equal(predict_errors(back, ep), predict_errors(params, ep))
+    assert np.array_equal(predict_errors(back, ep), predict_errors(Estimator.of(params), ep))
 
 
 def test_load_model_missing_file(tmp_path):
@@ -381,7 +393,7 @@ def test_load_model_accepts_zero_variance(rng, tmp_path):
     params = init_params(rng, UNIT_SCALER, hidden=4)
     params.bn_stats["head0.var"][:] = 0.0
     save_model(params, path)
-    assert np.array_equal(load_model(path).bn_stats["head0.var"], np.zeros(4))
+    assert np.array_equal(load_model(path).params.bn_stats["head0.var"], np.zeros(4))
 
 
 def test_load_model_rejects_dimension_lie(rng, tmp_path):
@@ -432,8 +444,9 @@ def test_predict_errors_shape_and_determinism(rng):
     )
     params = replace(params, scaler=scaler)
     ep = make_epoch(rng, n=6)
-    a = predict_errors(params, ep)
-    b = predict_errors(params, ep)
+    est = Estimator.of(params)
+    a = predict_errors(est, ep)
+    b = predict_errors(est, ep)
     assert a.shape == (6,)
     assert np.array_equal(a, b)
     # label unscaling applied: scaled outputs times label_std plus mean
@@ -628,7 +641,8 @@ def test_folded_inference_block_matches_textbook_reference(rng, rows, hidden):
         x = rng.standard_normal((rows, hidden)).astype(dtype)
         x[rows // 2, 2] = np.nan
         w = params.tensors["head0.w"]
-        got = network._hidden(params, "head0", [(x, w)], None)
+        (folded_w,), folded_shift = Estimator.of(params).folded["head0"]
+        got = network._folded_block([(x, folded_w)], folded_shift)
         want = bn_act_reference(params, "head0", x, x @ w, None)
         assert got.dtype == dtype
         k = params.tensors["head0.gamma"] / np.sqrt(params.bn_stats["head0.var"] + BN_EPS)
@@ -658,7 +672,7 @@ def test_textbook_kernels_train_identically(rng, monkeypatch):
             monkeypatch.setattr(network, "_bn_act_backward", bn_act_backward_reference)
         losses: list[float] = []
         model = train(epochs, config, hidden=16, loss_sink=losses)
-        runs.append((losses, model, network.predict_batch(model, EpochBatch.of(epochs))[0]))
+        runs.append((losses, model, network.predict_batch(Estimator.of(model), EpochBatch.of(epochs))[0]))
     (fused_losses, fused, fused_pred), (ref_losses, ref, ref_pred) = runs
     assert np.allclose(fused_losses, ref_losses, rtol=1e-10, atol=0.0)
     for key, value in ref.tensors.items():
@@ -705,7 +719,7 @@ def test_kernels_write_nothing_they_are_given(rng):
     snapshot = [arr.copy() for arr in given]
     for arr in given:
         arr.setflags(write=False)
-    network.predict_batch(params, EpochBatch.of([make_epoch(rng, n=n, epoch_id=n) for n in (1, 5, 9)]))
+    network.predict_batch(Estimator.of(params), EpochBatch.of([make_epoch(rng, n=n, epoch_id=n) for n in (1, 5, 9)]))
     for arr, before in zip(given, snapshot):
         assert _same_bits(arr, before)
 
@@ -757,14 +771,95 @@ def test_row_normalise_equals_per_graph_blocks_bits(rng):
 
 
 def test_predict_batch_equals_single_epoch_calls_bits(rng):
+    # a fold and a batch of one give each epoch the same bits, those of the
+    # per-call fold of tests/util.py: Estimator.of folds once with its arithmetic
     params = _randomized_params(rng, hidden=16)
     params = replace(params, scaler=ScalerParams(rng.standard_normal(13), rng.uniform(0.5, 2.0, 13), 0.5, 3.0))
     epochs = [
         make_epoch(rng, n=int(n), cn0=rng.uniform(20, 50, n), epoch_id=k)
         for k, n in enumerate(np.concatenate([[1, 2, 40], rng.integers(1, 41, 37)]))
     ]
-    e_hat, degenerate = network.predict_batch(params, EpochBatch.of(epochs))
+    est = Estimator.of(params)
+    batch = EpochBatch.of(epochs)
+    e_hat, degenerate = network.predict_batch(est, batch)
     assert not degenerate.any()
+    assert _same_bits(e_hat, predict_batch_reference(params, batch)[0])
     bounds = np.cumsum([0] + [len(ep) for ep in epochs])
     for ep, lo, hi in zip(epochs, bounds[:-1], bounds[1:]):
-        assert _same_bits(e_hat[lo:hi], network.predict_batch(params, EpochBatch.of([ep]))[0])
+        assert _same_bits(e_hat[lo:hi], network.predict_batch(est, EpochBatch.of([ep]))[0])
+        assert _same_bits(e_hat[lo:hi], predict_batch_reference(params, EpochBatch.of([ep]))[0])
+
+
+def _held_arrays(est):
+    """Every array an Estimator holds."""
+    arrays = [*est.params.tensors.values(), *est.params.bn_stats.values(), est.out_w]
+    arrays += [est.scaler.feature_mean, est.scaler.feature_std]
+    for weights, shift in est.folded.values():
+        arrays += [*weights, shift]
+    return arrays
+
+
+@pytest.mark.parametrize("source", ["of", "load_model"])
+def test_estimator_is_frozen(rng, tmp_path, source):
+    # one estimator is shared by every caller of load_model, so nothing it
+    # holds can be written, and it does not follow the model it was built from
+    data = [make_epoch(rng, n=6, errors=rng.normal(0, 4, 6), cn0=rng.uniform(25, 50, 6), epoch_id=k) for k in range(12)]
+    params = train(data, TrainConfig(batch_size=4, iterations=5, seed=0), hidden=4)
+    if source == "of":
+        est = Estimator.of(params)
+    else:
+        path = str(tmp_path / "model.json")
+        save_model(params, path)
+        est = load_model(path)
+    assert list(est.folded) == bn_layer_names()
+    for arr in _held_arrays(est):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(arr, 1.0, out=arr)
+    with pytest.raises(TypeError):
+        est.folded["head0"] = est.folded["head1"]
+    before = network.predict_batch(est, EpochBatch.of(data))[0]
+    # train()'s tensors are views of its flat weight vector
+    for arr in params.tensors.values():
+        arr += 1.0
+    for arr in params.bn_stats.values():
+        arr *= 2.0
+    assert _same_bits(network.predict_batch(est, EpochBatch.of(data))[0], before)
+    assert not np.array_equal(network.predict_batch(Estimator.of(params), EpochBatch.of(data))[0], before)
+
+
+def test_load_model_follows_the_file_bytes(rng, tmp_path):
+    # load_model keeps the last file's estimator by its bytes, not by path,
+    # time or size: a rewrite within one clock tick keeps the file's mtime
+    path = str(tmp_path / "model.json")
+    save_model(_randomized_params(rng, hidden=4), path)
+    ep = make_epoch(rng, n=7)
+    first = load_model(path)
+    assert load_model(path) is first
+    before = predict_errors(first, ep)
+
+    # a same-size edit of one digit of out.b, with the file's times put back
+    text = open(path).read()
+    at = text.index('"out.b": [') + len('"out.b": [')
+    at += text[at] == "-"
+    edited = text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1 :]
+    stat = os.stat(path)
+    open(path, "w").write(edited)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size and os.stat(path).st_mtime_ns == stat.st_mtime_ns
+    second = load_model(path)
+    shift = json.loads(edited)["tensors"]["out.b"][0] - json.loads(text)["tensors"]["out.b"][0]
+    assert second is not first and shift != 0.0
+    assert np.allclose(predict_errors(second, ep) - before, shift, rtol=0.0, atol=1e-9)
+
+    # a file made invalid after a good load, in JSON or in its encoding
+    for bad in (b"{not json", edited.encode("utf-16"), edited.encode("utf-8").replace(b'"format"', b'"f\xe9rmat"')):
+        open(path, "wb").write(bad)
+        with pytest.raises(IoFailure, match="unreadable") as info:
+            load_model(path)
+        assert path in str(info.value)
+        open(path, "w").write(edited)
+        assert load_model(path) is second
+    os.remove(path)
+    with pytest.raises(ModelMissing):
+        load_model(path)

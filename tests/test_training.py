@@ -261,8 +261,9 @@ def test_trained_model_beats_zero_predictor(rng):
     train_set = _toy_dataset(rng, n_epochs=250)
     holdout = _toy_dataset(rng, n_epochs=60)
     cfg = TrainConfig(batch_size=32, iterations=600, seed=11)
-    model = train(train_set, cfg, hidden=16)
-    from gnssfix.estimator.network import predict_errors
+    from gnssfix.estimator.network import Estimator, predict_errors
+
+    model = Estimator.of(train(train_set, cfg, hidden=16))
 
     dev_model, dev_zero = [], []
     for ep in holdout:

@@ -13,7 +13,7 @@ from scipy.special import ndtr
 
 from gnssfix import simulator as sim
 from gnssfix.errors import DegenerateGeometry, LengthMismatch
-from gnssfix.estimator import training
+from gnssfix.estimator import network, training
 from gnssfix.estimator.features import (
     EpochGraph,
     ScalerParams,
@@ -23,10 +23,14 @@ from gnssfix.estimator.features import (
     fit_scaler,
     guess_state,
     proximity_blocks,
+    unscale_labels,
 )
 from gnssfix.estimator.network import (
     BN_EPS,
     LEAKY_SLOPE,
+    N_ENCODER,
+    N_HEAD,
+    N_SAGE,
     batch_backward,
     forward,
     init_params,
@@ -375,6 +379,37 @@ def bn_act_backward_reference(params, name, cache, d_out, grads):
     grads[f"{name}.beta"] = dy.sum(axis=0)
     dxhat = dy * params.tensors[f"{name}.gamma"]
     return entry["inv"] * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
+
+
+def predict_batch_reference(params, batch: EpochBatch) -> tuple[np.ndarray, np.ndarray]:
+    """network.predict_batch on unfrozen ``params``, folding every batch norm
+    on every call: each hidden block computes ``k = gamma / sqrt(var +
+    BN_EPS)``, multiplies its weights by ``k``, adds ``beta - mean * k`` and
+    applies the leaky ReLU.  ``Estimator.of`` folds once with the same
+    arithmetic, so the two agree bit for bit."""
+    t, stats = params.tensors, params.bn_stats
+
+    def block(name, pairs):
+        k = t[f"{name}.gamma"] / np.sqrt(stats[f"{name}.var"] + BN_EPS)
+        z = network._node_matmul(pairs[0][0], pairs[0][1] * k)
+        for x, w in pairs[1:]:
+            z += network._node_matmul(x, w * k)
+        z += t[f"{name}.beta"] - stats[f"{name}.mean"] * k
+        return np.maximum(z, LEAKY_SLOPE * z, out=z)
+
+    feats, units, degenerate = batch_features(batch)
+    blocks = row_normalise(proximity_blocks(units, batch.mask), batch.counts)
+    rows = padded_rows(batch.counts, batch.width)
+    h = apply_feature_scaler(params.scaler, feats)
+    for i in range(N_ENCODER):
+        h = block(f"enc{i}", [(h, t[f"enc{i}.w"])])
+    for i in range(N_SAGE):
+        name = f"sage{i}"
+        h = block(name, [(h, t[f"{name}.self_w"]), (network._aggregate(blocks, rows, h), t[f"{name}.nbr_w"])])
+    for i in range(N_HEAD):
+        h = block(f"head{i}", [(h, t[f"head{i}.w"])])
+    out = (h * t["out.w"][:, 0]).sum(axis=1) + t["out.b"][0]
+    return np.where(degenerate[batch.epoch_of_row], 0.0, unscale_labels(params.scaler, out)), degenerate
 
 
 def generate_epoch_reference(scene: sim.SceneConfig, epoch_id: int, rng: np.random.Generator) -> Epoch:
