@@ -73,6 +73,15 @@ class Outcome(IntEnum):
     SINGULAR_NORMAL_MATRIX = 6
 
 
+# the codes as plain ints for the kernels: an enum member's value is a class lookup and a property call
+ITERATION_CAP = Outcome.ITERATION_CAP.value
+TOO_FEW_MEASUREMENTS = Outcome.TOO_FEW_MEASUREMENTS.value
+DEGENERATE_GEOMETRY = Outcome.DEGENERATE_GEOMETRY.value
+DEGENERATE_PROJECTION = Outcome.DEGENERATE_PROJECTION.value
+INSUFFICIENT_REDUNDANCY = Outcome.INSUFFICIENT_REDUNDANCY.value
+SINGULAR_NORMAL_MATRIX = Outcome.SINGULAR_NORMAL_MATRIX.value
+
+
 _SKIP_FAILURES = {
     Outcome.TOO_FEW_MEASUREMENTS: InsufficientMeasurements,
     Outcome.DEGENERATE_GEOMETRY: DegenerateGeometry,

@@ -2,19 +2,21 @@
 
 All tensors are plain numpy arrays and both passes are written out by hand,
 so gradients can be checked against finite differences parameter by
-parameter.  Architecture: a five-block dense encoder, two neighbourhood
-averaging blocks over the epoch graph, a four-block dense head and a final
-affine readout.  Every hidden block is affine, batch normalisation, leaky
-ReLU, in that order.  The batch normalisation subtracts the mean of each
-pre-activation, so the affine maps feeding it carry no bias; only the final
-readout has one.
+parameter.  ``BLOCKS`` declares the architecture: a five-block dense encoder,
+two neighbourhood averaging (SAGE) blocks over the epoch graph, a four-block
+dense head, then an affine readout.  Every hidden block sums the products of
+its inputs with its weights, then applies batch normalisation and a leaky
+ReLU; a SAGE block's second input is the neighbour average.  The batch
+normalisation subtracts the mean of each pre-activation, so the affine maps
+feeding it carry no bias; only the readout has one.  ``forward`` is the
+train pass and ``infer`` the inference pass of a frozen ``Estimator``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -44,33 +46,30 @@ N_HEAD = 4  # hidden head blocks before the final affine
 
 MODEL_FORMAT = "gnssfix.model/3"
 
+# each hidden block, in forward order, and the weight keys whose products it sums
+BLOCKS: Mapping[str, tuple[str, ...]] = MappingProxyType(
+    {f"enc{i}": ("w",) for i in range(N_ENCODER)}
+    | {f"sage{i}": ("self_w", "nbr_w") for i in range(N_SAGE)}
+    | {f"head{i}": ("w",) for i in range(N_HEAD)}
+)
+
 
 def bn_layer_names() -> list[str]:
     """Names of the normalised blocks, in forward order."""
-    names = [f"enc{i}" for i in range(N_ENCODER)]
-    names += [f"sage{i}" for i in range(N_SAGE)]
-    names += [f"head{i}" for i in range(N_HEAD)]
-    return names
+    return list(BLOCKS)
 
 
 def tensor_shapes(in_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
-    """Expected shape of every trainable tensor, keyed by name."""
+    """Expected shape of every trainable tensor, keyed by name, in the order
+    that fixes ``init_params``' draws and ``train``'s flat weight vector."""
     shapes: dict[str, tuple[int, ...]] = {}
     d = in_dim
-    for i in range(N_ENCODER):
-        shapes[f"enc{i}.w"] = (d, hidden)
-        shapes[f"enc{i}.gamma"] = (hidden,)
-        shapes[f"enc{i}.beta"] = (hidden,)
+    for name, keys in BLOCKS.items():
+        for key in keys:
+            shapes[f"{name}.{key}"] = (d, hidden)
+        shapes[f"{name}.gamma"] = (hidden,)
+        shapes[f"{name}.beta"] = (hidden,)
         d = hidden
-    for i in range(N_SAGE):
-        shapes[f"sage{i}.self_w"] = (hidden, hidden)
-        shapes[f"sage{i}.nbr_w"] = (hidden, hidden)
-        shapes[f"sage{i}.gamma"] = (hidden,)
-        shapes[f"sage{i}.beta"] = (hidden,)
-    for i in range(N_HEAD):
-        shapes[f"head{i}.w"] = (hidden, hidden)
-        shapes[f"head{i}.gamma"] = (hidden,)
-        shapes[f"head{i}.beta"] = (hidden,)
     shapes["out.w"] = (hidden, 1)
     shapes["out.b"] = (1,)
     return shapes
@@ -95,7 +94,7 @@ class ModelParams:
             got = self.tensors[name].shape
             if got != shape:
                 raise ShapeMismatch(f"{name}: expected shape {shape}, got {got}")
-        stat_names = {f"{ln}.{kind}" for ln in bn_layer_names() for kind in ("mean", "var")}
+        stat_names = {f"{name}.{kind}" for name in BLOCKS for kind in ("mean", "var")}
         if set(self.bn_stats) != stat_names:
             raise ShapeMismatch("normalisation state does not match the architecture")
         for name, arr in self.bn_stats.items():
@@ -140,22 +139,17 @@ class Estimator:
     def of(cls, params: ModelParams) -> Estimator:
         """Freeze a copy of ``params`` and fold its batch norms, in the
         tensors' dtype."""
-        scaler = params.scaler
-        frozen = ModelParams(
-            params.in_dim,
-            params.hidden,
-            {k: _read_only(v) for k, v in params.tensors.items()},
-            {k: _read_only(v) for k, v in params.bn_stats.items()},
-            ScalerParams(
-                _read_only(scaler.feature_mean), _read_only(scaler.feature_std), scaler.label_mean, scaler.label_std
-            ),
-            params.train_regions,
+        s = params.scaler
+        frozen = replace(
+            params,
+            tensors={k: _read_only(v) for k, v in params.tensors.items()},
+            bn_stats={k: _read_only(v) for k, v in params.bn_stats.items()},
+            scaler=replace(s, feature_mean=_read_only(s.feature_mean), feature_std=_read_only(s.feature_std)),
         )
         t, stats = frozen.tensors, frozen.bn_stats
         folded = {}
-        for name in bn_layer_names():
+        for name, keys in BLOCKS.items():
             k = t[f"{name}.gamma"] / np.sqrt(stats[f"{name}.var"] + BN_EPS)
-            keys = ("self_w", "nbr_w") if name.startswith("sage") else ("w",)
             weights = tuple(t[f"{name}.{key}"] * k for key in keys)
             shift = t[f"{name}.beta"] - stats[f"{name}.mean"] * k
             for arr in (*weights, shift):
@@ -176,9 +170,9 @@ def init_params(rng: np.random.Generator, scaler: ScalerParams, hidden: int = DE
         else:
             tensors[name] = np.zeros(shape)
     bn_stats: dict[str, np.ndarray] = {}
-    for layer in bn_layer_names():
-        bn_stats[f"{layer}.mean"] = np.zeros(hidden)
-        bn_stats[f"{layer}.var"] = np.ones(hidden)
+    for name in BLOCKS:
+        bn_stats[f"{name}.mean"] = np.zeros(hidden)
+        bn_stats[f"{name}.var"] = np.ones(hidden)
     return ModelParams(FEATURE_DIM, hidden, tensors, bn_stats, scaler)
 
 
@@ -223,17 +217,17 @@ def _node_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w
 
 
-def _bn_act(params: ModelParams, name: str, x_in: np.ndarray, z: np.ndarray, cache: dict) -> np.ndarray:
+def _bn_act(params: ModelParams, name: str, inputs: tuple, z: np.ndarray, cache: dict) -> np.ndarray:
     """Train-mode batch normalisation then leaky ReLU of the pre-activation ``z``.
 
     ``z`` must be a fresh array that nothing else references: it is centred
     in place on the batch mean and cached as ``zc``.  The normalisation and
     ``gamma`` are applied as one scale ``inv * gamma``, with ``inv = 1 /
-    sqrt(var + eps)``, and the cache keeps the leaky ReLU's slope factor for
-    the backward pass.  The column sums are products with the cache's vector
-    of ones.  Both orders round differently from the textbook ``z.mean(0)``,
-    ``z.var(0)`` and ``gamma * xhat``, within about ``n * eps`` of each
-    column's largest term for ``n`` rows.
+    sqrt(var + eps)``, and the cache keeps the block's inputs and the leaky
+    ReLU's slope factor for the backward pass.  The column sums are products
+    with the cache's vector of ones.  Both orders round differently from the
+    textbook ``z.mean(0)``, ``z.var(0)`` and ``gamma * xhat``, within about
+    ``n * eps`` of each column's largest term for ``n`` rows.
     """
     n = z.shape[0]
     ones = cache["ones"]
@@ -251,7 +245,7 @@ def _bn_act(params: ModelParams, name: str, x_in: np.ndarray, z: np.ndarray, cac
     factor *= 1.0 - LEAKY_SLOPE
     factor += LEAKY_SLOPE
     y *= factor
-    cache[name] = {"x": x_in, "zc": z, "inv": inv, "factor": factor, "mean": mean, "var": var}
+    cache[name] = {"inputs": inputs, "zc": z, "inv": inv, "factor": factor, "mean": mean, "var": var}
     return y
 
 
@@ -261,12 +255,6 @@ def _product_sum(pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     for x, w in pairs[1:]:
         z += _node_matmul(x, w)
     return z
-
-
-def _hidden(params: ModelParams, name: str, pairs: list[tuple[np.ndarray, np.ndarray]], cache: dict) -> np.ndarray:
-    """One train-mode hidden block: the sum of the products ``x @ w`` of
-    ``pairs``, then ``_bn_act`` with the batch's statistics."""
-    return _bn_act(params, name, pairs[0][0], _product_sum(pairs), cache)
 
 
 def _folded_block(pairs: list[tuple[np.ndarray, np.ndarray]], shift: np.ndarray) -> np.ndarray:
@@ -279,50 +267,36 @@ def _folded_block(pairs: list[tuple[np.ndarray, np.ndarray]], shift: np.ndarray)
 
 
 def infer(est: Estimator, X: np.ndarray, blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The per-node outputs of the frozen network over the (N, D) stacked node
-    features of a batch of graphs, given their (B, K, K) ``row_normalise``
-    aggregation ``blocks`` and the ``padded_rows`` of their nodes: one product
-    per folded weight matrix, the shift and the activation per block, then
-    the readout."""
+    """The inference pass: the per-node outputs of the frozen network over the
+    (N, D) stacked node features of a batch of graphs, given their (B, K, K)
+    ``row_normalise`` aggregation ``blocks`` and the ``padded_rows`` of their
+    nodes: one product per folded weight matrix, the shift and the
+    activation per block, then the readout."""
     h = X
     for weights, shift in est.folded.values():
-        if len(weights) == 1:
-            h = _folded_block([(h, weights[0])], shift)
-        else:  # a SAGE block: self weights, then the neighbour average's
-            h = _folded_block([(h, weights[0]), (_aggregate(blocks, rows, h), weights[1])], shift)
+        pairs = [(h, weights[0])]
+        for w in weights[1:]:  # a SAGE block's second input is the neighbour average
+            pairs.append((_aggregate(blocks, rows, h), w))
+        h = _folded_block(pairs, shift)
     # a row-wise reduction, not a matrix-vector product, whose bits would
     # change with the number of rows
     return (h * est.out_w).sum(axis=1) + est.out_b
 
 
-def forward(
-    params: ModelParams, X: np.ndarray, blocks: np.ndarray, rows: np.ndarray, train: bool = False
-) -> tuple[np.ndarray, dict | None]:
-    """Run the network over the (N, D) stacked node features of a batch of
-    graphs, given their (B, K, K) ``row_normalise`` aggregation ``blocks`` and
-    the ``padded_rows`` of their nodes.
-
-    With ``train`` set, normalisation pools statistics over all nodes of the
-    batch, and the activation cache is returned with the per-node outputs
-    flat over the batch.  Otherwise ``params`` is frozen by ``Estimator.of``
-    for this call alone and run by ``infer``, and the cache is None; a caller
-    that runs one model more than once builds its ``Estimator`` once.
-    """
-    if not train:
-        return infer(Estimator.of(params), X, blocks, rows), None
+def forward(params: ModelParams, X: np.ndarray, blocks: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The train pass over the (N, D) stacked node features of a batch of graphs,
+    given their (B, K, K) ``row_normalise`` aggregation ``blocks`` and the
+    ``padded_rows`` of their nodes: batch norm pools statistics over all nodes,
+    and the activation cache for ``batch_backward`` comes with the outputs."""
     t = params.tensors
     # the ones vector takes every column sum of the batch
     cache = {"blocks": blocks, "rows": rows, "ones": np.ones(X.shape[0], dtype=X.dtype)}
     h = X
-    for i in range(N_ENCODER):
-        h = _hidden(params, f"enc{i}", [(h, t[f"enc{i}.w"])], cache)
-    for i in range(N_SAGE):
-        name = f"sage{i}"
-        agg = _aggregate(blocks, rows, h)
-        h = _hidden(params, name, [(h, t[f"{name}.self_w"]), (agg, t[f"{name}.nbr_w"])], cache)
-        cache[name]["agg"] = agg
-    for i in range(N_HEAD):
-        h = _hidden(params, f"head{i}", [(h, t[f"head{i}.w"])], cache)
+    for name, keys in BLOCKS.items():
+        pairs = [(h, t[f"{name}.{keys[0]}"])]
+        for key in keys[1:]:  # a SAGE block's second input is the neighbour average
+            pairs.append((_aggregate(blocks, rows, h), t[f"{name}.{key}"]))
+        h = _bn_act(params, name, tuple(x for x, _ in pairs), _product_sum(pairs), cache)
     cache["out_x"] = h
     return (h * t["out.w"][:, 0]).sum(axis=1) + t["out.b"][0], cache
 
@@ -330,7 +304,9 @@ def forward(
 def batch_forward(
     params: ModelParams, graphs: list[EpochGraph], train: bool = False
 ) -> tuple[np.ndarray, dict | None]:
-    """``forward`` over a batch of graphs stacked into one node set."""
+    """``forward``, the train pass, over a batch of graphs stacked into one node
+    set, or with ``train`` unset ``infer`` on ``Estimator.of(params)`` and a
+    None cache; a caller that runs one model more than once freezes it once."""
     if not graphs:
         raise ShapeMismatch("no graphs to run")
     for g in graphs:
@@ -347,7 +323,8 @@ def batch_forward(
     # built in float64, as train() builds its blocks, then cast to the
     # features' dtype, so a float32 model computes in float32 throughout
     blocks = row_normalise(adjacency, counts).astype(X.dtype, copy=False)
-    return forward(params, X, blocks, padded_rows(counts, k), train)
+    rows = padded_rows(counts, k)
+    return forward(params, X, blocks, rows) if train else (infer(Estimator.of(params), X, blocks, rows), None)
 
 
 def _bn_act_backward(params: ModelParams, name: str, cache: dict, d_out: np.ndarray, grads: dict) -> np.ndarray:
@@ -381,35 +358,27 @@ def batch_backward(params: ModelParams, cache: dict, d_out: np.ndarray) -> dict[
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
     d = np.asarray(d_out).reshape(-1, 1)
-    x = cache["out_x"]
-    grads["out.w"] = x.T @ d
+    grads["out.w"] = cache["out_x"].T @ d
     grads["out.b"] = d.sum(axis=0)
     dh = d @ t["out.w"].T
-    for i in reversed(range(N_HEAD)):
-        name = f"head{i}"
-        dz = _bn_act_backward(params, name, cache, dh, grads)
-        grads[f"{name}.w"] = cache[name]["x"].T @ dz
-        dh = dz @ t[f"{name}.w"].T
     blocks_t, rows = np.swapaxes(cache["blocks"], 1, 2), cache["rows"]
-    for i in reversed(range(N_SAGE)):
-        name = f"sage{i}"
+    first = next(iter(BLOCKS))
+    for name, keys in reversed(BLOCKS.items()):
         dz = _bn_act_backward(params, name, cache, dh, grads)
-        grads[f"{name}.self_w"] = cache[name]["x"].T @ dz
-        grads[f"{name}.nbr_w"] = cache[name]["agg"].T @ dz
-        dh = dz @ t[f"{name}.self_w"].T + _aggregate(blocks_t, rows, dz @ t[f"{name}.nbr_w"].T)
-    for i in reversed(range(N_ENCODER)):
-        name = f"enc{i}"
-        dz = _bn_act_backward(params, name, cache, dh, grads)
-        grads[f"{name}.w"] = cache[name]["x"].T @ dz
-        if i > 0:  # the input features need no gradient
-            dh = dz @ t[f"{name}.w"].T
+        for key, x in zip(keys, cache[name]["inputs"]):
+            grads[f"{name}.{key}"] = x.T @ dz
+        if name == first:  # the input features need no gradient
+            break
+        dh = dz @ t[f"{name}.{keys[0]}"].T
+        for key in keys[1:]:  # back through a SAGE block's neighbour average
+            dh += _aggregate(blocks_t, rows, dz @ t[f"{name}.{key}"].T)
     return grads
 
 
 def update_running_stats(params: ModelParams, cache: dict) -> None:
     """Fold one batch's normalisation statistics into the running state in
     place, in the running state's dtype whatever the dtype of the batch."""
-    for name in bn_layer_names():
+    for name in BLOCKS:
         entry = cache[name]
         for kind in ("mean", "var"):
             stat = params.bn_stats[f"{name}.{kind}"]
@@ -509,7 +478,10 @@ def _parse_model(data: bytes, path: str) -> ModelParams:
             raise TypeError("tensors and bn_stats must be objects")
         tensors = {k: np.asarray(v, dtype=float) for k, v in payload["tensors"].items()}
         bn_stats = {k: np.asarray(v, dtype=float) for k, v in payload["bn_stats"].items()}
-        regions = tuple(json_str(r, "train_regions entry") for r in payload.get("train_regions", []))
+        regions = payload.get("train_regions", [])
+        if not isinstance(regions, list):  # a string would be read one character at a time
+            raise TypeError(f"train_regions is {type(regions).__name__}, not a list")
+        regions = tuple(json_str(r, "train_regions entry") for r in regions)
         raw = payload.get("scaler")
         if not isinstance(raw, dict):
             raise TypeError(f"no feature scaler: scaler is {type(raw).__name__}, not an object")

@@ -142,7 +142,7 @@ def train(
         rows = padded_rows(counts[idx], k)
         X = features[idx, :k].reshape(-1, features.shape[2])[rows]
         theta_c[...] = theta
-        out, cache = forward(compute, X, blocks[idx, :k, :k], rows, train=True)
+        out, cache = forward(compute, X, blocks[idx, :k, :k], rows)
         loss, d_out = _squared_error(out, labels[idx, :k].reshape(-1)[rows], idx.size)
         grads = batch_backward(compute, cache, d_out)
         if loss_sink is not None:

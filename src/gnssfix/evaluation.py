@@ -9,6 +9,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import DEGENERATE_GEOMETRY, ITERATION_CAP, TOO_FEW_MEASUREMENTS
 from .errors import DegenerateGeometry, EmptyInput, IoFailure, ModelMissing, NoLabels, NonFiniteInput, Outcome
 from .estimator.baselines import ElevationWeightFit, batch_heuristic_weights
 from .estimator.features import guess_states
@@ -27,10 +28,6 @@ METHODS = (
 )
 _REGULATED = ("regulate_weights", "regulate_measurements")
 _OUTCOMES = tuple(Outcome)  # indexed by value, cheaper than Outcome(code)
-# plain ints: an enum member's value is a class lookup and a property call
-_ITERATION_CAP = Outcome.ITERATION_CAP.value
-_TOO_FEW = Outcome.TOO_FEW_MEASUREMENTS.value
-_DEGENERATE = Outcome.DEGENERATE_GEOMETRY.value
 # Epochs per chunk of every pipeline run. It bounds the memory of the padded
 # layouts and the network activations; the kernels give each epoch the same
 # bits in any batch, so the scores do not depend on it.
@@ -160,7 +157,7 @@ def _batch_estimates(
         return np.concatenate([ep.truth_error for ep in epochs]), outcome
     if model is not None:
         e_hat, degenerate = predict_batch(model, batch)
-        outcome[degenerate] = _DEGENERATE
+        outcome[degenerate] = DEGENERATE_GEOMETRY
         return e_hat, outcome
     return None, outcome
 
@@ -194,21 +191,21 @@ def _fix_batch(
         used = batch.unpad(select_batch(batch.pad(e_hat), batch.counts))
         sub = batch.subset(used)
         e_hat = e_hat[used]
-    outcome = np.where((outcome == 0) & (sub.counts < 4), _TOO_FEW, outcome)
+    outcome = np.where((outcome == 0) & (sub.counts < 4), TOO_FEW_MEASUREMENTS, outcome)
 
     if spec.method == "regulate_measurements":
         sub = regulate_measurements(sub, e_hat)
     start = guess_states(sub)
     if spec.method == "regulate_weights":
         H, degenerate = geometry_matrices(sub, start)
-        outcome[(outcome == 0) & degenerate] = _DEGENERATE
+        outcome[(outcome == 0) & degenerate] = DEGENERATE_GEOMETRY
         weights, outcome = regulate_batch(H, sub.pad(e_hat), sub.counts, outcome)
         weights = sub.unpad(weights)
     elif spec.method in ("wls_unit", "regulate_measurements"):
         weights = np.ones(sub.offsets[-1])
     else:  # wls_cn0, wls_elevation; membership checked at construction
         weights, degenerate = batch_heuristic_weights(spec.method.removeprefix("wls_"), sub, elevation_fit)
-        outcome[(outcome == 0) & degenerate] = _DEGENERATE
+        outcome[(outcome == 0) & degenerate] = DEGENERATE_GEOMETRY
     return _Fixes(solve_batch(sub, weights, start, outcome), used, sub)
 
 
@@ -233,7 +230,7 @@ def _require_truth(epochs: Iterable[Epoch]) -> None:
 def _score_chunk(epochs: Sequence[Epoch], e_hat: np.ndarray | None, fixes: _Fixes) -> list[EpochScore]:
     """Score every fix of a chunk against truth; every epoch must carry truth."""
     outcome = fixes.result.outcome
-    fixed = outcome <= _ITERATION_CAP
+    fixed = outcome <= ITERATION_CAP
     errors = np.full(outcome.size, np.nan)
     truth = np.array([ep.truth for ep in epochs])
     errors[fixed] = horizontal_errors(fixes.result.state[fixed], truth[fixed])
@@ -247,7 +244,7 @@ def _score_chunk(epochs: Sequence[Epoch], e_hat: np.ndarray | None, fixes: _Fixe
     columns = zip(epochs, outcome.tolist(), counts, errors.tolist(), iterations, before.tolist(), after.tolist())
     return [
         EpochScore(ep.epoch_id, ep.region_id, len(ep), n_used, he, it, _OUTCOMES[code], b, a)
-        if code <= _ITERATION_CAP
+        if code <= ITERATION_CAP
         else EpochScore(ep.epoch_id, ep.region_id, len(ep), 0, np.nan, 0, _OUTCOMES[code], np.nan, np.nan)
         for ep, code, n_used, he, it, b, a in columns
     ]
@@ -277,7 +274,7 @@ def score_epoch(
         try:
             e_hat, outcome = predict_errors(model, epoch), np.zeros(1, dtype=int)
         except DegenerateGeometry:
-            e_hat, outcome = np.zeros(len(epoch)), np.full(1, _DEGENERATE)
+            e_hat, outcome = np.zeros(len(epoch)), np.full(1, DEGENERATE_GEOMETRY)
     return _score_chunk([epoch], e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, outcome))[0]
 
 
@@ -328,7 +325,7 @@ def localize(spec: PipelineSpec, epochs: Sequence[Epoch]) -> Iterator[dict]:
         r = _fix_batch(spec, batch, e_hat, None, outcome).result
         for ep, code, state, iterations in zip(chunk, r.outcome.tolist(), r.state.tolist(), r.iterations.tolist()):
             record = {"epoch_id": ep.epoch_id, "region": ep.region_id}
-            if code > _ITERATION_CAP:
+            if code > ITERATION_CAP:
                 record["skipped"] = _OUTCOMES[code].name.lower()
             else:
                 record.update(zip(("x", "y", "z", "clk"), state), converged=code == 0, iterations=iterations)

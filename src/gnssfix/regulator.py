@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteInput, Outcome, raise_failure
+from .errors import DEGENERATE_PROJECTION, INSUFFICIENT_REDUNDANCY, LengthMismatch, NonFiniteInput, raise_failure
 from .types import EpochBatch
 
 # Singular values below this fraction of the largest are treated as zero
@@ -68,13 +68,13 @@ def regulate_batch(
     small = np.flatnonzero((counts <= 4) & (outcome == 0))
     if small.size:  # all errors nonzero leaves a trivial kernel
         trivial = ((e[small] != 0.0) | (np.arange(e.shape[1]) >= counts[small, None])).all(axis=1)
-        outcome[small[trivial]] = Outcome.INSUFFICIENT_REDUNDANCY.value
+        outcome[small[trivial]] = INSUFFICIENT_REDUNDANCY
     for n in sorted(set(counts[outcome == 0].tolist())):
         group = np.flatnonzero((counts == n) & (outcome == 0))
         he_t = np.swapaxes(H[group, :n] * e[group, :n, None], 1, 2)
         w, short = _kernel_points(he_t, probe[group, :n])
         weights[group, :n] = w
-        outcome[group[short]] = Outcome.DEGENERATE_PROJECTION.value
+        outcome[group[short]] = DEGENERATE_PROJECTION
     return weights, outcome
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DEGENERATE_GEOMETRY, ITERATION_CAP, SINGULAR_NORMAL_MATRIX, TOO_FEW_MEASUREMENTS
 from .errors import DegenerateGeometry, LengthMismatch, Outcome, raise_failure
 from .geometry import directions, enu_bases
 from .types import Epoch, EpochBatch
@@ -20,11 +21,6 @@ NORMAL_COND_LIMIT = 1e12
 # the Gauss-Newton stopping rule every pipeline runs at
 MAX_ITERATIONS = 20
 CONVERGENCE_TOL = 1e-4  # on the update norm, meters
-# plain ints: an enum member's value is a class lookup and a property call
-_ITERATION_CAP = Outcome.ITERATION_CAP.value
-_TOO_FEW = Outcome.TOO_FEW_MEASUREMENTS.value
-_DEGENERATE = Outcome.DEGENERATE_GEOMETRY.value
-_SINGULAR = Outcome.SINGULAR_NORMAL_MATRIX.value
 
 
 @dataclass(frozen=True)
@@ -99,13 +95,13 @@ def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, out
     x = np.array(initial, dtype=float)
     if x.shape != (batch.size, 4) or not np.isfinite(x).all():
         raise ValueError(f"initial states must be a finite ({batch.size}, 4) array")
-    outcome = np.where((outcome == 0) & (batch.counts < 4), _TOO_FEW, outcome)
+    outcome = np.where((outcome == 0) & (batch.counts < 4), TOO_FEW_MEASUREMENTS, outcome)
     # a non-finite weight would make the normal matrix non-finite, and numpy warn;
     # count_nonzero is the cheapest test of a finite batch, the usual case
     finite = np.isfinite(weights)
     if np.count_nonzero(finite) < finite.size:
         finite = np.logical_and.reduceat(finite, batch.offsets[:-1])
-        outcome = np.where((outcome == 0) & ~finite, _SINGULAR, outcome)
+        outcome = np.where((outcome == 0) & ~finite, SINGULAR_NORMAL_MATRIX, outcome)
     iterations = np.zeros(batch.size, dtype=int)
     step_norm = np.full(batch.size, np.inf)
     # the active epochs and their rows, pruned as epochs converge or fail
@@ -134,7 +130,7 @@ def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, out
         normal_rhs = np.swapaxes(J[..., :4] * w, 1, 2) @ J
         failed = too_close | _normal_singular(normal_rhs[:, :, :4])
         if failed.any():
-            outcome[active[failed]] = np.where(too_close[failed], _DEGENERATE, _SINGULAR)
+            outcome[active[failed]] = np.where(too_close[failed], DEGENERATE_GEOMETRY, SINGULAR_NORMAL_MATRIX)
             ok = ~failed
             active, sat, pr, w, xa, J, normal_rhs = (a[ok] for a in (active, sat, pr, w, xa, J, normal_rhs))
         # the update is minus the solution of the normal equations
@@ -147,7 +143,7 @@ def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, out
         if it == MAX_ITERATIONS or leave.all():
             x[active], iterations[active], step_norm[active] = xa, it, step
             if it == MAX_ITERATIONS:
-                outcome[active[~leave]] = _ITERATION_CAP
+                outcome[active[~leave]] = ITERATION_CAP
             break
         if leave.any():
             done = active[leave]

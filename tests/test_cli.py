@@ -601,6 +601,10 @@ def test_exit_code_3_for_negative_model_variance(tiny_data, tmp_path, capsys):
         # save_model writes an untrained model's scaler as null
         pytest.param(lambda m: m.update(scaler=RAW), "null", "no feature scaler", id="null-scaler"),
         pytest.param(lambda m: m.pop("scaler"), "", "no feature scaler", id="no-scaler"),
+        # read one character at a time, the string would not name the holdout
+        pytest.param(
+            lambda m: m.update(train_regions="canyon"), "", "malformed model file", id="train-regions-string"
+        ),
     ],
 )
 def test_exit_code_3_for_unloadable_model(tiny_data, tmp_path, capsys, command, edit, token, named):

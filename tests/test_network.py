@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gnssfix.errors import IoFailure, ModelMissing, ShapeMismatch
 from gnssfix.estimator import network
 from gnssfix.estimator.features import (
+    FEATURE_DIM,
     EpochGraph,
     ScalerParams,
     build_graph,
@@ -30,6 +32,7 @@ from gnssfix.estimator.network import (
     load_model,
     predict_errors,
     save_model,
+    tensor_shapes,
 )
 from gnssfix.estimator.training import TrainConfig, train
 from gnssfix.types import EpochBatch
@@ -212,6 +215,32 @@ def test_model_params_shape_validation(rng):
         ModelParams(13, 4, missing, dict(params.bn_stats), UNIT_SCALER)
 
 
+def test_tensor_order_and_initial_draws_are_pinned():
+    # the tensor order fixes init_params' draws from the training generator
+    # and the layout of train()'s flat weight vector: declaring the blocks in
+    # another order would silently change every trained model
+    assert list(tensor_shapes(FEATURE_DIM, 8)) == [
+        "enc0.w", "enc0.gamma", "enc0.beta",
+        "enc1.w", "enc1.gamma", "enc1.beta",
+        "enc2.w", "enc2.gamma", "enc2.beta",
+        "enc3.w", "enc3.gamma", "enc3.beta",
+        "enc4.w", "enc4.gamma", "enc4.beta",
+        "sage0.self_w", "sage0.nbr_w", "sage0.gamma", "sage0.beta",
+        "sage1.self_w", "sage1.nbr_w", "sage1.gamma", "sage1.beta",
+        "head0.w", "head0.gamma", "head0.beta",
+        "head1.w", "head1.gamma", "head1.beta",
+        "head2.w", "head2.gamma", "head2.beta",
+        "head3.w", "head3.gamma", "head3.beta",
+        "out.w", "out.b",
+    ]  # fmt: skip
+    params = init_params(np.random.default_rng(0), UNIT_SCALER, hidden=8)
+    digest = hashlib.sha256()
+    for name, arr in params.tensors.items():
+        digest.update(f"{name}{arr.shape}{arr.dtype}".encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == "f7dc9925b1310416e09a8ab2c8d5d2005458c97c7ffb3cade0b9c7804b6f00b1"
+
+
 class _ReadKeys(dict):
     """A JSON object that records which of its keys were looked up."""
 
@@ -315,6 +344,9 @@ def test_load_model_malformed(rng, tmp_path):
         json.dumps({**payload, "hidden": 4.0}),
         json.dumps({**payload, "in_dim": True}),
         json.dumps({**payload, "train_regions": [None]}),
+        # a string would load one character per region, an object as its keys
+        json.dumps({**payload, "train_regions": "dense-1"}),
+        json.dumps({**payload, "train_regions": {"dense-1": 1}}),
         # float() would read "0.5" as 0.5 and true as 1.0
         json.dumps({**payload, "scaler": {**scaler, "label_mean": "0.5"}}),
         json.dumps({**payload, "scaler": {**scaler, "label_std": True}}),
@@ -550,11 +582,12 @@ def _check_bn_kernels(params, x, z, d_out):
     # a one-row pre-activation is a view into _node_matmul's two-row product
     fused_z = np.concatenate([z, z])[:1] if n == 1 else z.copy()
     cache, ref_cache = {"ones": np.ones(n, dtype=dtype)}, {}
-    out = network._bn_act(params, "head0", x, fused_z, cache)
-    ref = bn_act_reference(params, "head0", x, z.copy(), ref_cache)
+    inputs = (x,)
+    out = network._bn_act(params, "head0", inputs, fused_z, cache)
+    ref = bn_act_reference(params, "head0", inputs, z.copy(), ref_cache)
     entry, want = cache["head0"], ref_cache["head0"]
-    assert entry.keys() == {"x", "zc", "inv", "factor", "mean", "var"}
-    assert entry["x"] is x
+    assert entry.keys() == {"inputs", "zc", "inv", "factor", "mean", "var"}
+    assert entry["inputs"] is inputs
     d_mean, d_var, d_inv, d_y = _bn_forward_bounds(params, "head0", z, want)
     _assert_within(entry["mean"], want["mean"], d_mean, "mean")
     _assert_within(entry["var"], want["var"], d_var, "var")
@@ -590,7 +623,7 @@ def _check_bn_kernels(params, x, z, d_out):
 
 @pytest.mark.parametrize("hidden", [6, 64])
 @pytest.mark.parametrize("rows", [1, 5, 13, 446])
-def test_bn_kernels_match_textbook_reference_bits(rng, rows, hidden):
+def test_bn_kernels_match_textbook_reference_within_bound(rng, rows, hidden):
     # the train-mode kernels reorder the textbook arithmetic (column sums as
     # products with ones, one folded scale, the closed-form backward), so they
     # agree with it within a derived rounding bound at either dtype; dtypes
@@ -643,7 +676,7 @@ def test_folded_inference_block_matches_textbook_reference(rng, rows, hidden):
         w = params.tensors["head0.w"]
         (folded_w,), folded_shift = Estimator.of(params).folded["head0"]
         got = network._folded_block([(x, folded_w)], folded_shift)
-        want = bn_act_reference(params, "head0", x, x @ w, None)
+        want = bn_act_reference(params, "head0", (x,), x @ w, None)
         assert got.dtype == dtype
         k = params.tensors["head0.gamma"] / np.sqrt(params.bn_stats["head0.var"] + BN_EPS)
         shift = params.tensors["head0.beta"] - params.bn_stats["head0.mean"] * k
@@ -701,8 +734,8 @@ def test_kernels_write_nothing_they_are_given(rng):
             inputs = [(X, X.copy()), (blocks, blocks.copy())]
             for arr in (X, blocks):
                 arr.setflags(write=False)
-            assert network.forward(params, X, blocks, rows)[0].dtype == dtype
-            out, cache = network.forward(params, X, blocks, rows, train=True)
+            assert network.infer(Estimator.of(params), X, blocks, rows).dtype == dtype
+            out, cache = network.forward(params, X, blocks, rows)
             assert out.dtype == dtype
             d_out = rng.standard_normal(out.shape).astype(dtype)
             d_out.setflags(write=False)
@@ -734,9 +767,11 @@ def test_batch_forward_keeps_a_float32_model_in_float32(rng):
     assert out.dtype == np.float32
     floats = [(key, value) for key, value in cache.items() if isinstance(value, np.ndarray)]
     for layer in bn_layer_names():
-        floats += [(f"{layer}.{key}", value) for key, value in cache[layer].items()]
+        entry = dict(cache[layer])
+        entry.update({f"inputs{i}": x for i, x in enumerate(entry.pop("inputs"))})
+        floats += [(f"{layer}.{key}", value) for key, value in entry.items()]
     floats = [(key, value) for key, value in floats if value.dtype.kind == "f"]
-    want = {"blocks", "ones", "out_x", "sage0.agg", "sage0.zc", "sage0.factor", "enc0.inv"}
+    want = {"blocks", "ones", "out_x", "sage0.inputs1", "sage0.zc", "sage0.factor", "enc0.inv"}
     assert {key for key, _ in floats} >= want
     for key, value in floats:
         assert value.dtype == np.float32, key

@@ -272,7 +272,7 @@ def batch_loss(params, graphs, labels_scaled):
             raise LengthMismatch(f"{g.node_features.shape[0]} nodes vs {len(y)} labels in one epoch")
     blocks, rows = graph_blocks(graphs)
     X = np.vstack([g.node_features for g in graphs])
-    out, cache = forward(params, X, blocks.astype(X.dtype, copy=False), rows, train=True)
+    out, cache = forward(params, X, blocks.astype(X.dtype, copy=False), rows)
     y_cat = np.concatenate([np.asarray(y, dtype=float) for y in labels_scaled])
     loss, d_out = training._squared_error(out, y_cat, len(graphs))
     return loss, d_out, cache
@@ -323,7 +323,7 @@ def train_reference(dataset, config, hidden: int, loss_sink: list | None = None)
         chosen = [graphs[i] for i in idx]
         blocks, rows = graph_blocks(chosen)
         X = np.vstack([g.node_features for g in chosen]).astype(dtype)
-        out, cache = forward(compute, X, blocks.astype(dtype), rows, train=True)
+        out, cache = forward(compute, X, blocks.astype(dtype), rows)
         y = np.concatenate([labels[i] for i in idx]).astype(dtype)
         loss, d_out = training._squared_error(out, y, idx.size)
         grads = batch_backward(compute, cache, d_out)
@@ -344,7 +344,7 @@ def train_reference(dataset, config, hidden: int, loss_sink: list | None = None)
     return replace(params, train_regions=tuple(sorted({ep.region_id for ep in labelled})))
 
 
-def bn_act_reference(params, name, x_in, z, cache):
+def bn_act_reference(params, name, inputs, z, cache):
     """network._bn_act in its textbook form: numpy's mean and var, the
     normalised ``xhat`` scaled by gamma, fresh arrays at every step and
     ``np.where`` for the leaky slope; the cache holds ``xhat`` and the mask.
@@ -363,7 +363,7 @@ def bn_act_reference(params, name, x_in, z, cache):
     mask = y > 0.0
     out = np.where(mask, y, LEAKY_SLOPE * y)
     if cache is not None:
-        cache[name] = {"x": x_in, "xhat": xhat, "inv": inv, "mask": mask, "mean": mean, "var": var}
+        cache[name] = {"inputs": inputs, "xhat": xhat, "inv": inv, "mask": mask, "mean": mean, "var": var}
     return out
 
 
