@@ -57,6 +57,13 @@ def json_str(value, what: str) -> str:
     return value
 
 
+def check_region_id(region_id: str) -> str:
+    """``region_id`` if it names one shard file inside a dataset directory, else ValueError."""
+    if region_id in ("", ".", "..") or "/" in region_id or "\\" in region_id:
+        raise ValueError(f"region_id {region_id!r} must name one file: no '/' or '\\', not '.' or '..'")
+    return region_id
+
+
 def epoch_to_record(epoch: Epoch) -> dict:
     """Plain-dict form of one epoch, keys in the on-disk order."""
     rec: dict = {"epoch_id": epoch.epoch_id, "region": epoch.region_id}
@@ -188,7 +195,7 @@ def read_manifest(data_dir: str) -> DatasetManifest:
             raise ValueError(f"dataset format {payload['format']!r}, expected {DATASET_FORMAT!r}")
         entries = tuple(
             ManifestEntry(
-                region_id=json_str(r["region_id"], "region_id"),
+                region_id=check_region_id(json_str(r["region_id"], "region_id")),
                 epochs=json_int(r["epochs"], "epochs"),
                 scene=dict(r["scene"]),
             )

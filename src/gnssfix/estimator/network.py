@@ -17,12 +17,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from ..dataset import json_float, json_int, json_str
+from ..dataset import json_float, json_floats, json_int, json_str
 from ..errors import IoFailure, ModelMissing, Outcome, ShapeMismatch, raise_failure
 from ..types import EpochBatch
 from .features import (
@@ -52,11 +53,6 @@ BLOCKS: Mapping[str, tuple[str, ...]] = MappingProxyType(
     | {f"sage{i}": ("self_w", "nbr_w") for i in range(N_SAGE)}
     | {f"head{i}": ("w",) for i in range(N_HEAD)}
 )
-
-
-def bn_layer_names() -> list[str]:
-    """Names of the normalised blocks, in forward order."""
-    return list(BLOCKS)
 
 
 def tensor_shapes(in_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
@@ -301,12 +297,9 @@ def forward(params: ModelParams, X: np.ndarray, blocks: np.ndarray, rows: np.nda
     return (h * t["out.w"][:, 0]).sum(axis=1) + t["out.b"][0], cache
 
 
-def batch_forward(
-    params: ModelParams, graphs: list[EpochGraph], train: bool = False
-) -> tuple[np.ndarray, dict | None]:
-    """``forward``, the train pass, over a batch of graphs stacked into one node
-    set, or with ``train`` unset ``infer`` on ``Estimator.of(params)`` and a
-    None cache; a caller that runs one model more than once freezes it once."""
+def batch_forward(params: ModelParams, graphs: list[EpochGraph]) -> np.ndarray:
+    """``infer`` on ``Estimator.of(params)`` over a batch of graphs stacked into
+    one node set; a caller that runs one model more than once freezes it once."""
     if not graphs:
         raise ShapeMismatch("no graphs to run")
     for g in graphs:
@@ -323,8 +316,7 @@ def batch_forward(
     # built in float64, as train() builds its blocks, then cast to the
     # features' dtype, so a float32 model computes in float32 throughout
     blocks = row_normalise(adjacency, counts).astype(X.dtype, copy=False)
-    rows = padded_rows(counts, k)
-    return forward(params, X, blocks, rows) if train else (infer(Estimator.of(params), X, blocks, rows), None)
+    return infer(Estimator.of(params), X, blocks, padded_rows(counts, k))
 
 
 def _bn_act_backward(params: ModelParams, name: str, cache: dict, d_out: np.ndarray, grads: dict) -> np.ndarray:
@@ -432,21 +424,14 @@ def save_model(params: ModelParams, path: str) -> None:
         raise IoFailure(f"cannot write model file {path}: {exc}") from exc
 
 
-# the bytes of the last model file loaded and its estimator
-_last_load: tuple[bytes, Estimator] | None = None
-
-
 def load_model(path: str) -> Estimator:
     """Read a model file back as a frozen ``Estimator``; a file with no
     feature scaler, whose dims differ from the extracted features, or whose
     tensors differ from its declared dims, is refused.
 
-    The file is read on every call. When its bytes equal those of the last
-    file loaded, that file's estimator is returned without parsing them
-    again: sharing it is safe, as its arrays are read-only. A refused file
-    is not remembered.
+    The file is read on every call, and parsed only when its bytes or path
+    differ from the last file loaded.
     """
-    global _last_load
     if not os.path.exists(path):
         raise ModelMissing(f"no model file at {path}")
     try:
@@ -454,16 +439,22 @@ def load_model(path: str) -> Estimator:
             raw = fh.read()
     except OSError as exc:
         raise IoFailure(f"unreadable model file {path}: {exc}") from exc
-    last = _last_load
-    if last is not None and last[0] == raw:
-        return last[1]
-    est = Estimator.of(_parse_model(raw, path))
-    _last_load = (raw, est)
-    return est
+    return _parse_model(raw, path)
 
 
-def _parse_model(data: bytes, path: str) -> ModelParams:
-    """The model in the bytes ``data`` of the model file at ``path``, validated."""
+def _json_array(value, what: str) -> np.ndarray:
+    """A JSON number, or nested lists of numbers, as a float array;
+    np.asarray would read "0.5" as 0.5 and true as 1.0."""
+    arr = np.asarray(value, dtype=float)
+    json_floats(np.asarray(value, dtype=object).ravel().tolist(), what)
+    return arr
+
+
+@lru_cache(maxsize=1)  # an exception is not cached, so a refused file is not kept
+def _parse_model(data: bytes, path: str) -> Estimator:
+    """The estimator of the bytes ``data`` of the model file at ``path``,
+    validated; every caller that loads the same bytes shares it, as its
+    arrays are read-only."""
     try:
         payload = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # not UTF-8, JSONDecodeError, or an integer too long for int()
@@ -476,9 +467,9 @@ def _parse_model(data: bytes, path: str) -> ModelParams:
         hidden = json_int(payload["hidden"], "hidden")
         if not all(isinstance(payload[key], dict) for key in ("tensors", "bn_stats")):
             raise TypeError("tensors and bn_stats must be objects")
-        tensors = {k: np.asarray(v, dtype=float) for k, v in payload["tensors"].items()}
-        bn_stats = {k: np.asarray(v, dtype=float) for k, v in payload["bn_stats"].items()}
-        regions = payload.get("train_regions", [])
+        tensors = {k: _json_array(v, f"tensors.{k}") for k, v in payload["tensors"].items()}
+        bn_stats = {k: _json_array(v, f"bn_stats.{k}") for k, v in payload["bn_stats"].items()}
+        regions = payload["train_regions"]  # without it, evaluate's in-sample guard would pass any region
         if not isinstance(regions, list):  # a string would be read one character at a time
             raise TypeError(f"train_regions is {type(regions).__name__}, not a list")
         regions = tuple(json_str(r, "train_regions entry") for r in regions)
@@ -486,8 +477,8 @@ def _parse_model(data: bytes, path: str) -> ModelParams:
         if not isinstance(raw, dict):
             raise TypeError(f"no feature scaler: scaler is {type(raw).__name__}, not an object")
         scaler = ScalerParams(
-            feature_mean=np.asarray(raw["feature_mean"], dtype=float),
-            feature_std=np.asarray(raw["feature_std"], dtype=float),
+            feature_mean=_json_array(raw["feature_mean"], "scaler.feature_mean"),
+            feature_std=_json_array(raw["feature_std"], "scaler.feature_std"),
             label_mean=json_float(raw["label_mean"], "label_mean"),
             label_std=json_float(raw["label_std"], "label_std"),
         )
@@ -510,6 +501,6 @@ def _parse_model(data: bytes, path: str) -> ModelParams:
     if bad_scale:
         raise IoFailure(f"model file {path} has negative variances or non-positive stds in {bad_scale}")
     try:
-        return ModelParams(in_dim, hidden, tensors, bn_stats, scaler, regions)
+        return Estimator.of(ModelParams(in_dim, hidden, tensors, bn_stats, scaler, regions))
     except ShapeMismatch as exc:
         raise IoFailure(f"model file {path} does not match its declared architecture: {exc}") from exc

@@ -33,7 +33,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .dataset import DatasetManifest, ManifestEntry, json_float, json_int, json_str, shard_path, write_manifest, write_shard
+from .dataset import DatasetManifest, ManifestEntry, check_region_id, json_float, json_int, json_str, shard_path
+from .dataset import write_manifest, write_shard
 from .errors import IoFailure
 from .geometry import enu_basis
 from .types import BANDS, CONSTELLATIONS, Epoch
@@ -92,8 +93,7 @@ class SceneConfig:
     guess_offset_sigma: float = 25.0
 
     def __post_init__(self) -> None:
-        if not self.region_id:
-            raise ValueError("region_id must be non-empty")
+        check_region_id(self.region_id)
         origin = tuple(float(c) for c in self.receiver_origin)
         if len(origin) != 3 or not np.isfinite(origin).all():
             raise ValueError(f"receiver_origin must be 3 finite ECEF coordinates, got {origin}")

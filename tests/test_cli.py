@@ -543,6 +543,33 @@ def test_exit_code_3_for_non_integer_or_non_string_manifest_field(tiny_data, tmp
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("region_id", ["../escaped", "sub/escaped", "sub\\escaped", ".", ".."])
+def test_exit_code_2_for_region_id_that_is_not_one_file(tmp_path, capsys, region_id):
+    # the shard is written to <out>/<region_id>.jsonl: "../escaped" would land beside --out
+    regions = [{"region_id": region_id, "epochs": 2}, {"region_id": "b", "epochs": 2}]
+    assert _generate_from(tmp_path, {"regions": regions}) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "region_id" in err
+    assert os.listdir(tmp_path) == ["scenes.json"]  # nothing written, in --out or beside it
+
+
+def test_exit_code_3_for_manifest_region_id_outside_the_dataset(tiny_data, tmp_path, capsys):
+    # a manifest entry "../escaped" would have evaluate read the shard beside the dataset
+    data = str(tmp_path / "data")
+    shutil.copytree(tiny_data["data"], data)
+    outside = [replace(ep, region_id="../escaped") for ep in read_shard(shard_path(data, "canyon"))]
+    write_shard(str(tmp_path / "escaped.jsonl"), outside)
+    path = os.path.join(data, "manifest.json")
+    manifest = json.load(open(path))
+    manifest["regions"][1]["region_id"] = "../escaped"
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    args = ["--data", data, "--holdout", "../escaped", "--method", "wls_unit", "--out", str(tmp_path / "rep")]
+    assert main(["evaluate", *args]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and path in err and "region_id" in err
+
+
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
 @pytest.mark.parametrize("below", [False, True])
 def test_exit_code_3_for_output_path_through_a_file(tiny_data, tmp_path, capsys, command, below):
@@ -604,6 +631,17 @@ def test_exit_code_3_for_negative_model_variance(tiny_data, tmp_path, capsys):
         # read one character at a time, the string would not name the holdout
         pytest.param(
             lambda m: m.update(train_regions="canyon"), "", "malformed model file", id="train-regions-string"
+        ),
+        # a model without the key would pass evaluate's in-sample guard as trained on no region
+        pytest.param(lambda m: m.pop("train_regions"), "", "malformed model file", id="no-train-regions"),
+        # np.asarray(dtype=float) would read "0.5" as 0.5 and true as 1.0
+        pytest.param(lambda m: m["tensors"].update({"out.b": ["0.5"]}), "", "tensors.out.b", id="tensor-string"),
+        pytest.param(lambda m: m["bn_stats"]["enc0.var"].__setitem__(0, True), "", "bn_stats.enc0.var", id="var-bool"),
+        pytest.param(
+            lambda m: m["scaler"].update(feature_std=[str(v) for v in m["scaler"]["feature_std"]]),
+            "",
+            "scaler.feature_std",
+            id="feature-std-strings",
         ),
     ],
 )

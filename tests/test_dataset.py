@@ -158,6 +158,21 @@ def test_manifest_refuses_other_formats(tmp_path):
     assert main(["train", "--data", out, "--holdout", "a", "--out", str(tmp_path / "m.json")]) == 3
 
 
+@pytest.mark.parametrize("region_id", ["../escaped", "sub/escaped", "sub\\escaped", ".", ".."])
+def test_manifest_refuses_region_id_that_is_not_one_file(tmp_path, region_id):
+    # load_dataset reads <data_dir>/<region_id>.jsonl, so "../escaped" would
+    # read a shard from outside the dataset directory
+    out = str(tmp_path / "d")
+    generate_dataset(_two_scenes(), counts=[2, 2], out_dir=out)
+    path = os.path.join(out, "manifest.json")
+    payload = json.load(open(path))
+    payload["regions"][0]["region_id"] = region_id
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(IoFailure, match="region_id"):
+        read_manifest(out)
+
+
 def test_manifest_unique_regions():
     with pytest.raises(ValueError):
         DatasetManifest(

@@ -20,6 +20,7 @@ from gnssfix.estimator.features import (
 )
 from gnssfix.estimator.network import (
     AGG_FLOOR,
+    BLOCKS,
     BN_EPS,
     N_ENCODER,
     N_HEAD,
@@ -27,7 +28,6 @@ from gnssfix.estimator.network import (
     Estimator,
     batch_backward,
     batch_forward,
-    bn_layer_names,
     init_params,
     load_model,
     predict_errors,
@@ -45,6 +45,7 @@ from util import (
     graph_blocks,
     make_epoch,
     predict_batch_reference,
+    train_forward,
 )
 
 
@@ -133,7 +134,7 @@ def test_forward_matches_straight_line_oracle(rng):
     params = _randomized_params(rng, hidden=6)
     graph = _random_graph(rng, 2)
     for p in (params, _with_zero_variance(params)):
-        got = batch_forward(p, [graph])[0]
+        got = batch_forward(p, [graph])
         want = _oracle_forward_infer(p, graph)
         assert np.allclose(got, want, atol=1e-9)
 
@@ -142,7 +143,7 @@ def test_forward_oracle_larger_graph(rng):
     params = _randomized_params(rng, hidden=5)
     graph = _random_graph(rng, 7)
     for p in (params, _with_zero_variance(params)):
-        got = batch_forward(p, [graph])[0]
+        got = batch_forward(p, [graph])
         want = _oracle_forward_infer(p, graph)
         assert np.allclose(got, want, atol=1e-9)
 
@@ -157,8 +158,8 @@ def test_forward_permutation_equivariance(rng):
             node_features=graph.node_features[perm],
             adjacency=graph.adjacency[np.ix_(perm, perm)],
         )
-        out = batch_forward(params, [graph])[0]
-        out_p = batch_forward(params, [permuted])[0]
+        out = batch_forward(params, [graph])
+        out_p = batch_forward(params, [permuted])
         assert np.allclose(out_p, out[perm], atol=1e-9)
 
 
@@ -172,7 +173,7 @@ def test_zero_neighbour_weights_ignore_adjacency(rng):
         A = rng.random((6, 6))
         A = (A + A.T) / 2.0
         np.fill_diagonal(A, 0.0)
-        outs.append(batch_forward(params, [EpochGraph(node_features=feats, adjacency=A)])[0])
+        outs.append(batch_forward(params, [EpochGraph(node_features=feats, adjacency=A)]))
     assert np.allclose(outs[0], outs[1], atol=1e-12)
     assert np.allclose(outs[0], outs[2], atol=1e-12)
 
@@ -180,12 +181,12 @@ def test_zero_neighbour_weights_ignore_adjacency(rng):
 def test_train_mode_uses_batch_statistics(rng):
     params = _randomized_params(rng, hidden=8)
     graph = _random_graph(rng, 6)
-    out_train, cache = batch_forward(params, [graph], train=True)
-    out_infer = batch_forward(params, [graph])[0]
+    out_train, cache = train_forward(params, [graph])
+    out_infer = batch_forward(params, [graph])
     # running stats were randomized away from the batch stats, so the two paths differ
     assert not np.allclose(out_train, out_infer, atol=1e-6)
     # cached statistics are the batch moments of the cached pre-activations
-    first = bn_layer_names()[0]
+    first = next(iter(BLOCKS))
     entry = cache[first]
     z = entry["zc"] + entry["mean"]
     assert np.allclose(z.mean(axis=0), entry["mean"], atol=1e-9)
@@ -276,7 +277,7 @@ def test_save_load_roundtrip(rng, tmp_path, monkeypatch):
 
     saved = json.loads(open(path).read())
     loads = json.loads
-    monkeypatch.setattr(network, "_last_load", None)  # parse the file, whatever was loaded before
+    network._parse_model.cache_clear()  # parse the file, whatever was loaded before
     monkeypatch.setattr(json, "loads", lambda text: loads(text, object_pairs_hook=record))
     back = load_model(path).params
     # every key written is read back, so no stored field goes unused
@@ -291,7 +292,7 @@ def test_save_load_roundtrip(rng, tmp_path, monkeypatch):
     assert np.array_equal(back.scaler.feature_mean, scaler.feature_mean)
     # loaded model produces identical outputs
     graph = _random_graph(rng, 4)
-    assert np.array_equal(batch_forward(back, [graph])[0], batch_forward(params, [graph])[0])
+    assert np.array_equal(batch_forward(back, [graph]), batch_forward(params, [graph]))
 
 
 @pytest.mark.parametrize("build", ["init_params", "train"])
@@ -336,7 +337,7 @@ def test_load_model_malformed(rng, tmp_path):
     path = str(tmp_path / "model.json")
     save_model(init_params(rng, UNIT_SCALER, hidden=4), path)
     payload = json.loads(open(path).read())
-    scaler = payload["scaler"]
+    tensors, bn_stats, scaler = payload["tensors"], payload["bn_stats"], payload["scaler"]
     edits = [
         json.dumps({**payload, "tensors": list(payload["tensors"].values())}),
         json.dumps({**payload, "bn_stats": list(payload["bn_stats"].values())}),
@@ -353,6 +354,15 @@ def test_load_model_malformed(rng, tmp_path):
         json.dumps({**payload, "scaler": {**scaler, "label_mean": 10**400}}),  # beyond float range
         json.dumps({**payload, "scaler": None}),
         json.dumps({key: value for key, value in payload.items() if key != "scaler"}),
+        # without train_regions evaluate's in-sample guard would pass any region
+        json.dumps({key: value for key, value in payload.items() if key != "train_regions"}),
+        # np.asarray(dtype=float) would read "0.5" as 0.5 and true as 1.0, in any array
+        json.dumps({**payload, "tensors": {**tensors, "out.b": ["0.5"]}}),
+        json.dumps({**payload, "tensors": {**tensors, "enc0.w": [["0.5"] + row[1:] for row in tensors["enc0.w"]]}}),
+        json.dumps({**payload, "bn_stats": {**bn_stats, "enc0.var": [True] + bn_stats["enc0.var"][1:]}}),
+        json.dumps({**payload, "scaler": {**scaler, "feature_mean": [False] * len(scaler["feature_mean"])}}),
+        json.dumps({**payload, "scaler": {**scaler, "feature_std": [str(v) for v in scaler["feature_std"]]}}),
+        json.dumps({**payload, "scaler": {**scaler, "feature_std": "1.0"}}),
     ]
     for text in edits:
         open(path, "w").write(text)
@@ -483,7 +493,7 @@ def test_predict_errors_shape_and_determinism(rng):
     assert np.array_equal(a, b)
     # label unscaling applied: scaled outputs times label_std plus mean
     graph = build_graph(ep, extract_features(ep))
-    raw = batch_forward(params, [graph])[0]
+    raw = batch_forward(params, [graph])
     assert np.allclose(a, raw * 2.0, atol=1e-12)
 
 
@@ -493,10 +503,10 @@ def test_stacked_inference_equals_one_graph_calls(rng, hidden):
     # down to the last bit: a fold and a batch of one share every kernel
     params = _randomized_params(rng, hidden=hidden)
     graphs = [_random_graph(rng, int(n)) for n in rng.integers(1, 41, 200)]
-    out, _ = batch_forward(params, graphs)
+    out = batch_forward(params, graphs)
     bounds = np.cumsum([0] + [g.node_features.shape[0] for g in graphs])
     for g, lo, hi in zip(graphs, bounds[:-1], bounds[1:]):
-        assert np.array_equal(out[lo:hi], batch_forward(params, [g])[0])
+        assert np.array_equal(out[lo:hi], batch_forward(params, [g]))
 
 
 def test_block_aggregation_trains_like_dense_matrix(rng, monkeypatch):
@@ -758,15 +768,17 @@ def test_kernels_write_nothing_they_are_given(rng):
 
 
 def test_batch_forward_keeps_a_float32_model_in_float32(rng):
-    # the wrapper builds its blocks in float64, as train() does, and casts
-    # them to the features' dtype: no layer may silently widen to float64
+    # batch_forward and train_forward build their blocks in float64, as
+    # train() does, and cast them to the features' dtype: no layer of either
+    # pass may silently widen to float64
     params = _cast(_randomized_params(rng, hidden=8), np.float32)
     graph = _random_graph(rng, 5)
     graph = EpochGraph(node_features=graph.node_features.astype(np.float32), adjacency=graph.adjacency)
-    out, cache = batch_forward(params, [graph], train=True)
+    assert batch_forward(params, [graph]).dtype == np.float32
+    out, cache = train_forward(params, [graph])
     assert out.dtype == np.float32
     floats = [(key, value) for key, value in cache.items() if isinstance(value, np.ndarray)]
-    for layer in bn_layer_names():
+    for layer in BLOCKS:
         entry = dict(cache[layer])
         entry.update({f"inputs{i}": x for i, x in enumerate(entry.pop("inputs"))})
         floats += [(f"{layer}.{key}", value) for key, value in entry.items()]
@@ -846,7 +858,7 @@ def test_estimator_is_frozen(rng, tmp_path, source):
         path = str(tmp_path / "model.json")
         save_model(params, path)
         est = load_model(path)
-    assert list(est.folded) == bn_layer_names()
+    assert list(est.folded) == list(BLOCKS)
     for arr in _held_arrays(est):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

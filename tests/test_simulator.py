@@ -215,6 +215,10 @@ def test_scene_validation():
     for origin in ([6_371_000.0, 0.0], [6_371_000.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]):
         with pytest.raises(ValueError, match="receiver_origin"):
             _scene(receiver_origin=origin)
+    # a region id names its shard file inside the dataset directory
+    for region_id in ("", ".", "..", "../escaped", "sub/escaped", "sub\\escaped"):
+        with pytest.raises(ValueError, match="region_id"):
+            _scene(region_id=region_id)
 
 
 def test_scene_rejects_non_finite_cn0_means():

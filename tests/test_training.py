@@ -5,10 +5,10 @@ import pytest
 
 from gnssfix.errors import LengthMismatch, NoLabels
 from gnssfix.estimator import training
-from gnssfix.estimator.network import batch_forward, bn_layer_names, init_params, save_model
+from gnssfix.estimator.network import BLOCKS, batch_forward, init_params, save_model
 from gnssfix.estimator.training import TrainConfig, train
 
-from util import UNIT_SCALER, batch_loss, loss_and_grads, make_epoch, train_reference
+from util import UNIT_SCALER, batch_loss, loss_and_grads, make_epoch, train_forward, train_reference
 from test_network import _random_graph, _randomized_params
 
 
@@ -28,7 +28,7 @@ def _toy_dataset(rng, n_epochs=200, n_sats=(5, 9)):
 def test_loss_l2_zero_when_equal(rng):
     params = _randomized_params(rng, hidden=4)
     graphs = [_random_graph(rng, 4), _random_graph(rng, 7)]
-    out, _ = batch_forward(params, graphs, train=True)
+    out, _ = train_forward(params, graphs)
     loss, d_out, _ = batch_loss(params, graphs, np.split(out.copy(), [4]))
     assert loss == 0.0
     assert np.all(d_out == 0.0)
@@ -37,7 +37,7 @@ def test_loss_l2_zero_when_equal(rng):
 def test_batch_loss_single_node(rng):
     params = _randomized_params(rng, hidden=4)
     graphs = [_random_graph(rng, 1)]
-    out, _ = batch_forward(params, graphs, train=True)
+    out, _ = train_forward(params, graphs)
     loss, d_out, _ = batch_loss(params, graphs, [out - 2.0])
     assert loss == pytest.approx(4.0)
     assert d_out == pytest.approx([4.0])
@@ -47,7 +47,7 @@ def test_batch_loss_matches_double_loop_oracle(rng):
     params = _randomized_params(rng, hidden=5)
     sizes = [int(rng.integers(2, 9)) for _ in range(6)]
     graphs = [_random_graph(rng, n) for n in sizes]
-    preds = np.split(batch_forward(params, graphs, train=True)[0], np.cumsum(sizes)[:-1])
+    preds = np.split(train_forward(params, graphs)[0], np.cumsum(sizes)[:-1])
     labels = [p + rng.standard_normal(p.size) for p in preds]
     total = 0.0
     for p, y in zip(preds, labels):
@@ -69,7 +69,7 @@ def test_batch_loss_length_mismatch(rng):
 def test_gradients_zero_at_perfect_fit(rng):
     params = _randomized_params(rng, hidden=5)
     graphs = [_random_graph(rng, 4), _random_graph(rng, 6)]
-    out, _ = batch_forward(params, graphs, train=True)
+    out, _ = train_forward(params, graphs)
     labels = list(np.split(out, [4]))
     loss, grads, _ = loss_and_grads(params, graphs, labels)
     assert loss == 0.0
@@ -232,7 +232,7 @@ def test_train_computes_in_float32_and_returns_float64(rng, monkeypatch, tmp_pat
     for cache, d_out, grads in seen:
         assert d_out.dtype == np.float32
         assert cache["out_x"].dtype == cache["blocks"].dtype == np.float32
-        for layer in bn_layer_names():
+        for layer in BLOCKS:
             for key, value in cache[layer].items():
                 for arr in value if key == "inputs" else (value,):
                     assert arr.dtype == np.float32, (layer, key)
@@ -298,7 +298,7 @@ def test_forward_unchanged_by_training_flag_roundtrip(rng):
     # through bn_stats, never through the tensors themselves
     params = _randomized_params(rng, hidden=4)
     graph = _random_graph(rng, 5)
-    before = batch_forward(params, [graph])[0]
-    _ = batch_forward(params, [graph], train=True)  # must not mutate anything
-    after = batch_forward(params, [graph])[0]
+    before = batch_forward(params, [graph])
+    _ = train_forward(params, [graph])  # must not mutate anything
+    after = batch_forward(params, [graph])
     assert np.array_equal(before, after)

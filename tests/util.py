@@ -257,6 +257,15 @@ def graph_blocks(graphs) -> tuple[np.ndarray, np.ndarray]:
     return row_normalise(adjacency, counts), padded_rows(counts, k)
 
 
+def train_forward(params, graphs):
+    """network.forward, the train pass, over a list of graphs stacked into one
+    node set; the blocks are built in float64, as training.train builds them,
+    and cast to the features' dtype."""
+    blocks, rows = graph_blocks(graphs)
+    X = np.vstack([g.node_features for g in graphs])
+    return forward(params, X, blocks.astype(X.dtype, copy=False), rows)
+
+
 def batch_loss(params, graphs, labels_scaled):
     """Train-mode squared error of one batch of graphs, summed over each
     epoch's nodes and averaged over epochs, as training.train computes it on
@@ -270,9 +279,7 @@ def batch_loss(params, graphs, labels_scaled):
     for g, y in zip(graphs, labels_scaled):
         if g.node_features.shape[0] != len(y):
             raise LengthMismatch(f"{g.node_features.shape[0]} nodes vs {len(y)} labels in one epoch")
-    blocks, rows = graph_blocks(graphs)
-    X = np.vstack([g.node_features for g in graphs])
-    out, cache = forward(params, X, blocks.astype(X.dtype, copy=False), rows)
+    out, cache = train_forward(params, graphs)
     y_cat = np.concatenate([np.asarray(y, dtype=float) for y in labels_scaled])
     loss, d_out = training._squared_error(out, y_cat, len(graphs))
     return loss, d_out, cache
