@@ -15,6 +15,7 @@ train pass and ``infer`` the inference pass of a frozen ``Estimator``.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -23,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..dataset import json_float, json_floats, json_int, json_str
+from ..dataset import json_float, json_floats, json_str
 from ..errors import IoFailure, ModelMissing, Outcome, ShapeMismatch, raise_failure
 from ..types import EpochBatch
 from .features import (
@@ -45,7 +46,7 @@ N_ENCODER = 5
 N_SAGE = 2
 N_HEAD = 4  # hidden head blocks before the final affine
 
-MODEL_FORMAT = "gnssfix.model/3"
+MODEL_FORMAT = "gnssfix.model/4"
 
 # each hidden block, in forward order, and the weight keys whose products it sums
 BLOCKS: Mapping[str, tuple[str, ...]] = MappingProxyType(
@@ -55,11 +56,11 @@ BLOCKS: Mapping[str, tuple[str, ...]] = MappingProxyType(
 )
 
 
-def tensor_shapes(in_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
+def tensor_shapes(hidden: int) -> dict[str, tuple[int, ...]]:
     """Expected shape of every trainable tensor, keyed by name, in the order
     that fixes ``init_params``' draws and ``train``'s flat weight vector."""
     shapes: dict[str, tuple[int, ...]] = {}
-    d = in_dim
+    d = FEATURE_DIM
     for name, keys in BLOCKS.items():
         for key in keys:
             shapes[f"{name}.{key}"] = (d, hidden)
@@ -73,20 +74,29 @@ def tensor_shapes(in_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Weights, normalisation state and metadata for one model."""
+    """Weights, normalisation state and metadata for one model; its widths
+    are read off its tensors."""
 
-    in_dim: int
-    hidden: int
     tensors: dict[str, np.ndarray]
     bn_stats: dict[str, np.ndarray]
     scaler: ScalerParams
     train_regions: tuple[str, ...] = ()
 
+    @property
+    def hidden(self) -> int:
+        return self.tensors["out.w"].shape[0]
+
+    @property
+    def in_dim(self) -> int:
+        return self.tensors["enc0.w"].shape[0]
+
     def __post_init__(self) -> None:
-        expected = tensor_shapes(self.in_dim, self.hidden)
-        if set(self.tensors) != set(expected):
+        if set(self.tensors) != set(tensor_shapes(1)):
             raise ShapeMismatch("tensor set does not match the architecture")
-        for name, shape in expected.items():
+        out_w = self.tensors["out.w"]
+        if out_w.ndim != 2 or out_w.shape[0] < 1:  # the width is its row count
+            raise ShapeMismatch(f"out.w: expected shape (hidden, 1) with hidden >= 1, got {out_w.shape}")
+        for name, shape in tensor_shapes(self.hidden).items():
             got = self.tensors[name].shape
             if got != shape:
                 raise ShapeMismatch(f"{name}: expected shape {shape}, got {got}")
@@ -115,34 +125,20 @@ class Estimator:
     block in forward order, its weights with ``k`` folded into their columns
     (Jacob et al., arXiv 1712.05877), one matrix or a SAGE block's
     ``self_w`` and ``nbr_w``, and its shift ``c``.  Every array it holds is
-    read-only, so one estimator can be shared by every caller.
+    read-only and its own, so one estimator can be shared by every caller.
     """
 
-    params: ModelParams  # the read-only copy it was built from
     folded: Mapping[str, tuple[tuple[np.ndarray, ...], np.ndarray]]
     out_w: np.ndarray  # (hidden,) readout weights
     out_b: np.floating  # readout bias
-
-    @property
-    def scaler(self) -> ScalerParams:
-        return self.params.scaler
-
-    @property
-    def train_regions(self) -> tuple[str, ...]:
-        return self.params.train_regions
+    scaler: ScalerParams
+    train_regions: tuple[str, ...]
 
     @classmethod
     def of(cls, params: ModelParams) -> Estimator:
-        """Freeze a copy of ``params`` and fold its batch norms, in the
-        tensors' dtype."""
-        s = params.scaler
-        frozen = replace(
-            params,
-            tensors={k: _read_only(v) for k, v in params.tensors.items()},
-            bn_stats={k: _read_only(v) for k, v in params.bn_stats.items()},
-            scaler=replace(s, feature_mean=_read_only(s.feature_mean), feature_std=_read_only(s.feature_std)),
-        )
-        t, stats = frozen.tensors, frozen.bn_stats
+        """Fold the batch norms of ``params``, in the tensors' dtype; the
+        estimator does not follow later writes into ``params``."""
+        t, stats = params.tensors, params.bn_stats
         folded = {}
         for name, keys in BLOCKS.items():
             k = t[f"{name}.gamma"] / np.sqrt(stats[f"{name}.var"] + BN_EPS)
@@ -151,14 +147,19 @@ class Estimator:
             for arr in (*weights, shift):
                 arr.setflags(write=False)
             folded[name] = (weights, shift)
-        return cls(frozen, MappingProxyType(folded), t["out.w"][:, 0], t["out.b"][0])
+        s = params.scaler
+        scaler = replace(s, feature_mean=_read_only(s.feature_mean), feature_std=_read_only(s.feature_std))
+        out_w = _read_only(t["out.w"][:, 0])
+        return cls(MappingProxyType(folded), out_w, t["out.b"][0], scaler, params.train_regions)
 
 
 def init_params(rng: np.random.Generator, scaler: ScalerParams, hidden: int = DEFAULT_HIDDEN) -> ModelParams:
     """Fresh parameters around a fitted feature scaler: He-normal weight
     matrices, zero biases, identity norm."""
+    if not isinstance(hidden, numbers.Integral) or isinstance(hidden, bool) or hidden <= 0:
+        raise ValueError(f"hidden must be a positive integer, not {hidden!r}")
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in tensor_shapes(FEATURE_DIM, hidden).items():
+    for name, shape in tensor_shapes(hidden).items():
         if name.endswith("w"):
             tensors[name] = rng.standard_normal(shape) * np.sqrt(2.0 / shape[0])
         elif name.endswith("gamma"):
@@ -169,7 +170,7 @@ def init_params(rng: np.random.Generator, scaler: ScalerParams, hidden: int = DE
     for name in BLOCKS:
         bn_stats[f"{name}.mean"] = np.zeros(hidden)
         bn_stats[f"{name}.var"] = np.ones(hidden)
-    return ModelParams(FEATURE_DIM, hidden, tensors, bn_stats, scaler)
+    return ModelParams(tensors, bn_stats, scaler)
 
 
 def row_normalise(adjacency: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -303,10 +304,8 @@ def batch_forward(params: ModelParams, graphs: list[EpochGraph]) -> np.ndarray:
     if not graphs:
         raise ShapeMismatch("no graphs to run")
     for g in graphs:
-        if g.node_features.shape[1] != params.in_dim:
-            raise ShapeMismatch(
-                f"graph feature dim {g.node_features.shape[1]} does not match model in_dim {params.in_dim}"
-            )
+        if g.node_features.shape[1] != FEATURE_DIM:
+            raise ShapeMismatch(f"graph feature dim {g.node_features.shape[1]} is not {FEATURE_DIM}")
     X = np.vstack([g.node_features for g in graphs])
     counts = np.array([g.adjacency.shape[0] for g in graphs])
     k = int(counts.max())
@@ -405,8 +404,6 @@ def save_model(params: ModelParams, path: str) -> None:
     scaler = params.scaler
     payload = {
         "format": MODEL_FORMAT,
-        "in_dim": params.in_dim,
-        "hidden": params.hidden,
         "train_regions": list(params.train_regions),
         "tensors": {k: v.tolist() for k, v in params.tensors.items()},
         "bn_stats": {k: v.tolist() for k, v in params.bn_stats.items()},
@@ -426,8 +423,8 @@ def save_model(params: ModelParams, path: str) -> None:
 
 def load_model(path: str) -> Estimator:
     """Read a model file back as a frozen ``Estimator``; a file with no
-    feature scaler, whose dims differ from the extracted features, or whose
-    tensors differ from its declared dims, is refused.
+    feature scaler, or whose tensors or scaler do not have the shapes of one
+    width of the architecture over the extracted features, is refused.
 
     The file is read on every call, and parsed only when its bytes or path
     differ from the last file loaded.
@@ -463,8 +460,6 @@ def _parse_model(data: bytes, path: str) -> Estimator:
     if found != MODEL_FORMAT:
         raise IoFailure(f"{path} has model format {found!r}, not {MODEL_FORMAT!r}; retrain the model")
     try:
-        in_dim = json_int(payload["in_dim"], "in_dim")
-        hidden = json_int(payload["hidden"], "hidden")
         if not all(isinstance(payload[key], dict) for key in ("tensors", "bn_stats")):
             raise TypeError("tensors and bn_stats must be objects")
         tensors = {k: _json_array(v, f"tensors.{k}") for k, v in payload["tensors"].items()}
@@ -484,11 +479,13 @@ def _parse_model(data: bytes, path: str) -> Estimator:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IoFailure(f"malformed model file {path}: {exc}") from exc
-    if in_dim != FEATURE_DIM:
-        raise IoFailure(f"model file {path} takes {in_dim} features, not the {FEATURE_DIM} extracted")
-    if not scaler.feature_mean.shape == scaler.feature_std.shape == (in_dim,):
+    try:
+        params = ModelParams(tensors, bn_stats, scaler, regions)
+    except ShapeMismatch as exc:
+        raise IoFailure(f"model file {path} does not match the architecture: {exc}") from exc
+    if not scaler.feature_mean.shape == scaler.feature_std.shape == (FEATURE_DIM,):
         shapes = f"{scaler.feature_mean.shape} and {scaler.feature_std.shape}"
-        raise IoFailure(f"model file {path} has feature scaler shapes {shapes}, not ({in_dim},)")
+        raise IoFailure(f"model file {path} has feature scaler shapes {shapes}, not ({FEATURE_DIM},)")
     values = {f"tensors.{k}": v for k, v in tensors.items()}
     values.update({f"bn_stats.{k}": v for k, v in bn_stats.items()})
     values.update({f"scaler.{k}": v for k, v in vars(scaler).items()})
@@ -500,7 +497,4 @@ def _parse_model(data: bytes, path: str) -> Estimator:
     bad_scale += [f"scaler.{k}" for k in ("feature_std", "label_std") if np.any(getattr(scaler, k) <= 0.0)]
     if bad_scale:
         raise IoFailure(f"model file {path} has negative variances or non-positive stds in {bad_scale}")
-    try:
-        return Estimator.of(ModelParams(in_dim, hidden, tensors, bn_stats, scaler, regions))
-    except ShapeMismatch as exc:
-        raise IoFailure(f"model file {path} does not match its declared architecture: {exc}") from exc
+    return Estimator.of(params)

@@ -624,7 +624,10 @@ def test_exit_code_3_for_negative_model_variance(tiny_data, tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, token, named",
     [
+        # an integer too long for int() fails the parse wherever it stands, even under a key no format reads
         pytest.param(lambda m: m.update(hidden=RAW), OVERLONG_INT, "unreadable model file", id="overlong-hidden"),
+        # format 3 stored the widths that the tensors give
+        pytest.param(lambda m: m.update(format="gnssfix.model/3"), "", "retrain", id="format-3"),
         # save_model writes an untrained model's scaler as null
         pytest.param(lambda m: m.update(scaler=RAW), "null", "no feature scaler", id="null-scaler"),
         pytest.param(lambda m: m.pop("scaler"), "", "no feature scaler", id="no-scaler"),

@@ -203,24 +203,40 @@ def test_forward_rejects_wrong_feature_dim(rng):
 
 
 def test_model_params_shape_validation(rng):
+    # the widths are read off the tensors: out.w's rows give hidden, and
+    # every other shape must agree with it over FEATURE_DIM inputs
     params = init_params(rng, UNIT_SCALER, hidden=4)
+    assert (params.in_dim, params.hidden) == (FEATURE_DIM, 4)
     tensors = dict(params.tensors)
     tensors["enc0.w"] = np.zeros((13, 5))  # wrong width
     from gnssfix.estimator.network import ModelParams
 
     with pytest.raises(ShapeMismatch):
-        ModelParams(13, 4, tensors, dict(params.bn_stats), UNIT_SCALER)
-    missing = dict(params.tensors)
-    del missing["out.b"]
-    with pytest.raises(ShapeMismatch):
-        ModelParams(13, 4, missing, dict(params.bn_stats), UNIT_SCALER)
+        ModelParams(tensors, dict(params.bn_stats), UNIT_SCALER)
+    for name in ("out.b", "out.w"):
+        missing = dict(params.tensors)
+        del missing[name]
+        with pytest.raises(ShapeMismatch, match="tensor set"):
+            ModelParams(missing, dict(params.bn_stats), UNIT_SCALER)
+    for out_w in (np.zeros(()), np.zeros(4), np.zeros((0, 1))):
+        with pytest.raises(ShapeMismatch, match="out.w"):
+            ModelParams({**params.tensors, "out.w": out_w}, dict(params.bn_stats), UNIT_SCALER)
+
+
+@pytest.mark.parametrize("hidden", [0, -1, True, 2.5, "4", None])
+def test_init_params_refuses_a_width_that_is_not_a_positive_integer(rng, hidden):
+    with pytest.raises(ValueError, match="hidden"):
+        init_params(rng, UNIT_SCALER, hidden=hidden)
+    data = [make_epoch(rng, n=6, errors=rng.normal(0, 4, 6), cn0=rng.uniform(25, 50, 6), epoch_id=k) for k in range(4)]
+    with pytest.raises(ValueError, match="hidden"):
+        train(data, TrainConfig(batch_size=2, iterations=1, seed=0), hidden=hidden)
 
 
 def test_tensor_order_and_initial_draws_are_pinned():
     # the tensor order fixes init_params' draws from the training generator
     # and the layout of train()'s flat weight vector: declaring the blocks in
     # another order would silently change every trained model
-    assert list(tensor_shapes(FEATURE_DIM, 8)) == [
+    assert list(tensor_shapes(8)) == [
         "enc0.w", "enc0.gamma", "enc0.beta",
         "enc1.w", "enc1.gamma", "enc1.beta",
         "enc2.w", "enc2.gamma", "enc2.beta",
@@ -279,20 +295,13 @@ def test_save_load_roundtrip(rng, tmp_path, monkeypatch):
     loads = json.loads
     network._parse_model.cache_clear()  # parse the file, whatever was loaded before
     monkeypatch.setattr(json, "loads", lambda text: loads(text, object_pairs_hook=record))
-    back = load_model(path).params
+    back = load_model(path)
     # every key written is read back, so no stored field goes unused
+    assert set(saved) == {"format", "train_regions", "tensors", "bn_stats", "scaler"}
     assert objects[-1].read == set(saved)
     assert next(o for o in objects if "label_std" in o).read == set(saved["scaler"])
-    assert back.in_dim == params.in_dim and back.hidden == params.hidden
     assert back.train_regions == ("a", "b")
-    for name in params.tensors:
-        assert np.array_equal(back.tensors[name], params.tensors[name])
-    for name in params.bn_stats:
-        assert np.array_equal(back.bn_stats[name], params.bn_stats[name])
-    assert np.array_equal(back.scaler.feature_mean, scaler.feature_mean)
-    # loaded model produces identical outputs
-    graph = _random_graph(rng, 4)
-    assert np.array_equal(batch_forward(back, [graph]), batch_forward(params, [graph]))
+    _assert_same_estimator(back, Estimator.of(params))
 
 
 @pytest.mark.parametrize("build", ["init_params", "train"])
@@ -309,12 +318,7 @@ def test_built_model_saves_and_loads_back(rng, tmp_path, build):
     path = str(tmp_path / "model.json")
     save_model(params, path)
     back = load_model(path)
-    for group in ("tensors", "bn_stats"):
-        for name, value in getattr(params, group).items():
-            assert getattr(back.params, group)[name].tobytes() == value.tobytes(), name
-    for name, value in vars(params.scaler).items():
-        assert np.asarray(getattr(back.scaler, name)).tobytes() == np.asarray(value).tobytes(), name
-    assert back.train_regions == params.train_regions
+    _assert_same_estimator(back, Estimator.of(params))
     ep = make_epoch(rng, n=7)
     assert np.array_equal(predict_errors(back, ep), predict_errors(Estimator.of(params), ep))
 
@@ -341,9 +345,6 @@ def test_load_model_malformed(rng, tmp_path):
     edits = [
         json.dumps({**payload, "tensors": list(payload["tensors"].values())}),
         json.dumps({**payload, "bn_stats": list(payload["bn_stats"].values())}),
-        json.dumps({**payload, "hidden": "HIDDEN"}).replace('"HIDDEN"', "1e400"),
-        json.dumps({**payload, "hidden": 4.0}),
-        json.dumps({**payload, "in_dim": True}),
         json.dumps({**payload, "train_regions": [None]}),
         # a string would load one character per region, an object as its keys
         json.dumps({**payload, "train_regions": "dense-1"}),
@@ -371,11 +372,12 @@ def test_load_model_malformed(rng, tmp_path):
         assert path in str(info.value)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_load_model_refuses_old_formats(rng, tmp_path, version):
-    # format 1 carried biases that the batch normalisation cancels and
-    # format 2 a leaky slope that no model varied; such a file is refused
-    # outright and the model has to be retrained
+    # format 1 carried biases that the batch normalisation cancels, format 2
+    # a leaky slope that no model varied and format 3 the widths that its
+    # tensors give; such a file is refused outright and the model has to be
+    # retrained
     path = str(tmp_path / "model.json")
     save_model(init_params(rng, UNIT_SCALER, hidden=4), path)
     payload = json.loads(open(path).read())
@@ -435,31 +437,47 @@ def test_load_model_accepts_zero_variance(rng, tmp_path):
     params = init_params(rng, UNIT_SCALER, hidden=4)
     params.bn_stats["head0.var"][:] = 0.0
     save_model(params, path)
-    assert np.array_equal(load_model(path).params.bn_stats["head0.var"], np.zeros(4))
+    est = load_model(path)
+    assert np.isfinite(est.folded["head0"][1]).all()
+    _assert_same_estimator(est, Estimator.of(params))
 
 
 def test_load_model_rejects_dimension_lie(rng, tmp_path):
+    # the file stores no widths, so its tensors must agree with each other
     params = init_params(rng, UNIT_SCALER, hidden=4)
     path = str(tmp_path / "model.json")
     save_model(params, path)
     payload = json.loads(open(path).read())
-    payload["hidden"] = 8  # dims no longer match the stored tensors
-    open(path, "w").write(json.dumps(payload))
-    with pytest.raises(IoFailure, match="architecture") as info:
-        load_model(path)
-    assert path in str(info.value)
-    payload["hidden"] = 4
-    del payload["tensors"]["head2.w"]
-    open(path, "w").write(json.dumps(payload))
-    with pytest.raises(IoFailure, match="architecture") as info:
-        load_model(path)
-    assert path in str(info.value)
+    wide = init_params(rng, UNIT_SCALER, hidden=8)
+    edits = [
+        {**payload, "tensors": {**payload["tensors"], "head2.w": wide.tensors["head2.w"].tolist()}},
+        {**payload, "tensors": {k: v for k, v in payload["tensors"].items() if k != "head2.w"}},
+        {**payload, "tensors": {k: v for k, v in payload["tensors"].items() if k != "out.w"}},
+        {**payload, "tensors": {**payload["tensors"], "out.w": 0.5}},
+        {**payload, "bn_stats": {**payload["bn_stats"], "sage0.mean": [0.0] * 8}},
+    ]
+    for edited in edits:
+        open(path, "w").write(json.dumps(edited))
+        with pytest.raises(IoFailure, match="architecture") as info:
+            load_model(path)
+        assert path in str(info.value)
+
+
+def _drop_a_feature(payload, scaler):
+    """Cut the model file ``payload`` to 12 input features: one row of
+    enc0.w and, with ``scaler``, one entry of each scaler vector."""
+    payload["tensors"]["enc0.w"].pop()
+    if scaler:
+        payload["scaler"]["feature_mean"].pop()
+        payload["scaler"]["feature_std"].pop()
 
 
 @pytest.mark.parametrize(
     "edit, named",
     [
-        (lambda p: p.update(in_dim=12), "takes 12 features"),
+        (lambda p: _drop_a_feature(p, scaler=False), "architecture"),
+        # a whole 12-feature model fails on its first weight matrix
+        (lambda p: _drop_a_feature(p, scaler=True), "architecture: enc0.w"),
         (lambda p: p["scaler"].update(feature_mean=p["scaler"]["feature_mean"][:-1]), "scaler"),
         (lambda p: p["scaler"].update(feature_std=[1.0] * 14), "scaler"),
         (lambda p: p["scaler"].update(feature_mean=0.0), "scaler"),
@@ -838,12 +856,23 @@ def test_predict_batch_equals_single_epoch_calls_bits(rng):
 
 
 def _held_arrays(est):
-    """Every array an Estimator holds."""
-    arrays = [*est.params.tensors.values(), *est.params.bn_stats.values(), est.out_w]
-    arrays += [est.scaler.feature_mean, est.scaler.feature_std]
-    for weights, shift in est.folded.values():
-        arrays += [*weights, shift]
+    """Every array an Estimator holds, named."""
+    arrays = {"out_w": est.out_w, "out_b": np.asarray(est.out_b)}
+    arrays.update({f"scaler.{k}": np.asarray(v) for k, v in vars(est.scaler).items()})
+    for name, (weights, shift) in est.folded.items():
+        arrays.update({f"{name}.w{i}": w for i, w in enumerate(weights)})
+        arrays[f"{name}.shift"] = shift
     return arrays
+
+
+def _assert_same_estimator(got, want):
+    """Two estimators hold the same arrays, bit for bit, and the same regions."""
+    assert list(got.folded) == list(want.folded) == list(BLOCKS)
+    got_arrays, want_arrays = _held_arrays(got), _held_arrays(want)
+    assert got_arrays.keys() == want_arrays.keys()
+    for name, value in want_arrays.items():
+        assert _same_bits(got_arrays[name], value), name
+    assert got.train_regions == want.train_regions
 
 
 @pytest.mark.parametrize("source", ["of", "load_model"])
@@ -859,7 +888,10 @@ def test_estimator_is_frozen(rng, tmp_path, source):
         save_model(params, path)
         est = load_model(path)
     assert list(est.folded) == list(BLOCKS)
-    for arr in _held_arrays(est):
+    assert set(vars(est)) == {"folded", "out_w", "out_b", "scaler", "train_regions"}
+    for arr in _held_arrays(est).values():
+        if arr.ndim == 0:  # out_b and label_mean, label_std are immutable scalars
+            continue
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             np.add(arr, 1.0, out=arr)
@@ -871,6 +903,7 @@ def test_estimator_is_frozen(rng, tmp_path, source):
         arr += 1.0
     for arr in params.bn_stats.values():
         arr *= 2.0
+    params.scaler.feature_mean[:] += 1.0
     assert _same_bits(network.predict_batch(est, EpochBatch.of(data))[0], before)
     assert not np.array_equal(network.predict_batch(Estimator.of(params), EpochBatch.of(data))[0], before)
 
