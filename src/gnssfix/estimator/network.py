@@ -59,6 +59,8 @@ BLOCKS: Mapping[str, tuple[str, ...]] = MappingProxyType(
 def tensor_shapes(hidden: int) -> dict[str, tuple[int, ...]]:
     """Expected shape of every trainable tensor, keyed by name, in the order
     that fixes ``init_params``' draws and ``train``'s flat weight vector."""
+    if not isinstance(hidden, numbers.Integral) or isinstance(hidden, bool) or hidden <= 0:
+        raise ValueError(f"hidden must be a positive integer, not {hidden!r}")
     shapes: dict[str, tuple[int, ...]] = {}
     d = FEATURE_DIM
     for name, keys in BLOCKS.items():
@@ -156,8 +158,6 @@ class Estimator:
 def init_params(rng: np.random.Generator, scaler: ScalerParams, hidden: int = DEFAULT_HIDDEN) -> ModelParams:
     """Fresh parameters around a fitted feature scaler: He-normal weight
     matrices, zero biases, identity norm."""
-    if not isinstance(hidden, numbers.Integral) or isinstance(hidden, bool) or hidden <= 0:
-        raise ValueError(f"hidden must be a positive integer, not {hidden!r}")
     tensors: dict[str, np.ndarray] = {}
     for name, shape in tensor_shapes(hidden).items():
         if name.endswith("w"):

@@ -30,6 +30,7 @@ from .network import (
     init_params,
     padded_rows,
     row_normalise,
+    tensor_shapes,
     update_running_stats,
 )
 
@@ -97,6 +98,7 @@ def train(
     ``COMPUTE_DTYPE`` for the forward and backward passes.  When ``loss_sink``
     is given, the pre-update batch loss of every iteration is appended to it.
     """
+    tensor_shapes(hidden)  # refuses a bad width before the feature pass
     labelled = [ep for ep in dataset if ep.truth_error is not None]
     if not labelled:
         raise NoLabels("no epochs with per-measurement truth errors to train on")

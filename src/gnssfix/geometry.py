@@ -25,16 +25,17 @@ ZENITH_HORIZONTAL_EPS = 1e-9
 POLAR_EPS = 1e-12
 
 
-def _dot_self(v: np.ndarray) -> np.ndarray:
-    """v . v over the last axis, by the BLAS dot product np.linalg.norm uses."""
-    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+def _length(v: np.ndarray) -> np.ndarray:
+    """Length over the last axis by numpy's left-to-right sum of squares; a
+    BLAS dot would round differently on each OpenBLAS kernel."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
 def distances(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectors and distances from each point to its satellites, batched:
     sat_pos is (..., n, 3) and pos (..., 3)."""
     d = sat_pos - pos[..., None, :]
-    return d, np.sqrt(np.add.reduce(d * d, axis=-1))  # np.linalg.norm's arithmetic
+    return d, _length(d)
 
 
 def directions(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,15 +66,13 @@ def enu_bases(origins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """East, north, up rows of the local frame at each (..., 3) origin, batched.
 
     Also returns which origins lie at Earth's center. east is
-    cross((0, 0, 1), up) and north cross(up, east), with the norms the dot
-    products np.linalg.norm takes, so a frame has the bits of the np.cross
-    and np.linalg.norm calls. At a pole east is +y by convention.
+    cross((0, 0, 1), up) and north cross(up, east); at a pole it is +y.
     """
     o = np.asarray(origins, dtype=float)
-    r = np.sqrt(_dot_self(o))
+    r = _length(o)
     up = o / np.maximum(r, MIN_LOS_DISTANCE)[..., None]
     east = _cross(_POLE_AXIS, up)
-    e_norm = np.sqrt(_dot_self(east))
+    e_norm = _length(east)
     polar = e_norm < POLAR_EPS
     if polar.any():
         east = np.where(polar[..., None], _POLAR_EAST, east / np.where(polar, 1.0, e_norm)[..., None])

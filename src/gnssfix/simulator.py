@@ -36,7 +36,7 @@ from scipy.special import ndtr
 from .dataset import DatasetManifest, ManifestEntry, check_region_id, json_float, json_int, json_str, shard_path
 from .dataset import write_manifest, write_shard
 from .errors import IoFailure
-from .geometry import enu_basis
+from .geometry import distances, enu_basis
 from .types import BANDS, CONSTELLATIONS, Epoch
 
 EARTH_RADIUS = 6_371_000.0
@@ -250,7 +250,7 @@ def generate_epoch(scene: SceneConfig, epoch_id: int, rng: np.random.Generator) 
     # every range sits in the [2^24, 2^25) binade, so with clock and error
     # quantized to the 2^-28 ulp the sum below is exactly representable and
     # m - range - clock returns the stored error to the last bit
-    ranges = np.linalg.norm(sat_pos - truth_pos, axis=1)
+    ranges = distances(sat_pos, truth_pos)[1]
 
     offset = scene.guess_offset_sigma * rng.standard_normal(2)
     guess = truth_pos + offset[0] * basis[0] + offset[1] * basis[1]

@@ -209,11 +209,13 @@ def test_generate_dataset_byte_identical_regeneration(tmp_path):
 
 # sha256 of the five default shards (20 epochs each, global seed 0) in scene
 # order. Pins the simulator's draw order and rounding: regenerating with the
-# same code cannot catch a change to either.
-GOLDEN_DEFAULT_SHARDS_SHA256 = "4d566e26dd959cab99ab53441ab78dfae78f5115ead1cdf7790d85eec6675e26"
+# same code cannot catch a change to either. The simulator sums no square
+# through BLAS, so the digest is the same on every OpenBLAS kernel
+# (tests/test_blas_kernels.py runs it under a second one).
+GOLDEN_DEFAULT_SHARDS_SHA256 = "c4d5415a7845fe763e63f4fff0ee906178a253a1250fd3e86b2034aed2d9f69a"
 # sha256 over the decoded columns of the same 100 epochs. It does not depend
 # on how a shard lays them out, so a change of layout alone leaves it as is.
-GOLDEN_DEFAULT_COLUMNS_SHA256 = "2b855047d7c0d5edb013ea75a38f280ed1d16bd6dfc4d99cab6c857ce89e1327"
+GOLDEN_DEFAULT_COLUMNS_SHA256 = "1ba5a6037f5d70ab280cd7fad14bb48c0d3a2124ede31fb69bc6cb85d6947d71"
 _DIGEST_FIELDS = (
     "initial_guess", "sat_id", "constellation", "band", "sat_pos", "pseudorange", "cn0", "avg_power",
     "truth_error", "truth",

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,16 @@ def test_train_requires_labels(rng):
     unlabeled = [make_epoch(rng, n=6, labelled=False)]
     with pytest.raises(NoLabels):
         train(unlabeled, TrainConfig(iterations=1))
+
+
+def test_train_refuses_a_bad_width_before_the_feature_pass(rng):
+    # constant C/N0 would make fit_scaler warn about a zero-variance feature
+    data = [make_epoch(rng, n=6, errors=rng.normal(0, 4, 6), epoch_id=k) for k in range(4)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="hidden"):
+            train(data, TrainConfig(batch_size=2, iterations=1), hidden=0)
+    assert caught == []
 
 
 def test_train_descends_on_toy_set(rng):

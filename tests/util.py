@@ -6,6 +6,7 @@ Positions are (3,) ECEF arrays and states (4,) arrays [x, y, z, clock bias].
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -227,11 +228,12 @@ def abs_error_means(labels: np.ndarray, e_hat: np.ndarray) -> tuple[float, float
 
 
 def enu_basis_cross(origin: np.ndarray) -> np.ndarray:
-    """geometry.enu_basis written with np.cross and np.linalg.norm, bit for bit."""
-    r = float(np.linalg.norm(origin))
+    """geometry.enu_basis written with np.cross and a left-to-right sum of
+    squares, bit for bit."""
+    r = math.sqrt(origin[0] * origin[0] + origin[1] * origin[1] + origin[2] * origin[2])
     up = origin / r
     east = np.cross([0.0, 0.0, 1.0], up)
-    e_norm = float(np.linalg.norm(east))
+    e_norm = math.sqrt(east[0] * east[0] + east[1] * east[1] + east[2] * east[2])
     east = np.array([0.0, 1.0, 0.0]) if e_norm < 1e-12 else east / e_norm
     return np.vstack([east, np.cross(up, east), up])
 
