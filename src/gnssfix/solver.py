@@ -17,7 +17,14 @@ from .geometry import directions, enu_bases
 from .types import Epoch, EpochBatch
 
 # Condition number above which the 4x4 normal matrix is treated as singular.
+# _normal_singular clears a matrix without an eigensolve when the bound
+# ||M||_F**4 / |det M| on its condition number is below a hundredth of this;
+# the factor of 100 dwarfs the rounding of the determinant and the eigensolver.
 NORMAL_COND_LIMIT = 1e12
+_CLEAR_LIMIT = NORMAL_COND_LIMIT / 100
+# squared Frobenius norms in this range keep ||M||_F**4 and the cleared side of
+# the bound normal floats, and the determinant finite
+_FRO2_RANGE = (2.0**-500, 2.0**480)
 # the Gauss-Newton stopping rule every pipeline runs at
 MAX_ITERATIONS = 20
 CONVERGENCE_TOL = 1e-4  # on the update norm, meters
@@ -61,21 +68,52 @@ def geometry_matrix(epoch: Epoch, state: np.ndarray) -> np.ndarray:
     return H[0]
 
 
-def _normal_singular(normal: np.ndarray) -> np.ndarray:
-    """Which (b, 4, 4) normal matrices are non-finite or too ill-conditioned.
-
-    The condition number is the ratio of the extreme eigenvalue magnitudes,
-    from the symmetric eigensolver rather than an SVD.
-    """
-    if not np.isfinite(normal).all():
-        finite = np.isfinite(normal).all(axis=(1, 2))
-        singular = ~finite
-        singular[finite] = _normal_singular(normal[finite])
-        return singular
+def _eigen_singular(normal: np.ndarray) -> np.ndarray:
+    """The singularity rule for finite (b, 4, 4) normal matrices: the ratio of
+    the extreme eigenvalue magnitudes, from the symmetric eigensolver rather
+    than an SVD, is above NORMAL_COND_LIMIT, or every eigenvalue is zero."""
     magnitudes = np.abs(np.linalg.eigvalsh(normal))
     largest = magnitudes.max(axis=1)
     # cond > limit, without dividing by a zero eigenvalue; all zero is singular too
     return (largest > NORMAL_COND_LIMIT * magnitudes.min(axis=1)) | (largest == 0.0)
+
+
+def _normal_singular(normal: np.ndarray) -> np.ndarray:
+    """Which (b, 4, 4) normal matrices are non-finite or too ill-conditioned.
+
+    The answer is ``_eigen_singular``'s, but a cheap bound settles most
+    matrices without an eigensolve. For a symmetric M, |lambda|max <= ||M||_F
+    and |det M| <= |lambda|min |lambda|max**3, so cond(M) <= ||M||_F**4 / |det M|
+    (Golub & Van Loan, Matrix Computations, 4th ed., 2.3 and 8.1). A matrix
+    with ||M||_F**4 < (NORMAL_COND_LIMIT / 100) |det M| is cleared as not
+    singular. The factor of 100 is the margin for rounding: LU's determinant
+    is backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 9), the eigensolver's eigenvalues lie within a
+    small multiple of eps ||M|| of the exact ones, and eigvalsh reads only the
+    lower triangle of a product that is symmetric to rounding. On a cleared
+    matrix, cond(M) < 1e10 and these move the ratio the rule would compute by
+    a relative few times eps * cond(M) <= 1e-5, so the rule would not call it
+    singular either. The matrices the bound does not clear go to ``eigvalsh``;
+    so does a whole stack with a squared Frobenius norm above the range where
+    the bound cannot overflow, and a matrix below that range, zero included,
+    is never cleared.
+    """
+    fro2 = np.einsum("bij,bij->b", normal, normal)
+    smallest, largest = _FRO2_RANGE
+    # a NaN or inf entry makes its fro2 NaN or inf, which fails this test too
+    if not fro2.max(initial=0.0) <= largest:
+        if not np.isfinite(normal).all():
+            finite = np.isfinite(normal).all(axis=(1, 2))
+            singular = ~finite
+            singular[finite] = _normal_singular(normal[finite])
+            return singular
+        return _eigen_singular(normal)
+    cleared = (fro2 >= smallest) & (fro2 * fro2 < _CLEAR_LIMIT * np.abs(np.linalg.det(normal)))
+    # the rule decides the matrices the bound does not clear
+    singular = ~cleared
+    if singular.any():
+        singular[singular] = _eigen_singular(normal[singular])
+    return singular
 
 
 def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, outcome: np.ndarray) -> WlsResult:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnssfix.errors import InsufficientMeasurements, Outcome, SingularNormalMatrix
 from gnssfix.geometry import enu_basis
@@ -7,7 +9,16 @@ from gnssfix import solver
 from gnssfix.solver import geometry_matrix, solve_batch, wls_solve
 from gnssfix.types import EpochBatch
 
-from util import ORIGIN, computed_pseudorange, cost, epoch_of, horizontal_error, make_epoch, residuals
+from util import (
+    ORIGIN,
+    computed_pseudorange,
+    cost,
+    epoch_of,
+    horizontal_error,
+    make_epoch,
+    normal_singular_reference,
+    residuals,
+)
 
 TRUTH = np.append(ORIGIN, 37.5)
 
@@ -270,3 +281,94 @@ def test_wls_fix_does_not_depend_on_weight_scale(rng, scale, exact):
         assert np.array_equal(a.state, b.state) and a.step_norm == b.step_norm
     else:
         assert np.abs(a.state - b.state).max() <= 1e-9
+
+
+def _normal_matrix(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """A (4, 4) matrix of one kind: a solver normal matrix H^T W H over rows
+    (-u, 1) with unit u, weights of one sign or mixed and scaled by
+    solve_batch's power-of-two rule, and directions spread out or bunched;
+    Q diag(lambda) Q^T with a condition number log-uniform in [1, 1e16] and
+    eigenvalues of either sign; all zero; stacked satellites (rank one); or
+    one with a non-finite entry."""
+    if kind in ("unsigned", "mixed", "stacked"):
+        n = int(rng.integers(4, 25))
+        spread = 0.0 if kind == "stacked" else 10.0 ** rng.uniform(-7.0, 1.0)
+        u = rng.normal(size=3) + spread * rng.normal(size=(n, 3))
+        H = np.hstack([-u / np.linalg.norm(u, axis=1, keepdims=True), np.ones((n, 1))])
+        w = 10.0 ** rng.uniform(-4.0, 4.0, n)
+        if kind == "mixed":
+            w *= rng.choice([-1.0, 1.0], n)
+        w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
+        return (H * w[:, None]).T @ H
+    if kind == "zero":
+        return np.zeros((4, 4))
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    cond = 10.0 ** rng.uniform(0.0, 16.0)
+    # the two middle magnitudes: both at largest / sqrt(2) bring the bound
+    # ||M||_F**4 / |det M| closest to the condition number (8 times it)
+    middle = [[cond / np.sqrt(2.0)] * 2, [1.0, 1.0], [1.0, cond], cond ** rng.uniform(size=2)][rng.integers(4)]
+    lam = np.array([1.0, cond, *middle])
+    lam *= rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-3.0, 3.0)
+    m = (q * lam) @ q.T
+    m = (m + m.T) / 2
+    if kind == "non_finite":
+        i, j = rng.integers(0, 4, 2)
+        m[i, j] = m[j, i] = rng.choice([np.nan, np.inf, -np.inf])
+    return m
+
+
+MATRIX_KINDS = ["unsigned", "mixed", "constructed", "constructed", "zero", "stacked", "non_finite"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(MATRIX_KINDS), min_size=1, max_size=40), st.integers(0, 2**32 - 1))
+def test_normal_singular_decides_as_the_eigenvalue_rule(kinds, seed):
+    # the determinant bound only spares eigensolves: every decision, for the
+    # stack and for each matrix alone, is the eigenvalue rule's
+    rng = np.random.default_rng(seed)
+    normal = np.array([_normal_matrix(kind, rng) for kind in kinds])
+    expected = normal_singular_reference(normal).tolist()
+    assert solver._normal_singular(normal).tolist() == expected
+    for k in range(len(normal)):
+        assert solver._normal_singular(normal[k : k + 1]).tolist() == [expected[k]]
+
+
+def _recorded_eigvalsh(monkeypatch) -> list:
+    """Every matrix passed to np.linalg.eigvalsh from now on."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        seen.extend(np.asarray(a).reshape(-1, 4, 4))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return seen
+
+
+def test_well_conditioned_batch_runs_no_eigensolve(rng, monkeypatch):
+    # the determinant bound clears every normal matrix of every iteration
+    epochs = [make_epoch(rng, n=n, errors=rng.normal(0, 3, n), epoch_id=k) for k, n in enumerate(rng.integers(5, 13, 250))]
+    starts = np.array([np.append(ep.initial_guess, 0.0) for ep in epochs])
+    weights = np.concatenate([rng.uniform(0.5, 2.0, len(ep)) for ep in epochs])
+    seen = _recorded_eigvalsh(monkeypatch)
+    result = solve_batch(EpochBatch.of(epochs), weights, starts, np.zeros(len(epochs), dtype=int))
+    assert (result.outcome == Outcome.CONVERGED).all()
+    assert seen == []
+
+
+def test_only_the_stacked_epoch_reaches_the_eigensolver(rng, monkeypatch):
+    # test_batched_solve_keeps_neighbours_unchanged's batch: of all the normal
+    # matrices of every iteration, only the stacked epoch's first one needs
+    # the eigenvalue rule
+    epochs = [make_epoch(rng, n=int(n), errors=rng.normal(0, 3, n), epoch_id=k) for k, n in enumerate([5, 12, 9, 7])]
+    far = make_epoch(rng, n=10, errors=rng.normal(0, 3, 10), guess_offset=(3e6, -2e6), epoch_id=9)
+    epochs[2:2] = [_stacked_epoch(), far]
+    starts = np.array([np.append(ep.initial_guess, 0.0) for ep in epochs])
+    weights = [rng.uniform(0.5, 2.0, len(ep)) for ep in epochs]
+    seen = _recorded_eigvalsh(monkeypatch)
+    result = solve_batch(EpochBatch.of(epochs), np.concatenate(weights), starts, np.zeros(len(epochs), dtype=int))
+    assert result.outcome.tolist() == [0, 0, Outcome.SINGULAR_NORMAL_MATRIX, 0, 0, 0]
+    H = geometry_matrix(epochs[2], starts[2])
+    w = np.ldexp(weights[2], -np.frexp(weights[2].max())[1])
+    assert len(seen) == 1 and np.allclose(seen[0], (H * w[:, None]).T @ H, rtol=1e-12, atol=0.0)

@@ -41,7 +41,7 @@ from gnssfix.estimator.network import (
 )
 from gnssfix.geometry import MIN_LOS_DISTANCE, distances, enu_basis
 from gnssfix.regulator import _ranks
-from gnssfix.solver import horizontal_errors
+from gnssfix.solver import NORMAL_COND_LIMIT, horizontal_errors
 from gnssfix.types import BANDS, CONSTELLATIONS, Epoch, EpochBatch
 
 EARTH_R = 6_371_000.0
@@ -170,6 +170,22 @@ def initial_clock_bias(epoch: Epoch) -> float:
 def horizontal_error(predicted: np.ndarray, truth: np.ndarray) -> float:
     """East-north distance between the positions of two (4,) states, metres."""
     return float(horizontal_errors(np.asarray(predicted)[None], np.asarray(truth)[None])[0])
+
+
+def normal_singular_reference(normal: np.ndarray) -> np.ndarray:
+    """The solver's singularity rule, one (4, 4) matrix at a time: a matrix
+    is singular when it holds a non-finite entry, when the ratio of its
+    extreme eigenvalue magnitudes exceeds NORMAL_COND_LIMIT, or when every
+    eigenvalue is zero."""
+    singular = []
+    for m in np.asarray(normal, dtype=float):
+        if not np.isfinite(m).all():
+            singular.append(True)
+            continue
+        magnitudes = np.abs(np.linalg.eigvalsh(m))
+        largest = magnitudes.max()
+        singular.append(bool(largest > NORMAL_COND_LIMIT * magnitudes.min() or largest == 0.0))
+    return np.array(singular, dtype=bool)
 
 
 def scaled_geometry(H: np.ndarray, e: np.ndarray) -> np.ndarray:
