@@ -61,7 +61,7 @@ def fit_elevation_weights(elevations: np.ndarray, errors: np.ndarray) -> Elevati
 def _elevations(batch: EpochBatch) -> tuple[np.ndarray, np.ndarray]:
     """(N,) elevation of every measurement seen from its epoch's initial guess,
     and which epochs have degenerate geometry there."""
-    units, _, too_close = directions(batch.pad(batch.sat_pos), batch.initial_guess)
+    units, _, too_close = directions(batch.sat_planes, batch.initial_guess)
     el, _, at_center = local_angles(batch.initial_guess, units)
     return batch.unpad(el), too_close | at_center
 

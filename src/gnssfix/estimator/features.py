@@ -50,7 +50,7 @@ def _clock_biases(batch: EpochBatch, dist: np.ndarray, pr: np.ndarray) -> np.nda
 
 def guess_states(batch: EpochBatch) -> np.ndarray:
     """(B, 4) initial linearization states: guess positions plus percentile-anchored clock biases."""
-    _, dist = distances(batch.pad(batch.sat_pos), batch.initial_guess)
+    _, dist = distances(batch.sat_planes, batch.initial_guess)
     bias = _clock_biases(batch, dist, batch.pad(batch.pseudorange))
     return np.concatenate([batch.initial_guess, bias[:, None]], axis=1)
 
@@ -63,12 +63,13 @@ def guess_state(epoch: Epoch) -> np.ndarray:
 def batch_features(batch: EpochBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw (N, 13) feature rows of every measurement of the batch.
 
-    Also returns the padded (B, K, 3) unit vectors from each initial guess to
-    its satellites, which the graphs are built from, and which epochs have
-    degenerate geometry at the guess (their rows are finite but meaningless).
+    Also returns the unit vectors from each initial guess to its satellites
+    as padded (3, B, K) coordinate planes, which the graphs are built from,
+    and which epochs have degenerate geometry at the guess (their rows are
+    finite but meaningless).
     """
     guesses = batch.initial_guess
-    units, dist, too_close = directions(batch.pad(batch.sat_pos), guesses)
+    units, dist, too_close = directions(batch.sat_planes, guesses)
     el, az, at_center = local_angles(guesses, units)
     pr = batch.pad(batch.pseudorange)
     bias = _clock_biases(batch, dist, pr)
@@ -159,12 +160,18 @@ class EpochGraph:
 
 def proximity_blocks(units: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """(B, K, K) angular proximity of each epoch's satellites, zero on the
-    diagonal and on padding: max(0, cos) of the angle between LOS directions."""
-    # numpy's own sum of products, not BLAS, whose bits would change with K
-    A = np.einsum("bic,bjc->bij", units, units)
+    diagonal and on padding: max(0, cos) of the angle between the LOS
+    directions, given as (3, B, K) unit-vector planes."""
+    # each dot product adds (x + z) + y, in one (B, K, K) array and a
+    # scratch term, not by BLAS, whose bits would change with K
+    rows, cols = units[:, :, :, None], units[:, :, None, :]
+    A = rows[0] * cols[0]
+    term = rows[2] * cols[2]
+    A += term
+    A += np.multiply(rows[1], cols[1], out=term)
     np.clip(A, 0.0, 1.0, out=A)
     A *= mask[:, :, None] & mask[:, None, :]
-    A[:, np.arange(A.shape[1]), np.arange(A.shape[1])] = 0.0
+    A.reshape(len(A), -1)[:, :: A.shape[1] + 1] = 0.0  # the diagonals
     return A
 
 
@@ -179,7 +186,7 @@ def build_graph(epoch: Epoch, features: np.ndarray) -> EpochGraph:
     if features.shape[0] != n:
         raise ValueError(f"{features.shape[0]} feature rows for {n} observations")
     batch = EpochBatch.of([epoch])
-    units, _, too_close = directions(batch.pad(batch.sat_pos), batch.initial_guess)
+    units, _, too_close = directions(batch.sat_planes, batch.initial_guess)
     if too_close[0]:
         raise_failure(Outcome.DEGENERATE_GEOMETRY, f"epoch {epoch.epoch_id}")
     return EpochGraph(node_features=features, adjacency=proximity_blocks(units, batch.mask)[0])

@@ -18,7 +18,6 @@ import json
 import numbers
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -421,14 +420,23 @@ def save_model(params: ModelParams, path: str) -> None:
         raise IoFailure(f"cannot write model file {path}: {exc}") from exc
 
 
+# the bytes of the last model file loaded and its estimator; comparing the
+# bytes costs less than hashing them as a cache key, as each read makes a new
+# bytes object
+_last_load: tuple[bytes, Estimator] | None = None
+
+
 def load_model(path: str) -> Estimator:
     """Read a model file back as a frozen ``Estimator``; a file with no
     feature scaler, or whose tensors or scaler do not have the shapes of one
     width of the architecture over the extracted features, is refused.
 
-    The file is read on every call, and parsed only when its bytes or path
-    differ from the last file loaded.
+    The file is read on every call, and parsed only when its bytes differ
+    from those of the last file loaded; otherwise that file's estimator is
+    returned, which is safe to share as its arrays are read-only. A refused
+    file raises before it is kept.
     """
+    global _last_load
     if not os.path.exists(path):
         raise ModelMissing(f"no model file at {path}")
     try:
@@ -436,7 +444,9 @@ def load_model(path: str) -> Estimator:
             raw = fh.read()
     except OSError as exc:
         raise IoFailure(f"unreadable model file {path}: {exc}") from exc
-    return _parse_model(raw, path)
+    if _last_load is None or _last_load[0] != raw:
+        _last_load = (raw, _parse_model(raw, path))
+    return _last_load[1]
 
 
 def _json_array(value, what: str) -> np.ndarray:
@@ -447,11 +457,8 @@ def _json_array(value, what: str) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=1)  # an exception is not cached, so a refused file is not kept
 def _parse_model(data: bytes, path: str) -> Estimator:
-    """The estimator of the bytes ``data`` of the model file at ``path``,
-    validated; every caller that loads the same bytes shares it, as its
-    arrays are read-only."""
+    """The estimator of the bytes ``data`` of the model file at ``path``, validated."""
     try:
         payload = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # not UTF-8, JSONDecodeError, or an integer too long for int()

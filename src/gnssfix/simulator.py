@@ -250,7 +250,7 @@ def generate_epoch(scene: SceneConfig, epoch_id: int, rng: np.random.Generator) 
     # every range sits in the [2^24, 2^25) binade, so with clock and error
     # quantized to the 2^-28 ulp the sum below is exactly representable and
     # m - range - clock returns the stored error to the last bit
-    ranges = distances(sat_pos, truth_pos)[1]
+    ranges = distances(sat_pos.T, truth_pos)[1]
 
     offset = scene.guess_offset_sigma * rng.standard_normal(2)
     guess = truth_pos + offset[0] * basis[0] + offset[1] * basis[1]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DEGENERATE_GEOMETRY, ITERATION_CAP, SINGULAR_NORMAL_MATRIX, TOO_FEW_MEASUREMENTS
 from .errors import DegenerateGeometry, LengthMismatch, Outcome, raise_failure
-from .geometry import directions, enu_bases
+from .geometry import MIN_LOS_DISTANCE, distances, enu_bases
 from .types import Epoch, EpochBatch
 
 # Condition number above which the 4x4 normal matrix is treated as singular.
@@ -51,11 +51,24 @@ class WlsResult:
         return self.outcome == Outcome.CONVERGED.value
 
 
+def _minus_units(sat: np.ndarray, pos: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write minus the unit vectors from the (B, 3) points to their (3, B, K)
+    satellite planes into the first three columns of the (B, K, >= 3) ``out``.
+
+    Returns the distances and which points lie within MIN_LOS_DISTANCE of a
+    satellite. Dividing by minus the distance has the bits of negating the
+    unit vector, and one call writes all three planes through a view.
+    """
+    d, dist = distances(sat, pos)
+    scale = np.maximum(dist, MIN_LOS_DISTANCE)
+    np.divide(d, np.negative(scale, out=scale), out=out[..., :3].transpose(2, 0, 1))
+    return dist, np.logical_or.reduce(dist < MIN_LOS_DISTANCE, axis=1)
+
+
 def geometry_matrices(batch: EpochBatch, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B, K, 4) Jacobians at the (B, 4) states and which epochs are degenerate there."""
-    units, _, too_close = directions(batch.pad(batch.sat_pos), states[:, :3])
-    H = np.empty(units.shape[:-1] + (4,))
-    H[..., :3] = -units
+    H = np.empty(batch.sat_planes.shape[1:] + (4,))
+    _, too_close = _minus_units(batch.sat_planes, states[:, :3], H)
     H[..., 3] = 1.0
     return H, too_close
 
@@ -151,18 +164,16 @@ def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, out
     w = np.ldexp(batch.pad(weights), -exponent[:, None])
     # zero weight on padding; a uniform batch has none
     w = (w if batch.uniform else np.where(batch.mask, w, 0.0))[..., None]
-    rows = (batch.pad(batch.sat_pos), batch.pad(batch.pseudorange), w, x)
+    sat, pr, w, xa = batch.sat_planes, batch.pad(batch.pseudorange), w, x
     if active.size < batch.size:
-        rows = tuple(a[active] for a in rows)
-    sat, pr, w, xa = rows
+        sat, pr, w, xa = np.take(sat, active, axis=1), pr[active], w[active], xa[active]
     # columns of J: the geometry matrix H, then the residuals r
     J = np.empty(pr.shape + (5,))
     J[..., 3] = 1.0
     for it in range(1, MAX_ITERATIONS + 1):
         if not active.size:
             break
-        units, dist, too_close = directions(sat, xa[:, :3])
-        np.negative(units, out=J[..., :3])
+        dist, too_close = _minus_units(sat, xa[:, :3], J)
         J[..., 4] = dist + xa[:, 3:] - pr
         # one product gives H^T W H and H^T W r
         normal_rhs = np.swapaxes(J[..., :4] * w, 1, 2) @ J
@@ -170,7 +181,9 @@ def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, out
         if failed.any():
             outcome[active[failed]] = np.where(too_close[failed], DEGENERATE_GEOMETRY, SINGULAR_NORMAL_MATRIX)
             ok = ~failed
-            active, sat, pr, w, xa, J, normal_rhs = (a[ok] for a in (active, sat, pr, w, xa, J, normal_rhs))
+            # compress keeps the planes C-contiguous, where indexing would not
+            sat = np.compress(ok, sat, axis=1)
+            active, pr, w, xa, J, normal_rhs = (a[ok] for a in (active, pr, w, xa, J, normal_rhs))
         # the update is minus the solution of the normal equations
         solution = np.linalg.solve(normal_rhs[:, :, :4], normal_rhs[:, :, 4:])[..., 0]
         xa = xa - solution
@@ -187,7 +200,8 @@ def solve_batch(batch: EpochBatch, weights: np.ndarray, initial: np.ndarray, out
             done = active[leave]
             x[done], iterations[done], step_norm[done] = xa[leave], it, step[leave]
             stay = ~leave
-            active, sat, pr, w, xa, J = (a[stay] for a in (active, sat, pr, w, xa, J))
+            sat = np.compress(stay, sat, axis=1)
+            active, pr, w, xa, J = (a[stay] for a in (active, pr, w, xa, J))
     return WlsResult(state=x, iterations=iterations, step_norm=step_norm, outcome=outcome)
 
 

@@ -8,6 +8,7 @@ A receiver position is a (3,) ECEF array and a receiver state a (4,) array
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -149,6 +150,7 @@ class Epoch:
 
 # The measurement columns the pipeline kernels read.
 _BATCH_COLUMNS = ("constellation", "band", "sat_pos", "pseudorange", "cn0", "avg_power")
+_BATCH_FIELDS = operator.attrgetter("initial_guess", *_BATCH_COLUMNS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,10 +161,12 @@ class EpochBatch:
     rows offsets[b]:offsets[b + 1], and initial_guess stacks the (3,) guesses.
     ``pad`` lays a column out as (B, K), K the largest count, repeating each
     epoch's last measurement into its padding so padded values stay finite;
-    ``mask`` marks the real entries. A batch is built from validated epochs
-    and derived by ``subset`` or ``dataclasses.replace`` without validating
-    again. A kernel gives each epoch the same bits whatever else is in the
-    batch, so a batch of one is the one-epoch view of the same code.
+    ``mask`` marks the real entries, and ``sat_planes`` lays the satellite
+    positions out as padded (3, B, K) coordinate planes. A batch is built
+    from validated epochs and derived by ``subset`` or ``dataclasses.replace``
+    without validating again. A kernel gives each epoch the same bits
+    whatever else is in the batch, so a batch of one is the one-epoch view
+    of the same code.
     """
 
     counts: np.ndarray  # (B,) measurements per epoch, each >= 1
@@ -177,13 +181,10 @@ class EpochBatch:
     @classmethod
     def of(cls, epochs: Sequence[Epoch]) -> "EpochBatch":
         if len(epochs) == 1:  # nothing to join
-            (ep,) = epochs
-            return cls(np.array([len(ep)]), ep.initial_guess[None], *(getattr(ep, name) for name in _BATCH_COLUMNS))
-        return cls(
-            np.array([len(ep) for ep in epochs]),
-            np.array([ep.initial_guess for ep in epochs]),
-            *(np.concatenate([getattr(ep, name) for ep in epochs]) for name in _BATCH_COLUMNS),
-        )
+            guess, *columns = _BATCH_FIELDS(epochs[0])
+            return cls(np.array([columns[0].size]), guess[None], *columns)
+        guesses, *columns = zip(*map(_BATCH_FIELDS, epochs))
+        return cls(np.array([c.size for c in columns[0]]), np.array(guesses), *map(np.concatenate, columns))
 
     @property
     def size(self) -> int:
@@ -222,6 +223,15 @@ class EpochBatch:
         """(B, K) row of each padded entry; padding repeats the epoch's last row."""
         slots = np.minimum(np.arange(self.width), self.counts[:, None] - 1)
         return self.offsets[:-1, None] + slots
+
+    @cached_property
+    def sat_planes(self) -> np.ndarray:
+        """C-contiguous (3, B, K) padded satellite positions, one plane per
+        coordinate, the layout of the geometry kernels."""
+        if self.uniform:
+            return np.ascontiguousarray(self.sat_pos.T).reshape(3, self.size, self.width)
+        # np.take writes C order, where indexing would keep the transpose's strides
+        return np.take(self.sat_pos.T, self._index, axis=1)
 
     def pad(self, values: np.ndarray) -> np.ndarray:
         """(B, K, ...) layout of an (N, ...) column; padding repeats real values."""

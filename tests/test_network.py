@@ -293,7 +293,7 @@ def test_save_load_roundtrip(rng, tmp_path, monkeypatch):
 
     saved = json.loads(open(path).read())
     loads = json.loads
-    network._parse_model.cache_clear()  # parse the file, whatever was loaded before
+    monkeypatch.setattr(network, "_last_load", None)  # parse the file, whatever was loaded before
     monkeypatch.setattr(json, "loads", lambda text: loads(text, object_pairs_hook=record))
     back = load_model(path)
     # every key written is read back, so no stored field goes unused
@@ -302,6 +302,30 @@ def test_save_load_roundtrip(rng, tmp_path, monkeypatch):
     assert next(o for o in objects if "label_std" in o).read == set(saved["scaler"])
     assert back.train_regions == ("a", "b")
     _assert_same_estimator(back, Estimator.of(params))
+
+
+def test_load_model_parses_only_changed_bytes(rng, tmp_path, monkeypatch):
+    # the same bytes at the same path give the estimator already built; other
+    # bytes rewritten in place are parsed again, and a refused file is not kept
+    parses = []
+    parse = network._parse_model
+    monkeypatch.setattr(network, "_parse_model", lambda raw, path: parses.append(path) or parse(raw, path))
+    monkeypatch.setattr(network, "_last_load", None)
+    path = str(tmp_path / "model.json")
+    save_model(init_params(rng, UNIT_SCALER, hidden=4), path)
+    first = load_model(path)
+    assert load_model(path) is first and len(parses) == 1
+    other = init_params(rng, UNIT_SCALER, hidden=4)
+    save_model(other, path)
+    second = load_model(path)
+    assert second is not first and len(parses) == 2
+    _assert_same_estimator(second, Estimator.of(other))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("}")
+    with pytest.raises(IoFailure):
+        load_model(path)
+    save_model(other, path)
+    assert load_model(path) is second and len(parses) == 3
 
 
 @pytest.mark.parametrize("build", ["init_params", "train"])
@@ -821,7 +845,7 @@ def test_row_normalise_equals_per_graph_blocks_bits(rng):
     az = rng.uniform(0.0, 2.0 * np.pi, 3)
     units[b, :6] = [[0, 0, 1], [0, 0, 1], [0, 0, -1]] + [[np.cos(a), np.sin(a), 0.2] for a in az]
     units[b] /= np.linalg.norm(units[b], axis=1, keepdims=True)
-    adjacency = proximity_blocks(units, np.arange(width) < counts[:, None])
+    adjacency = proximity_blocks(np.ascontiguousarray(np.moveaxis(units, -1, 0)), np.arange(width) < counts[:, None])
     assert adjacency[b, 0, 1] == 1.0
     assert adjacency[b, 2].sum() < AGG_FLOOR
     got = network.row_normalise(adjacency, counts)

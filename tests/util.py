@@ -39,7 +39,7 @@ from gnssfix.estimator.network import (
     row_normalise,
     update_running_stats,
 )
-from gnssfix.geometry import MIN_LOS_DISTANCE, distances, enu_basis
+from gnssfix.geometry import MIN_LOS_DISTANCE, ZENITH_HORIZONTAL_EPS, distances, enu_bases, enu_basis
 from gnssfix.regulator import _ranks
 from gnssfix.solver import NORMAL_COND_LIMIT, horizontal_errors
 from gnssfix.types import BANDS, CONSTELLATIONS, Epoch, EpochBatch
@@ -150,10 +150,10 @@ def enu_to_ecef(origin: np.ndarray, enu) -> np.ndarray:
 
 def line_of_sight(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Receiver-to-satellite vectors (n, 3) and their lengths (n,)."""
-    d, dist = distances(sat_pos, pos)
+    d, dist = distances(np.asarray(sat_pos).T, pos)
     if np.any(dist < MIN_LOS_DISTANCE):
         raise DegenerateGeometry(f"receiver-satellite distance {dist.min():.3g} m below {MIN_LOS_DISTANCE} m")
-    return d, dist
+    return d.T, dist
 
 
 def residuals(epoch: Epoch, state: np.ndarray) -> np.ndarray:
@@ -252,6 +252,39 @@ def enu_basis_cross(origin: np.ndarray) -> np.ndarray:
     e_norm = math.sqrt(east[0] * east[0] + east[1] * east[1] + east[2] * east[2])
     east = np.array([0.0, 1.0, 0.0]) if e_norm < 1e-12 else east / e_norm
     return np.vstack([east, np.cross(up, east), up])
+
+
+def length_reference(v: np.ndarray) -> np.ndarray:
+    """geometry._length in its trailing-axis form: the length over the last
+    axis of (..., 3) vectors by numpy's sum of squares."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
+def directions_reference(sat_pos: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """geometry.directions on (B, K, 3) satellites and (B, 3) points, unit
+    vectors (B, K, 3) over the trailing axis."""
+    d = sat_pos - pos[..., None, :]
+    dist = length_reference(d)
+    return d / np.maximum(dist, MIN_LOS_DISTANCE)[..., None], dist, (dist < MIN_LOS_DISTANCE).any(axis=-1)
+
+
+def local_angles_reference(origins: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """geometry.local_angles on (B, K, 3) unit vectors, projected into the
+    local frames by np.einsum."""
+    bases, at_center = enu_bases(origins)
+    e, n, u = np.einsum("...kc,...ic->i...k", units, bases)
+    horiz = np.hypot(e, n)
+    azimuth = np.where(horiz < ZENITH_HORIZONTAL_EPS, 0.0, np.arctan2(e, n) % (2.0 * np.pi))
+    return np.arctan2(u, horiz), azimuth, at_center
+
+
+def proximity_reference(units: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """features.proximity_blocks on (B, K, 3) unit vectors, the dot products
+    by np.einsum."""
+    A = np.clip(np.einsum("bic,bjc->bij", units, units), 0.0, 1.0)
+    A *= mask[:, :, None] & mask[:, None, :]
+    A[:, np.arange(A.shape[1]), np.arange(A.shape[1])] = 0.0
+    return A
 
 
 def dense_aggregate(blocks: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
