@@ -47,6 +47,11 @@ class PipelineSpec:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
 
+    @property
+    def reads_estimates(self) -> bool:
+        """Whether the method or the selector reads per-measurement error estimates."""
+        return self.method in _REGULATED or self.use_selector
+
 
 @dataclass(frozen=True)
 class EpochScore:
@@ -127,39 +132,33 @@ def percentile(values: Sequence[float], p: float) -> float:
     return float(np.percentile(vals, p))
 
 
-def _require_estimates(spec: PipelineSpec, given: bool) -> bool:
-    """Whether the spec's method or selector reads error estimates; refuses
-    one that does when none are given."""
-    needed = spec.method in _REGULATED or spec.use_selector
-    if needed and not given:
-        raise ModelMissing(f"method {spec.method!r} needs error estimates; give a model or use oracle errors")
-    return needed
-
-
 def load_estimator(spec: PipelineSpec, oracle_errors: bool) -> Estimator | None:
-    """The model whose predictions the spec needs, or None when it needs none."""
-    if oracle_errors or not _require_estimates(spec, spec.model_path is not None):
+    """The model the spec reads its estimates from: None when it reads none,
+    reads the truth errors or names no model file."""
+    if not spec.reads_estimates or oracle_errors or spec.model_path is None:
         return None
     return load_model(spec.model_path)
 
 
 def _batch_estimates(
-    epochs: Sequence[Epoch], batch: EpochBatch, model: Estimator | None, oracle_errors: bool
+    spec: PipelineSpec, epochs: Sequence[Epoch], batch: EpochBatch, model: Estimator | None, oracle_errors: bool
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Per-measurement error estimates of a batch: the truth errors, the
-    model's, or None; and the (B,) outcome with the epochs whose features are
-    degenerate."""
+    """Per-measurement error estimates of a batch: None when the spec reads
+    none, the truth errors under oracle_errors, else the model's; and the (B,)
+    outcome with the epochs whose features are degenerate."""
     outcome = np.zeros(batch.size, dtype=int)
+    if not spec.reads_estimates:
+        return None, outcome
     if oracle_errors:
         for ep in epochs:
             if ep.truth_error is None:
                 raise NoLabels(f"epoch {ep.epoch_id} lacks per-measurement truth errors")
         return np.concatenate([ep.truth_error for ep in epochs]), outcome
-    if model is not None:
-        e_hat, degenerate = predict_batch(model, batch)
-        outcome[degenerate] = DEGENERATE_GEOMETRY
-        return e_hat, outcome
-    return None, outcome
+    if model is None:
+        raise ModelMissing(f"method {spec.method!r} needs error estimates; give a model or use oracle errors")
+    e_hat, degenerate = predict_batch(model, batch)
+    outcome[degenerate] = DEGENERATE_GEOMETRY
+    return e_hat, outcome
 
 
 class _Fixes(NamedTuple):
@@ -181,9 +180,7 @@ def _fix_batch(
     features, too few measurements left after selection, then the weighting
     and the solver; later stages leave it alone. Truth is never read.
     """
-    if e_hat is None:
-        _require_estimates(spec, False)
-    elif not np.isfinite(e_hat).all():
+    if e_hat is not None and not np.isfinite(e_hat).all():
         raise NonFiniteInput("error estimates must be finite")
     used = np.ones(batch.offsets[-1], dtype=bool)
     sub = batch
@@ -210,14 +207,14 @@ def _fix_batch(
 
 
 def _chunks(
-    epochs: Sequence[Epoch], model: Estimator | None, oracle_errors: bool
+    spec: PipelineSpec, epochs: Sequence[Epoch], model: Estimator | None, oracle_errors: bool
 ) -> Iterator[tuple[Sequence[Epoch], EpochBatch, np.ndarray | None, np.ndarray]]:
     """The epochs in runs of up to FOLD_BATCH, each with its batch and its
     estimates and outcome from _batch_estimates."""
     for start in range(0, len(epochs), FOLD_BATCH):
         chunk = epochs[start : start + FOLD_BATCH]
         batch = EpochBatch.of(chunk)
-        yield chunk, batch, *_batch_estimates(chunk, batch, model, oracle_errors)
+        yield chunk, batch, *_batch_estimates(spec, chunk, batch, model, oracle_errors)
 
 
 def _require_truth(epochs: Iterable[Epoch]) -> None:
@@ -261,20 +258,17 @@ def score_epoch(
 
     The epoch is a chunk of one through the stages run_pipeline uses, so it
     gets the score run_pipeline gives it. A learned estimate goes through
-    predict_errors, the one-epoch estimator entry that perfbench traces; as
-    in load_estimator, a spec that reads no estimates runs without the model.
+    predict_errors, the one-epoch estimator entry that perfbench traces.
     """
     _require_truth([epoch])
-    if model is not None and not _require_estimates(spec, True):
-        model = None
     batch = EpochBatch.of([epoch])
-    if model is None or oracle_errors:
-        e_hat, outcome = _batch_estimates([epoch], batch, model, oracle_errors)
-    else:
+    if spec.reads_estimates and model is not None and not oracle_errors:
         try:
             e_hat, outcome = predict_errors(model, epoch), np.zeros(1, dtype=int)
         except DegenerateGeometry:
             e_hat, outcome = np.zeros(len(epoch)), np.full(1, DEGENERATE_GEOMETRY)
+    else:
+        e_hat, outcome = _batch_estimates(spec, [epoch], batch, model, oracle_errors)
     return _score_chunk([epoch], e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, outcome))[0]
 
 
@@ -303,7 +297,7 @@ def run_pipeline(
         if overlap:
             raise ValueError(f"model was trained on evaluation regions {overlap}; hold these out or evaluate elsewhere")
     scores = []
-    for chunk, batch, e_hat, outcome in _chunks(dataset, model, oracle_errors):
+    for chunk, batch, e_hat, outcome in _chunks(spec, dataset, model, oracle_errors):
         scores += _score_chunk(chunk, e_hat, _fix_batch(spec, batch, e_hat, elevation_fit, outcome))
     return EvalReport(
         method=spec.method,
@@ -321,7 +315,7 @@ def localize(spec: PipelineSpec, epochs: Sequence[Epoch]) -> Iterator[dict]:
     Truth is never read.
     """
     model = load_estimator(spec, oracle_errors=False)
-    for chunk, batch, e_hat, outcome in _chunks(epochs, model, False):
+    for chunk, batch, e_hat, outcome in _chunks(spec, epochs, model, False):
         r = _fix_batch(spec, batch, e_hat, None, outcome).result
         for ep, code, state, iterations in zip(chunk, r.outcome.tolist(), r.state.tolist(), r.iterations.tolist()):
             record = {"epoch_id": ep.epoch_id, "region": ep.region_id}

@@ -36,7 +36,7 @@ from scipy.special import ndtr
 from .dataset import DatasetManifest, ManifestEntry, check_region_id, json_float, json_int, json_str, shard_path
 from .dataset import write_manifest, write_shard
 from .errors import IoFailure
-from .geometry import distances, enu_basis
+from .geometry import MIN_LOS_DISTANCE, distances, enu_bases, enu_basis
 from .types import BANDS, CONSTELLATIONS, Epoch
 
 EARTH_RADIUS = 6_371_000.0
@@ -62,6 +62,9 @@ MASK_RANGES = {
 }
 
 DEFAULT_EPOCHS_PER_REGION = 2000
+# Most satellites an epoch may draw: a 256-epoch chunk's float64 (B, K, K)
+# neighbour blocks then take 32 MiB.
+MAX_SATELLITES = 128
 # (region_id, skyline style, latitude deg, longitude deg)
 DEFAULT_REGIONS = (
     ("open-1", "open_sky", 37.40, -122.10),
@@ -97,15 +100,23 @@ class SceneConfig:
         origin = tuple(float(c) for c in self.receiver_origin)
         if len(origin) != 3 or not np.isfinite(origin).all():
             raise ValueError(f"receiver_origin must be 3 finite ECEF coordinates, got {origin}")
+        if enu_bases(np.array(origin))[1]:
+            raise ValueError(f"receiver_origin must lie {MIN_LOS_DISTANCE} m or more from Earth's center, got {origin}")
         object.__setattr__(self, "receiver_origin", origin)
         if len(self.sky_mask_bins) != N_MASK_BINS:
             raise ValueError(f"need {N_MASK_BINS} mask bins, got {len(self.sky_mask_bins)}")
         bins = np.asarray(self.sky_mask_bins, dtype=float)
         if np.any(bins < 0.0) or np.any(bins >= np.pi / 2):
             raise ValueError("mask elevations must lie in [0, pi/2)")
-        lo, hi = self.n_sats_range
-        if lo < 5 or hi < lo:
-            raise ValueError(f"n_sats_range must satisfy 5 <= min <= max, got {self.n_sats_range}")
+        n_sats = tuple(self.n_sats_range)
+        if not (
+            len(n_sats) == 2
+            and all(isinstance(n, (int, np.integer)) for n in n_sats)
+            and 5 <= n_sats[0] <= n_sats[1] <= MAX_SATELLITES
+        ):
+            raise ValueError(
+                f"n_sats_range must be two integers with 5 <= min <= max <= {MAX_SATELLITES}, got {self.n_sats_range}"
+            )
         for name in (
             "los_sigma_base",
             "nlos_mean_extra",

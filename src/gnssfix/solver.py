@@ -223,6 +223,10 @@ def horizontal_errors(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
     bases, at_center = enu_bases(truth[:, :3])
     if at_center.any():
         raise DegenerateGeometry("truth position at Earth's center")
-    east, north, _ = np.einsum("bic,bc->ib", bases, predicted[:, :3] - truth[:, :3])
-    return np.hypot(east, north)
+    # (B, i, c) products of the east and north rows with coordinate c, added
+    # (c0 + c2) + c1 as local_angles adds them, not by np.einsum's inner loop
+    terms = bases[:, :2] * (predicted[:, :3] - truth[:, :3])[:, None]
+    east_north = terms[..., 0] + terms[..., 2]
+    east_north += terms[..., 1]
+    return np.hypot(east_north[:, 0], east_north[:, 1])
 

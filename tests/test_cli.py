@@ -99,6 +99,20 @@ def test_evaluate_oracle_regulation(tiny_data, tmp_path):
     assert float(summary["p95"]) < 1e-2
 
 
+def test_evaluate_wls_with_oracle_errors_reads_no_estimates(tiny_data, tmp_path):
+    # wls_unit reads no estimates, so the oracle flag subtracts nothing: each
+    # trace row's deviation is its error and the summary's after-columns are its before-columns
+    out = str(tmp_path / "rep")
+    args = ["evaluate", "--data", tiny_data["data"], "--holdout", "canyon", "--method", "wls_unit", "--out", out]
+    assert main([*args, "--oracle-errors"]) == 0
+    rows = list(csv.DictReader(open(os.path.join(out, "trace.csv"))))
+    assert rows and all(row["mean_abs_prediction_dev"] == row["mean_abs_err"] for row in rows)
+    summary = dict(zip(*list(csv.reader(open(os.path.join(out, "summary.csv"))))))
+    assert summary["oracle_errors"] == "1"
+    assert summary["mean_abs_err_after"] == summary["mean_abs_err_before"] != "0.0"
+    assert summary["median_abs_err_after"] == summary["median_abs_err_before"]
+
+
 def test_evaluate_trained_model_on_holdout(tiny_data, tmp_path):
     out = str(tmp_path / "rep")
     rc = main(
@@ -432,6 +446,15 @@ OVERLONG_INT = "1" * 5000
             "region 'a': ['style'] have no effect beside 'sky_mask_bins'",
             id="style-beside-sky_mask_bins",
         ),
+        # scenes the simulator cannot draw: an origin at Earth's center has no
+        # local frame, and satellite counts beyond MAX_SATELLITES would hang or exhaust memory
+        pytest.param({"receiver_origin": [0.0, 0.0, 0.0]}, "receiver_origin must lie", id="origin-at-center"),
+        pytest.param({"receiver_origin": [0.5, 0.0, 0.0]}, "receiver_origin must lie", id="origin-near-center"),
+        pytest.param({"n_sats_range": [5, 129]}, "n_sats_range must be", id="n_sats_range-129"),
+        pytest.param({"n_sats_range": [2000, 2000]}, "n_sats_range must be", id="n_sats_range-2000"),
+        pytest.param({"n_sats_range": [5, 1000000000]}, "n_sats_range must be", id="n_sats_range-1e9"),
+        pytest.param({"n_sats_range": [4, 10]}, "n_sats_range must be", id="n_sats_range-4"),
+        pytest.param({"n_sats_range": [5, 8, 9]}, "n_sats_range must be", id="n_sats_range-three"),
     ],
 )
 def test_exit_code_2_for_bad_scene_entry(tmp_path, capsys, entry, named):

@@ -386,6 +386,45 @@ def test_one_epoch_score_ignores_a_model_its_method_does_not_read(learned_models
     assert all(s.mean_abs_err_after == s.mean_abs_err_before for s in alone if s.skipped is None)
 
 
+@pytest.mark.parametrize("use_selector", [False, True])
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_a_spec_that_reads_no_estimates_ignores_a_model_and_the_oracle_flag(learned_models, method, use_selector):
+    # PipelineSpec.reads_estimates is the one rule: a spec that reads none
+    # scores and locates a fold alike with no model, a model or oracle errors,
+    # even where an epoch carries no labels; a spec that reads them refuses
+    # to run with neither
+    fold = _mixed_fold(np.random.default_rng(11))
+    fold[4] = make_epoch(np.random.default_rng(4), n=7, epoch_id=4, labelled=False)
+    fit = ElevationWeightFit(a=4.0, b=0.5)
+    bare = PipelineSpec(method, use_selector=use_selector)
+    modelled = PipelineSpec(method, use_selector=use_selector, model_path=learned_models[16])
+    assert bare.reads_estimates == (method.startswith("regulate_") or use_selector)
+    if bare.reads_estimates:
+        with pytest.raises(ModelMissing, match=repr(method)):
+            run_pipeline(bare, fold, elevation_fit=fit)
+        with pytest.raises(NoLabels, match="epoch 4 lacks"):
+            run_pipeline(modelled, fold, oracle_errors=True, elevation_fit=fit)
+        assert list(localize(bare, [])) == []  # no chunk, so no estimates to refuse
+        return
+    model = load_model(learned_models[16])
+    reports = [
+        run_pipeline(spec, fold, oracle_errors=oracle, elevation_fit=fit)
+        for spec in (bare, modelled)
+        for oracle in (False, True)
+    ]
+    scores = reports[0].scores
+    for report in reports[1:]:
+        assert all(map(_same_score, scores, report.scores))
+    for given, oracle in ((None, False), (model, False), (None, True), (model, True)):
+        alone = [score_epoch(modelled, ep, given, oracle, fit) for ep in fold]
+        assert all(map(_same_score, scores, alone))
+    fixed = [s for s in scores if s.skipped is None]
+    assert all(s.mean_abs_err_after == s.mean_abs_err_before for s in fixed if s.epoch_id != 4)
+    assert math.isnan(scores[4].mean_abs_err_after) and scores[4].skipped is None
+    if method != "wls_elevation":  # localize fits no variance law
+        assert list(localize(bare, fold)) == list(localize(modelled, fold))
+
+
 def test_fold_batch_size_does_not_change_scores(learned_models, monkeypatch):
     # the chunk loop bounds its memory by batching the fold; any split gives the same scores and records
     from gnssfix import evaluation

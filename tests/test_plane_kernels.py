@@ -1,6 +1,7 @@
 """The geometry kernels on (3, B, K) coordinate planes give, bit for bit, what
 their trailing-axis forms in tests/util.py give: lengths add (x^2 + y^2) + z^2
-and the dot products (term 0 + term 2) + term 1, the order np.einsum used."""
+and the dot products (term 0 + term 2) + term 1, the order np.einsum used.
+The scored horizontal errors project in that order too."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,10 +9,17 @@ from hypothesis import strategies as st
 
 from gnssfix.estimator.features import proximity_blocks
 from gnssfix.geometry import directions, distances, local_angles
-from gnssfix.solver import geometry_matrices
+from gnssfix.solver import geometry_matrices, horizontal_errors
 from gnssfix.types import EpochBatch
 
-from util import EARTH_R, directions_reference, length_reference, local_angles_reference, proximity_reference
+from util import (
+    EARTH_R,
+    directions_reference,
+    horizontal_errors_reference,
+    length_reference,
+    local_angles_reference,
+    proximity_reference,
+)
 
 POLES = np.array([[0.0, 0.0, EARTH_R], [0.0, 0.0, -EARTH_R], [1e-9, 0.0, EARTH_R], [0.0, -1e-9, -EARTH_R]])
 
@@ -94,3 +102,16 @@ def test_plane_arrays_are_c_contiguous():
     el, az, _ = local_angles(batch.initial_guess, units)
     assert el.flags.c_contiguous and az.flags.c_contiguous
     assert batch.subset(np.arange(counts.sum()) % 2 == 0).sat_planes.flags.c_contiguous
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.sampled_from([1, 2, 250]), st.integers(0, 2**32 - 1))
+def test_horizontal_errors_match_the_einsum_projection_bit_for_bit(size, seed):
+    # truth on the surface, some at the poles, fixes 1 mm to 10 km off
+    rng = np.random.default_rng(seed)
+    truth = rng.standard_normal((size, 4))
+    truth[:, :3] *= (EARTH_R / np.sqrt((truth[:, :3] * truth[:, :3]).sum(axis=1)))[:, None]
+    poles = rng.random(size) < 0.2
+    truth[poles, :3] = POLES[rng.integers(len(POLES), size=int(poles.sum()))]
+    predicted = truth + rng.standard_normal((size, 4)) * 10.0 ** rng.uniform(-3.0, 4.0, (size, 1))
+    assert _same_bits(horizontal_errors(predicted, truth), horizontal_errors_reference(predicted, truth))

@@ -287,6 +287,14 @@ def proximity_reference(units: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return A
 
 
+def horizontal_errors_reference(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """solver.horizontal_errors with the fix error projected onto the east
+    and north rows by np.einsum."""
+    bases, _ = enu_bases(truth[:, :3])
+    east, north, _ = np.einsum("bic,bc->ib", bases, predicted[:, :3] - truth[:, :3])
+    return np.hypot(east, north)
+
+
 def dense_aggregate(blocks: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
     """network._aggregate as one dense block-diagonal N x N neighbour-averaging
     matrix over the stacked nodes, the layout the padded blocks replaced."""
